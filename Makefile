@@ -2,7 +2,7 @@
 # the whole test suite (which includes the jobs>1 determinism tests in
 # test_parallel.ml), and a CLI smoke run of the parallel explorer.
 
-.PHONY: all build test check parallel-smoke lint bench bench-smoke bench-check interrupt-smoke pbt-smoke pbt-nightly fleet-smoke clean
+.PHONY: all build test check parallel-smoke lint bench bench-smoke interrupt-smoke pbt-smoke pbt-nightly fleet-smoke clean
 
 all: build
 
@@ -32,27 +32,18 @@ check: build test parallel-smoke lint
 bench: build
 	dune exec bench/main.exe
 
-# Seconds-long subsets of the snapshot, memo and checkpoint bench sections:
-# assert that outcomes stay byte-identical with the failure-point snapshot
-# layer and the crash-state memoization layer on and off, and that a chain of
-# wall-budget-interrupted sessions resumed from checkpoints reports
-# identically to one uninterrupted run. Also regenerates BENCH_fig14.json,
-# the committed replay-throughput trajectory.
+# Seconds-long subsets of the snapshot and checkpoint bench sections: assert
+# that outcomes stay byte-identical with the failure-point snapshot layer on
+# and off, and that a chain of wall-budget-interrupted sessions resumed from
+# checkpoints reports identically to one uninterrupted run. The perf gate is
+# the macro suite in bench/suite (see its README).
 bench-smoke: build
-	dune exec bench/main.exe -- fig14-json snapshot-smoke memo-smoke checkpoint-smoke
-
-# Regression gate over the committed BENCH_fig14.json: re-measures jobs=1
-# replay throughput per Fig. 14 workload and fails on an execution-count
-# mismatch or a throughput drop beyond JAARU_BENCH_TOLERANCE (default 20%).
-# Run this BEFORE bench-smoke if you want to compare against the committed
-# baseline — bench-smoke overwrites it with fresh numbers.
-bench-check: build
-	dune exec bench/main.exe -- fig14-check
+	dune exec bench/main.exe -- snapshot-smoke checkpoint-smoke
 
 # Stateful-PBT determinism smoke: `jaaru pbt --seed S` (a clean sweep plus
 # one seeded-bug structure, so the shrunk witness is covered) must print
 # byte-identical reports for jobs {1, JAARU_TEST_JOBS} and with the
-# snapshot/memo layers on and off.
+# snapshot layer on and off.
 pbt-smoke: build
 	scripts/pbt_determinism_smoke.sh
 

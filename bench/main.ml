@@ -154,171 +154,6 @@ let same_outcome (a : Explorer.outcome) (b : Explorer.outcome) =
   && a.Explorer.findings = b.Explorer.findings
   && Stats.comparable a.Explorer.stats = Stats.comparable b.Explorer.stats
 
-(* --- Figure 14 perf trajectory (BENCH_fig14.json) ----------------------------- *)
-
-(* Replay-throughput trajectory over the Fig. 14 workloads, written as JSON so
-   CI archives it and `make bench-check` flags regressions against the
-   committed baseline. Per workload:
-
-     - best-of-K jobs=1 wall time with snapshot/memo off — pure replay
-       throughput (executions per second), the number the flat replay engine
-       optimises;
-     - the same at jobs=4 — domain scaling;
-     - one jobs=1 run with both layers on — memo/snapshot hit rates.
-
-   Every timed cell runs once untimed and Gc.compacts first, so the minima
-   compare replay work rather than allocator state inherited from whichever
-   cell happened to run before. *)
-
-let fig14_json_path = "BENCH_fig14.json"
-let bench_rounds = 3
-
-let timed_cell f =
-  ignore (f ());
-  Gc.compact ();
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to bench_rounds do
-    let t0 = Unix.gettimeofday () in
-    let o = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    last := Some o
-  done;
-  (Option.get !last, !best)
-
-let fig14_perf_config ~jobs ~layers =
-  { Config.default with Config.max_steps = 200_000; jobs; snapshot = layers; memo = layers }
-
-let measure_replay scn =
-  timed_cell (fun () -> Explorer.run ~config:(fig14_perf_config ~jobs:1 ~layers:false) scn)
-
-let hit_rate hits misses =
-  let total = hits + misses in
-  if total = 0 then 0. else float_of_int hits /. float_of_int total
-
-let fig14_perf () =
-  section_header (Printf.sprintf "Figure 14 perf trajectory (%s)" fig14_json_path);
-  Format.printf "%-12s %8s %10s %12s %10s %10s %10s@." "Benchmark" "exec" "replay" "exec/s"
-    "j=4 spdup" "memo hit%" "snap hit%";
-  let open Jsonx in
-  let total_execs = ref 0 and total_t = ref 0. in
-  let rows =
-    List.map
-      (fun (benchmark, n) ->
-        let scn = Recipe.Workloads.fixed_scenario benchmark n in
-        let o1, t1 = measure_replay scn in
-        let o4, t4 =
-          timed_cell (fun () -> Explorer.run ~config:(fig14_perf_config ~jobs:4 ~layers:false) scn)
-        in
-        let ol, _tl =
-          timed_cell (fun () -> Explorer.run ~config:(fig14_perf_config ~jobs:1 ~layers:true) scn)
-        in
-        (* The determinism contract, re-checked where the numbers are made:
-           jobs and the snapshot/memo layers may only change wall time and
-           cache-traffic diagnostics. *)
-        assert (same_outcome o1 o4);
-        assert (same_outcome o1 ol);
-        let s = o1.Explorer.stats and sl = ol.Explorer.stats in
-        let execs = s.Stats.executions in
-        let eps = float_of_int execs /. t1 in
-        let memo_rate = hit_rate sl.Stats.memo_hits sl.Stats.memo_misses in
-        let snap_rate = hit_rate sl.Stats.snapshot_hits sl.Stats.snapshot_misses in
-        total_execs := !total_execs + execs;
-        total_t := !total_t +. t1;
-        Format.printf "%-12s %8d %9.3fs %12.0f %9.2fx %9.1f%% %9.1f%%@." benchmark execs t1 eps
-          (t1 /. t4) (100. *. memo_rate) (100. *. snap_rate);
-        Obj
-          [
-            ("benchmark", Str benchmark);
-            ("size", int n);
-            ("executions", int execs);
-            ("failure_points", int s.Stats.failure_points);
-            ("replay_wall_s", Num t1);
-            ("execs_per_sec", Num eps);
-            ( "jobs_scaling",
-              Arr
-                [
-                  Obj [ ("jobs", int 1); ("wall_s", Num t1); ("speedup", Num 1.) ];
-                  Obj [ ("jobs", int 4); ("wall_s", Num t4); ("speedup", Num (t1 /. t4)) ];
-                ] );
-            ( "layered",
-              Obj
-                [
-                  ("memo_hits", int sl.Stats.memo_hits);
-                  ("memo_misses", int sl.Stats.memo_misses);
-                  ("memo_saved", int sl.Stats.memo_saved);
-                  ("memo_hit_rate", Num memo_rate);
-                  ("snapshot_hits", int sl.Stats.snapshot_hits);
-                  ("snapshot_misses", int sl.Stats.snapshot_misses);
-                  ("snapshot_hit_rate", Num snap_rate);
-                ] );
-          ])
-      fig14_sizes
-  in
-  let doc =
-    Obj
-      [
-        ("schema", Str "jaaru-fig14-perf/1");
-        ("rounds", int bench_rounds);
-        ( "total",
-          Obj
-            [
-              ("executions", int !total_execs);
-              ("replay_wall_s", Num !total_t);
-              ("execs_per_sec", Num (float_of_int !total_execs /. !total_t));
-            ] );
-        ("workloads", Arr rows);
-      ]
-  in
-  Jsonx.to_file fig14_json_path doc;
-  Format.printf "@.wrote %s (total %.0f exec/s over %d executions)@." fig14_json_path
-    (float_of_int !total_execs /. !total_t)
-    !total_execs
-
-(* Regression gate: re-measure jobs=1 replay throughput and compare per
-   workload against the committed baseline. Execution counts must match
-   exactly (they are deterministic); throughput may regress by at most
-   JAARU_BENCH_TOLERANCE (default 20%). Exits nonzero on violation. *)
-let fig14_check () =
-  section_header "Figure 14 perf check (fresh measurement vs committed baseline)";
-  let baseline_path =
-    Option.value (Sys.getenv_opt "JAARU_FIG14_BASELINE") ~default:fig14_json_path
-  in
-  let tolerance =
-    match Sys.getenv_opt "JAARU_BENCH_TOLERANCE" with
-    | Some s -> float_of_string s
-    | None -> 0.20
-  in
-  let baseline = Jsonx.of_file baseline_path in
-  Format.printf "baseline %s, tolerance %.0f%%@.@." baseline_path (100. *. tolerance);
-  Format.printf "%-12s %12s %12s %8s %s@." "Benchmark" "base ex/s" "now ex/s" "ratio" "verdict";
-  let failures = ref 0 in
-  List.iter
-    (fun row ->
-      let benchmark = Jsonx.to_str (Jsonx.get "benchmark" row) in
-      let n = int_of_float (Jsonx.to_num (Jsonx.get "size" row)) in
-      let base_execs = int_of_float (Jsonx.to_num (Jsonx.get "executions" row)) in
-      let base_eps = Jsonx.to_num (Jsonx.get "execs_per_sec" row) in
-      let scn = Recipe.Workloads.fixed_scenario benchmark n in
-      let o, t = measure_replay scn in
-      let execs = o.Explorer.stats.Stats.executions in
-      let eps = float_of_int execs /. t in
-      let verdict =
-        if execs <> base_execs then Printf.sprintf "FAIL (executions %d <> baseline %d)" execs base_execs
-        else if eps < (1. -. tolerance) *. base_eps then "FAIL (throughput regression)"
-        else "ok"
-      in
-      if verdict <> "ok" then incr failures;
-      Format.printf "%-12s %12.0f %12.0f %7.2fx %s@." benchmark base_eps eps (eps /. base_eps)
-        verdict)
-    (Jsonx.to_arr (Jsonx.get "workloads" baseline));
-  if !failures > 0 then begin
-    Format.printf "@.%d workload(s) regressed beyond tolerance@." !failures;
-    exit 1
-  end
-  else Format.printf "@.no regression beyond tolerance@."
-
 (* --- scaling: domain-parallel exploration -------------------------------------- *)
 
 (* jobs=1 vs jobs=N over the Fig. 14 workloads: the whole lazy search is
@@ -505,71 +340,6 @@ let snapshot_bench ~smoke =
   (* The full run must demonstrate the >= 2x reduction; the smoke run only
      guards the byte-identity asserts and that the layer engages at all. *)
   if not smoke then assert (best >= 2.)
-
-(* --- crash-state memoization ---------------------------------------------------- *)
-
-(* The memoization layer (Config.memo): at each committed crash the surviving
-   persistent state is canonicalized (sequence numbers rank-normalized, so
-   different drain-cut vectors persisting the same bytes collide) and fully
-   explored recovery subtrees are replayed from a cached verdict instead of
-   re-executed. Redundant crash states arise from concurrency: two writer
-   threads running the same code reach the same persistent state through many
-   schedule/drain combinations, and every duplicate's recovery subtree is
-   skipped. Outcomes must stay byte-identical with the layer on or off — the
-   only observable differences are the diagnostic hit counters and wall
-   time. *)
-let memo_row ~label ~jobs config scn =
-  let run memo =
-    let config = { config with Config.memo; jobs } in
-    let t0 = Unix.gettimeofday () in
-    let o = Explorer.run ~config scn in
-    (o, Unix.gettimeofday () -. t0)
-  in
-  let o_off, t_off = run false in
-  let o_on, t_on = run true in
-  let identical = same_outcome o_off o_on in
-  let s = o_on.Explorer.stats in
-  let replayed = s.Stats.executions - s.Stats.memo_saved in
-  Format.printf "%-22s %8d %9d %7d %7d %9.2fs %9.2fs %s@." label s.Stats.executions replayed
-    s.Stats.memo_hits s.Stats.memo_saved t_off t_on
-    (if identical then "yes" else "NO");
-  assert identical;
-  (label, s.Stats.memo_hits, s.Stats.memo_saved)
-
-let memo_bench ~smoke =
-  section_header "Memo: crash-state memoization (memo off vs on)";
-  Format.printf "%-22s %8s %9s %7s %7s %10s %10s %s@." "Workload" "exec" "replayed" "hits"
-    "saved" "off" "on" "identical";
-  let clht ks0 ks1 = Recipe.Workloads.concurrent_scenario ~ks0 ~ks1 ~racy:false () in
-  let racy = Recipe.Workloads.concurrent_scenario ~racy:true () in
-  let buffered mf =
-    {
-      Config.default with
-      Config.evict_policy = Config.Buffered;
-      max_failures = mf;
-      max_steps = 200_000;
-    }
-  in
-  let rows =
-    if smoke then [ ("P-CLHT racy increment", 1, buffered 2, racy) ]
-    else
-      [
-        ("P-CLHT conc (1+1 keys)", 1, buffered 2, clht [ 3 ] [ 11 ]);
-        ("P-CLHT conc (2+2 keys)", 1, buffered 2, clht [ 3; 5 ] [ 11; 13 ]);
-        ("P-CLHT conc (j=4)", 4, buffered 2, clht [ 3; 5 ] [ 11; 13 ]);
-        ("P-CLHT racy increment", 1, buffered 2, racy);
-      ]
-  in
-  let results =
-    List.map (fun (label, jobs, config, scn) -> memo_row ~label ~jobs config scn) rows
-  in
-  let saving = List.filter (fun (_, _, saved) -> saved > 0) results in
-  Format.printf "@.%d workload(s) with replayed-recovery savings@." (List.length saving);
-  (* The full run must demonstrate savings on at least two workloads; the
-     smoke run only guards the byte-identity asserts and that the layer
-     engages at all. *)
-  if smoke then assert (List.exists (fun (_, hits, _) -> hits > 0) results)
-  else assert (List.length saving >= 2)
 
 (* --- checkpoint / resume --------------------------------------------------------- *)
 
@@ -802,19 +572,12 @@ let () =
     fig14 ();
     fig14_bechamel ()
   end;
-  if want "fig14-json" then fig14_perf ();
-  (* fig14-check is opt-in only: `make bench-check` runs it against the
-     committed BENCH_fig14.json and fails the build on a regression. *)
-  if List.mem "fig14-check" sections then fig14_check ();
   if want "scaling" then scaling ();
   if want "analysis" then analysis_overhead ();
   if want "snapshot" then snapshot_bench ~smoke:false;
   (* snapshot-smoke is opt-in only (CI): a seconds-long subset of the
      snapshot section that still exercises the byte-identity asserts. *)
   if List.mem "snapshot-smoke" sections then snapshot_bench ~smoke:true;
-  if want "memo" then memo_bench ~smoke:false;
-  (* memo-smoke is opt-in only (CI), like snapshot-smoke. *)
-  if List.mem "memo-smoke" sections then memo_bench ~smoke:true;
   if want "checkpoint" then checkpoint_bench ~smoke:false;
   (* checkpoint-smoke is opt-in only (CI), like snapshot-smoke. *)
   if List.mem "checkpoint-smoke" sections then checkpoint_bench ~smoke:true;

@@ -69,10 +69,25 @@ let list_cmd =
 let id_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CASE" ~doc:"Case id (see `jaaru list')")
 
+(* Numeric flags whose out-of-range values would crash or silently misbehave
+   further in are rejected at parse time: cmdliner exits 124 and names the
+   flag. *)
+let restrict conv ~ok ~expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let non_negative_int = restrict Arg.int ~ok:(fun n -> n >= 0) ~expected:"a non-negative integer"
+let positive conv ~zero = restrict conv ~ok:(fun v -> v > zero) ~expected:"a positive number"
+
 let max_failures_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some non_negative_int) None
     & info [ "max-failures" ] ~docv:"N" ~doc:"Maximum number of injected power failures")
 
 let max_steps_arg =
@@ -114,17 +129,6 @@ let snapshot_arg =
            pre-failure state instead of re-executing the pre-failure program. Outcomes are \
            identical either way; off is a debugging/benchmarking aid.")
 
-let memo_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "memo" ] ~docv:"on|off"
-        ~doc:
-          "Crash-state memoization: when two failure points leave semantically identical \
-           persistent states, recovery is explored once and the cached verdict is replayed for \
-           the duplicates. Bug reports and statistics are identical either way; off is a \
-           debugging/benchmarking aid. Ignored with stop-at-first-bug.")
-
 let analyze_arg =
   Arg.(
     value & flag
@@ -136,7 +140,7 @@ let analyze_arg =
 let wall_budget_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (positive float ~zero:0.)) None
     & info [ "wall-budget" ] ~docv:"SEC"
         ~doc:
           "Stop the run cooperatively after $(docv) seconds of wall clock: workers finish their \
@@ -146,7 +150,7 @@ let wall_budget_arg =
 let step_deadline_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (positive float ~zero:0.)) None
     & info [ "step-deadline" ] ~docv:"SEC"
         ~doc:
           "Cancel any single execution that runs longer than $(docv) seconds, recording it as an \
@@ -156,11 +160,11 @@ let step_deadline_arg =
 let mem_budget_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (positive int ~zero:0)) None
     & info [ "mem-budget" ] ~docv:"MB"
         ~doc:
           "Soft memory budget in megabytes: when the OCaml heap exceeds it, workers shed their \
-           memoization and snapshot caches (correct but slower — the run never aborts).")
+           snapshot caches (correct but slower — the run never aborts).")
 
 let checkpoint_arg =
   Arg.(
@@ -173,7 +177,8 @@ let checkpoint_arg =
 
 let checkpoint_every_arg =
   Arg.(
-    value & opt float 30.
+    value
+    & opt (positive float ~zero:0.) 30.
     & info [ "checkpoint-every" ] ~docv:"SEC"
         ~doc:"Seconds between periodic checkpoints (with $(b,--checkpoint); default 30)")
 
@@ -184,8 +189,8 @@ let resume_arg =
     & info [ "resume" ] ~docv:"FILE"
         ~doc:
           "Continue the exploration saved in $(docv). The checkpoint's workload and configuration \
-           fingerprint must match this invocation ($(b,--jobs), $(b,--memo), $(b,--snapshot) and \
-           the budgets may differ; tree-shaping flags may not). The finished run reports exactly \
+           fingerprint must match this invocation ($(b,--jobs), $(b,--snapshot) and the \
+           budgets may differ; tree-shaping flags may not). The finished run reports exactly \
            what an uninterrupted run would. Implies checkpointing back to the same file unless \
            $(b,--checkpoint) names another.")
 
@@ -199,7 +204,7 @@ let report_out_arg =
            zeroed) to $(docv) — byte-identical across $(b,--jobs) values and interrupt/resume \
            histories; meant for diffing in CI.")
 
-let apply_overrides config ~max_failures ~max_steps ~exhaustive ~jobs ~snapshot ~memo =
+let apply_overrides config ~max_failures ~max_steps ~exhaustive ~jobs ~snapshot =
   let config =
     match max_failures with
     | Some n -> { config with Jaaru.Config.max_failures = n }
@@ -208,14 +213,8 @@ let apply_overrides config ~max_failures ~max_steps ~exhaustive ~jobs ~snapshot 
   let config =
     match max_steps with Some n -> { config with Jaaru.Config.max_steps = n } | None -> config
   in
-  let config = { config with Jaaru.Config.jobs = max 1 jobs; snapshot; memo } in
+  let config = { config with Jaaru.Config.jobs = max 1 jobs; snapshot } in
   if exhaustive then { config with Jaaru.Config.stop_at_first_bug = false } else config
-
-let pp_memo_counters o =
-  let s = o.Jaaru.Explorer.stats in
-  if s.Jaaru.Stats.memo_hits > 0 || s.Jaaru.Stats.memo_saved > 0 then
-    Format.printf "memo: %d hit(s), %d miss(es), %d execution(s) saved@."
-      s.Jaaru.Stats.memo_hits s.Jaaru.Stats.memo_misses s.Jaaru.Stats.memo_saved
 
 (* SIGINT/SIGTERM request the explorer's cooperative stop: workers finish
    their current replay, the partial report still prints, and the frontier
@@ -251,13 +250,13 @@ let write_report path o =
       let ppf = Format.formatter_of_out_channel oc in
       Format.fprintf ppf "%a@." Jaaru.Explorer.pp_report o)
 
-let check_run id max_failures max_steps exhaustive jobs snapshot memo show_multi_rf show_trace
+let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf show_trace
     analyze wall_budget step_deadline mem_budget checkpoint checkpoint_every resume report_out =
   match find_entry id with
   | Error e -> Error e
   | Ok entry -> (
       let config =
-        apply_overrides entry.config ~max_failures ~max_steps ~exhaustive ~jobs ~snapshot ~memo
+        apply_overrides entry.config ~max_failures ~max_steps ~exhaustive ~jobs ~snapshot
       in
       let config = if analyze then { config with Jaaru.Config.analyze = true } else config in
       let config =
@@ -280,7 +279,6 @@ let check_run id max_failures max_steps exhaustive jobs snapshot memo show_multi
       | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
       | o ->
           Format.printf "%a@.@." Jaaru.Explorer.pp_outcome o;
-          pp_memo_counters o;
           Option.iter (fun path -> write_report path o) report_out;
           List.iter
             (fun b ->
@@ -322,7 +320,7 @@ let check_cmd =
     Term.(
       term_result
         (const check_run $ id_arg $ max_failures_arg $ max_steps_arg $ exhaustive_arg $ jobs_arg
-       $ snapshot_arg $ memo_arg $ multi_rf_arg $ trace_arg $ analyze_arg $ wall_budget_arg
+       $ snapshot_arg $ multi_rf_arg $ trace_arg $ analyze_arg $ wall_budget_arg
        $ step_deadline_arg $ mem_budget_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
        $ report_out_arg))
 
@@ -459,7 +457,7 @@ let bench_arg =
 
 let n_arg = Arg.(value & opt int 8 & info [ "n" ] ~docv:"N" ~doc:"Workload size (keys inserted)")
 
-let perf_run benchmark n jobs snapshot memo =
+let perf_run benchmark n jobs snapshot =
   match Recipe.Workloads.fixed_scenario benchmark n with
   | exception Invalid_argument m -> Error (`Msg m)
   | scn ->
@@ -469,14 +467,12 @@ let perf_run benchmark n jobs snapshot memo =
           Jaaru.Config.max_steps = 200_000;
           jobs = max 1 jobs;
           snapshot;
-          memo;
         }
       in
       let t0 = Unix.gettimeofday () in
       let o = Jaaru.Explorer.run ~config scn in
       let dt = Unix.gettimeofday () -. t0 in
       Format.printf "%s n=%d: %a@." benchmark n Jaaru.Explorer.pp_outcome o;
-      pp_memo_counters o;
       Format.printf "wall time: %.3fs@." dt;
       let yat = Yat.State_count.analyze ~config (fun ctx -> scn.pre ctx) in
       Format.printf "eager baseline would explore %a states@." Yat.State_count.pp_count
@@ -487,7 +483,7 @@ let perf_cmd =
   let doc = "Exhaustively explore a fixed RECIPE benchmark and report statistics" in
   Cmd.v
     (Cmd.info "perf" ~doc)
-    Term.(term_result (const perf_run $ bench_arg $ n_arg $ jobs_arg $ snapshot_arg $ memo_arg))
+    Term.(term_result (const perf_run $ bench_arg $ n_arg $ jobs_arg $ snapshot_arg))
 
 (* --- fuzz ------------------------------------------------------------------ *)
 
@@ -538,7 +534,7 @@ let pbt_list_arg =
 
 let count_arg =
   Arg.(
-    value & opt int 25
+    value & opt non_negative_int 25
     & info [ "count" ] ~docv:"N" ~doc:"Command sequences to generate per structure")
 
 let seed_arg =
@@ -546,7 +542,8 @@ let seed_arg =
 
 let max_cmds_arg =
   Arg.(
-    value & opt int 6
+    value
+    & opt (positive int ~zero:0) 6
     & info [ "max-cmds" ] ~docv:"N" ~doc:"Maximum commands per generated sequence")
 
 let time_budget_arg =
@@ -569,7 +566,7 @@ let json_out_arg =
            ($(b,jaaru-pbt-coverage/1)) to $(docv) — what the nightly publishes; deterministic \
            (no wall-clock fields).")
 
-let pbt_run structure list count seed max_cmds time_budget jobs snapshot memo json_out =
+let pbt_run structure list count seed max_cmds time_budget jobs snapshot json_out =
   if list then begin
     Format.printf "%-42s %-8s %s@." "ID" "FAMILY" "ORACLE";
     List.iter
@@ -596,7 +593,7 @@ let pbt_run structure list count seed max_cmds time_budget jobs snapshot memo js
     | Error e -> Error e
     | Ok adapters ->
         let deadline = Option.map (fun b -> Unix.gettimeofday () +. b) time_budget in
-        let config = { Pbt.Runner.config with Jaaru.Config.jobs = max 1 jobs; snapshot; memo } in
+        let config = { Pbt.Runner.config with Jaaru.Config.jobs = max 1 jobs; snapshot } in
         let reports =
           List.map
             (fun a -> Pbt.Driver.run_structure ~config ?deadline ~seed ~count ~max_cmds a)
@@ -649,7 +646,7 @@ let pbt_cmd =
     Term.(
       term_result
         (const pbt_run $ structure_arg $ pbt_list_arg $ count_arg $ seed_arg $ max_cmds_arg
-       $ time_budget_arg $ jobs_arg $ snapshot_arg $ memo_arg $ json_out_arg))
+       $ time_budget_arg $ jobs_arg $ snapshot_arg $ json_out_arg))
 
 (* --- fleet ----------------------------------------------------------------- *)
 
@@ -660,8 +657,8 @@ let pbt_cmd =
    a worker that would compute a different tree rejects its shards instead
    of silently exploring the wrong one. Fleet always explores exhaustively
    (stop-at-first-bug stops mid-subtree, which has no deterministic merge). *)
-let fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot ~memo =
-  apply_overrides entry.config ~max_failures ~max_steps ~exhaustive:true ~jobs ~snapshot ~memo
+let fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot =
+  apply_overrides entry.config ~max_failures ~max_steps ~exhaustive:true ~jobs ~snapshot
 
 let fleet_workers_arg =
   Arg.(
@@ -673,7 +670,8 @@ let fleet_workers_arg =
 
 let fleet_shards_arg =
   Arg.(
-    value & opt int 4
+    value
+    & opt (positive int ~zero:0) 4
     & info [ "fleet-shards" ] ~docv:"N"
         ~doc:"Target shards per worker (finer shards rebalance better; default 4)")
 
@@ -700,7 +698,8 @@ let fleet_chaos_seed_arg =
 
 let heartbeat_timeout_arg =
   Arg.(
-    value & opt float 2.0
+    value
+    & opt (positive float ~zero:0.) 2.0
     & info [ "heartbeat-timeout" ] ~docv:"SEC"
         ~doc:"Seconds without a worker heartbeat before it is declared hung and killed")
 
@@ -756,8 +755,8 @@ let fleet_result_checks entry (o : Jaaru.Explorer.outcome) =
 
 let fleet_run_entry entry ~workers ~shards_per_worker ~split_execs ~chaos ~chaos_seed
     ~heartbeat_timeout ~heartbeat_period ~quarantine_after ~in_process ~max_failures ~max_steps
-    ~jobs ~snapshot ~memo ~verbose =
-  let config = fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot ~memo in
+    ~jobs ~snapshot ~verbose =
+  let config = fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot in
   let scratch = make_scratch () in
   let worker_argv =
     if in_process then None
@@ -774,8 +773,6 @@ let fleet_run_entry entry ~workers ~shards_per_worker ~split_execs ~chaos ~chaos
                string_of_int (max 1 jobs);
                "--snapshot";
                (if snapshot then "on" else "off");
-               "--memo";
-               (if memo then "on" else "off");
                "--heartbeat-period";
                Printf.sprintf "%g" heartbeat_period;
              ]))
@@ -801,8 +798,8 @@ let fleet_run_entry entry ~workers ~shards_per_worker ~split_execs ~chaos ~chaos
           Fleet.Coordinator.run ~fleet ~config ~scenario:entry.scenario))
 
 let fleet_run id workers shards_per_worker split_execs chaos_spec chaos_seed heartbeat_timeout
-    heartbeat_period quarantine_after in_process max_failures max_steps jobs snapshot memo
-    checkpoint report_out verbose =
+    heartbeat_period quarantine_after in_process max_failures max_steps jobs snapshot checkpoint
+    report_out verbose =
   match find_entry id with
   | Error e -> Error e
   | Ok entry -> (
@@ -813,7 +810,7 @@ let fleet_run id workers shards_per_worker split_execs chaos_spec chaos_seed hea
           match
             fleet_run_entry entry ~workers ~shards_per_worker ~split_execs ~chaos ~chaos_seed
               ~heartbeat_timeout ~heartbeat_period ~quarantine_after ~in_process ~max_failures
-              ~max_steps ~jobs ~snapshot ~memo ~verbose
+              ~max_steps ~jobs ~snapshot ~verbose
           with
           | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
           | r ->
@@ -829,7 +826,7 @@ let fleet_run id workers shards_per_worker split_execs chaos_spec chaos_seed hea
                 (match checkpoint with
                 | Some path ->
                     let config =
-                      fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot ~memo
+                      fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot
                     in
                     let cp =
                       Jaaru.Checkpoint.make
@@ -875,15 +872,24 @@ let fleet_cmd =
         (const fleet_run $ id_arg $ fleet_workers_arg $ fleet_shards_arg $ fleet_split_arg
        $ fleet_chaos_arg $ fleet_chaos_seed_arg $ heartbeat_timeout_arg $ heartbeat_period_arg
        $ quarantine_arg $ in_process_arg $ max_failures_arg $ max_steps_arg $ jobs_arg
-       $ snapshot_arg $ memo_arg $ checkpoint_arg $ report_out_arg $ verbose_arg))
+       $ snapshot_arg $ checkpoint_arg $ report_out_arg $ verbose_arg))
+
+(* Accepted and ignored: the macro benchmark suite still passes it to the
+   workers it spawns. A later benchmark change removes it together with the
+   suite's memo.* metrics and its memo-off variant. *)
+let ignored_memo_arg =
+  Arg.(
+    value
+    & opt (enum [ ("on", ()); ("off", ()) ]) ()
+    & info [ "memo" ] ~docv:"on|off" ~doc:"Ignored; crash-state memoization was removed.")
 
 (* The internal worker entry point `jaaru fleet` spawns. Its stdin/stdout are
    the protocol pipes — nothing here may print to stdout. *)
-let fleet_worker_run id max_failures max_steps jobs snapshot memo heartbeat_period =
+let fleet_worker_run id max_failures max_steps jobs snapshot () heartbeat_period =
   match find_entry id with
   | Error e -> Error e
   | Ok entry ->
-      let config = fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot ~memo in
+      let config = fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot in
       let run ~shard:_ ~attempt:_ ~path =
         match Jaaru.Checkpoint.load path with
         | exception Jaaru.Checkpoint.Rejected msg -> Error msg
@@ -911,7 +917,7 @@ let fleet_worker_cmd =
     Term.(
       term_result
         (const fleet_worker_run $ id_arg $ max_failures_arg $ max_steps_arg $ jobs_arg
-       $ snapshot_arg $ memo_arg $ heartbeat_period_arg))
+       $ snapshot_arg $ ignored_memo_arg $ heartbeat_period_arg))
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -965,7 +971,7 @@ let serve_run dir once poll workers shards_per_worker split_execs chaos_spec cha
               match
                 fleet_run_entry entry ~workers ~shards_per_worker ~split_execs ~chaos ~chaos_seed
                   ~heartbeat_timeout ~heartbeat_period ~quarantine_after ~in_process
-                  ~max_failures:None ~max_steps:None ~jobs:1 ~snapshot:true ~memo:true ~verbose
+                  ~max_failures:None ~max_steps:None ~jobs:1 ~snapshot:true ~verbose
               with
               | exception Jaaru.Checkpoint.Rejected msg -> Printf.sprintf "error: %s\n" msg
               | r ->

@@ -72,5 +72,4 @@ val serialize : labels -> int array -> int -> Pmem.Wire.sink -> unit
 (** Writes the cell at [off] into a wire sink in a table-independent form:
     every slot as an int except the label slot, written as the label
     {e string}. Equal events serialize to equal bytes regardless of the
-    intern order of the tables that encoded them — the property canonical
-    memo keys need. *)
+    intern order of the tables that encoded them. *)

@@ -22,7 +22,7 @@
 
    Everything here is a deterministic function of the event stream, so the
    per-event clock assignment (see [snapshot]) is stable across --jobs and
-   across the snapshot/memo layers — the oracle contract source-DPOR will
+   across the snapshot layer — the oracle contract source-DPOR will
    rely on. *)
 
 type line_commit = { covers : int; at : Vector_clock.t }

@@ -24,7 +24,7 @@
 
     {b Determinism:} everything is a pure function of the event stream, so
     clock assignments — and any finding details derived from them — are
-    byte-identical across [--jobs] values and with the snapshot/memo layers
+    byte-identical across [--jobs] values and with the snapshot layer
     on or off (the repo's standing reporting contract). *)
 
 type t

@@ -36,7 +36,7 @@ module type S_hb = sig
       here already include the event being handled. The determinism
       contract extends to [hb]: it is itself a pure function of the stream,
       so HB-derived findings stay byte-identical across [--jobs] and the
-      snapshot/memo layers. *)
+      snapshot layer. *)
 end
 
 type instance = { name : string; feed : Event.t -> Report.finding list }

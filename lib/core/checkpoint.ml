@@ -17,8 +17,8 @@ type t = {
 
 (* --- payload codecs -------------------------------------------------------
 
-   The payload is the same hand-rolled structural encoding the memo keys use
-   (Pmem.Wire) rather than a [Marshal] image: the format is explicit per
+   The payload is a hand-rolled structural encoding (Pmem.Wire) rather than
+   a [Marshal] image: the format is explicit per
    field, so it neither breaks silently when a record changes shape (the
    codec stops compiling instead) nor accepts a hostile [Marshal] blob that
    happens to pass the CRC. Every writer below has a matching reader; a
@@ -216,7 +216,7 @@ let decode payload =
 
 (* Only the fields that shape the choice tree and the reports participate:
    everything a resumed run may legitimately change — [jobs], [snapshot],
-   [memo], the budgets, [checkpoint_every] — is excluded, because outcomes
+   the budgets, [checkpoint_every] — is excluded, because outcomes
    are identical across those settings (the acceptance property resumption
    relies on). [step_deadline] IS included: its timeouts surface as bugs, so
    resuming under a different deadline would merge incomparable report

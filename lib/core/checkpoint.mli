@@ -8,14 +8,13 @@
     fresh work queue; because every explored leaf is attributed to exactly
     one checkpointed-or-explored subtree, an interrupted-then-resumed run
     reports byte-identically to an uninterrupted one, for any [jobs] value
-    and with the memo/snapshot layers on or off.
+    and with the snapshot layer on or off.
 
     {2 File format}
 
     A magic line ["jaaru-checkpoint-v2"], a CRC-32 line (8 hex digits) of the
-    payload, then the {!Pmem.Wire} encoding of {!t} — the same hand-rolled
-    structural format the memo keys use, with an explicit per-field codec
-    instead of a [Marshal] image. Saves are atomic (write-temp-then-rename),
+    payload, then the {!Pmem.Wire} encoding of {!t} — an explicit per-field
+    codec instead of a [Marshal] image. Saves are atomic (write-temp-then-rename),
     so a crash mid-save leaves the previous checkpoint intact; a save that
     fails before the rename removes its temp file. Checkpoints are
     single-version: a format change bumps the magic and old files are
@@ -28,7 +27,7 @@
     [max_steps], [max_executions], [stop_at_first_bug], report switches,
     [schedule_seed], region geometry, [trace_depth], [analyze], [suppress],
     [step_deadline]). Fields a resumed run may legitimately vary — [jobs],
-    [snapshot], [memo], [wall_budget], [mem_budget], [checkpoint_every] —
+    [snapshot], [wall_budget], [mem_budget], [checkpoint_every] —
     are excluded: outcomes are identical across them by construction. *)
 
 exception Rejected of string

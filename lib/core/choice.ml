@@ -71,7 +71,6 @@ let advance t =
   strip ()
 
 let depth t = t.cursor
-let recorded_len t = t.len
 let created t kind = t.created.(kind_index kind)
 
 (* --- snapshot keys: identifying a point on the current decision path ------- *)

@@ -39,12 +39,6 @@ val advance : t -> bool
 val depth : t -> int
 (** Decisions consumed by the current replay so far. *)
 
-val recorded_len : t -> int
-(** Length of the recorded decision prefix — after {!advance}, the index of
-    the flipped decision plus one. A subtree rooted at depth [d] has been
-    fully explored exactly when [recorded_len] drops to [d] or below (the
-    lexicographic increment moved above it). *)
-
 val count_kind : t -> kind -> int
 (** Decisions of a kind in the current record (diagnostic). *)
 

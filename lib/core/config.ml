@@ -17,7 +17,7 @@ type t = {
   analyze_hb : bool;
   suppress : string list;
   snapshot : bool;
-  memo : bool;
+  memo : bool;  (* inert, see config.mli *)
   wall_budget : float option;
   step_deadline : float option;
   mem_budget : int option;
@@ -53,11 +53,10 @@ let policy_name = function Eager -> "eager" | Buffered -> "buffered"
 
 let pp ppf c =
   Format.fprintf ppf
-    "max_failures=%d evict=%s max_steps=%d max_executions=%d jobs=%d snapshot=%s memo=%s \
+    "max_failures=%d evict=%s max_steps=%d max_executions=%d jobs=%d snapshot=%s \
      region=[0x%x,+%d)%s%s%s"
     c.max_failures (policy_name c.evict_policy) c.max_steps c.max_executions c.jobs
     (if c.snapshot then "on" else "off")
-    (if c.memo then "on" else "off")
     c.region_base c.region_size
     (match c.wall_budget with Some b -> Printf.sprintf " wall_budget=%gs" b | None -> "")
     (match c.step_deadline with Some d -> Printf.sprintf " step_deadline=%gs" d | None -> "")

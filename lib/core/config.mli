@@ -74,19 +74,10 @@ type t = {
           outcomes are byte-identical (modulo wall time) either way, so
           turning it off is only a debugging / benchmarking aid. *)
   memo : bool;
-      (** Memoize post-failure crash states: at every injected failure the
-          surviving persistent state is canonicalized into a digest (see
-          {!Memo}), and when an equivalent state was already fully explored,
-          its cached verdict (bugs, reports, execution counts) is recorded
-          instead of replaying the recovery subtree. On by default; outcomes
-          are byte-identical (modulo [wall_time] and the memo counters of
-          {!Stats.t}) with the layer on or off, for every [jobs] value.
-          Ignored when [stop_at_first_bug] is set — a run that stops mid-
-          subtree must not credit whole cached subtrees, or its execution
-          count would depend on the memo state. Also ignored when
-          [step_deadline] is set — a wall-clock cancellation inside a
-          recovery subtree would leak a nondeterministic verdict into the
-          cache. *)
+      (** Ignored. Crash-state memoization was removed; the field stays only
+          because the macro benchmark suite still sets it. A later benchmark
+          change removes it together with the suite's [memo.*] metrics and
+          its [memo-off] variant. *)
   wall_budget : float option;
       (** Wall-clock budget in seconds for the whole run. When it trips, the
           watchdog monitor requests a cooperative stop: every worker finishes
@@ -105,8 +96,8 @@ type t = {
           (cancellation is cooperative). [None]: no deadline. *)
   mem_budget : int option;
       (** Soft memory budget in bytes, sampled from [Gc] statistics by the
-          monitor. When the heap exceeds it, workers shed their memo and
-          snapshot caches — correct but slower, never aborting — and the trip
+          monitor. When the heap exceeds it, workers shed their snapshot
+          caches — correct but slower, never aborting — and the trip
           count surfaces as [Stats.sheds]. [None]: never shed. *)
   checkpoint_every : float;
       (** Seconds between periodic checkpoints when the explorer is given a

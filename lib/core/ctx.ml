@@ -35,10 +35,6 @@ type t = {
   mutable atomic_depth : int;
   mutable last : string;
   mutable fp_hook : (string -> unit) option;
-  mutable crash_hook : (unit -> unit) option;
-      (* invoked at every committed crash, after the surviving state is final
-         (store buffers drained, crash event emitted) and before the failure
-         counter advances — the crash-state memoization probe *)
   mutable rng : int;  (* schedule-fuzzing PRNG state; reset per replay *)
   snapshots : Snapshot.cache option;  (* the owning worker's snapshot cache *)
   cancel : bool Atomic.t option;
@@ -115,7 +111,6 @@ let create ?snapshots ?cancel ?trace_labels ?trace_ring ~config ~choice () =
     atomic_depth = 0;
     last = "<start>";
     fp_hook = None;
-    crash_hook = None;
     rng =
       (match config.Config.schedule_seed with
       | Some seed -> (seed lxor 0x9e3779b9) lor 1
@@ -125,9 +120,6 @@ let create ?snapshots ?cancel ?trace_labels ?trace_ring ~config ~choice () =
   }
 
 let set_failure_point_hook ctx hook = ctx.fp_hook <- Some hook
-let set_crash_hook ctx hook = ctx.crash_hook <- Some hook
-let at_crash ctx = match ctx.crash_hook with Some hook -> hook () | None -> ()
-let rng_state ctx = ctx.rng
 
 let config ctx = ctx.cfg
 let region ctx = ctx.reg
@@ -155,7 +147,6 @@ let perf_reports ctx =
 
 let trace_events ctx = List.map Analysis.Event.render (Trace.events ctx.trace)
 let trace_raw ctx = Trace.events ctx.trace
-let trace_ring ctx = ctx.trace
 let trace_dropped ctx = Trace.dropped ctx.trace
 let last_label ctx = ctx.last
 let exec_stack ctx = ctx.stack
@@ -269,7 +260,6 @@ let failure_point ?(force = false) ctx label =
         if not (eager ctx) then drain_choices ctx;
         if ctx.events_on then
           emit ctx (Analysis.Event.Crash { label = Some label; tid = tid ctx });
-        at_crash ctx;
         ctx.failure_count <- ctx.failure_count + 1;
         raise Power_failure
   end
@@ -292,7 +282,6 @@ let crash ctx =
   capture_snapshot ctx ~crash_label:None ~pending_failure:false;
   if not (eager ctx) then drain_choices ctx;
   if ctx.events_on then emit ctx (Analysis.Event.Crash { label = None; tid = tid ctx });
-  at_crash ctx;
   ctx.failure_count <- ctx.failure_count + 1;
   raise Power_failure
 
@@ -318,7 +307,6 @@ let resume_from_snapshot ctx (snap : Snapshot.t) =
   if not (eager ctx) then drain_choices ctx;
   if ctx.events_on then
     emit ctx (Analysis.Event.Crash { label = snap.Snapshot.crash_label; tid = tid ctx });
-  at_crash ctx;
   ctx.failure_count <- ctx.failure_count + 1
 
 let finish_execution ctx =

@@ -85,21 +85,6 @@ val set_failure_point_hook : t -> (string -> unit) -> unit
     considered, before the fail/continue decision. Used by the Yat baseline
     to snapshot the pre-failure state at each point. *)
 
-val set_crash_hook : t -> (unit -> unit) -> unit
-(** Invoked at every committed crash — a taken {!failure_point} branch,
-    {!crash}, or the restored crash of {!resume_from_snapshot} — after the
-    surviving persistent state is final (buffered-drain decisions taken,
-    crash event emitted) and before the failure counter advances. The
-    explorer's crash-state memoization probe; it may raise (e.g.
-    {!Memo.Hit}) to abort the replay instead of running recovery.
-    [install_concrete_state] does not fire it (the eager baseline manages its
-    own enumeration). *)
-
-val rng_state : t -> int
-(** The current schedule-fuzzing PRNG state (0 when [schedule_seed] is
-    unset). Part of the canonical crash-state key: two crash states only
-    behave identically in recovery if their schedules continue identically. *)
-
 (** [install_concrete_state ctx bytes] is the eager-baseline bridge: it
     records the given byte values as fully persisted stores of the current
     execution, then simulates a power failure so that a following recovery
@@ -127,11 +112,6 @@ val trace_events : t -> string list
 
 val trace_raw : t -> Analysis.Event.t list
 (** The same ring decoded to boxed events, oldest first. *)
-
-val trace_ring : t -> Trace.t
-(** The packed ring itself — for the crash-state memoization key, which must
-    incorporate the trace (cached bug reports embed it) but runs at every
-    crash and must pay neither decoding nor formatting. *)
 
 val trace_dropped : t -> int
 (** How many older events fell out of the bounded trace ring. *)

@@ -82,28 +82,6 @@ type worker_result = {
   wr_remainder : Choice.prefix list;
 }
 
-(* An open crash-state memoization accumulator: one per crash state whose
-   recovery subtree this worker is currently inside. Opened by the crash
-   probe on a table miss, it collects everything the subtree produces;
-   when the DFS increment moves above [acc_depth] the subtree is complete
-   and the accumulator is stored as a {!Memo.verdict} — unless poisoned,
-   i.e. part of the subtree was donated to another worker (or was pinned by
-   the task prefix), in which case this worker never saw the whole subtree
-   and the verdict would under-count. *)
-type memo_acc = {
-  acc_depth : int;  (* Choice.depth at the probe = the subtree's root *)
-  acc_digest : int;
-  acc_key : string;
-  mutable acc_poisoned : bool;
-  mutable acc_execs : int;
-  acc_rf_at_open : int;  (* Choice.created Read_from when opened *)
-  mutable acc_rf_extra : int;  (* read-from decisions credited by nested hits *)
-  mutable acc_bugs : Bug.t list;
-  mutable acc_multi : Ctx.multi_rf list;
-  mutable acc_perf : Ctx.perf_report list;
-  mutable acc_findings : Analysis.Report.finding list;
-}
-
 (* [reserved] hands out global execution slots so the [max_executions]
    budget holds across workers. Bounded CAS rather than fetch-and-add: the
    counter never overshoots the budget, so a denied reservation — the only
@@ -115,23 +93,6 @@ let reserve_slot reserved ~budget =
     let cur = Atomic.get reserved in
     if cur >= budget then false
     else if Atomic.compare_and_set reserved cur (cur + 1) then true
-    else loop ()
-  in
-  loop ()
-
-(* All-or-nothing reservation of [n] slots at once, for crediting a memo
-   hit's cached subtree against the execution budget. Refusing a partial
-   grant keeps capping identical to a memo-less run: on failure the caller
-   explores the subtree live, reserving slot by slot, and the cap lands on
-   exactly the same execution count. *)
-let reserve_slots reserved ~budget n =
-  if n < 0 then invalid_arg "Explorer.reserve_slots";
-  n = 0
-  ||
-  let rec loop () =
-    let cur = Atomic.get reserved in
-    if cur + n > budget then false
-    else if Atomic.compare_and_set reserved cur (cur + n) then true
     else loop ()
   in
   loop ()
@@ -149,22 +110,8 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
   let trace_labels = Analysis.Arena.labels () in
   (* One pooled trace ring reused by every replay: the packed ring is a
      major-heap array, and allocating it per context shows up directly as
-     major-GC pressure on snapshot/memo-heavy workloads. *)
+     major-GC pressure on snapshot-heavy workloads. *)
   let trace_ring = Trace.create ~labels:trace_labels ~depth:config.Config.trace_depth () in
-  (* Memoization is disabled under stop-at-first-bug: crediting a cached
-     subtree's executions without replaying it would change which replay
-     trips the stop, breaking the "same outcome for every jobs value"
-     guarantee that mode otherwise keeps. It is likewise disabled under a
-     per-execution deadline: a cancelled replay's Execution_timeout would
-     leak a wall-clock-dependent verdict into the cache. *)
-  let memo_table =
-    if
-      config.Config.memo
-      && (not config.Config.stop_at_first_bug)
-      && config.Config.step_deadline = None
-    then Some (Memo.create_table ())
-    else None
-  in
   let timed = config.Config.step_deadline <> None in
   let cancel = if timed then Some (Monitor.cancel_flag monitor idx) else None in
   let bugs = Hashtbl.create 16 in
@@ -173,39 +120,15 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
   let findings : (Analysis.Report.finding, unit) Hashtbl.t = Hashtbl.create 16 in
   let executions = ref 0 in
   let rf_created = ref 0 in
-  let rf_hit_extra = ref 0 in
   let failure_points = ref 0 in
   let stores = ref 0 in
   let flushes = ref 0 in
-  let memo_hits = ref 0 in
-  let memo_misses = ref 0 in
-  let memo_saved = ref 0 in
   let snapshot_hits = ref 0 in
   let snapshot_misses = ref 0 in
   let sheds = ref 0 in
   let remainder = ref [] in
-  (* Open accumulators of the current task, deepest first (depths strictly
-     increase towards the head). Every report recorded while a subtree is
-     open belongs to that subtree's verdict too. *)
-  let accs : memo_acc list ref = ref [] in
-  let add_bug b =
-    keep_min bugs (Bug.report_key b) b;
-    List.iter (fun a -> a.acc_bugs <- b :: a.acc_bugs) !accs
-  in
-  let add_multi (r : Ctx.multi_rf) =
-    keep_min multi_rf (r.load_label, r.load_addr) r;
-    List.iter (fun a -> a.acc_multi <- r :: a.acc_multi) !accs
-  in
-  let add_perf r =
-    Hashtbl.replace perf r ();
-    List.iter (fun a -> a.acc_perf <- r :: a.acc_perf) !accs
-  in
-  let add_finding f =
-    Hashtbl.replace findings f ();
-    List.iter (fun a -> a.acc_findings <- f :: a.acc_findings) !accs
-  in
   let record_bug ctx kind location =
-    add_bug
+    let b =
       {
         Bug.kind;
         location;
@@ -213,214 +136,92 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
         trace = Ctx.trace_events ctx;
         dropped = Ctx.trace_dropped ctx;
       }
+    in
+    keep_min bugs (Bug.report_key b) b
   in
   let harvest ctx =
-    List.iter add_multi (Ctx.multi_rf_reports ctx);
-    List.iter add_perf (Ctx.perf_reports ctx);
-    if config.Config.analyze then List.iter add_finding (Ctx.analysis_findings ctx)
+    List.iter
+      (fun (r : Ctx.multi_rf) -> keep_min multi_rf (r.load_label, r.load_addr) r)
+      (Ctx.multi_rf_reports ctx);
+    List.iter (fun r -> Hashtbl.replace perf r ()) (Ctx.perf_reports ctx);
+    if config.Config.analyze then
+      List.iter (fun f -> Hashtbl.replace findings f ()) (Ctx.analysis_findings ctx)
   in
   let explore prefix =
     let choice = Choice.resume_from_prefix prefix in
-    let task_depth = Choice.prefix_depth prefix in
-    accs := [];
-    (* The crash probe, installed on every context while memoization is on.
-       Fired at each committed crash, once the surviving persistent state is
-       final: a stored verdict for the state aborts the replay via Memo.Hit;
-       otherwise a fresh accumulator opens for the subtree. Skipped when the
-       crash lies inside the task's pinned prefix (this task only explores a
-       donated slice of that subtree, so it may neither consume nor produce
-       whole-subtree verdicts there) and on re-entry — a later replay passing
-       through a still-open subtree root, necessarily in the same state. *)
-    let probe table ctx () =
-      let d = Choice.depth choice in
-      if d >= task_depth && not (List.exists (fun a -> a.acc_depth = d) !accs) then begin
-        let key =
-          Memo.canonical_key ~scratch:(Memo.scratch table) ~stack:(Ctx.exec_stack ctx)
-            ~trace:(Ctx.trace_ring ctx) ~dropped:(Ctx.trace_dropped ctx)
-            ~failures:(Ctx.failures ctx) ~rng:(Ctx.rng_state ctx) ~last:(Ctx.last_label ctx) ()
-        in
-        let digest = Memo.digest key in
-        let found = Memo.find table ~digest ~key in
-        match found with
-        | Some v when reserve_slots reserved ~budget (v.Memo.v_executions - 1) ->
-            raise (Memo.Hit v)
-        | _ ->
-            (* Either unknown, or known but too big for the remaining budget
-               (then explore live so capping lands exactly where a memo-less
-               run would; poisoned — the verdict already exists). *)
-            incr memo_misses;
-            accs :=
-              {
-                acc_depth = d;
-                acc_digest = digest;
-                acc_key = key;
-                acc_poisoned = found <> None;
-                acc_execs = 0;
-                acc_rf_at_open = Choice.created choice Choice.Read_from;
-                acc_rf_extra = 0;
-                acc_bugs = [];
-                acc_multi = [];
-                acc_perf = [];
-                acc_findings = [];
-              }
-              :: !accs
-      end
-    in
-    (* Pop every accumulator rooted at [down_to] or deeper: the DFS increment
-       moved above them, so their subtrees are complete. *)
-    let close_accs choice ~down_to =
-      let rec pop () =
-        match !accs with
-        | acc :: rest when acc.acc_depth >= down_to ->
-            accs := rest;
-            (if not acc.acc_poisoned then
-               match memo_table with
-               | None -> ()
-               | Some table ->
-                   let v =
-                     {
-                       Memo.v_executions = acc.acc_execs;
-                       v_rf_created =
-                         Choice.created choice Choice.Read_from - acc.acc_rf_at_open
-                         + acc.acc_rf_extra;
-                       v_bugs = List.sort_uniq compare acc.acc_bugs;
-                       v_multi_rf = List.sort_uniq compare acc.acc_multi;
-                       v_perf = List.sort_uniq compare acc.acc_perf;
-                       v_findings = List.sort_uniq compare acc.acc_findings;
-                     }
-                   in
-                   Memo.store table ~digest:acc.acc_digest ~key:acc.acc_key v);
-            pop ()
-        | _ -> ()
-      in
-      pop ()
-    in
     (* Only the root task starts with the all-defaults replay — the original
        failure-free execution whose counts Fig. 14 reports. *)
-    let original = ref (task_depth = 0) in
+    let original = ref (Choice.prefix_depth prefix = 0) in
     let continue = ref true in
-    let discard = ref false in
     while !continue do
       if (not (Atomic.get stopped)) && Atomic.get interrupt_flag then trigger Interrupted;
       if Monitor.take_shed monitor idx then begin
         (match snapshots with Some cache -> Snapshot.clear_cache cache | None -> ());
-        (match memo_table with Some table -> Memo.clear table | None -> ());
         incr sheds
       end;
       if Atomic.get stopped then begin
         (* The choice stack sits where the next replay would start, so its
            remainder is exactly this task's unexplored subtree. *)
         remainder := Choice.remainder choice :: !remainder;
-        discard := true;
+        continue := false
+      end
+      else if not (reserve_slot reserved ~budget) then begin
+        trigger Capped;
+        remainder := Choice.remainder choice :: !remainder;
         continue := false
       end
       else begin
-        if not (reserve_slot reserved ~budget) then begin
-          trigger Capped;
-          remainder := Choice.remainder choice :: !remainder;
-          discard := true;
+        Choice.begin_replay choice;
+        let snapshot =
+          match snapshots with
+          | None -> None
+          | Some cache -> (
+              match Snapshot.find cache choice with
+              | Some _ as s ->
+                  incr snapshot_hits;
+                  s
+              | None ->
+                  incr snapshot_misses;
+                  None)
+        in
+        let ctx = Ctx.create ?snapshots ?cancel ~trace_labels ~trace_ring ~config ~choice () in
+        if timed then Monitor.exec_started monitor idx;
+        (try replay_once ?snapshot scn ctx with
+        | Ctx.Power_failure -> assert false
+        | Choice.Divergence _ as e -> raise e
+        | Bug.Found (kind, location) -> record_bug ctx kind location
+        | Stack_overflow -> record_bug ctx (Bug.Step_limit { resource = "stack" }) (Ctx.last_label ctx)
+        | Out_of_memory -> record_bug ctx (Bug.Step_limit { resource = "memory" }) (Ctx.last_label ctx)
+        | e ->
+            record_bug ctx
+              (Bug.Program_exception (Bug.normalize_message (Printexc.to_string e)))
+              (Ctx.last_label ctx));
+        if timed then Monitor.exec_finished monitor idx;
+        incr executions;
+        if !original then begin
+          failure_points := Ctx.fp_count ctx;
+          (match List.rev (Exec.Exec_stack.to_list (Ctx.exec_stack ctx)) with
+          | _ :: first :: _ ->
+              stores := Exec.Exec_record.store_count first;
+              flushes := Exec.Exec_record.flush_count first
+          | [ _ ] | [] -> ());
+          original := false
+        end;
+        harvest ctx;
+        if config.Config.stop_at_first_bug && Hashtbl.length bugs > 0 then begin
+          trigger First_bug;
+          (* The bug-finding leaf is explored; what remains is everything
+             past the next DFS increment. *)
+          if Choice.advance choice then remainder := Choice.remainder choice :: !remainder;
           continue := false
         end
-        else begin
-          Choice.begin_replay choice;
-          let snapshot =
-            match snapshots with
-            | None -> None
-            | Some cache -> (
-                match Snapshot.find cache choice with
-                | Some _ as s ->
-                    incr snapshot_hits;
-                    s
-                | None ->
-                    incr snapshot_misses;
-                    None)
-          in
-          let ctx = Ctx.create ?snapshots ?cancel ~trace_labels ~trace_ring ~config ~choice () in
-          (match memo_table with
-          | Some table -> Ctx.set_crash_hook ctx (probe table ctx)
-          | None -> ());
-          let hit = ref None in
-          if timed then Monitor.exec_started monitor idx;
-          (try replay_once ?snapshot scn ctx with
-          | Memo.Hit v -> hit := Some v
-          | Ctx.Power_failure -> assert false
-          | Choice.Divergence _ as e -> raise e
-          | Bug.Found (kind, location) -> record_bug ctx kind location
-          | Stack_overflow -> record_bug ctx (Bug.Step_limit { resource = "stack" }) (Ctx.last_label ctx)
-          | Out_of_memory -> record_bug ctx (Bug.Step_limit { resource = "memory" }) (Ctx.last_label ctx)
-          | e ->
-              record_bug ctx
-                (Bug.Program_exception (Bug.normalize_message (Printexc.to_string e)))
-                (Ctx.last_label ctx));
-          if timed then Monitor.exec_finished monitor idx;
-          (match !hit with
-          | Some v ->
-              (* The cached verdict stands in for the whole recovery subtree:
-                 credit its counts, merge its reports (they deduplicate
-                 against anything this worker already found), and harvest the
-                 aborted replay's own pre-crash reports, which the probe cut
-                 short of their usual end-of-replay collection. *)
-              executions := !executions + v.Memo.v_executions;
-              incr memo_hits;
-              memo_saved := !memo_saved + v.Memo.v_executions - 1;
-              rf_hit_extra := !rf_hit_extra + v.Memo.v_rf_created;
-              List.iter
-                (fun a ->
-                  a.acc_execs <- a.acc_execs + v.Memo.v_executions;
-                  a.acc_rf_extra <- a.acc_rf_extra + v.Memo.v_rf_created)
-                !accs;
-              List.iter add_bug v.Memo.v_bugs;
-              List.iter add_multi v.Memo.v_multi_rf;
-              List.iter add_perf v.Memo.v_perf;
-              if config.Config.analyze then List.iter add_finding v.Memo.v_findings;
-              harvest ctx
-          | None ->
-              incr executions;
-              List.iter (fun a -> a.acc_execs <- a.acc_execs + 1) !accs;
-              if !original then begin
-                failure_points := Ctx.fp_count ctx;
-                (match List.rev (Exec.Exec_stack.to_list (Ctx.exec_stack ctx)) with
-                | _ :: first :: _ ->
-                    stores := Exec.Exec_record.store_count first;
-                    flushes := Exec.Exec_record.flush_count first
-                | [ _ ] | [] -> ());
-                original := false
-              end;
-              harvest ctx);
-          if config.Config.stop_at_first_bug && Hashtbl.length bugs > 0 then begin
-            trigger First_bug;
-            (* The bug-finding leaf is explored; what remains is everything
-               past the next DFS increment. *)
-            if Choice.advance choice then remainder := Choice.remainder choice :: !remainder;
-            discard := true;
-            continue := false
-          end
-          else begin
-            let advanced = Choice.advance choice in
-            (* Subtrees the increment moved above are fully explored — store
-               their verdicts before anything else can touch the record. *)
-            close_accs choice ~down_to:(if advanced then Choice.recorded_len choice else 0);
-            if not advanced then continue := false
-            else if Frontier.needs_work frontier then
-              (* An idle peer: donate the shallowest unexplored sibling
-                 range — the largest subtree this worker can give away. *)
-              match Choice.split choice with
-              | Some donated ->
-                  (* The donated alternatives live inside every subtree rooted
-                     at or above the donated cell: those verdicts would
-                     under-count, so poison them. Deeper accumulators diverge
-                     from the donated slice before their root and are safe. *)
-                  let cut = Choice.prefix_depth donated in
-                  List.iter
-                    (fun a -> if a.acc_depth < cut then a.acc_poisoned <- true)
-                    !accs;
-                  Frontier.push frontier donated
-              | None -> ()
-          end
-        end
+        else if not (Choice.advance choice) then continue := false
+        else if Frontier.needs_work frontier then
+          (* An idle peer: donate the shallowest unexplored sibling range —
+             the largest subtree this worker can give away. *)
+          Option.iter (Frontier.push frontier) (Choice.split choice)
       end
     done;
-    if !discard then accs := [];
     rf_created := !rf_created + Choice.created choice Choice.Read_from
   in
   let rec drain () =
@@ -440,13 +241,10 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
       {
         Stats.zero with
         Stats.executions = !executions;
-        rf_decisions = !rf_created + !rf_hit_extra;
+        rf_decisions = !rf_created;
         failure_points = !failure_points;
         stores = !stores;
         flushes = !flushes;
-        memo_hits = !memo_hits;
-        memo_misses = !memo_misses;
-        memo_saved = !memo_saved;
         snapshot_hits = !snapshot_hits;
         snapshot_misses = !snapshot_misses;
         sheds = !sheds;

@@ -49,13 +49,13 @@ val run : ?config:Config.t -> ?resume:Checkpoint.t -> ?checkpoint:string -> scen
     and statistics from it, and explores only the checkpointed frontier; an
     interrupted-then-resumed run therefore reports byte-identically
     (see {!pp_report}) to an uninterrupted one, for every [jobs] value and
-    with the memo/snapshot layers on or off. A cooperative stop — a SIGINT
+    with the snapshot layer on or off. A cooperative stop — a SIGINT
     routed through {!request_interrupt}, or an exceeded
     [config.wall_budget] — lets every worker finish its current replay,
     reports the partial outcome with [stats.interrupted] set, and preserves
     the rest of the tree in the checkpoint. [config.step_deadline] cancels
     individual runaway executions as {!Bug.Execution_timeout} bugs, and
-    [config.mem_budget] sheds the memo/snapshot caches under memory
+    [config.mem_budget] sheds the snapshot caches under memory
     pressure; neither ends the run.
 
     With [config.jobs > 1] the choice tree is explored by that many OCaml
@@ -73,23 +73,7 @@ val run : ?config:Config.t -> ?resume:Checkpoint.t -> ?checkpoint:string -> scen
     captures the persistent side of the context, and every later replay of
     that crash subtree restores it and runs only recovery instead of
     re-executing the pre-failure program. The outcome is byte-identical
-    (modulo [wall_time]) with snapshots on or off, for every [jobs] value.
-
-    With [config.memo] (the default) each worker additionally memoizes fully
-    explored recovery subtrees by canonical crash state (see {!Memo}): when a
-    later crash lands in a semantically identical persistent state — same
-    surviving stores, line persistence intervals (up to sequence-number
-    renaming), trace ring, failure count and schedule-PRNG state — the cached
-    verdict (bugs, reports, execution and read-from counts) is credited
-    instead of replaying the subtree. Every execution the cache saves is
-    counted against [max_executions] exactly as if it had run, so reports
-    {e and} stats other than the [memo_*] counters and [wall_time] are
-    byte-identical with the layer on or off, again for every [jobs] value.
-    The [memo_hits]/[memo_misses]/[memo_saved] counters themselves depend on
-    how the tree was partitioned across workers and are excluded from
-    {!Stats.pp} and {!Stats.comparable}. Memoization is disabled under
-    [stop_at_first_bug] (such runs stop mid-subtree, so no verdict is ever
-    complete). *)
+    (modulo [wall_time]) with snapshots on or off, for every [jobs] value. *)
 
 val request_interrupt : unit -> unit
 (** Requests a cooperative stop of every in-flight {!run} in this process:
@@ -130,5 +114,5 @@ val comparable_outcome : outcome -> outcome
 
 val pp_report : Format.formatter -> outcome -> unit
 (** [pp_outcome] of {!comparable_outcome}: a rendering that is byte-identical
-    across [jobs] values, memo/snapshot settings, and interrupt/resume
+    across [jobs] values, snapshot settings, and interrupt/resume
     histories of the same exploration — the artifact CI diffs. *)

@@ -72,4 +72,4 @@ val cancel_flag : t -> int -> bool Atomic.t
 
 val take_shed : t -> int -> bool
 (** Consumes worker [i]'s shed request: [true] at most once per memory-budget
-    trip, upon which the worker drops its memo/snapshot caches. *)
+    trip, upon which the worker drops its snapshot cache. *)

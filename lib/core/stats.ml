@@ -42,12 +42,11 @@ let merge a b =
     (* Per-worker additive counters. *)
     executions = a.executions + b.executions;
     rf_decisions = a.rf_decisions + b.rf_decisions;
-    (* Memo-table traffic is additive too, but — unlike the counters above —
-       the split depends on how the work was partitioned, so these never
-       appear in [pp] and byte-identity comparisons zero them out. *)
-    memo_hits = a.memo_hits + b.memo_hits;
-    memo_misses = a.memo_misses + b.memo_misses;
-    memo_saved = a.memo_saved + b.memo_saved;
+    (* Inert: see stats.mli. Zeroed here so counts carried in by an older
+       checkpoint do not survive a resume. *)
+    memo_hits = 0;
+    memo_misses = 0;
+    memo_saved = 0;
     snapshot_hits = a.snapshot_hits + b.snapshot_hits;
     snapshot_misses = a.snapshot_misses + b.snapshot_misses;
     sheds = a.sheds + b.sheds;
@@ -65,14 +64,11 @@ let merge a b =
   }
 
 (* Everything that is allowed to differ between runs that must otherwise be
-   byte-identical (jobs values, memo/snapshot on vs off): wall time and the
-   memo-table traffic counters. *)
+   byte-identical (jobs values, snapshot on vs off): wall time, snapshot
+   traffic and sheds. *)
 let comparable s =
   {
     s with
-    memo_hits = 0;
-    memo_misses = 0;
-    memo_saved = 0;
     snapshot_hits = 0;
     snapshot_misses = 0;
     sheds = 0;

@@ -15,14 +15,13 @@ type t = {
       (** distinct analysis findings across the exploration (0 unless
           [Config.analyze]) *)
   memo_hits : int;
-      (** crash states answered from the memo table instead of replaying the
-          recovery subtree (0 unless [Config.memo]) *)
   memo_misses : int;
-      (** crash states looked up in the memo table and not found (each opens
-          a fresh accumulation of that subtree's verdict) *)
   memo_saved : int;
-      (** executions credited from cached verdicts rather than replayed —
-          [executions - memo_saved] is the number actually executed *)
+      (** Always 0. Crash-state memoization was removed; these three fields
+          stay only because the macro benchmark suite still reads them and the
+          checkpoint format still carries them. A later benchmark change
+          removes them together with the suite's [memo.*] metrics and its
+          [memo-off] variant. *)
   snapshot_hits : int;
       (** replays resumed from a cached failure-point snapshot instead of
           re-executing from the start (0 unless [Config.snapshot]) *)
@@ -30,7 +29,7 @@ type t = {
       (** replays that found no usable snapshot and ran from the start *)
   sheds : int;
       (** times the watchdog monitor tripped [Config.mem_budget] and workers
-          dropped their memo/snapshot caches (0 unless a budget is set) *)
+          dropped their snapshot caches (0 unless a budget is set) *)
   wall_time : float;  (** seconds spent exploring (JTime) *)
   exhausted : bool;
       (** whether the search space was fully explored (false when a limit or
@@ -46,7 +45,7 @@ val zero : t
 
 val merge : t -> t -> t
 (** Combines the statistics of workers that explored disjoint subtrees:
-    [executions], [rf_decisions] and the memo counters add; the original-execution counters
+    [executions], [rf_decisions] and the snapshot counters add; the original-execution counters
     ([failure_points], [stores], [flushes]) and the post-merge totals
     ([multi_rf_loads], [findings]) take the max; [wall_time] takes the max
     (workers ran concurrently); [exhausted] ands; [interrupted] ors.
@@ -54,12 +53,11 @@ val merge : t -> t -> t
 
 val comparable : t -> t
 (** The statistics with every schedule-dependent counter zeroed: [wall_time],
-    the memo-table and snapshot-cache traffic
-    ([memo_hits]/[memo_misses]/[memo_saved]/[snapshot_hits]/[snapshot_misses],
-    whose split across workers depends on the work partition) and [sheds] (a
+    the snapshot-cache traffic ([snapshot_hits]/[snapshot_misses], whose
+    split across workers depends on the work partition) and [sheds] (a
     wall-clock-dependent memory-pressure artifact). Two exhaustive runs
     of the same scenario must have equal [comparable] statistics whatever
-    their [jobs], [snapshot] and [memo] settings. *)
+    their [jobs] and [snapshot] settings. *)
 
 val executions_per_fp : t -> float
 (** The paper's §5.2 ratio; 0 when there were no failure points. *)

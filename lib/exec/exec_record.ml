@@ -116,7 +116,6 @@ let flush_line e addr ~seq =
    over every materialized line, in unspecified order (callers sort). Lines
    still at the default [0, inf) are indistinguishable from absent ones to
    every reader, so canonicalizers must skip them. *)
-let fold_lines f e acc = Pmem.Line_table.fold f e.lines acc
 
 (* A read-only view that stays correct while the original keeps executing,
    for the failure-point snapshot layer. Line intervals are duplicated — a

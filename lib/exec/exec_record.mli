@@ -116,12 +116,6 @@ val store_count : t -> int
 val flush_count : t -> int
 (** Total line-flush events recorded. *)
 
-val fold_lines : (int -> lo:int -> hi:int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Folds over every materialized line interval as [f line ~lo ~hi], in
-    unspecified order. A line that was never touched has no entry, and a
-    materialized line still at the default [\[0, inf)] behaves identically to
-    an absent one — canonical-state builders must treat the two as equal. *)
-
 val written_addrs : t -> Pmem.Addr.t list
 (** All byte addresses with at least one recorded store (unordered). *)
 

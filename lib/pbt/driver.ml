@@ -95,8 +95,8 @@ let found_bug r = r.failure <> None
 let comparable_report r = { r with wall = 0. }
 
 (* The nightly coverage artifact: a schema-versioned JSON summary CI can
-   archive and trend. Hand-rolled like bench/jsonx.ml — the library links
-   nothing new — and deterministic: [wall] is never written. *)
+   archive and trend. Hand-rolled — the library links nothing new — and
+   deterministic: [wall] is never written. *)
 
 let json_schema = "jaaru-pbt-coverage/1"
 

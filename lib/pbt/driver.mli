@@ -12,7 +12,7 @@
     execution totals, the shrunk witness — is a function of (structure,
     seed, count, max_cmds) only: generation is seeded, and each
     exploration's outcome is byte-identical across [jobs] values and the
-    snapshot/memo layers by the explorer's contract. [wall] is the only
+    snapshot layer by the explorer's contract. [wall] is the only
     nondeterministic field, and {!pp_report} never prints it.
 
     {b Nightly mode.} With [deadline] (absolute, [Unix.gettimeofday]) the
@@ -53,7 +53,7 @@ val run_structure :
   max_cmds:int ->
   Structures.adapter ->
   report
-(** [config] defaults to {!Runner.config}; pass jobs/snapshot/memo overrides
+(** [config] defaults to {!Runner.config}; pass jobs/snapshot overrides
     through it. *)
 
 val found_bug : report -> bool

@@ -17,7 +17,7 @@ val config : Jaaru.Config.t
     bug list must be a function of the sequence alone, not of which crash
     point a worker reached first), single failure, multi-rf reporting off,
     and the workloads' customary step budget. Callers layer [jobs] /
-    [snapshot] / [memo] / budget overrides on top; outcomes are
+    [snapshot] / budget overrides on top; outcomes are
     byte-identical across all of those by the explorer's standing
     contract. *)
 

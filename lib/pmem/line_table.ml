@@ -68,8 +68,3 @@ let lo t i = Array.unsafe_get t.lo i
 let hi t i = Array.unsafe_get t.hi i
 let raise_lo t i s = if s > Array.unsafe_get t.lo i then Array.unsafe_set t.lo i s
 let lower_hi t i s = if s < Array.unsafe_get t.hi i then Array.unsafe_set t.hi i s
-
-let fold f t acc =
-  let acc = ref acc in
-  Array.iteri (fun i k -> if k >= 0 then acc := f k ~lo:t.lo.(i) ~hi:t.hi.(i) !acc) t.keys;
-  !acc

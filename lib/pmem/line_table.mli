@@ -33,10 +33,4 @@ val raise_lo : t -> int -> int -> unit
 val lower_hi : t -> int -> int -> unit
 (** [lower_hi t slot s] lowers the slot's upper bound to [s] if lower. *)
 
-val fold : (int -> lo:int -> hi:int -> 'a -> 'a) -> t -> 'a -> 'a
-(** [fold f t acc] over every materialized line, in unspecified order
-    (callers sort). Lines still at the default [\[0, infinity)] are
-    indistinguishable from absent ones to every reader, so canonicalizers
-    must skip them. *)
-
 val length : t -> int

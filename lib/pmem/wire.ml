@@ -1,7 +1,6 @@
 type sink = { mutable buf : Bytes.t; mutable len : int }
 
 let sink ?(initial = 4096) () = { buf = Bytes.create (max 16 initial); len = 0 }
-let reset s = s.len <- 0
 let length s = s.len
 
 let ensure s n =
@@ -16,10 +15,8 @@ let ensure s n =
     s.buf <- buf
   end
 
-(* Ints are zigzag + LEB128: small magnitudes (the overwhelming case in
-   memo keys — ranks, widths, tids, lengths) cost one byte instead of
-   eight, which is the difference between wire keys and Marshal images of
-   comparable size. The encoder always emits the minimal form, so the
+(* Ints are zigzag + LEB128: small magnitudes (the overwhelming case —
+   counts, widths, tids, lengths) cost one byte instead of eight. The encoder always emits the minimal form, so the
    encoding stays injective and self-delimiting. *)
 let int s v =
   ensure s 9;

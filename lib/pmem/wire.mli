@@ -1,17 +1,14 @@
 (** Hand-rolled structural serialization: length-prefixed ints and strings
     written into a reusable scratch buffer.
 
-    This replaces [Marshal] on the explorer's per-crash path (memo keys) and
-    in checkpoint payloads. The encoding is purely structural — equal values
+    This replaces [Marshal] in checkpoint payloads and fleet frames. The
+    encoding is purely structural — equal values
     encode to equal bytes, and the length prefixes make it injective, so two
     values encode identically iff they are structurally equal (the property
     [Marshal.to_string v [No_sharing]] provided, without the runtime's
     generic traversal or its per-call allocation).
 
-    Encoders write into a {!sink}, a growable byte scratch the caller resets
-    and reuses across calls — one sink per worker keeps the per-crash key
-    construction allocation-free apart from the final {!contents} copy.
-    Decoders read from a {!src} cursor and raise {!Corrupt} on truncated or
+    Encoders write into a {!sink}, a growable byte scratch. Decoders read from a {!src} cursor and raise {!Corrupt} on truncated or
     malformed input rather than returning partial values. *)
 
 type sink
@@ -19,9 +16,6 @@ type sink
 val sink : ?initial:int -> unit -> sink
 (** A fresh scratch buffer. [initial] (default 4096) is the starting
     capacity in bytes; the buffer doubles as needed and is never shrunk. *)
-
-val reset : sink -> unit
-(** Forget the contents, keep the capacity. *)
 
 val length : sink -> int
 
@@ -43,7 +37,7 @@ val list : (sink -> 'a -> unit) -> sink -> 'a list -> unit
 (** Count-prefixed elements, in list order. *)
 
 val contents : sink -> string
-(** The bytes written since the last {!reset} (a fresh string). *)
+(** The bytes written so far (a fresh string). *)
 
 val crc : sink -> int
 (** CRC-32 of the current contents, without copying them out. *)

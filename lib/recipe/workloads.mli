@@ -37,7 +37,6 @@ val concurrent_scenario :
   ?ks0:int list -> ?ks1:int list -> racy:bool -> unit -> Jaaru.Explorer.scenario
 (** The scenario behind {!concurrent_cases}, with the per-thread key lists
     exposed as knobs ([ks0]/[ks1] for the lock-protected variant; the racy
-    variant ignores them) — smaller lists make a seconds-long workload for
-    the crash-state-memoization benchmark. *)
+    variant ignores them) — smaller lists make a seconds-long workload. *)
 
 val find : case list -> string -> case

@@ -11,9 +11,9 @@ cd "$(dirname "$0")/.."
 dune build bin/jaaru_cli.exe
 JAARU=_build/default/bin/jaaru_cli.exe
 
-# The acceptance combination: parallel exploration with both replay
-# accelerators off, over a deep two-failure tree.
-ARGS=(check pmdk-1 --exhaustive --max-failures 2 --jobs 4 --memo off --snapshot off)
+# The acceptance combination: parallel exploration with the snapshot replay
+# accelerator off, over a deep two-failure tree.
+ARGS=(check pmdk-1 --exhaustive --max-failures 2 --jobs 4 --snapshot off)
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

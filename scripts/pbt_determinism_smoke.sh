@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # PBT determinism smoke: `jaaru pbt --seed S` must print a byte-identical
-# report for every worker count and with the snapshot/memo replay layers on
-# or off — generation is seeded per (seed, structure) and each exploration's
+# report for every worker count and with the snapshot replay layer on or
+# off — generation is seeded per (seed, structure) and each exploration's
 # outcome is jobs/layer-invariant by the explorer's contract, so stdout
 # (which never mentions wall clock; rates go to stderr) can be diffed.
 #
@@ -31,12 +31,12 @@ run() { # run <outfile> <extra args...>
     --seed "$SEED" --count 50 "$@" >>"$work/$out" 2>/dev/null || true
 }
 
-echo "== reference: jobs=1, snapshot/memo on =="
+echo "== reference: jobs=1, snapshot on =="
 run reference.txt --jobs 1
 
 for combo in "--jobs $JOBS" \
-  "--jobs 1 --snapshot off --memo off" \
-  "--jobs $JOBS --snapshot off --memo off"; do
+  "--jobs 1 --snapshot off" \
+  "--jobs $JOBS --snapshot off"; do
   echo "== diff vs: $combo =="
   # shellcheck disable=SC2086
   run candidate.txt $combo
@@ -47,4 +47,4 @@ grep -q 'FAIL' "$work/reference.txt" || {
   echo "FAIL: seeded structure did not produce a witness" >&2
   exit 1
 }
-echo "OK: pbt report is byte-identical across jobs {1,$JOBS} x snapshot/memo {on,off}"
+echo "OK: pbt report is byte-identical across jobs {1,$JOBS} x snapshot {on,off}"

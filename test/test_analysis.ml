@@ -536,7 +536,7 @@ let test_rob_concurrent_commit_still_flagged () =
   in
   Alcotest.(check (list string)) "flagged" [ "w" ] (labels fs)
 
-(* --- HB findings are deterministic across jobs x snapshot x memo ------------------ *)
+(* --- HB findings are deterministic across jobs x snapshot ------------------------- *)
 
 let test_hb_findings_deterministic () =
   let base_config =
@@ -557,7 +557,7 @@ let test_hb_findings_deterministic () =
              o.Explorer.findings)
       in
       let reference =
-        render { base_config with Config.jobs = 1; snapshot = false; memo = false }
+        render { base_config with Config.jobs = 1; snapshot = false }
       in
       let contains hay needle =
         let nh = String.length hay and nn = String.length needle in
@@ -571,12 +571,12 @@ let test_hb_findings_deterministic () =
       List.iter
         (fun jobs ->
           List.iter
-            (fun (snapshot, memo) ->
+            (fun snapshot ->
               Alcotest.(check string)
-                (Printf.sprintf "%s jobs=%d snapshot=%b memo=%b" name jobs snapshot memo)
+                (Printf.sprintf "%s jobs=%d snapshot=%b" name jobs snapshot)
                 reference
-                (render { base_config with Config.jobs = jobs; snapshot; memo }))
-            [ (false, false); (true, false); (false, true); (true, true) ])
+                (render { base_config with Config.jobs = jobs; snapshot }))
+            [ false; true ])
         (Test_env.jobs_matrix ~default:[ 1; 4 ]))
     [
       ( "P-CLHT-small",

@@ -2,7 +2,7 @@
    checkpoint/resume. The load-bearing property is the differential one — a
    run interrupted (by budget or flag) and resumed from its checkpoint, as
    many times as it takes, reports byte-identically to an uninterrupted run,
-   for every --jobs value and with the memo/snapshot layers on or off. *)
+   for every --jobs value and with the snapshot layer on or off. *)
 open Jaaru
 
 let report_text (o : Explorer.outcome) = Format.asprintf "%a" Explorer.pp_report o
@@ -47,11 +47,13 @@ let test_interrupt_resume_differential () =
   List.iter
     (fun jobs ->
       List.iter
-        (fun layers ->
-          let config = { config with Config.jobs = jobs; memo = layers; snapshot = layers } in
+        (fun snapshot ->
+          let config = { config with Config.jobs = jobs; snapshot } in
           with_temp_file (fun path ->
               let o, sessions = chain_until_complete ~config ~budget:0.03 ~path scn in
-              let label = Printf.sprintf "jobs=%d layers=%b (%d sessions)" jobs layers sessions in
+              let label =
+                Printf.sprintf "jobs=%d snapshot=%b (%d sessions)" jobs snapshot sessions
+              in
               Alcotest.(check string) (label ^ ": byte-identical report") expected (report_text o);
               Alcotest.(check bool) (label ^ ": final run exhausted") true
                 o.Explorer.stats.Stats.exhausted;

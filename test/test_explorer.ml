@@ -58,24 +58,7 @@ let test_trace_ring () =
 
 let test_stats_ratio () =
   let s =
-    {
-      Stats.executions = 10;
-      failure_points = 4;
-      rf_decisions = 0;
-      multi_rf_loads = 0;
-      stores = 0;
-      flushes = 0;
-      findings = 0;
-      memo_hits = 0;
-      memo_misses = 0;
-      memo_saved = 0;
-      snapshot_hits = 0;
-      snapshot_misses = 0;
-      sheds = 0;
-      wall_time = 0.;
-      exhausted = true;
-      interrupted = false;
-    }
+    { Stats.zero with Stats.executions = 10; failure_points = 4 }
   in
   Alcotest.(check (float 1e-9)) "ratio" 2.5 (Stats.executions_per_fp s);
   Alcotest.(check (float 1e-9)) "zero fp" 0.

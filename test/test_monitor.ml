@@ -138,7 +138,7 @@ let test_shed_racing_parallel_split () =
   let scn, config = deep_case () in
   let expected = report_text (Explorer.run ~config scn) in
   let squeezed =
-    { config with Config.jobs = 4; snapshot = true; memo = true; mem_budget = Some 1 }
+    { config with Config.jobs = 4; snapshot = true; mem_budget = Some 1 }
   in
   let o = Explorer.run ~config:squeezed scn in
   Alcotest.(check string) "shed under jobs=4 = baseline report" expected (report_text o)

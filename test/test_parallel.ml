@@ -78,7 +78,7 @@ let test_frontier_needs_work () =
 
 (* --- parallel = sequential on the bundled workloads ----------------------------- *)
 
-(* Memo counters are partition-dependent (see Stats.comparable), so the
+(* Snapshot counters are partition-dependent (see Stats.comparable), so the
    cross-jobs identity is on the comparable projection, not the raw record. *)
 let strip_time = Stats.comparable
 
@@ -175,22 +175,16 @@ let test_parallel_analysis_reports () =
 let test_stats_merge_identity_and_sums () =
   let a =
     {
+      Stats.zero with
       Stats.executions = 3;
       failure_points = 7;
       rf_decisions = 2;
       multi_rf_loads = 1;
       stores = 10;
       flushes = 4;
-      findings = 0;
-      memo_hits = 0;
-      memo_misses = 0;
-      memo_saved = 1;
       snapshot_hits = 2;
       snapshot_misses = 1;
-      sheds = 0;
       wall_time = 1.5;
-      exhausted = true;
-      interrupted = false;
     }
   in
   Alcotest.(check bool) "zero is identity" true (Stats.merge Stats.zero a = a);
@@ -199,12 +193,97 @@ let test_stats_merge_identity_and_sums () =
   Alcotest.(check int) "executions add" 8 m.Stats.executions;
   Alcotest.(check int) "rf decisions add" 6 m.Stats.rf_decisions;
   Alcotest.(check int) "failure points max" 7 m.Stats.failure_points;
-  Alcotest.(check int) "memo saved adds" 2 m.Stats.memo_saved;
   Alcotest.(check int) "snapshot hits add" 4 m.Stats.snapshot_hits;
   Alcotest.(check bool) "exhausted ands" false m.Stats.exhausted;
-  Alcotest.(check bool) "comparable zeroes memo counters" true
-    (Stats.comparable a
-    = Stats.comparable { a with Stats.memo_hits = 9; memo_saved = 0; snapshot_hits = 5 })
+  Alcotest.(check bool) "comparable zeroes snapshot counters" true
+    (Stats.comparable a = Stats.comparable { a with Stats.snapshot_hits = 5; snapshot_misses = 0 })
+
+(* --- random threaded programs ----------------------------------------------------- *)
+
+(* Generated two-thread store/flush/fence programs under buffered eviction,
+   where drain cuts and interleavings multiply the choice tree: the rendered
+   outcome must be byte-identical for every worker count, with the snapshot
+   layer on or off. *)
+
+type op = Store of int * int | Flush of int | Flushopt of int | Fence
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun l v -> Store (l, v + 1)) (int_range 0 1) (int_range 0 3));
+        (2, map (fun l -> Flush l) (int_range 0 1));
+        (2, map (fun l -> Flushopt l) (int_range 0 1));
+        (1, return Fence);
+      ])
+
+let pp_op = function
+  | Store (l, v) -> Printf.sprintf "st l%d=%d" l v
+  | Flush l -> Printf.sprintf "clflush l%d" l
+  | Flushopt l -> Printf.sprintf "clflushopt l%d" l
+  | Fence -> "sfence"
+
+let op_shrink op yield =
+  match op with
+  | Store (l, v) ->
+      if v > 1 then yield (Store (l, 1));
+      if l > 0 then yield (Store (0, v))
+  | Flush l -> if l > 0 then yield (Flush 0)
+  | Flushopt l ->
+      yield (Flush l);
+      if l > 0 then yield (Flushopt 0)
+  | Fence -> ()
+
+let program_shrink = QCheck.Shrink.list ~shrink:op_shrink
+let program_print ops = String.concat "; " (List.map pp_op ops)
+let addr_of l = 0x1000 + (64 * l)
+
+let run_program ctx ops =
+  List.iter
+    (fun op ->
+      match op with
+      | Store (l, v) -> Ctx.store64 ctx ~label:(pp_op op) (addr_of l) v
+      | Flush l -> Ctx.clflush ctx ~label:(pp_op op) (addr_of l) 8
+      | Flushopt l -> Ctx.clflushopt ctx ~label:(pp_op op) (addr_of l) 8
+      | Fence -> Ctx.sfence ctx ~label:"sfence" ())
+    ops
+
+let scenario_of (t0, t1) =
+  Explorer.scenario ~name:"rand-threads"
+    ~pre:(fun ctx ->
+      match t1 with
+      | [] -> run_program ctx t0
+      | _ -> Ctx.parallel ctx [ (fun ctx -> run_program ctx t0); (fun ctx -> run_program ctx t1) ])
+    ~post:(fun ctx ->
+      ignore (Ctx.load64 ctx ~label:"obs0" (addr_of 0));
+      ignore (Ctx.load64 ctx ~label:"obs1" (addr_of 1)))
+
+let threaded_arb =
+  QCheck.make
+    ~print:(fun (a, b) -> program_print a ^ " || " ^ program_print b)
+    ~shrink:(QCheck.Shrink.pair program_shrink program_shrink)
+    QCheck.Gen.(pair (list_size (int_range 1 5) op_gen) (list_size (int_range 0 2) op_gen))
+
+let threaded_config =
+  {
+    Config.default with
+    Config.evict_policy = Config.Buffered;
+    max_steps = 200_000;
+    stop_at_first_bug = false;
+  }
+
+let prop_jobs_snapshot_differential =
+  QCheck.Test.make ~name:"jobs x snapshot byte-identical" ~count:60 threaded_arb (fun prog ->
+      let scn = scenario_of prog in
+      let run ~jobs ~snapshot =
+        Format.asprintf "%a" Explorer.pp_report
+          (Explorer.run ~config:{ threaded_config with Config.jobs; snapshot } scn)
+      in
+      let reference = run ~jobs:1 ~snapshot:false in
+      List.for_all
+        (fun jobs ->
+          run ~jobs ~snapshot:true = reference && run ~jobs ~snapshot:false = reference)
+        (List.sort_uniq compare (1 :: Test_env.jobs_matrix ~default:[ 4 ])))
 
 let () =
   Alcotest.run "parallel"
@@ -228,4 +307,5 @@ let () =
         ] );
       ( "stats",
         [ Alcotest.test_case "merge" `Quick test_stats_merge_identity_and_sums ] );
+      ("differential", [ QCheck_alcotest.to_alcotest prop_jobs_snapshot_differential ]);
     ]

