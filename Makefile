@@ -12,10 +12,16 @@ build:
 test:
 	dune runtest
 
-# Exercise parallel mode end-to-end on every verify: one seeded-bug case and
-# one clean workload, both explored with several domains.
+# Exercise parallel mode end-to-end on every verify: the comparable report
+# of an exhaustive seeded-bug run must be byte-identical at --jobs 1 and 3,
+# and a clean workload must explore cleanly with several domains.
 parallel-smoke: build
-	dune exec bin/jaaru_cli.exe -- check pmdk-1 --jobs 3
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	for j in 1 3; do \
+	  dune exec bin/jaaru_cli.exe -- check pmdk-1 --exhaustive --jobs $$j \
+	    --report-out "$$d/jobs$$j.txt" || exit 1; \
+	done && \
+	diff -u "$$d/jobs1.txt" "$$d/jobs3.txt"
 	dune exec bin/jaaru_cli.exe -- perf --benchmark P-CLHT -n 3 --jobs 3
 
 # Static persistency lint over every bundled case: fails on any

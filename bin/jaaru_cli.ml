@@ -93,12 +93,13 @@ let max_failures_arg =
 let max_steps_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (positive int ~zero:0)) None
     & info [ "max-steps" ] ~docv:"N" ~doc:"Per-execution step budget (loop detection)")
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt (positive int ~zero:0) 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Explore the choice tree with $(docv) parallel OCaml domains. Exhaustive runs report \
@@ -213,7 +214,7 @@ let apply_overrides config ~max_failures ~max_steps ~exhaustive ~jobs ~snapshot 
   let config =
     match max_steps with Some n -> { config with Jaaru.Config.max_steps = n } | None -> config
   in
-  let config = { config with Jaaru.Config.jobs = max 1 jobs; snapshot } in
+  let config = { config with Jaaru.Config.jobs; snapshot } in
   if exhaustive then { config with Jaaru.Config.stop_at_first_bug = false } else config
 
 (* SIGINT/SIGTERM request the explorer's cooperative stop: workers finish
@@ -338,7 +339,7 @@ let lint_config config ~jobs =
     Jaaru.Config.analyze = true;
     stop_at_first_bug = false;
     max_executions = 1;
-    jobs = max 1 jobs;
+    jobs;
   }
 
 let lint_one ~fail_on ~jobs entry =
@@ -465,7 +466,7 @@ let perf_run benchmark n jobs snapshot =
         {
           Jaaru.Config.default with
           Jaaru.Config.max_steps = 200_000;
-          jobs = max 1 jobs;
+          jobs;
           snapshot;
         }
       in
@@ -488,7 +489,9 @@ let perf_cmd =
 (* --- fuzz ------------------------------------------------------------------ *)
 
 let seeds_arg =
-  Arg.(value & opt int 16 & info [ "seeds" ] ~docv:"N" ~doc:"Number of schedule seeds to fuzz")
+  Arg.(
+    value & opt non_negative_int 16
+    & info [ "seeds" ] ~docv:"N" ~doc:"Number of schedule seeds to fuzz")
 
 let fuzz_run id nseeds jobs =
   match find_entry id with
@@ -496,7 +499,7 @@ let fuzz_run id nseeds jobs =
   | Ok entry ->
       let seeds = List.init nseeds succ in
       Format.printf "fuzzing %s over %d schedules...@." entry.id nseeds;
-      let config = { entry.config with Jaaru.Config.jobs = max 1 jobs } in
+      let config = { entry.config with Jaaru.Config.jobs } in
       let r = Jaaru.Fuzz.run ~config ~seeds entry.scenario in
       Format.printf "%a@." Jaaru.Fuzz.pp r;
       let expected_bug = entry.expected <> None in
@@ -549,7 +552,7 @@ let max_cmds_arg =
 let time_budget_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (positive float ~zero:0.)) None
     & info [ "time-budget" ] ~docv:"SEC"
         ~doc:
           "Nightly mode: keep output deterministic only in content shape, not coverage — stop \
@@ -593,7 +596,7 @@ let pbt_run structure list count seed max_cmds time_budget jobs snapshot json_ou
     | Error e -> Error e
     | Ok adapters ->
         let deadline = Option.map (fun b -> Unix.gettimeofday () +. b) time_budget in
-        let config = { Pbt.Runner.config with Jaaru.Config.jobs = max 1 jobs; snapshot } in
+        let config = { Pbt.Runner.config with Jaaru.Config.jobs; snapshot } in
         let reports =
           List.map
             (fun a -> Pbt.Driver.run_structure ~config ?deadline ~seed ~count ~max_cmds a)
@@ -662,24 +665,12 @@ let fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot =
 
 let fleet_workers_arg =
   Arg.(
-    value & opt int 2
+    value
+    & opt (positive int ~zero:0) 2
     & info [ "fleet-workers" ] ~docv:"N"
         ~doc:
           "Supervised worker processes. The merged report is byte-identical for every value \
            (including 1) and to a plain single-process `jaaru check'.")
-
-let fleet_shards_arg =
-  Arg.(
-    value
-    & opt (positive int ~zero:0) 4
-    & info [ "fleet-shards" ] ~docv:"N"
-        ~doc:"Target shards per worker (finer shards rebalance better; default 4)")
-
-let fleet_split_arg =
-  Arg.(
-    value & opt int 32
-    & info [ "fleet-split-execs" ] ~docv:"N"
-        ~doc:"Executions explored in-process to grow the frontier before sharding (default 32)")
 
 let fleet_chaos_arg =
   Arg.(
@@ -705,26 +696,20 @@ let heartbeat_timeout_arg =
 
 let quarantine_arg =
   Arg.(
-    value & opt int 3
+    value
+    & opt (positive int ~zero:0) 3
     & info [ "quarantine-after" ] ~docv:"N"
         ~doc:
           "Non-chaos failures after which a shard is quarantined and reported instead of retried \
            forever (a poison shard that keeps killing workers must not wedge the fleet)")
-
-let in_process_arg =
-  Arg.(
-    value & flag
-    & info [ "in-process" ]
-        ~doc:
-          "Explore every shard on this process instead of spawning workers — the degraded mode \
-           the fleet falls back to when spawning fails, exposed for testing")
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print supervision events (spawns, retries, chaos)")
 
 let heartbeat_period_arg =
   Arg.(
-    value & opt float 0.05
+    value
+    & opt (positive float ~zero:0.) 0.05
     & info [ "heartbeat-period" ] ~docv:"SEC" ~doc:"Worker heartbeat interval (internal)")
 
 let rm_rf dir =
@@ -753,41 +738,33 @@ let fleet_result_checks entry (o : Jaaru.Explorer.outcome) =
   else if (not expected_bug) && found then Error (`Msg "clean case reported a bug")
   else Ok ()
 
-let fleet_run_entry entry ~workers ~shards_per_worker ~split_execs ~chaos ~chaos_seed
-    ~heartbeat_timeout ~heartbeat_period ~quarantine_after ~in_process ~max_failures ~max_steps
-    ~jobs ~snapshot ~verbose =
+let fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout ~heartbeat_period
+    ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot ~verbose =
   let config = fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot in
   let scratch = make_scratch () in
   let worker_argv =
-    if in_process then None
-    else
-      Some
-        (Array.of_list
-           ([ Sys.executable_name; "fleet-worker"; entry.id ]
-           @ (match max_failures with
-             | Some n -> [ "--max-failures"; string_of_int n ]
-             | None -> [])
-           @ (match max_steps with Some n -> [ "--max-steps"; string_of_int n ] | None -> [])
-           @ [
-               "--jobs";
-               string_of_int (max 1 jobs);
-               "--snapshot";
-               (if snapshot then "on" else "off");
-               "--heartbeat-period";
-               Printf.sprintf "%g" heartbeat_period;
-             ]))
+    Array.of_list
+      ([ Sys.executable_name; "fleet-worker"; entry.id ]
+      @ (match max_failures with Some n -> [ "--max-failures"; string_of_int n ] | None -> [])
+      @ (match max_steps with Some n -> [ "--max-steps"; string_of_int n ] | None -> [])
+      @ [
+          "--jobs";
+          string_of_int jobs;
+          "--snapshot";
+          (if snapshot then "on" else "off");
+          "--heartbeat-period";
+          Printf.sprintf "%g" heartbeat_period;
+        ])
   in
   let fleet =
     {
       (Fleet.Coordinator.default ~scratch) with
-      Fleet.Coordinator.workers = max 1 workers;
-      shards_per_worker = max 1 shards_per_worker;
-      split_execs = max 1 split_execs;
+      Fleet.Coordinator.workers;
       heartbeat_timeout;
-      quarantine_after = max 1 quarantine_after;
+      quarantine_after;
       chaos;
       chaos_seed;
-      worker_argv;
+      worker_argv = Some worker_argv;
       log = (if verbose then fun s -> Format.eprintf "[fleet] %s@." s else ignore);
     }
   in
@@ -797,9 +774,8 @@ let fleet_run_entry entry ~workers ~shards_per_worker ~split_execs ~chaos ~chaos
       with_graceful_signals (fun () ->
           Fleet.Coordinator.run ~fleet ~config ~scenario:entry.scenario))
 
-let fleet_run id workers shards_per_worker split_execs chaos_spec chaos_seed heartbeat_timeout
-    heartbeat_period quarantine_after in_process max_failures max_steps jobs snapshot checkpoint
-    report_out verbose =
+let fleet_run id workers chaos_spec chaos_seed heartbeat_timeout heartbeat_period
+    quarantine_after max_failures max_steps jobs snapshot checkpoint report_out verbose =
   match find_entry id with
   | Error e -> Error e
   | Ok entry -> (
@@ -808,9 +784,9 @@ let fleet_run id workers shards_per_worker split_execs chaos_spec chaos_seed hea
       | chaos -> (
           Format.printf "fleet-checking %s (%s): %s@." entry.id entry.benchmark entry.description;
           match
-            fleet_run_entry entry ~workers ~shards_per_worker ~split_execs ~chaos ~chaos_seed
-              ~heartbeat_timeout ~heartbeat_period ~quarantine_after ~in_process ~max_failures
-              ~max_steps ~jobs ~snapshot ~verbose
+            fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout
+              ~heartbeat_period ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot
+              ~verbose
           with
           | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
           | r ->
@@ -828,15 +804,7 @@ let fleet_run id workers shards_per_worker split_execs chaos_spec chaos_seed hea
                     let config =
                       fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot
                     in
-                    let cp =
-                      Jaaru.Checkpoint.make
-                        ~fingerprint:
-                          (Jaaru.Checkpoint.fingerprint ~workload:entry.scenario.Jaaru.Explorer.name
-                             config)
-                        ~frontier:r.Fleet.Coordinator.remaining ~bugs:o.Jaaru.Explorer.bugs
-                        ~multi_rf:o.Jaaru.Explorer.multi_rf ~perf:o.Jaaru.Explorer.perf
-                        ~findings:o.Jaaru.Explorer.findings ~stats:o.Jaaru.Explorer.stats
-                    in
+                    let cp = Jaaru.Explorer.to_checkpoint ~config entry.scenario o in
                     Jaaru.Checkpoint.save cp path;
                     Format.printf "@.fleet stopped early; continue with: jaaru check %s --resume %s@."
                       entry.id path
@@ -859,7 +827,7 @@ let fleet_cmd =
       `P
         "Splits the choice tree into shard checkpoints, fans them out to supervised worker \
          processes (heartbeats, crash detection, retry with capped backoff, poison-shard \
-         quarantine, work stealing, degradation to in-process exploration), and merges the shard \
+         quarantine, work stealing, fallback to in-process domains), and merges the shard \
          reports deterministically: an exhaustive fleet run reports byte-identically to \
          single-process $(b,jaaru check), for every $(b,--fleet-workers) value, with \
          $(b,--fleet-chaos) faults injected or not.";
@@ -869,10 +837,9 @@ let fleet_cmd =
     (Cmd.info "fleet" ~doc ~man)
     Term.(
       term_result
-        (const fleet_run $ id_arg $ fleet_workers_arg $ fleet_shards_arg $ fleet_split_arg
-       $ fleet_chaos_arg $ fleet_chaos_seed_arg $ heartbeat_timeout_arg $ heartbeat_period_arg
-       $ quarantine_arg $ in_process_arg $ max_failures_arg $ max_steps_arg $ jobs_arg
-       $ snapshot_arg $ checkpoint_arg $ report_out_arg $ verbose_arg))
+        (const fleet_run $ id_arg $ fleet_workers_arg $ fleet_chaos_arg $ fleet_chaos_seed_arg
+       $ heartbeat_timeout_arg $ heartbeat_period_arg $ quarantine_arg $ max_failures_arg
+       $ max_steps_arg $ jobs_arg $ snapshot_arg $ checkpoint_arg $ report_out_arg $ verbose_arg))
 
 (* Accepted and ignored: the macro benchmark suite still passes it to the
    workers it spawns. A later benchmark change removes it together with the
@@ -902,10 +869,10 @@ let fleet_worker_run id max_failures max_steps jobs snapshot () heartbeat_period
                 (* A Preempt for the previous shard that raced its Result
                    must not poison this one. *)
                 Jaaru.Explorer.clear_interrupt ();
-                let out = path ^ ".result" in
-                let _o = Jaaru.Explorer.run ~config ~resume:cp ~checkpoint:out entry.scenario in
-                let rcp = Jaaru.Checkpoint.load out in
-                Ok (Jaaru.Checkpoint.to_string rcp))
+                let o = Jaaru.Explorer.run ~config ~resume:cp entry.scenario in
+                Ok
+                  (Jaaru.Checkpoint.to_string
+                     (Jaaru.Explorer.to_checkpoint ~config entry.scenario o)))
       in
       Fleet.Worker.serve ~heartbeat_period ~on_preempt:Jaaru.Explorer.request_interrupt ~run ();
       Ok ()
@@ -935,7 +902,10 @@ let once_arg =
   Arg.(value & flag & info [ "once" ] ~doc:"Process the current backlog and exit (testing, cron)")
 
 let poll_arg =
-  Arg.(value & opt float 1.0 & info [ "poll" ] ~docv:"SEC" ~doc:"Queue poll interval (default 1s)")
+  Arg.(
+    value
+    & opt (positive float ~zero:0.) 1.0
+    & info [ "poll" ] ~docv:"SEC" ~doc:"Queue poll interval (default 1s)")
 
 let read_job path =
   let ic = open_in path in
@@ -943,8 +913,8 @@ let read_job path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> match input_line ic with line -> String.trim line | exception End_of_file -> "")
 
-let serve_run dir once poll workers shards_per_worker split_execs chaos_spec chaos_seed
-    heartbeat_timeout heartbeat_period quarantine_after in_process verbose =
+let serve_run dir once poll workers chaos_spec chaos_seed heartbeat_timeout heartbeat_period
+    quarantine_after verbose =
   match Fleet.Supervise.parse_chaos chaos_spec with
   | exception Invalid_argument m -> Error (`Msg m)
   | chaos ->
@@ -969,9 +939,9 @@ let serve_run dir once poll workers shards_per_worker split_execs chaos_spec cha
           | Error (`Msg m) -> Printf.sprintf "error: %s\n" m
           | Ok entry -> (
               match
-                fleet_run_entry entry ~workers ~shards_per_worker ~split_execs ~chaos ~chaos_seed
-                  ~heartbeat_timeout ~heartbeat_period ~quarantine_after ~in_process
-                  ~max_failures:None ~max_steps:None ~jobs:1 ~snapshot:true ~verbose
+                fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout
+                  ~heartbeat_period ~quarantine_after ~max_failures:None ~max_steps:None ~jobs:1
+                  ~snapshot:true ~verbose
               with
               | exception Jaaru.Checkpoint.Rejected msg -> Printf.sprintf "error: %s\n" msg
               | r ->
@@ -1041,9 +1011,8 @@ let serve_cmd =
     Term.(
       term_result
         (const serve_run $ serve_dir_arg $ once_arg $ poll_arg $ fleet_workers_arg
-       $ fleet_shards_arg $ fleet_split_arg $ fleet_chaos_arg $ fleet_chaos_seed_arg
-       $ heartbeat_timeout_arg $ heartbeat_period_arg $ quarantine_arg $ in_process_arg
-       $ verbose_arg))
+       $ fleet_chaos_arg $ fleet_chaos_seed_arg $ heartbeat_timeout_arg $ heartbeat_period_arg
+       $ quarantine_arg $ verbose_arg))
 
 (* --- main ------------------------------------------------------------------ *)
 

@@ -338,5 +338,3 @@ let validate t ~workload ~config =
              configuration (the tree shapes would not line up); re-run without --resume or \
              restore the original flags"
             t.fingerprint expected))
-
-let completed t = t.frontier = []

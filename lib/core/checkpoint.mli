@@ -90,8 +90,3 @@ val of_string : string -> t
 val validate : t -> workload:string -> config:Config.t -> unit
 (** Raises {!Rejected} unless the checkpoint's fingerprint matches this
     workload and configuration. *)
-
-val completed : t -> bool
-(** Whether the frontier is empty — the run had fully finished when this
-    checkpoint was written; resuming it is a no-op that reports the stored
-    outcome. *)

@@ -9,7 +9,29 @@ type outcome = {
   multi_rf : Ctx.multi_rf list;
   perf : Ctx.perf_report list;
   findings : Analysis.Report.finding list;
+  frontier : string list;
 }
+
+let empty =
+  { bugs = []; stats = Stats.zero; multi_rf = []; perf = []; findings = []; frontier = [] }
+
+(* The one conversion between outcomes and checkpoints: a checkpoint is an
+   outcome plus the fingerprint of the tree it belongs to. *)
+let to_checkpoint ~config scn o =
+  Checkpoint.make
+    ~fingerprint:(Checkpoint.fingerprint ~workload:scn.name config)
+    ~frontier:o.frontier ~bugs:o.bugs ~multi_rf:o.multi_rf ~perf:o.perf ~findings:o.findings
+    ~stats:o.stats
+
+let of_checkpoint (cp : Checkpoint.t) =
+  {
+    bugs = cp.bugs;
+    stats = cp.stats;
+    multi_rf = cp.multi_rf;
+    perf = cp.perf;
+    findings = cp.findings;
+    frontier = cp.frontier;
+  }
 
 (* The CLI's signal handlers (and tests) request a cooperative stop through
    this process-global flag: workers poll it between replays, and the monitor
@@ -70,17 +92,23 @@ let keep_min tbl key v = match Hashtbl.find_opt tbl key with
   | None -> Hashtbl.replace tbl key v
   | Some prev -> if compare v prev < 0 then Hashtbl.replace tbl key v
 
-(* What one worker accumulated over the subtrees it explored.
-   [wr_remainder] is the unexplored part of the tasks it was holding when a
-   cooperative stop caught it — frontier material for a checkpoint. *)
-type worker_result = {
-  wr_bugs : ((int * string), Bug.t) Hashtbl.t;
-  wr_multi_rf : ((string * Pmem.Addr.t), Ctx.multi_rf) Hashtbl.t;
-  wr_perf : (Ctx.perf_report, unit) Hashtbl.t;
-  wr_findings : (Analysis.Report.finding, unit) Hashtbl.t;
-  wr_stats : Stats.t;
-  wr_remainder : Choice.prefix list;
-}
+(* Deterministic rendering order of the merge tables, shared by each worker
+   and [merge_outcomes]: sorted lists, so the result is independent of
+   hash-table iteration order and of how the explored tree was partitioned. *)
+let sorted_reports ~bug_tbl ~multi_rf_tbl ~perf_tbl ~findings_tbl =
+  let bugs = List.sort compare (Hashtbl.fold (fun _ b acc -> b :: acc) bug_tbl []) in
+  let multi_rf =
+    List.sort
+      (fun a b ->
+        compare (a.Ctx.load_label, a.Ctx.load_addr) (b.Ctx.load_label, b.Ctx.load_addr))
+      (Hashtbl.fold (fun _ r acc -> r :: acc) multi_rf_tbl [])
+  in
+  let perf = List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) perf_tbl []) in
+  let findings =
+    List.sort Analysis.Report.compare_finding
+      (Hashtbl.fold (fun f () acc -> f :: acc) findings_tbl [])
+  in
+  (bugs, multi_rf, perf, findings)
 
 (* [reserved] hands out global execution slots so the [max_executions]
    budget holds across workers. Bounded CAS rather than fetch-and-add: the
@@ -232,51 +260,32 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
         drain ()
   in
   drain ();
-  {
-    wr_bugs = bugs;
-    wr_multi_rf = multi_rf;
-    wr_perf = perf;
-    wr_findings = findings;
-    wr_stats =
-      {
-        Stats.zero with
-        Stats.executions = !executions;
-        rf_decisions = !rf_created;
-        failure_points = !failure_points;
-        stores = !stores;
-        flushes = !flushes;
-        snapshot_hits = !snapshot_hits;
-        snapshot_misses = !snapshot_misses;
-        sheds = !sheds;
-      };
-    wr_remainder = !remainder;
-  }
-
-(* Deterministic rendering order of the merge tables, shared by [run] and
-   [merge_outcomes]: sorted lists, so the result is independent of hash-table
-   iteration order and of how the explored tree was partitioned. *)
-let sorted_reports ~bug_tbl ~multi_rf_tbl ~perf_tbl ~findings_tbl =
-  let bugs = List.sort compare (Hashtbl.fold (fun _ b acc -> b :: acc) bug_tbl []) in
-  let multi_rf =
-    List.sort
-      (fun a b ->
-        compare (a.Ctx.load_label, a.Ctx.load_addr) (b.Ctx.load_label, b.Ctx.load_addr))
-      (Hashtbl.fold (fun _ r acc -> r :: acc) multi_rf_tbl [])
+  let bugs, multi_rf, perf, findings =
+    sorted_reports ~bug_tbl:bugs ~multi_rf_tbl:multi_rf ~perf_tbl:perf ~findings_tbl:findings
   in
-  let perf = List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) perf_tbl []) in
-  let findings =
-    List.sort Analysis.Report.compare_finding
-      (Hashtbl.fold (fun f () acc -> f :: acc) findings_tbl [])
+  let stats =
+    {
+      Stats.zero with
+      Stats.executions = !executions;
+      rf_decisions = !rf_created;
+      failure_points = !failure_points;
+      stores = !stores;
+      flushes = !flushes;
+      snapshot_hits = !snapshot_hits;
+      snapshot_misses = !snapshot_misses;
+      sheds = !sheds;
+    }
   in
-  (bugs, multi_rf, perf, findings)
+  ({ bugs; stats; multi_rf; perf; findings; frontier = [] }, !remainder)
 
-(* Combine the outcomes of disjoint subtree explorations — the fleet
-   coordinator's merge of shard results — with exactly the dedup discipline
-   [run] applies across its own workers: per-key least representative for
+(* Combine the outcomes of disjoint subtree explorations — a round's
+   workers, a resumed checkpoint plus its continuation, the fleet's shard
+   results — with one dedup discipline: per-key least representative for
    bugs and multi-rf, set union for perf and findings, [Stats.merge] for the
    counters. [exhausted]/[interrupted] are recomputed from the caller's
    knowledge of completion (constituent outcomes of capped or preempted
-   shards legitimately carry partial flags). *)
+   shards legitimately carry partial flags). The constituents' frontiers are
+   dropped: what is left unexplored is the caller's to say. *)
 let merge_outcomes ?(config = Config.default) ~completed ~interrupted outcomes =
   let bug_tbl = Hashtbl.create 16 in
   let multi_rf_tbl = Hashtbl.create 16 in
@@ -305,70 +314,26 @@ let merge_outcomes ?(config = Config.default) ~completed ~interrupted outcomes =
       interrupted;
     }
   in
-  { bugs; stats; multi_rf; perf; findings }
+  { bugs; stats; multi_rf; perf; findings; frontier = [] }
 
 let run ?(config = Config.default) ?resume ?checkpoint scn =
   let jobs = max 1 config.Config.jobs in
   let t0 = Unix.gettimeofday () in
-  let fingerprint = Checkpoint.fingerprint ~workload:scn.name config in
-  (* Global merge tables — deterministic per-key least representative, so the
-     final reports are byte-identical for any jobs value, any partition of
-     the tree across rounds, and any interrupt/resume history. *)
-  let bug_tbl = Hashtbl.create 16 in
-  let multi_rf_tbl = Hashtbl.create 16 in
-  let perf_tbl = Hashtbl.create 16 in
-  let findings_tbl = Hashtbl.create 16 in
-  let stats_acc = ref Stats.zero in
-  let prior_wall = ref 0. in
-  let initial_tasks =
+  (* What earlier sessions explored, and the subtrees left to this one. Its
+     counters carry over — in particular [executions] restarts the execution
+     budget where it stood. *)
+  let explored, tasks =
     match resume with
-    | None -> [ Choice.root ]
-    | Some (cp : Checkpoint.t) ->
+    | None -> (empty, [ Choice.root ])
+    | Some cp ->
         Checkpoint.validate cp ~workload:scn.name ~config;
-        List.iter (fun b -> keep_min bug_tbl (Bug.report_key b) b) cp.bugs;
-        List.iter
-          (fun (m : Ctx.multi_rf) -> keep_min multi_rf_tbl (m.load_label, m.load_addr) m)
-          cp.multi_rf;
-        List.iter (fun p -> Hashtbl.replace perf_tbl p ()) cp.perf;
-        List.iter (fun f -> Hashtbl.replace findings_tbl f ()) cp.findings;
-        prior_wall := cp.stats.Stats.wall_time;
-        (* The stored flags describe the interrupted session; this session
-           recomputes them. The counters carry over — in particular
-           [executions] restarts the execution budget where it stood. *)
-        stats_acc := { cp.stats with Stats.wall_time = 0.; exhausted = true; interrupted = false };
-        Checkpoint.frontier_prefixes cp
+        (of_checkpoint cp, Checkpoint.frontier_prefixes cp)
   in
-  let reserved = Atomic.make !stats_acc.Stats.executions in
-  let merged_reports () = sorted_reports ~bug_tbl ~multi_rf_tbl ~perf_tbl ~findings_tbl in
-  let outcome_now ~completed ~interrupted =
-    let bugs, multi_rf, perf, findings = merged_reports () in
-    let stats =
-      {
-        !stats_acc with
-        Stats.multi_rf_loads = Hashtbl.length multi_rf_tbl;
-        findings = List.length findings;
-        wall_time = !prior_wall +. (Unix.gettimeofday () -. t0);
-        exhausted = completed && not (config.Config.stop_at_first_bug && bugs <> []);
-        interrupted;
-      }
-    in
-    { bugs; stats; multi_rf; perf; findings }
-  in
-  let save_checkpoint ~remainder ~interrupted =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-        let o = outcome_now ~completed:(remainder = []) ~interrupted in
-        Checkpoint.save
-          (Checkpoint.make ~fingerprint
-             ~frontier:(List.map Choice.encode_prefix remainder)
-             ~bugs:o.bugs ~multi_rf:o.multi_rf ~perf:o.perf ~findings:o.findings ~stats:o.stats)
-          path
-  in
+  let prior_wall = explored.stats.Stats.wall_time in
+  let reserved = Atomic.make explored.stats.Stats.executions in
   (* One round: explore the given tasks until completion or the first stop
-     trigger. Returns the stop reason (None = ran to completion) and the
-     unexplored remainder. A [Tick] stop loops into another round after
-     writing a checkpoint; anything else ends the run. *)
+     trigger. Returns the stop reason (None = ran to completion), the
+     workers' outcomes and the unexplored remainder. *)
   let round tasks =
     let frontier = Frontier.create ~workers:jobs () in
     List.iter (Frontier.push frontier) tasks;
@@ -426,38 +391,40 @@ let run ?(config = Config.default) ?resume ?checkpoint scn =
         (function Ok r -> r | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
         results
     in
-    List.iter
-      (fun r ->
-        Hashtbl.iter (fun key b -> keep_min bug_tbl key b) r.wr_bugs;
-        Hashtbl.iter (fun key m -> keep_min multi_rf_tbl key m) r.wr_multi_rf;
-        Hashtbl.iter (fun p () -> Hashtbl.replace perf_tbl p ()) r.wr_perf;
-        Hashtbl.iter (fun f () -> Hashtbl.replace findings_tbl f ()) r.wr_findings;
-        stats_acc := Stats.merge !stats_acc r.wr_stats)
-      results;
-    let remainder =
-      List.concat_map (fun r -> r.wr_remainder) results @ Frontier.drain_remaining frontier
+    ( Atomic.get reason,
+      List.map fst results,
+      List.concat_map snd results @ Frontier.drain_remaining frontier )
+  in
+  (* A [Tick] stop writes a checkpoint and loops into another round; anything
+     else ends the run. Every round's outcome — and so every checkpoint —
+     folds in everything explored before it, so the reports are
+     byte-identical for any jobs value, any partition of the tree across
+     rounds, and any interrupt/resume history. *)
+  let rec rounds explored tasks =
+    let reason, outcomes, remainder = round tasks in
+    let completed, interrupted =
+      match (reason, remainder) with
+      (* Ran dry (a Tick that found nothing left is completion too). *)
+      | None, _ | Some Tick, [] -> (true, false)
+      | Some (Tick | Interrupted | Wall_budget), _ -> (false, true)
+      (* Cut short, but not "interrupted": resuming a capped checkpoint just
+         caps again (the budget travels in the stats). *)
+      | Some (Capped | First_bug), _ -> (false, false)
     in
-    (Atomic.get reason, remainder)
+    let o = merge_outcomes ~config ~completed ~interrupted (explored :: outcomes) in
+    let o =
+      {
+        o with
+        stats = { o.stats with Stats.wall_time = prior_wall +. (Unix.gettimeofday () -. t0) };
+        frontier = List.map Choice.encode_prefix remainder;
+      }
+    in
+    Option.iter (fun path -> Checkpoint.save (to_checkpoint ~config scn o) path) checkpoint;
+    match (reason, remainder) with
+    | Some Tick, _ :: _ -> rounds o remainder
+    | _ -> o
   in
-  let rec rounds tasks =
-    match round tasks with
-    | Some Tick, (_ :: _ as remainder) ->
-        save_checkpoint ~remainder ~interrupted:true;
-        rounds remainder
-    | (None | Some Tick), _ ->
-        (* Ran dry (a Tick that found nothing left is completion too). *)
-        save_checkpoint ~remainder:[] ~interrupted:false;
-        outcome_now ~completed:true ~interrupted:false
-    | Some (Interrupted | Wall_budget), remainder ->
-        save_checkpoint ~remainder ~interrupted:true;
-        outcome_now ~completed:false ~interrupted:true
-    | Some (Capped | First_bug), remainder ->
-        (* Cut short, but not "interrupted": resuming a capped checkpoint
-           just caps again (the budget travels in the stats). *)
-        save_checkpoint ~remainder ~interrupted:false;
-        outcome_now ~completed:false ~interrupted:false
-  in
-  rounds initial_tasks
+  rounds explored tasks
 
 let found_bug o = o.bugs <> []
 

@@ -33,7 +33,23 @@ type outcome = {
           the same deterministic discipline as [bugs] (deduplicated, sorted
           with {!Analysis.Report.compare_finding}); empty unless
           [config.analyze] *)
+  frontier : string list;
+      (** the unexplored subtrees, as encoded prefixes
+          ({!Choice.encode_prefix}); [[]] when the run completed. It equals
+          the frontier of the checkpoint the same run wrote last, so a caller
+          can hand the work on without reading that file. *)
 }
+
+val empty : outcome
+(** Nothing explored, nothing left: [{ empty with frontier }] is a fresh
+    piece of work, e.g. a fleet shard. *)
+
+val to_checkpoint : config:Config.t -> scenario -> outcome -> Checkpoint.t
+(** The outcome as a checkpoint of this workload and configuration —
+    exactly what {!run} saves, and what [run ~resume] continues from. *)
+
+val of_checkpoint : Checkpoint.t -> outcome
+(** Inverse of {!to_checkpoint} (the fingerprint is dropped). *)
 
 val run : ?config:Config.t -> ?resume:Checkpoint.t -> ?checkpoint:string -> scenario -> outcome
 (** Explores the scenario exhaustively. Checked-program bugs become entries
@@ -43,7 +59,8 @@ val run : ?config:Config.t -> ?resume:Checkpoint.t -> ?checkpoint:string -> scen
     {b Survivability.} With [checkpoint:path] the run periodically (every
     [config.checkpoint_every] seconds) and at every stop — including
     completion — atomically writes a {!Checkpoint} of the unexplored
-    frontier and the merged reports to [path]. With [resume:cp] it first
+    frontier and the merged reports to [path]; the returned outcome carries
+    the same frontier. With [resume:cp] it first
     validates [cp]'s fingerprint against this workload and configuration
     (raising {!Checkpoint.Rejected} on mismatch), seeds the report tables
     and statistics from it, and explores only the checkpointed frontier; an
@@ -103,7 +120,10 @@ val merge_outcomes :
     byte. [Stats.exhausted] is recomputed from [completed] (and
     [config.stop_at_first_bug]); [Stats.interrupted] is set from
     [interrupted] — constituent outcomes of capped or preempted shards
-    legitimately carry partial flags that must not poison the merge. *)
+    legitimately carry partial flags that must not poison the merge. The
+    result's [frontier] is [[]]: constituents' frontiers are work the caller
+    reschedules or reports itself. {!run} folds its resume seed and each
+    round's workers through this same function. *)
 
 val found_bug : outcome -> bool
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -9,13 +9,8 @@ module Ch = Jaaru.Choice
 
 type config = {
   workers : int;
-  shards_per_worker : int;
-  split_execs : int;
   heartbeat_timeout : float;
-  steal_after : float;
   quarantine_after : int;
-  backoff_base : float;
-  backoff_cap : float;
   spawn_attempts : int;
   chaos : Supervise.chaos;
   chaos_seed : int;
@@ -27,13 +22,8 @@ type config = {
 let default ~scratch =
   {
     workers = 2;
-    shards_per_worker = 4;
-    split_execs = 32;
     heartbeat_timeout = 2.0;
-    steal_after = 1.0;
     quarantine_after = 3;
-    backoff_base = 0.05;
-    backoff_cap = 2.0;
     spawn_attempts = 3;
     chaos = Supervise.no_chaos;
     chaos_seed = 0;
@@ -41,6 +31,13 @@ let default ~scratch =
     worker_argv = None;
     log = ignore;
   }
+
+(* Fixed tuning. *)
+let shards_per_worker = 4 (* shatter granularity target *)
+let split_execs = 32 (* phase-1 execution cap *)
+let steal_after = 1.0 (* busy seconds before a preempt can steal *)
+let backoff_base = 0.05
+let backoff_cap = 2.0
 
 type fleet_stats = {
   shards : int;
@@ -81,7 +78,7 @@ type shard_status = Pending | Assigned of int | Done | Quarantined of string
 
 type shard = {
   sid : int;
-  prefixes : string list;  (* encoded; the shard checkpoint's frontier *)
+  prefixes : string list;  (* encoded; the shard's frontier *)
   path : string;
   mutable status : shard_status;
   mutable attempts : int;
@@ -112,11 +109,12 @@ let shatter prefixes target =
   go ();
   List.of_seq (Queue.to_seq q) @ List.rev !atomic
 
-(* Group decoded prefixes into shard-sized pieces of encoded prefixes: one
-   prefix per shard after shattering, or consecutive chunks when the
-   frontier is already finer than the target. *)
-let partition prefixes target =
-  let n = List.length prefixes in
+(* Group a frontier of encoded prefixes into shard-sized pieces: one prefix
+   per shard after shattering, or consecutive chunks when the frontier is
+   already finer than the target. Every frontier here was produced by an
+   exploration or passed {!Ck.of_string}, so it decodes. *)
+let partition frontier target =
+  let n = List.length frontier in
   if n = 0 then []
   else if n >= target then begin
     let per = (n + target - 1) / target in
@@ -126,9 +124,11 @@ let partition prefixes target =
           if k = per then chunk (List.rev cur :: acc) [ p ] 1 rest
           else chunk acc (p :: cur) (k + 1) rest
     in
-    chunk [] [] 0 (List.map Ch.encode_prefix prefixes)
+    chunk [] [] 0 frontier
   end
-  else List.map (fun p -> [ Ch.encode_prefix p ]) (shatter prefixes target)
+  else
+    let prefixes = List.map (fun s -> Option.get (Ch.decode_prefix s)) frontier in
+    List.map (fun p -> [ Ch.encode_prefix p ]) (shatter prefixes target)
 
 (* --- worker slots --------------------------------------------------------- *)
 
@@ -156,7 +156,6 @@ let run ~fleet ~config ~scenario =
      workers would reject their own shards. *)
   let real_fp = Ck.fingerprint ~workload:scenario.Ex.name config in
   let rng = Random.State.make [| fleet.chaos_seed; 0x6a617275 |] in
-  let interrupted = ref false in
 
   (* counters *)
   let spawns = ref 0
@@ -170,21 +169,19 @@ let run ~fleet ~config ~scenario =
      frontier worth sharding. jobs = 1 keeps it cheap and deterministic;
      the partition it produces does not need to be canonical — any
      partition of the tree merges identically. *)
-  let split_path = Filename.concat fleet.scratch "phase1.ckpt" in
   let split_config =
     {
       config with
       Jaaru.Config.jobs = 1;
-      max_executions = min config.Jaaru.Config.max_executions fleet.split_execs;
+      max_executions = min config.Jaaru.Config.max_executions split_execs;
     }
   in
-  let outcome0 = Ex.run ~config:split_config ~checkpoint:split_path scenario in
-  let cp0 = Ck.load split_path in
-  let phase1_only = Ck.completed cp0 || outcome0.Ex.stats.Jaaru.Stats.interrupted in
-  if outcome0.Ex.stats.Jaaru.Stats.interrupted then interrupted := true;
+  let outcome0 = Ex.run ~config:split_config scenario in
+  let interrupted = ref outcome0.Ex.stats.Jaaru.Stats.interrupted in
+  let phase1_only = outcome0.Ex.frontier = [] || !interrupted in
 
-  let shard_target = max 1 fleet.workers * max 1 fleet.shards_per_worker in
-  let groups = if phase1_only then [] else partition (Ck.frontier_prefixes cp0) shard_target in
+  let shard_target = max 1 fleet.workers * shards_per_worker in
+  let groups = if phase1_only then [] else partition outcome0.Ex.frontier shard_target in
   let shards =
     Array.of_list
       (List.mapi
@@ -204,25 +201,13 @@ let run ~fleet ~config ~scenario =
   (* Remainders stolen from preempted workers become fresh shards. *)
   let next_sid = ref (Array.length shards) in
   let shard_list () = Array.to_list shards @ List.rev !extra_shards in
-  let results : (int, Ex.outcome) Hashtbl.t = Hashtbl.create 64 in
+  (* Outcomes of finished shards; a shard is merged only from a complete
+     result, so it is counted exactly once however many attempts failed. *)
+  let results = ref [] in
 
-  let outcome_of_cp (cp : Ck.t) : Ex.outcome =
-    {
-      Ex.bugs = cp.Ck.bugs;
-      stats = cp.Ck.stats;
-      multi_rf = cp.Ck.multi_rf;
-      perf = cp.Ck.perf;
-      findings = cp.Ck.findings;
-    }
-  in
-
-  let write_shard sh =
-    let cp =
-      Ck.make ~fingerprint:real_fp ~frontier:sh.prefixes ~bugs:[] ~multi_rf:[] ~perf:[]
-        ~findings:[] ~stats:Jaaru.Stats.zero
-    in
-    Ck.save cp sh.path
-  in
+  (* A fresh piece of work: the frontier, with nothing explored yet (so
+     merging never double-counts). *)
+  let unexplored frontier = Ex.to_checkpoint ~config scenario { Ex.empty with Ex.frontier } in
 
   let tear path =
     match Unix.openfile path [ Unix.O_WRONLY ] 0o644 with
@@ -264,7 +249,7 @@ let run ~fleet ~config ~scenario =
       (shard_list ())
   in
 
-  let steal_split prefixes =
+  let steal_split frontier =
     (* A stolen remainder becomes fresh shards so several idle workers can
        share it. *)
     List.iter
@@ -282,7 +267,7 @@ let run ~fleet ~config ~scenario =
             not_before = 0.;
           }
           :: !extra_shards)
-      (partition prefixes (max 2 fleet.workers))
+      (partition frontier (max 2 fleet.workers))
   in
 
   let requeue ~why ~chaos sh now =
@@ -294,7 +279,7 @@ let run ~fleet ~config ~scenario =
     end
     else begin
       let delay =
-        Supervise.backoff ~base:fleet.backoff_base ~cap:fleet.backoff_cap ~attempt:sh.attempts
+        Supervise.backoff ~base:backoff_base ~cap:backoff_cap ~attempt:sh.attempts
       in
       sh.status <- Pending;
       sh.not_before <- now +. delay;
@@ -382,14 +367,15 @@ let run ~fleet ~config ~scenario =
           (match List.find_opt (fun s -> s.sid = sid) (shard_list ()) with
           | Some sh when sh.status <> Done ->
               sh.status <- Done;
-              Hashtbl.replace results sid (outcome_of_cp cp);
-              if cp.Ck.frontier <> [] then begin
+              let o = Ex.of_checkpoint cp in
+              results := o :: !results;
+              if o.Ex.frontier <> [] then begin
                 (* A preempted worker returned the explored part plus the
                    remainder; the remainder becomes new shards. *)
                 incr steals;
                 log "shard %d returned %d remainder prefixes (steal)" sid
-                  (List.length cp.Ck.frontier);
-                steal_split (Ck.frontier_prefixes cp)
+                  (List.length o.Ex.frontier);
+                steal_split o.Ex.frontier
               end
           | _ -> ());
           w.busy <- None;
@@ -442,7 +428,7 @@ let run ~fleet ~config ~scenario =
         let plan = Supervise.plan rng fleet.chaos in
         if Supervise.injects plan then incr chaos_injected;
         w.chaos_attempt <- Supervise.injects plan;
-        write_shard sh;
+        Ck.save (unexplored sh.prefixes) sh.path;
         if plan.Supervise.torn then begin
           tear sh.path;
           log "chaos: tore shard %d's checkpoint" sh.sid
@@ -478,28 +464,24 @@ let run ~fleet ~config ~scenario =
         | exception Transport.Closed _ -> ())
   in
 
-  (* In-process fallback: no worker processes are available (none were
-     requested, or every spawn attempt failed), so explore the shards on
-     this process — slower, but the run still completes. *)
-  let explore_in_process sh now =
-    sh.attempts <- sh.attempts + 1;
-    incr assignments;
-    write_shard sh;
-    let out = sh.path ^ ".out" in
-    match
-      let cp = Ck.load sh.path in
-      Ex.run ~config ~resume:cp ~checkpoint:out scenario
-    with
+  (* In-process fallback: no worker process is available (none was
+     configured, or every slot was disabled by failed spawns), so explore
+     every pending shard in one run on this process's domains. Whatever it
+     leaves — a cap, or the interrupt — becomes pending shards again, so it
+     reaches [remaining]. *)
+  let explore_here now =
+    let pending = List.filter (fun s -> s.status = Pending) (shard_list ()) in
+    List.iter (fun sh -> sh.attempts <- sh.attempts + 1) pending;
+    assignments := !assignments + List.length pending;
+    let resume = unexplored (List.concat_map (fun sh -> sh.prefixes) pending) in
+    match Ex.run ~config:{ config with Jaaru.Config.jobs = fleet.workers } ~resume scenario with
     | o ->
-        let rcp = Ck.load out in
-        sh.status <- Done;
-        Hashtbl.replace results sh.sid o;
+        List.iter (fun sh -> sh.status <- Done) pending;
+        results := o :: !results;
         if o.Ex.stats.Jaaru.Stats.interrupted then interrupted := true;
-        (* Any remainder — a cap, or the interrupt — must survive as new
-           (pending) shards so it reaches the aggregate checkpoint. *)
-        if rcp.Ck.frontier <> [] then steal_split (Ck.frontier_prefixes rcp)
-    | exception Ck.Rejected msg -> requeue ~why:("rejected: " ^ msg) ~chaos:false sh now
-    | exception exn -> requeue ~why:(Printexc.to_string exn) ~chaos:false sh now
+        steal_split o.Ex.frontier
+    | exception exn ->
+        List.iter (fun sh -> requeue ~why:(Printexc.to_string exn) ~chaos:false sh now) pending
   in
 
   let all_disabled () = Array.for_all (fun w -> w.disabled) slots in
@@ -556,122 +538,109 @@ let run ~fleet ~config ~scenario =
 
   let rec loop () =
     if finished () then ()
-    else if Ex.interrupts_requested () > 0 then begin
+    else if !interrupted || Ex.interrupts_requested () > 0 then begin
       interrupted := true;
       wind_down ()
     end
+    else if all_disabled () then begin
+      explore_here (Unix.gettimeofday ());
+      loop ()
+    end
     else begin
       let now = Unix.gettimeofday () in
-      if fleet.worker_argv = None || all_disabled () then begin
-        match pending_eligible now with
-        | sh :: _ -> explore_in_process sh now; loop ()
-        | [] ->
-            if not (finished ()) then begin
-              (* Only backoff gates remain; wait the shortest one out. *)
-              let soonest =
-                List.fold_left
-                  (fun acc s -> if s.status = Pending then Float.min acc s.not_before else acc)
-                  infinity (shard_list ())
-              in
-              if soonest < infinity then Unix.sleepf (Float.max 0.005 (soonest -. now));
-              loop ()
-            end
-      end
-      else begin
-        maybe_spawn now;
-        (* chaos kills that came due *)
-        Array.iter
-          (fun w ->
-            match (w.kill_at, w.proc) with
-            | Some t, Some p when now >= t ->
-                w.kill_at <- None;
-                log "chaos: SIGKILL worker %d" w.wid;
-                Supervise.kill_group p
-            | _ -> ())
-          slots;
-        let fds =
+      maybe_spawn now;
+      (* chaos kills that came due *)
+      Array.iter
+        (fun w ->
+          match (w.kill_at, w.proc) with
+          | Some t, Some p when now >= t ->
+              w.kill_at <- None;
+              log "chaos: SIGKILL worker %d" w.wid;
+              Supervise.kill_group p
+          | _ -> ())
+        slots;
+      let fds =
+        Array.to_list slots
+        |> List.filter_map (fun w ->
+               match w.reader with
+               | Some r when not (Transport.at_eof r) -> Some (Transport.reader_fd r)
+               | _ -> None)
+      in
+      (if fds = [] then Unix.sleepf 0.02
+       else
+         try ignore (Unix.select fds [] [] 0.02)
+         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      let now = Unix.gettimeofday () in
+      Array.iter (fun w -> drain_worker w now) slots;
+      (* dead workers: EOF on the pipe, or a reaped exit *)
+      Array.iter
+        (fun w ->
+          match w.proc with
+          | None -> ()
+          | Some p -> (
+              let eof = match w.reader with Some r -> Transport.at_eof r | None -> true in
+              if eof then begin
+                let why =
+                  match Supervise.wait_reap ~grace:0.5 p with
+                  | Supervise.Exited 0 -> "worker exited"
+                  | Supervise.Exited c -> Printf.sprintf "worker exited with code %d" c
+                  | Supervise.Signaled s -> Printf.sprintf "worker killed by signal %d" s
+                  | Supervise.Running -> "worker pipe closed"
+                in
+                worker_down ~why w now
+              end
+              else
+                match Supervise.reap p with
+                | Supervise.Running -> ()
+                | Supervise.Exited c ->
+                    worker_down ~why:(Printf.sprintf "worker exited with code %d" c) w now
+                | Supervise.Signaled s ->
+                    worker_down ~why:(Printf.sprintf "worker killed by signal %d" s) w now))
+        slots;
+      (* heartbeat timeouts (the hang-chaos path arrives here: a deaf
+         worker's beats are dropped, so its slot times out and the shard
+         requeues exactly as for a real hang) *)
+      Array.iter
+        (fun w ->
+          match w.proc with
+          | Some p when now -. w.last_beat > fleet.heartbeat_timeout ->
+              log "worker %d heartbeat timeout (%.1fs), killing" w.wid
+                (now -. w.last_beat);
+              Supervise.kill_group p;
+              ignore (Supervise.wait_reap ~grace:0.5 p);
+              worker_down ~why:"heartbeat timeout" w now
+          | _ -> ())
+        slots;
+      (* assignment: lowest shard id to lowest ready idle worker *)
+      let rec assign_loop () =
+        let idle =
           Array.to_list slots
-          |> List.filter_map (fun w ->
-                 match w.reader with
-                 | Some r when not (Transport.at_eof r) -> Some (Transport.reader_fd r)
-                 | _ -> None)
+          |> List.find_opt (fun w -> w.proc <> None && w.ready && w.busy = None)
         in
-        (if fds = [] then Unix.sleepf 0.02
-         else
-           try ignore (Unix.select fds [] [] 0.02)
-           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        let now = Unix.gettimeofday () in
-        Array.iter (fun w -> drain_worker w now) slots;
-        (* dead workers: EOF on the pipe, or a reaped exit *)
-        Array.iter
-          (fun w ->
-            match w.proc with
-            | None -> ()
-            | Some p -> (
-                let eof = match w.reader with Some r -> Transport.at_eof r | None -> true in
-                if eof then begin
-                  let why =
-                    match Supervise.wait_reap ~grace:0.5 p with
-                    | Supervise.Exited 0 -> "worker exited"
-                    | Supervise.Exited c -> Printf.sprintf "worker exited with code %d" c
-                    | Supervise.Signaled s -> Printf.sprintf "worker killed by signal %d" s
-                    | Supervise.Running -> "worker pipe closed"
-                  in
-                  worker_down ~why w now
-                end
-                else
-                  match Supervise.reap p with
-                  | Supervise.Running -> ()
-                  | Supervise.Exited c ->
-                      worker_down ~why:(Printf.sprintf "worker exited with code %d" c) w now
-                  | Supervise.Signaled s ->
-                      worker_down ~why:(Printf.sprintf "worker killed by signal %d" s) w now))
-          slots;
-        (* heartbeat timeouts (the hang-chaos path arrives here: a deaf
-           worker's beats are dropped, so its slot times out and the shard
-           requeues exactly as for a real hang) *)
-        Array.iter
-          (fun w ->
-            match w.proc with
-            | Some p when now -. w.last_beat > fleet.heartbeat_timeout ->
-                log "worker %d heartbeat timeout (%.1fs), killing" w.wid
-                  (now -. w.last_beat);
-                Supervise.kill_group p;
-                ignore (Supervise.wait_reap ~grace:0.5 p);
-                worker_down ~why:"heartbeat timeout" w now
-            | _ -> ())
-          slots;
-        (* assignment: lowest shard id to lowest ready idle worker *)
-        let rec assign_loop () =
-          let idle =
-            Array.to_list slots
-            |> List.find_opt (fun w -> w.proc <> None && w.ready && w.busy = None)
-          in
-          match (idle, pending_eligible now) with
-          | Some w, sh :: _ ->
-              assign w sh now;
-              assign_loop ()
-          | _ -> ()
-        in
-        assign_loop ();
-        (* work stealing: idle capacity, nothing assignable, and a worker
-           stuck in one shard for a while — preempt one per tick; the
-           remainder it returns is shattered into fresh shards *)
-        (let idle_capacity =
-           Array.exists (fun w -> w.proc <> None && w.ready && w.busy = None) slots
-         and any_pending = List.exists (fun s -> s.status = Pending) (shard_list ()) in
-         if idle_capacity && not any_pending then
-           match
-             Array.to_list slots
-             |> List.filter (fun w ->
-                    w.busy <> None && not w.preempted && not w.deaf
-                    && now -. w.busy_since >= fleet.steal_after)
-             |> List.sort (fun a b -> Float.compare a.busy_since b.busy_since)
-           with
-           | w :: _ -> preempt w
-           | [] -> ());
-        loop ()
-      end
+        match (idle, pending_eligible now) with
+        | Some w, sh :: _ ->
+            assign w sh now;
+            assign_loop ()
+        | _ -> ()
+      in
+      assign_loop ();
+      (* work stealing: idle capacity, nothing assignable, and a worker
+         stuck in one shard for a while — preempt one per tick; the
+         remainder it returns is shattered into fresh shards *)
+      (let idle_capacity =
+         Array.exists (fun w -> w.proc <> None && w.ready && w.busy = None) slots
+       and any_pending = List.exists (fun s -> s.status = Pending) (shard_list ()) in
+       if idle_capacity && not any_pending then
+         match
+           Array.to_list slots
+           |> List.filter (fun w ->
+                  w.busy <> None && not w.preempted && not w.deaf
+                  && now -. w.busy_since >= steal_after)
+           |> List.sort (fun a b -> Float.compare a.busy_since b.busy_since)
+         with
+         | w :: _ -> preempt w
+         | [] -> ());
+      loop ()
     end
   in
 
@@ -683,10 +652,6 @@ let run ~fleet ~config ~scenario =
     Array.iter release_slot slots
   end;
 
-  let shard_outcomes =
-    shard_list ()
-    |> List.filter_map (fun s -> Hashtbl.find_opt results s.sid)
-  in
   let quarantined =
     shard_list ()
     |> List.filter_map (fun s ->
@@ -694,19 +659,16 @@ let run ~fleet ~config ~scenario =
     |> List.sort compare
   in
   let remaining =
-    if phase1_only then cp0.Ck.frontier
+    if phase1_only then outcome0.Ex.frontier
     else unfinished () |> List.concat_map (fun s -> s.prefixes)
   in
   let completed = remaining = [] && not !interrupted in
   let outcome =
-    Ex.merge_outcomes ~config ~completed ~interrupted:!interrupted (outcome0 :: shard_outcomes)
+    Ex.merge_outcomes ~config ~completed ~interrupted:!interrupted (outcome0 :: !results)
   in
-  let effective =
-    if fleet.worker_argv = None then 0
-    else List.length (List.filter (fun w -> not w.disabled) (Array.to_list slots))
-  in
+  let effective = List.length (List.filter (fun w -> not w.disabled) (Array.to_list slots)) in
   {
-    outcome;
+    outcome = { outcome with Ex.frontier = remaining };
     fleet =
       {
         shards = !next_sid;
@@ -719,7 +681,7 @@ let run ~fleet ~config ~scenario =
         chaos_injected = !chaos_injected;
         steals = !steals;
         quarantined;
-        in_process = fleet.worker_argv = None || all_disabled ();
+        in_process = all_disabled ();
       };
     remaining;
     interrupted = !interrupted;

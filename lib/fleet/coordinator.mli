@@ -1,14 +1,14 @@
 (** The fleet coordinator: exhaustive exploration fanned out over supervised
     worker processes, merged back deterministically.
 
-    The run has two phases. {e Split}: a short in-process exploration under
-    [split_execs] grows a frontier, which is shattered
-    ({!Jaaru.Choice.split_prefix}) into roughly [workers * shards_per_worker]
-    shard checkpoints — each a {!Jaaru.Checkpoint} with the real run's
-    fingerprint, one slice of the frontier, empty reports and zero
-    statistics (so merging never double-counts). {e Fan-out}: shards are
-    assigned to spawned worker processes over the {!Transport} protocol;
-    each worker resumes its shard and returns the result checkpoint.
+    The run has two phases. {e Split}: a short in-process exploration capped
+    at 32 executions returns its unexplored frontier, which is shattered
+    ({!Jaaru.Choice.split_prefix}) into roughly [4 * workers] shards — each
+    a slice of the frontier with nothing explored yet (so merging never
+    double-counts). {e Fan-out}: each shard is written as a
+    {!Jaaru.Checkpoint} with the real run's fingerprint and assigned to a
+    spawned worker process over the {!Transport} protocol; the worker
+    resumes it and returns its outcome as checkpoint bytes.
 
     {b Determinism.} Partial work is merged {e only} when a [Result] frame
     arrives; a worker that crashes, hangs or is killed mid-shard contributes
@@ -24,11 +24,16 @@
     and EOFs detect crashes; failed shards are requeued with capped
     exponential backoff; a shard that keeps killing workers {e without} an
     injected fault is quarantined after [quarantine_after] failures and
-    reported rather than retried forever; when every spawn attempt fails the
-    coordinator degrades to exploring the shards in-process. Work stealing:
+    reported rather than retried forever. Work stealing:
     when workers sit idle with nothing assignable, the longest-running busy
     worker is preempted and the remainder it returns is shattered into new
     shards.
+
+    {b In-process fallback.} With no worker process to run on — [worker_argv
+    = None], or every slot disabled after [spawn_attempts] consecutive
+    failed spawns — the coordinator explores every pending shard in one
+    {!Jaaru.Explorer.run} on [workers] domains, resumed from an in-memory
+    checkpoint of their combined frontier. The report is the same.
 
     {b Chaos.} With a non-trivial [chaos] spec the coordinator injects the
     faults itself: scheduled SIGKILLs of worker process groups, stalled
@@ -37,21 +42,16 @@
     are counted as retries but never toward quarantine. *)
 
 type config = {
-  workers : int;  (** worker processes to supervise *)
-  shards_per_worker : int;  (** shatter granularity target *)
-  split_execs : int;  (** phase-1 execution cap *)
+  workers : int;  (** worker processes to supervise (domains in the fallback) *)
   heartbeat_timeout : float;  (** seconds without a beat before a kill *)
-  steal_after : float;  (** busy seconds before a preempt can steal *)
   quarantine_after : int;  (** non-chaos failures before quarantine *)
-  backoff_base : float;
-  backoff_cap : float;
   spawn_attempts : int;  (** consecutive spawn failures before a slot is disabled *)
   chaos : Supervise.chaos;
   chaos_seed : int;
   scratch : string;  (** existing directory for shard checkpoints *)
   worker_argv : string array option;
       (** argv of a worker process ([jaaru fleet-worker CASE flags…]);
-          [None] explores every shard in-process (testing, degraded mode) *)
+          [None] takes the in-process fallback *)
   log : string -> unit;  (** progress/supervision event lines *)
 }
 
@@ -74,7 +74,9 @@ type fleet_stats = {
 val pp_fleet : Format.formatter -> fleet_stats -> unit
 
 type result = {
-  outcome : Jaaru.Explorer.outcome;  (** merged, {!Jaaru.Explorer.pp_report}-ready *)
+  outcome : Jaaru.Explorer.outcome;
+      (** merged, {!Jaaru.Explorer.pp_report}-ready; its [frontier] is
+          [remaining] *)
   fleet : fleet_stats;
   remaining : string list;
       (** encoded prefixes of unexplored shards (quarantined, or unfinished

@@ -87,13 +87,41 @@ let test_interrupt_flag () =
           else Alcotest.(check string) "finished before the flag" (report_text baseline)
                  (report_text o)))
 
+(* A run returns the frontier it checkpoints: for a capped and for an
+   interrupted run, at every worker count, [outcome.frontier] is the
+   frontier of the file the same run wrote, and the outcome alone is enough
+   to finish the exploration. *)
+let test_returned_frontier () =
+  let scn, config = deep_case () in
+  let expected = report_text (Explorer.run ~config scn) in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (stop, cut) ->
+          let label = Printf.sprintf "%s, jobs=%d" stop jobs in
+          with_temp_file (fun path ->
+              let o = Explorer.run ~config:(cut { config with Config.jobs }) ~checkpoint:path scn in
+              Alcotest.(check bool) (label ^ ": run was cut") true (o.Explorer.frontier <> []);
+              Alcotest.(check (list string)) (label ^ ": returned = checkpointed frontier")
+                (Checkpoint.load path).Checkpoint.frontier o.Explorer.frontier;
+              let resumed =
+                Explorer.run ~config ~resume:(Explorer.to_checkpoint ~config scn o) scn
+              in
+              Alcotest.(check string) (label ^ ": resumed = uninterrupted") expected
+                (report_text resumed)))
+        [
+          ("capped", fun c -> { c with Config.max_executions = 16 });
+          ("interrupted", fun c -> { c with Config.wall_budget = Some 0.03 });
+        ])
+    (Test_env.jobs_matrix ~default:[ 1; 4 ])
+
 let test_completed_checkpoint_idempotent () =
   let scn, config = deep_case () in
   with_temp_file (fun path ->
       let o = Explorer.run ~config ~checkpoint:path scn in
       let cp = Checkpoint.load path in
       Alcotest.(check bool) "completion checkpoint has an empty frontier" true
-        (Checkpoint.completed cp);
+        (cp.Checkpoint.frontier = []);
       let again = Explorer.run ~config ~resume:cp scn in
       Alcotest.(check string) "resuming a completed run reports the stored outcome"
         (report_text o) (report_text again);
@@ -364,6 +392,8 @@ let () =
           Alcotest.test_case "interrupt+resume = uninterrupted" `Slow
             test_interrupt_resume_differential;
           Alcotest.test_case "interrupt flag" `Quick test_interrupt_flag;
+          Alcotest.test_case "returned frontier = checkpointed frontier" `Quick
+            test_returned_frontier;
           Alcotest.test_case "completed checkpoint idempotent" `Quick
             test_completed_checkpoint_idempotent;
         ] );

@@ -54,7 +54,14 @@ let () =
             ("--step-deadline", [ "check"; "pmdk-1"; "--step-deadline=0" ]);
             ("--checkpoint-every", [ "check"; "pmdk-1"; "--checkpoint-every=-1" ]);
             ("--heartbeat-timeout", [ "fleet"; "pmdk-1"; "--heartbeat-timeout=0" ]);
-            ("--fleet-shards", [ "fleet"; "pmdk-1"; "--fleet-shards=0" ]);
+            ("--fleet-workers", [ "fleet"; "pmdk-1"; "--fleet-workers=-2" ]);
+            ("--quarantine-after", [ "fleet"; "pmdk-1"; "--quarantine-after=0" ]);
+            ("--heartbeat-period", [ "fleet"; "pmdk-1"; "--heartbeat-period=0" ]);
+            ("--poll", [ "serve"; "."; "--poll=0" ]);
+            ("--jobs", [ "check"; "pmdk-1"; "--jobs=-3" ]);
+            ("--max-steps", [ "check"; "pmdk-1"; "--max-steps=-5" ]);
+            ("--time-budget", [ "pbt"; "--time-budget=-1" ]);
+            ("--seeds", [ "fuzz"; "pmdk-1"; "--seeds=-1" ]);
             ("--memo", [ "check"; "pmdk-1"; "--memo"; "off" ]);
           ] );
       ( "accepted",

@@ -1,8 +1,9 @@
 (* Fleet mode: the transport framing, the chaos/backoff machinery, prefix
    shattering, and — the load-bearing property — that an in-process
-   coordinator run (the degraded mode every fleet can fall back to) reports
-   byte-identically to a plain single-process exploration. The spawned-
-   process path is exercised end to end by scripts/fleet_chaos_smoke.sh. *)
+   coordinator run (the fallback onto the explorer's domains that every
+   fleet can degrade to) reports byte-identically to a plain single-process
+   exploration. The spawned-process path is exercised end to end by
+   scripts/fleet_chaos_smoke.sh. *)
 open Jaaru
 
 let report_text (o : Explorer.outcome) = Format.asprintf "%a" Explorer.pp_report o
@@ -186,31 +187,20 @@ let test_split_prefix_invariants () =
 let test_merge_outcomes_differential () =
   let scn, config = deep_case () in
   let full = Explorer.run ~config scn in
-  let path = Filename.temp_file "jaaru_merge" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      (* Explore a capped first half, then the checkpointed remainder, and
-         merge the two partial outcomes. *)
-      let capped = { config with Config.max_executions = 16 } in
-      let o1 = Explorer.run ~config:capped ~checkpoint:path scn in
-      let cp = Checkpoint.load path in
-      Alcotest.(check bool) "cap split the run" true (cp.Checkpoint.frontier <> []);
-      (* The remainder resumes under the full config; reports must not
-         double-count the first half, so seed it with empty stats. *)
-      let remainder =
-        Checkpoint.make
-          ~fingerprint:(Checkpoint.fingerprint ~workload:scn.Explorer.name config)
-          ~frontier:cp.Checkpoint.frontier ~bugs:[] ~multi_rf:[] ~perf:[] ~findings:[]
-          ~stats:Stats.zero
-      in
-      let o2 = Explorer.run ~config ~resume:remainder scn in
-      let merged = Explorer.merge_outcomes ~config ~completed:true ~interrupted:false [ o1; o2 ] in
-      Alcotest.(check string) "merge of disjoint halves = uninterrupted run" (report_text full)
-        (report_text merged);
-      Alcotest.(check bool) "merged run exhausted" true merged.Explorer.stats.Stats.exhausted)
+  (* Explore a capped first half, then the frontier it returned, and merge
+     the two partial outcomes. *)
+  let o1 = Explorer.run ~config:{ config with Config.max_executions = 16 } scn in
+  Alcotest.(check bool) "cap split the run" true (o1.Explorer.frontier <> []);
+  (* The remainder resumes under the full config; reports must not
+     double-count the first half, so it starts from nothing explored. *)
+  let remainder = { Explorer.empty with Explorer.frontier = o1.Explorer.frontier } in
+  let o2 = Explorer.run ~config ~resume:(Explorer.to_checkpoint ~config scn remainder) scn in
+  let merged = Explorer.merge_outcomes ~config ~completed:true ~interrupted:false [ o1; o2 ] in
+  Alcotest.(check string) "merge of disjoint halves = uninterrupted run" (report_text full)
+    (report_text merged);
+  Alcotest.(check bool) "merged run exhausted" true merged.Explorer.stats.Stats.exhausted
 
-(* --- the coordinator (in-process mode) -------------------------------------- *)
+(* --- the coordinator (in-process fallback) ----------------------------------- *)
 
 let coordinator_case scn config ~chaos ~workers =
   with_temp_dir (fun scratch ->
@@ -287,14 +277,9 @@ let test_coordinator_interrupt_remainder () =
           r.Fleet.Coordinator.outcome.Explorer.stats.Stats.interrupted;
         Explorer.clear_interrupt ();
         let o = r.Fleet.Coordinator.outcome in
-        let cp =
-          Checkpoint.make
-            ~fingerprint:(Checkpoint.fingerprint ~workload:scn.Explorer.name config)
-            ~frontier:r.Fleet.Coordinator.remaining ~bugs:o.Explorer.bugs
-            ~multi_rf:o.Explorer.multi_rf ~perf:o.Explorer.perf ~findings:o.Explorer.findings
-            ~stats:o.Explorer.stats
-        in
-        let final = Explorer.run ~config ~resume:cp scn in
+        Alcotest.(check (list string)) "the outcome carries the remainder"
+          r.Fleet.Coordinator.remaining o.Explorer.frontier;
+        let final = Explorer.run ~config ~resume:(Explorer.to_checkpoint ~config scn o) scn in
         Alcotest.(check string) "interrupted fleet + resume = uninterrupted" expected
           (report_text final)
       end
