@@ -14,14 +14,25 @@ test:
 
 # Exercise parallel mode end-to-end on every verify: the comparable report
 # of an exhaustive seeded-bug run must be byte-identical at --jobs 1 and 3,
-# and a clean workload must explore cleanly with several domains.
+# and so must the bug traces (the stdout after the second blank line), which
+# the report omits; the traces must also match with snapshots off. A clean
+# workload must then explore cleanly with several domains.
 parallel-smoke: build
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	for j in 1 3; do \
 	  dune exec bin/jaaru_cli.exe -- check pmdk-1 --exhaustive --jobs $$j \
 	    --report-out "$$d/jobs$$j.txt" || exit 1; \
 	done && \
-	diff -u "$$d/jobs1.txt" "$$d/jobs3.txt"
+	diff -u "$$d/jobs1.txt" "$$d/jobs3.txt" && \
+	for run in "1 on" "3 on" "1 off"; do \
+	  set -- $$run; \
+	  dune exec bin/jaaru_cli.exe -- check pmdk-1 --exhaustive --trace --jobs $$1 \
+	    --snapshot $$2 > "$$d/out.txt" || exit 1; \
+	  awk 'n>=2; /^$$/{n++}' "$$d/out.txt" > "$$d/traces-$$1-$$2.txt"; \
+	done && \
+	test -s "$$d/traces-1-on.txt" && \
+	diff -u "$$d/traces-1-on.txt" "$$d/traces-3-on.txt" && \
+	diff -u "$$d/traces-1-on.txt" "$$d/traces-1-off.txt"
 	dune exec bin/jaaru_cli.exe -- perf --benchmark P-CLHT -n 3 --jobs 3
 
 # Static persistency lint over every bundled case: fails on any

@@ -456,7 +456,8 @@ let bench_arg =
     & info [ "benchmark" ] ~docv:"NAME"
         ~doc:"One of CCEH, FAST_FAIR, P-ART, P-BwTree, P-CLHT, P-Masstree")
 
-let n_arg = Arg.(value & opt int 8 & info [ "n" ] ~docv:"N" ~doc:"Workload size (keys inserted)")
+let n_arg =
+  Arg.(value & opt non_negative_int 8 & info [ "n" ] ~docv:"N" ~doc:"Workload size (keys inserted)")
 
 let perf_run benchmark n jobs snapshot =
   match Recipe.Workloads.fixed_scenario benchmark n with

@@ -2,9 +2,10 @@
 
     Every PM-visible operation the checker context executes is mirrored as one
     of these events, carrying the byte address, access width, cache line,
-    issuing thread and source label. The bounded {i trace ring} stores them for
-    bug reports (rendered lazily — nothing is formatted unless a bug is
-    printed) and the {!Engine} feeds them to the analysis passes online. *)
+    issuing thread and source label. Each event is built once: the {!Engine}
+    feeds it to the analysis passes online, and the bounded {i trace ring}
+    keeps the same value for bug reports (rendered lazily — nothing is
+    formatted unless a bug is printed). *)
 
 type flush_kind =
   | Clflush

@@ -230,7 +230,9 @@ let fingerprint ~workload (c : Config.t) =
   Wire.int b c.max_executions;
   Wire.bool b c.stop_at_first_bug;
   Wire.bool b c.report_multi_rf;
-  Wire.bool b c.report_perf;
+  (* The slot of the removed [report_perf] option, which was always on:
+     writing [true] keeps the fingerprints of older checkpoints valid. *)
+  Wire.bool b true;
   Wire.option Wire.int b c.schedule_seed;
   Wire.int b c.region_base;
   Wire.int b c.region_size;

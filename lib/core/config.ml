@@ -8,7 +8,6 @@ type t = {
   jobs : int;
   stop_at_first_bug : bool;
   report_multi_rf : bool;
-  report_perf : bool;
   schedule_seed : int option;
   region_base : Pmem.Addr.t;
   region_size : int;
@@ -33,7 +32,6 @@ let default =
     jobs = 1;
     stop_at_first_bug = false;
     report_multi_rf = true;
-    report_perf = true;
     schedule_seed = None;
     region_base = 0x1000;
     region_size = 64 * 1024;

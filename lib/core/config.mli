@@ -35,10 +35,6 @@ type t = {
   report_multi_rf : bool;
       (** Record loads that can read from more than one store — the paper's
           missing-flush debugging aid (§4, Debugging support). *)
-  report_perf : bool;
-      (** Record redundant flushes (of a line with nothing new to persist)
-          and redundant fences (with nothing pending to order) — the
-          performance-bug extension the paper suggests in §5.1. *)
   schedule_seed : int option;
       (** [None]: deterministic round-robin scheduling of {!Ctx.parallel}
           fibers (the paper does not explore schedules). [Some seed]: a
@@ -54,8 +50,9 @@ type t = {
           {!Analysis.Torn_write}, {!Analysis.Redundant}, and — see
           [analyze_hb] — {!Analysis.Race}, {!Analysis.Robustness}) over
           every explored execution and surface the findings on the outcome.
-          Off by default; [report_perf] alone runs only the
-          redundant-flush/fence pass. *)
+          Off by default. The redundant-flush/fence pass behind the
+          outcome's [perf] reports (the performance-bug extension the paper
+          suggests in §5.1) runs either way. *)
   analyze_hb : bool;
       (** With [analyze]: also run the happens-before passes
           ({!Analysis.Race}, {!Analysis.Robustness}) over a shared

@@ -26,8 +26,7 @@ type t = {
   mutable writes_since_fp : bool;
   mutable fp_count : int;
   mutable multi_rf : multi_rf list;
-  engine : Analysis.Engine.t option;  (* analysis passes fed the event stream *)
-  events_on : bool;  (* emit typed events at all (trace or engine present) *)
+  engine : Analysis.Engine.t;  (* analysis passes fed the event stream *)
   mutable in_rmw : bool;
       (* inside a locked RMW: its constituent load/store/mfence operations
          are not mirrored as events — the RMW is one [Analysis.Event.Rmw] *)
@@ -42,23 +41,10 @@ type t = {
          wall-clock deadline, observed (and consumed) at the next [step] *)
 }
 
-let create ?snapshots ?cancel ?trace_labels ?trace_ring ~config ~choice () =
+let create ?snapshots ?cancel ~config ~choice () =
   let stack = Exec.Exec_stack.create () in
   let seq = ref 0 in
   let thread0 = Tso.Thread_state.create ~tid:0 in
-  (* A ring of [trace_depth] packed cells is a major-heap allocation (well
-     past [Max_young_wosize]); workers replay hundreds of thousands of times,
-     so they pass one pooled ring in rather than paying a major alloc per
-     replay. *)
-  let trace =
-    match trace_ring with
-    | Some ring ->
-        if Trace.depth ring <> config.Config.trace_depth then
-          invalid_arg "Ctx.create: trace_ring depth <> config.trace_depth";
-        Trace.clear ring;
-        ring
-    | None -> Trace.create ?labels:trace_labels ~depth:config.Config.trace_depth ()
-  in
   let engine =
     let hb =
       if config.Config.analyze && config.Config.analyze_hb then Some (Analysis.Hb.create ())
@@ -79,14 +65,8 @@ let create ?snapshots ?cancel ?trace_labels ?trace_ring ~config ~choice () =
           | None -> [])
       else []
     in
-    let passes =
-      if config.Config.report_perf || config.Config.analyze then
-        Analysis.Pass.instantiate (module Analysis.Redundant) :: passes
-      else passes
-    in
-    match passes with
-    | [] -> None
-    | _ -> Some (Analysis.Engine.create ~suppress:config.Config.suppress ?hb passes)
+    Analysis.Engine.create ~suppress:config.Config.suppress ?hb
+      (Analysis.Pass.instantiate (module Analysis.Redundant) :: passes)
   in
   {
     cfg = config;
@@ -94,7 +74,9 @@ let create ?snapshots ?cancel ?trace_labels ?trace_ring ~config ~choice () =
     choice;
     stack;
     seq;
-    trace;
+    (* A fresh ring per context: at the default depth of 64 it is a
+       minor-heap allocation, cheaper than pooling one across replays. *)
+    trace = Trace.create ~depth:config.Config.trace_depth;
     sink = Tso.Sink.to_exec_record ~seq (Exec.Exec_stack.top stack);
     threads = [ thread0 ];
     cur = thread0;
@@ -105,7 +87,6 @@ let create ?snapshots ?cancel ?trace_labels ?trace_ring ~config ~choice () =
     fp_count = 0;
     multi_rf = [];
     engine;
-    events_on = Trace.enabled trace || engine <> None;
     in_rmw = false;
     parallel_depth = 0;
     atomic_depth = 0;
@@ -127,64 +108,33 @@ let in_recovery ctx = ctx.failure_count > 0
 let fp_count ctx = ctx.fp_count
 let multi_rf_reports ctx = List.rev ctx.multi_rf
 
-let analysis_findings ctx =
-  match ctx.engine with None -> [] | Some e -> Analysis.Engine.findings e
+let analysis_findings ctx = Analysis.Engine.findings ctx.engine
 
 (* Legacy view of the redundant pass's findings, for callers of the pre-
    framework perf-report API. *)
 let perf_reports ctx =
-  if not ctx.cfg.Config.report_perf then []
-  else
-    List.filter_map
-      (fun (f : Analysis.Report.finding) ->
-        if f.pass <> "redundant" then None
-        else
-          let perf_kind =
-            if f.rule = "redundant-flush" then Redundant_flush else Redundant_fence
-          in
-          match f.labels with [ perf_label ] -> Some { perf_kind; perf_label } | _ -> None)
-      (analysis_findings ctx)
+  List.filter_map
+    (fun (f : Analysis.Report.finding) ->
+      if f.pass <> "redundant" then None
+      else
+        let perf_kind = if f.rule = "redundant-flush" then Redundant_flush else Redundant_fence in
+        match f.labels with [ perf_label ] -> Some { perf_kind; perf_label } | _ -> None)
+    (analysis_findings ctx)
 
 let trace_events ctx = List.map Analysis.Event.render (Trace.events ctx.trace)
-let trace_raw ctx = Trace.events ctx.trace
 let trace_dropped ctx = Trace.dropped ctx.trace
 let last_label ctx = ctx.last
 let exec_stack ctx = ctx.stack
 let failures ctx = ctx.failure_count
 
-(* The one event-emission point: the ring stores the event unrendered (no
+(* The one event-emission point: the ring keeps the event unrendered (no
    formatting unless a bug report is printed) and the analysis engine feeds
-   its passes. Call sites guard on [events_on] so event construction itself
-   costs nothing when both are disabled. *)
+   it to its passes. *)
 let emit ctx ev =
   Trace.add ctx.trace ev;
-  match ctx.engine with Some e -> Analysis.Engine.emit e ev | None -> ()
+  Analysis.Engine.emit ctx.engine ev
 
 let tid ctx = Tso.Thread_state.tid ctx.cur
-
-(* Hot-path emission: with no analysis engine attached (the common search
-   configuration) the event goes straight into the packed trace ring — a few
-   int writes — without ever constructing the boxed [Analysis.Event.t]. With
-   an engine, the boxed event is built once and shared by ring and passes. *)
-let emit_store ctx ~addr ~width ~value ~label =
-  match ctx.engine with
-  | None -> Trace.add_store ctx.trace ~addr ~width ~value ~tid:(tid ctx) ~label
-  | Some _ -> emit ctx (Analysis.Event.Store { addr; width; value; tid = tid ctx; label })
-
-let emit_load ctx ~addr ~width ~value ~label =
-  match ctx.engine with
-  | None -> Trace.add_load ctx.trace ~addr ~width ~value ~tid:(tid ctx) ~label
-  | Some _ -> emit ctx (Analysis.Event.Load { addr; width; value; tid = tid ctx; label })
-
-let emit_flush ctx ~line_addr ~kind ~label =
-  match ctx.engine with
-  | None -> Trace.add_flush ctx.trace ~line_addr ~kind ~tid:(tid ctx) ~label
-  | Some _ -> emit ctx (Analysis.Event.Flush { line_addr; kind; tid = tid ctx; label })
-
-let emit_fence ctx ~kind ~label =
-  match ctx.engine with
-  | None -> Trace.add_fence ctx.trace ~kind ~tid:(tid ctx) ~label
-  | Some _ -> emit ctx (Analysis.Event.Fence { kind; tid = tid ctx; label })
 
 let step ctx label =
   ctx.last <- label;
@@ -252,14 +202,13 @@ let failure_point ?(force = false) ctx label =
     ctx.writes_since_fp <- false;
     ctx.fp_count <- ctx.fp_count + 1;
     (match ctx.fp_hook with Some hook -> hook label | None -> ());
-    if ctx.events_on then emit ctx (Analysis.Event.Failure_point { label; tid = tid ctx });
+    emit ctx (Analysis.Event.Failure_point { label; tid = tid ctx });
     capture_snapshot ctx ~crash_label:(Some label) ~pending_failure:true;
     match Choice.choose ctx.choice Choice.Failure_point 2 with
     | 0 -> ()
     | _ ->
         if not (eager ctx) then drain_choices ctx;
-        if ctx.events_on then
-          emit ctx (Analysis.Event.Crash { label = Some label; tid = tid ctx });
+        emit ctx (Analysis.Event.Crash { label = Some label; tid = tid ctx });
         ctx.failure_count <- ctx.failure_count + 1;
         raise Power_failure
   end
@@ -281,7 +230,7 @@ let after_crash ctx =
 let crash ctx =
   capture_snapshot ctx ~crash_label:None ~pending_failure:false;
   if not (eager ctx) then drain_choices ctx;
-  if ctx.events_on then emit ctx (Analysis.Event.Crash { label = None; tid = tid ctx });
+  emit ctx (Analysis.Event.Crash { label = None; tid = tid ctx });
   ctx.failure_count <- ctx.failure_count + 1;
   raise Power_failure
 
@@ -305,8 +254,7 @@ let resume_from_snapshot ctx (snap : Snapshot.t) =
   ctx.rng <- snap.Snapshot.rng;
   ctx.last <- snap.Snapshot.last;
   if not (eager ctx) then drain_choices ctx;
-  if ctx.events_on then
-    emit ctx (Analysis.Event.Crash { label = snap.Snapshot.crash_label; tid = tid ctx });
+  emit ctx (Analysis.Event.Crash { label = snap.Snapshot.crash_label; tid = tid ctx });
   ctx.failure_count <- ctx.failure_count + 1
 
 let finish_execution ctx =
@@ -318,7 +266,7 @@ let finish_execution ctx =
       Tso.Thread_state.drain th ctx.sink;
       Tso.Thread_state.drain_flush_buffer th ctx.sink)
     ctx.threads;
-  if ctx.events_on then emit ctx Analysis.Event.End_execution
+  emit ctx Analysis.Event.End_execution
 
 (* --- stores and flushes ------------------------------------------------ *)
 
@@ -328,7 +276,8 @@ let store ctx ?(label = "store") ~width addr v =
   maybe_yield ctx;
   Tso.Thread_state.exec_store ctx.cur addr ~value:v ~width ~label;
   ctx.writes_since_fp <- true;
-  if ctx.events_on && not ctx.in_rmw then emit_store ctx ~addr ~width ~value:v ~label;
+  if not ctx.in_rmw then
+    emit ctx (Analysis.Event.Store { addr; width; value = v; tid = tid ctx; label });
   if eager ctx then Tso.Thread_state.drain ctx.cur ctx.sink
 
 let flush_lines ctx ~kind ~label addr size =
@@ -341,7 +290,7 @@ let flush_lines ctx ~kind ~label addr size =
       let line_addr = line * Pmem.Addr.cache_line_size in
       failure_point ctx label;
       step ctx label;
-      if ctx.events_on then emit_flush ctx ~line_addr ~kind ~label;
+      emit ctx (Analysis.Event.Flush { line_addr; kind; tid = tid ctx; label });
       if opt then Tso.Thread_state.exec_clflushopt ctx.cur ctx.sink line_addr ~label
       else Tso.Thread_state.exec_clflush ctx.cur line_addr ~label;
       if eager ctx then Tso.Thread_state.drain ctx.cur ctx.sink)
@@ -359,14 +308,16 @@ let clwb ctx ?(label = "clwb") addr size =
 
 let sfence ctx ?(label = "sfence") () =
   step ctx label;
-  if ctx.events_on && not ctx.in_rmw then emit_fence ctx ~kind:Analysis.Event.Sfence ~label;
+  if not ctx.in_rmw then
+    emit ctx (Analysis.Event.Fence { kind = Analysis.Event.Sfence; tid = tid ctx; label });
   Tso.Thread_state.exec_sfence ctx.cur;
   if eager ctx then Tso.Thread_state.drain ctx.cur ctx.sink;
   maybe_yield ctx
 
 let mfence ctx ?(label = "mfence") () =
   step ctx label;
-  if ctx.events_on && not ctx.in_rmw then emit_fence ctx ~kind:Analysis.Event.Mfence ~label;
+  if not ctx.in_rmw then
+    emit ctx (Analysis.Event.Fence { kind = Analysis.Event.Mfence; tid = tid ctx; label });
   Tso.Thread_state.exec_mfence ctx.cur ctx.sink;
   maybe_yield ctx
 
@@ -415,7 +366,8 @@ let load ctx ?(label = "load") ~width addr =
     v := !v lor (read_byte ctx (addr + i) label lsl (8 * i))
   done;
   let v = !v in
-  if ctx.events_on && not ctx.in_rmw then emit_load ctx ~addr ~width ~value:v ~label;
+  if not ctx.in_rmw then
+    emit ctx (Analysis.Event.Load { addr; width; value = v; tid = tid ctx; label });
   v
 
 let store8 ctx ?label addr v = store ctx ?label ~width:1 addr v
@@ -510,10 +462,9 @@ let rmw64 ctx label addr f =
             mfence ctx ~label ();
             (old, stored))
       in
-      if ctx.events_on then
-        emit ctx
-          (Analysis.Event.Rmw
-             { addr; width = 8; old_value = old; new_value = stored; tid = tid ctx; label });
+      emit ctx
+        (Analysis.Event.Rmw
+           { addr; width = 8; old_value = old; new_value = stored; tid = tid ctx; label });
       old)
 
 let cas64 ctx ?(label = "cas64") addr ~expected ~desired =
@@ -550,8 +501,7 @@ let install_concrete_state ctx bytes =
       incr ctx.seq;
       Exec.Exec_record.flush_line record (line * Pmem.Addr.cache_line_size) ~seq:!(ctx.seq))
     touched;
-  if ctx.events_on then
-    emit ctx (Analysis.Event.Crash { label = Some "<concrete state>"; tid = tid ctx });
+  emit ctx (Analysis.Event.Crash { label = Some "<concrete state>"; tid = tid ctx });
   ctx.failure_count <- ctx.failure_count + 1;
   after_crash ctx
 
@@ -580,13 +530,11 @@ let parallel ctx ?(label = "parallel") bodies =
         (th, body))
       bodies
   in
-  if ctx.events_on then
-    List.iter
-      (fun (th, _) ->
-        emit ctx
-          (Analysis.Event.Thread_start
-             { tid = Tso.Thread_state.tid th; parent = parent_tid; label }))
-      spawned;
+  List.iter
+    (fun (th, _) ->
+      emit ctx
+        (Analysis.Event.Thread_start { tid = Tso.Thread_state.tid th; parent = parent_tid; label }))
+    spawned;
   (* One append for the whole section: the live-thread list grows by the
      section's fibers, not once per spawn over an ever-longer history. *)
   ctx.threads <- ctx.threads @ List.map fst spawned;
@@ -629,10 +577,8 @@ let parallel ctx ?(label = "parallel") bodies =
     (fun (th, _) ->
       Tso.Thread_state.drain th ctx.sink;
       Tso.Thread_state.drain_flush_buffer th ctx.sink;
-      if ctx.events_on then
-        emit ctx
-          (Analysis.Event.Thread_join
-             { tid = Tso.Thread_state.tid th; parent = parent_tid; label }))
+      emit ctx
+        (Analysis.Event.Thread_join { tid = Tso.Thread_state.tid th; parent = parent_tid; label }))
     spawned;
   (* The joined threads are dead: drop them so later crash points and
      parallel sections walk only live threads. *)

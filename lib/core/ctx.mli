@@ -41,8 +41,6 @@ type perf_report = { perf_kind : perf_kind; perf_label : string }
 val create :
   ?snapshots:Snapshot.cache ->
   ?cancel:bool Atomic.t ->
-  ?trace_labels:Analysis.Arena.labels ->
-  ?trace_ring:Trace.t ->
   config:Config.t ->
   choice:Choice.t ->
   unit ->
@@ -52,17 +50,10 @@ val create :
     resumable snapshot into it (see {!Snapshot}). Omitted (e.g. with
     [config.snapshot] off), executions always run from the start.
 
-    [trace_labels] is the worker's trace-ring label intern table. Snapshots
-    hold trace rings across replays, and a ring can only be restored from
-    one encoded against the same table — a worker that reuses a snapshot
-    cache across contexts must pass one table to all of them.
-
-    [trace_ring] is an optional pooled ring the context clears and adopts
-    instead of allocating its own — a ring of [trace_depth] packed cells is
-    a major-heap allocation, so a worker replaying many executions should
-    create one ring (against its [trace_labels] table) and pass it to every
-    context. Its depth must equal [config.trace_depth] ([Invalid_argument]
-    otherwise), and [trace_labels] is ignored in its favour.
+    Each context owns a fresh trace ring of [config.trace_depth] events and
+    an analysis engine running the {!Analysis.Redundant} pass (plus the full
+    suite when [config.analyze] is set); every operation's event goes to
+    both.
 
     [cancel] is the worker's watchdog flag: when the monitor sets it (the
     execution blew [Config.step_deadline]), the next {!step} consumes the
@@ -97,21 +88,17 @@ val fp_count : t -> int
 val multi_rf_reports : t -> multi_rf list
 
 val perf_reports : t -> perf_report list
-(** Legacy view of the {!Analysis.Redundant} pass findings (empty when
-    [config.report_perf] is false). *)
+(** Legacy view of the {!Analysis.Redundant} pass findings. *)
 
 val analysis_findings : t -> Analysis.Report.finding list
 (** Everything the configured analysis passes reported for this execution:
     deduplicated, label-suppressed ([config.suppress]) and sorted. The
-    passes run only when [config.analyze] (full suite) or
-    [config.report_perf] (redundant pass only) is set. *)
+    redundant-flush/fence pass always runs; [config.analyze] adds the rest
+    of the suite. *)
 
 val trace_events : t -> string list
 (** Rendered trace-ring events, oldest first. Rendering happens here, not at
     emission — an execution that reports no bug never formats a string. *)
-
-val trace_raw : t -> Analysis.Event.t list
-(** The same ring decoded to boxed events, oldest first. *)
 
 val trace_dropped : t -> int
 (** How many older events fell out of the bounded trace ring. *)

@@ -132,14 +132,6 @@ let reserve_slot reserved ~budget =
 let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
   let budget = config.Config.max_executions in
   let snapshots = if config.Config.snapshot then Some (Snapshot.create_cache ()) else None in
-  (* One label intern table for every context this worker creates: snapshots
-     hold packed trace rings across replays, and restoring a ring requires
-     the destination to share the source's table. *)
-  let trace_labels = Analysis.Arena.labels () in
-  (* One pooled trace ring reused by every replay: the packed ring is a
-     major-heap array, and allocating it per context shows up directly as
-     major-GC pressure on snapshot-heavy workloads. *)
-  let trace_ring = Trace.create ~labels:trace_labels ~depth:config.Config.trace_depth () in
   let timed = config.Config.step_deadline <> None in
   let cancel = if timed then Some (Monitor.cancel_flag monitor idx) else None in
   let bugs = Hashtbl.create 16 in
@@ -212,7 +204,7 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
                   incr snapshot_misses;
                   None)
         in
-        let ctx = Ctx.create ?snapshots ?cancel ~trace_labels ~trace_ring ~config ~choice () in
+        let ctx = Ctx.create ?snapshots ?cancel ~config ~choice () in
         if timed then Monitor.exec_started monitor idx;
         (try replay_once ?snapshot scn ctx with
         | Ctx.Power_failure -> assert false

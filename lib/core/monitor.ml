@@ -95,7 +95,7 @@ let period t ~now =
   (* Deadlines want responsive sampling; a bare mem budget can be lazier.
      Absolute deadlines scale the period to the time actually remaining — a
      budget smaller than a fixed poll period would otherwise never fire
-     before the run completes (the packed replay path finishes whole test
+     before the run completes (the replay path finishes whole test
      workloads in single-digit milliseconds). *)
   let of_deadline d = Float.max 0.001 (Float.min 0.05 (d /. 4.)) in
   let of_abs d = Float.max 0.0002 (Float.min 0.01 ((d -. now) /. 4.)) in

@@ -1,89 +1,37 @@
-(* The ring is a single flat int array of [depth] packed cells (see
-   {!Analysis.Arena}): adding an event is a few int writes, and the
-   snapshot layer copies / restores the whole ring with [Array.blit]
-   instead of walking boxed events. Labels are interned in a per-ring
-   table that [copy] shares — rings only ever move within one worker, and
-   the table is append-only, so a cell's label id stays valid in every
-   copy. *)
-
-module Arena = Analysis.Arena
+(* The ring holds the boxed events the analysis engine already receives, so
+   adding one is a store into an array slot. The snapshot layer copies /
+   restores the whole ring with [Array.blit]; the events themselves are
+   immutable and shared between copies. *)
 
 type t = {
-  labels : Arena.labels;
-  cells : int array;
+  ring : Analysis.Event.t array;
   depth : int;
   mutable next : int;  (* slot index of the next write, in [0, depth) *)
   mutable count : int;
   mutable dropped : int;
 }
 
-let create ?labels ~depth () =
+let create ~depth =
   let depth = max 0 depth in
-  {
-    labels = (match labels with Some l -> l | None -> Arena.labels ());
-    cells = Array.make (depth * Arena.cell_width) 0;
-    depth;
-    next = 0;
-    count = 0;
-    dropped = 0;
-  }
+  { ring = Array.make depth Analysis.Event.End_execution; depth; next = 0; count = 0; dropped = 0 }
 
 let enabled t = t.depth > 0
-let labels t = t.labels
 let depth t = t.depth
 
-(* Claims the next cell and returns its offset, or -1 when disabled. *)
-let claim t =
-  if t.depth = 0 then -1
-  else begin
-    if t.count = t.depth then t.dropped <- t.dropped + 1;
-    let off = t.next * Arena.cell_width in
+let add t ev =
+  if t.depth > 0 then begin
+    if t.count = t.depth then t.dropped <- t.dropped + 1 else t.count <- t.count + 1;
+    t.ring.(t.next) <- ev;
     (* next < depth always, so wrap-around is a compare, not a div. *)
     let next = t.next + 1 in
-    t.next <- (if next = t.depth then 0 else next);
-    if t.count < t.depth then t.count <- t.count + 1;
-    off
+    t.next <- (if next = t.depth then 0 else next)
   end
 
-let add t ev =
-  let off = claim t in
-  if off >= 0 then Arena.encode t.labels t.cells off ev
-
-let add_store t ~addr ~width ~value ~tid ~label =
-  let off = claim t in
-  if off >= 0 then Arena.encode_store t.labels t.cells off ~addr ~width ~value ~tid ~label
-
-let add_load t ~addr ~width ~value ~tid ~label =
-  let off = claim t in
-  if off >= 0 then Arena.encode_load t.labels t.cells off ~addr ~width ~value ~tid ~label
-
-let add_rmw t ~addr ~width ~old_value ~new_value ~tid ~label =
-  let off = claim t in
-  if off >= 0 then
-    Arena.encode_rmw t.labels t.cells off ~addr ~width ~old_value ~new_value ~tid ~label
-
-let add_flush t ~line_addr ~kind ~tid ~label =
-  let off = claim t in
-  if off >= 0 then Arena.encode_flush t.labels t.cells off ~line_addr ~kind ~tid ~label
-
-let add_fence t ~kind ~tid ~label =
-  let off = claim t in
-  if off >= 0 then Arena.encode_fence t.labels t.cells off ~kind ~tid ~label
-
-let copy t =
-  {
-    labels = t.labels;
-    cells = Array.copy t.cells;
-    depth = t.depth;
-    next = t.next;
-    count = t.count;
-    dropped = t.dropped;
-  }
+let copy t = { t with ring = Array.copy t.ring }
 
 let restore t ~from =
   if t.depth <> from.depth then invalid_arg "Trace.restore: rings have different depths";
-  if t.labels != from.labels then invalid_arg "Trace.restore: rings from different workers";
-  Array.blit from.cells 0 t.cells 0 (Array.length from.cells);
+  Array.blit from.ring 0 t.ring 0 t.depth;
   t.next <- from.next;
   t.count <- from.count;
   t.dropped <- from.dropped
@@ -95,20 +43,8 @@ let clear t =
 
 let dropped t = t.dropped
 
-(* Oldest-first iteration over the packed cells. *)
-let iter_offsets t f =
-  if t.depth > 0 then begin
-    let start = (t.next - t.count + t.depth) mod t.depth in
-    for i = 0 to t.count - 1 do
-      f (((start + i) mod t.depth) * Arena.cell_width)
-    done
-  end
-
 let events t =
-  let acc = ref [] in
-  iter_offsets t (fun off -> acc := Arena.decode t.labels t.cells off :: !acc);
-  List.rev !acc
-
-let serialize t sink =
-  Pmem.Wire.int sink t.count;
-  iter_offsets t (fun off -> Arena.serialize t.labels t.cells off sink)
+  if t.depth = 0 then []
+  else
+    let start = t.next - t.count + t.depth in
+    List.init t.count (fun i -> t.ring.((start + i) mod t.depth))

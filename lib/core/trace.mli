@@ -1,72 +1,33 @@
 (** A bounded ring of recent execution events, attached to bug reports so a
     developer can see what led to the crash (paper §4, Debugging support).
 
-    Events live packed in a flat int ring (see {!Analysis.Arena}): the hot
-    [add_*] entry points write a handful of ints, snapshot copy/restore are
-    array blits, and boxed {!Analysis.Event.t} values are rebuilt only when a
-    report is actually printed — keeping the ring near-zero-cost on the happy
-    path. *)
+    The ring stores the boxed {!Analysis.Event.t} values the analysis engine
+    is fed anyway, so adding an event is one array write; nothing is
+    formatted unless a report is printed. Snapshot copy/restore are array
+    blits — events are immutable, so copies share them. *)
 
 type t
 
-val create : ?labels:Analysis.Arena.labels -> depth:int -> unit -> t
-(** [depth <= 0] disables the ring: adds are no-ops and {!events} is empty.
-    [labels] is the intern table to encode against — pass the owning
-    worker's table so rings from successive replays stay mutually
-    restorable (the snapshot cache holds rings across replays); omitting it
-    makes a private table. *)
+val create : depth:int -> t
+(** [depth <= 0] disables the ring: adds are no-ops and {!events} is empty. *)
 
 val enabled : t -> bool
 
 val depth : t -> int
 (** The [depth] this ring was created with (0 when disabled). *)
 
-val labels : t -> Analysis.Arena.labels
-(** The ring's label intern table. Shared by every {!copy} of this ring;
-    per-worker, never shared across domains. *)
-
 val add : t -> Analysis.Event.t -> unit
-(** Packs a boxed event. Hot paths should prefer the [add_*] variants
-    below, which skip constructing the event. *)
-
-val add_store :
-  t -> addr:Pmem.Addr.t -> width:int -> value:int -> tid:int -> label:string -> unit
-
-val add_load :
-  t -> addr:Pmem.Addr.t -> width:int -> value:int -> tid:int -> label:string -> unit
-
-val add_rmw :
-  t ->
-  addr:Pmem.Addr.t ->
-  width:int ->
-  old_value:int ->
-  new_value:int option ->
-  tid:int ->
-  label:string ->
-  unit
-
-val add_flush :
-  t -> line_addr:Pmem.Addr.t -> kind:Analysis.Event.flush_kind -> tid:int -> label:string -> unit
-
-val add_fence : t -> kind:Analysis.Event.fence_kind -> tid:int -> label:string -> unit
 val clear : t -> unit
 
 val copy : t -> t
-(** An independent ring with identical contents. The label table is shared
-    (it is append-only and per-worker), so {!restore} between a ring and its
-    copies stays valid. *)
+(** An independent ring with identical contents. *)
 
 val restore : t -> from:t -> unit
 (** Overwrites [t]'s contents with [from]'s. Both rings must have the same
-    depth and share one label table (i.e. be copies of one {!create}). *)
+    depth ([Invalid_argument] otherwise). *)
 
 val events : t -> Analysis.Event.t list
-(** Oldest first, at most [depth] entries. Decodes — not for hot paths. *)
+(** Oldest first, at most [depth] entries. *)
 
 val dropped : t -> int
 (** How many older events were overwritten because the ring was full. *)
-
-val serialize : t -> Pmem.Wire.sink -> unit
-(** Writes the event count followed by each packed cell, oldest first, with
-    labels as strings (table-independent): two rings holding equal event
-    sequences serialize identically whatever their intern order. *)

@@ -257,7 +257,7 @@ let test_perf_reports_via_explorer () =
         Ctx.sfence ctx ~label:"s2" ())
       ~post:(fun _ -> ())
   in
-  let o = Explorer.run ~config:{ Config.default with Config.report_perf = true } scn in
+  let o = Explorer.run ~config:Config.default scn in
   let kinds =
     List.sort_uniq compare
       (List.map (fun r -> (r.Ctx.perf_kind, r.Ctx.perf_label)) o.Explorer.perf)

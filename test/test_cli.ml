@@ -62,6 +62,7 @@ let () =
             ("--max-steps", [ "check"; "pmdk-1"; "--max-steps=-5" ]);
             ("--time-budget", [ "pbt"; "--time-budget=-1" ]);
             ("--seeds", [ "fuzz"; "pmdk-1"; "--seeds=-1" ]);
+            ("-n", [ "perf"; "--benchmark"; "P-CLHT"; "-n-3" ]);
             ("--memo", [ "check"; "pmdk-1"; "--memo"; "off" ]);
           ] );
       ( "accepted",

@@ -29,10 +29,10 @@ let test_bug_dedup_key () =
 
 (* --- Trace --------------------------------------------------------------------- *)
 
-let test_trace_ring () =
+let test_ring_buffer () =
   let ev label = Analysis.Event.Fence { kind = Analysis.Event.Sfence; tid = 0; label } in
   let rendered t = List.map Analysis.Event.render (Trace.events t) in
-  let t = Trace.create ~depth:3 () in
+  let t = Trace.create ~depth:3 in
   Alcotest.(check (list string)) "empty" [] (rendered t);
   Trace.add t (ev "a");
   Trace.add t (ev "b");
@@ -48,7 +48,7 @@ let test_trace_ring () =
   Trace.clear t;
   Alcotest.(check (list string)) "cleared" [] (rendered t);
   Alcotest.(check int) "dropped reset" 0 (Trace.dropped t);
-  let off = Trace.create ~depth:0 () in
+  let off = Trace.create ~depth:0 in
   Trace.add off (ev "x");
   Alcotest.(check bool) "depth 0 disables" false (Trace.enabled off);
   Alcotest.(check (list string)) "disabled records nothing" [] (rendered off);
@@ -165,7 +165,7 @@ let () =
           Alcotest.test_case "symptoms" `Quick test_bug_symptoms;
           Alcotest.test_case "dedup key" `Quick test_bug_dedup_key;
         ] );
-      ("trace", [ Alcotest.test_case "ring buffer" `Quick test_trace_ring ]);
+      ("trace", [ Alcotest.test_case "ring buffer" `Quick test_ring_buffer ]);
       ("stats", [ Alcotest.test_case "ratio" `Quick test_stats_ratio ]);
       ( "driver",
         [

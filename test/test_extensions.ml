@@ -49,11 +49,6 @@ let test_clean_protocol_no_reports () =
   in
   Alcotest.(check int) "no reports" 0 (List.length o.Explorer.perf)
 
-let test_report_perf_off () =
-  let config = { no_failures with Config.report_perf = false } in
-  let o = run_one ~config (fun ctx -> Ctx.clflush ctx ~label:"pointless" base 8) in
-  Alcotest.(check int) "suppressed" 0 (List.length o.Explorer.perf)
-
 let test_perf_resets_at_crash () =
   (* A line flushed before the crash is clean in the cache of the next
      execution, but flushing it during recovery is not redundant work by
@@ -167,7 +162,6 @@ let () =
           Alcotest.test_case "clean-line flush" `Quick test_flush_of_clean_line;
           Alcotest.test_case "redundant fence" `Quick test_redundant_fence_detected;
           Alcotest.test_case "clean protocol silent" `Quick test_clean_protocol_no_reports;
-          Alcotest.test_case "report_perf off" `Quick test_report_perf_off;
           Alcotest.test_case "resets at crash" `Quick test_perf_resets_at_crash;
           Alcotest.test_case "fixed structures clean" `Quick test_fixed_structures_are_flush_clean;
         ] );

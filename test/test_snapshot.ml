@@ -82,9 +82,14 @@ let check_snapshot_equivalence name scenario config =
           let o =
             Explorer.run ~config:{ config with Config.snapshot = snapshot; jobs } scenario
           in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: jobs=%d snapshot=%b byte-identical" name jobs snapshot)
-            ref_text (outcome_text o))
+          let cell = Printf.sprintf "%s: jobs=%d snapshot=%b" name jobs snapshot in
+          Alcotest.(check string) (cell ^ " byte-identical") ref_text (outcome_text o);
+          (* [pp_outcome] prints symptoms only: compare the full bug records,
+             restored trace rings and their dropped counts included. *)
+          Alcotest.(check bool)
+            (cell ^ " bug records and traces equal")
+            true
+            (o.Explorer.bugs = reference.Explorer.bugs))
         [ true; false ])
     (Test_env.jobs_matrix ~default:[ 1; 2; 4 ])
 

@@ -1,20 +1,18 @@
-(* Property tests for the flat replay engine's data plane:
+(* Property tests for the replay engine's data plane:
 
-   - the packed arena encoding (Analysis.Arena / Trace) round-trips to
-     exactly the boxed Analysis.Event stream it replaced;
+   - the bounded trace ring (Trace) replays the boxed Analysis.Event stream
+     it is fed, keeping exactly the newest suffix;
    - the hand-rolled structural serializer (Pmem.Wire) round-trips its
-     primitives and is injective — two values produce equal bytes iff
-     [Marshal] with [No_sharing] considered them equal. *)
+     primitives, and its primitive encodings are injective. *)
 
 open Jaaru
 module Event = Analysis.Event
-module Arena = Analysis.Arena
 module Wire = Pmem.Wire
 
 (* --- generators --------------------------------------------------------------- *)
 
-(* Labels: a small pool (collisions exercise interning) plus arbitrary
-   strings, including the empty string and non-ASCII bytes. *)
+(* Labels: a small pool (so events repeat) plus arbitrary strings,
+   including the empty string and non-ASCII bytes. *)
 let label_gen =
   QCheck.Gen.(
     frequency
@@ -69,17 +67,7 @@ let events_gen = QCheck.Gen.(list_size (int_range 0 20) event_gen)
 let events_print evs = String.concat "; " (List.map Event.render evs)
 let events_arb = QCheck.make ~print:events_print events_gen
 
-(* --- arena round-trip ---------------------------------------------------------- *)
-
-(* Cell-level inverse: encode into a packed cell, decode against the same
-   table, recover the exact constructor. *)
-let prop_arena_roundtrip =
-  QCheck.Test.make ~name:"arena encode/decode = identity" ~count:1000 events_arb (fun evs ->
-      let labels = Arena.labels () in
-      let cells = Array.make (List.length evs * Arena.cell_width) 0 in
-      List.iteri (fun i ev -> Arena.encode labels cells (i * Arena.cell_width) ev) evs;
-      let back = List.mapi (fun i _ -> Arena.decode labels cells (i * Arena.cell_width)) evs in
-      back = evs)
+(* --- trace ring ------------------------------------------------------------------ *)
 
 (* Ring-level inverse: a Trace deep enough to hold everything replays the
    boxed stream unchanged; a shallower one keeps exactly the newest suffix
@@ -88,10 +76,10 @@ let prop_trace_roundtrip =
   QCheck.Test.make ~name:"trace ring replays the boxed event stream" ~count:1000
     (QCheck.pair events_arb QCheck.small_nat) (fun (evs, extra) ->
       let n = List.length evs in
-      let full = Trace.create ~depth:(max 1 (n + extra)) () in
+      let full = Trace.create ~depth:(max 1 (n + extra)) in
       List.iter (Trace.add full) evs;
       let depth = max 1 (n / 2) in
-      let ring = Trace.create ~depth () in
+      let ring = Trace.create ~depth in
       List.iter (Trace.add ring) evs;
       let suffix l k =
         let rec drop l k = if k <= 0 then l else match l with [] -> [] | _ :: t -> drop t (k - 1) in
@@ -101,53 +89,6 @@ let prop_trace_roundtrip =
       && Trace.dropped full = 0
       && Trace.events ring = suffix evs depth
       && Trace.dropped ring = max 0 (n - depth))
-
-(* --- serializer vs Marshal ------------------------------------------------------ *)
-
-let serialize_events evs =
-  (* A fresh sink and a fresh intern table per call — and the table is
-     deliberately pre-polluted with a random prefix of labels, so equal keys
-     cannot come from shared intern ids, only from the table-independent
-     string form the serializer promises. *)
-  let labels = Arena.labels () in
-  List.iteri (fun i ev -> if i mod 2 = 0 then ignore (Arena.intern labels (Event.render ev))) evs;
-  let t = Trace.create ~labels ~depth:(max 1 (List.length evs)) () in
-  List.iter (Trace.add t) evs;
-  let sink = Wire.sink () in
-  Trace.serialize t sink;
-  Wire.contents sink
-
-(* Pairs biased towards equality (plain random pairs almost never collide,
-   leaving the iff's interesting direction untested): half the time the
-   second list is the first — sometimes rebuilt cons-by-cons so physical
-   sharing differs — otherwise an independent draw. *)
-let event_pair_gen =
-  QCheck.Gen.(
-    let* l1 = events_gen in
-    let* mode = int_range 0 3 in
-    let l2 =
-      match mode with
-      | 0 | 1 -> return (List.map Fun.id l1)
-      | 2 -> return (List.rev (List.rev_map Fun.id l1))
-      | _ -> events_gen
-    in
-    pair (return l1) l2)
-
-let event_pair_arb =
-  QCheck.make
-    ~print:(fun (a, b) -> events_print a ^ " / " ^ events_print b)
-    event_pair_gen
-
-let prop_serializer_iff_marshal =
-  QCheck.Test.make ~name:"wire keys equal iff Marshal No_sharing images equal" ~count:1000
-    event_pair_arb (fun (l1, l2) ->
-      let wire_eq = String.equal (serialize_events l1) (serialize_events l2) in
-      let marshal_eq =
-        String.equal
-          (Marshal.to_string l1 [ Marshal.No_sharing ])
-          (Marshal.to_string l2 [ Marshal.No_sharing ])
-      in
-      wire_eq = marshal_eq)
 
 (* --- wire primitives ------------------------------------------------------------ *)
 
@@ -244,14 +185,9 @@ let prop_wire_injective =
 let () =
   Alcotest.run "wire-props"
     [
-      ( "arena",
-        [
-          QCheck_alcotest.to_alcotest prop_arena_roundtrip;
-          QCheck_alcotest.to_alcotest prop_trace_roundtrip;
-        ] );
+      ("trace", [ QCheck_alcotest.to_alcotest prop_trace_roundtrip ]);
       ( "serializer",
         [
-          QCheck_alcotest.to_alcotest prop_serializer_iff_marshal;
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_wire_injective;
         ] );
