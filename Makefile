@@ -15,8 +15,11 @@ test:
 # Exercise parallel mode end-to-end on every verify: the comparable report
 # of an exhaustive seeded-bug run must be byte-identical at --jobs 1 and 3,
 # and so must the bug traces (the stdout after the second blank line), which
-# the report omits; the traces must also match with snapshots off. A clean
-# workload must then explore cleanly with several domains.
+# the report omits; the traces must also match with snapshots off. The
+# buffered-eviction leg runs the two-thread P-CLHT case, whose loads forward
+# from deep store buffers: its report must match across --jobs 1, --jobs 3
+# and --snapshot off, and at two failures the committed golden report. A
+# clean workload must then explore cleanly with several domains.
 parallel-smoke: build
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	for j in 1 3; do \
@@ -33,6 +36,17 @@ parallel-smoke: build
 	test -s "$$d/traces-1-on.txt" && \
 	diff -u "$$d/traces-1-on.txt" "$$d/traces-3-on.txt" && \
 	diff -u "$$d/traces-1-on.txt" "$$d/traces-1-off.txt"
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	for run in "1 on" "3 on" "1 off"; do \
+	  set -- $$run; \
+	  dune exec bin/jaaru_cli.exe -- check P-CLHT-concurrent --max-failures 1 \
+	    --jobs $$1 --snapshot $$2 --report-out "$$d/clht-$$1-$$2.txt" > /dev/null || exit 1; \
+	done && \
+	diff -u "$$d/clht-1-on.txt" "$$d/clht-3-on.txt" && \
+	diff -u "$$d/clht-1-on.txt" "$$d/clht-1-off.txt" && \
+	dune exec bin/jaaru_cli.exe -- check P-CLHT-concurrent --max-failures 2 --jobs 1 \
+	  --report-out "$$d/clht-golden.txt" > /dev/null && \
+	diff -u bench/suite/golden/P-CLHT-concurrent.report "$$d/clht-golden.txt"
 	dune exec bin/jaaru_cli.exe -- perf --benchmark P-CLHT -n 3 --jobs 3
 
 # Static persistency lint over every bundled case: fails on any

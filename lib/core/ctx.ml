@@ -326,8 +326,7 @@ let mfence ctx ?(label = "mfence") () =
 (* Reads whose single candidate lives in the current execution — a store-
    buffer bypass hit or a store this execution already made — carry no
    persistency constraint ([do_read] is a no-op for them), record no multi-rf
-   report and consume no choice. [read_byte_slow] handles the rest; the fast
-   checks here allocate nothing. *)
+   report and consume no choice. [read_byte_slow] handles the rest. *)
 let read_byte_slow ctx addr label =
   let candidates = Exec.Read_from.build_may_read_from ctx.stack addr in
   let src =
@@ -350,22 +349,49 @@ let read_byte_slow ctx addr label =
   Exec.Read_from.do_read ctx.stack addr src;
   src.Exec.Read_from.value
 
-let read_byte ctx addr label =
-  match Tso.Thread_state.bypass ctx.cur addr with
-  | Some (value, _) -> value
-  | None ->
-      let b = Exec.Exec_record.last_store_byte (Exec.Exec_stack.top ctx.stack) addr in
-      if b >= 0 then b else read_byte_slow ctx addr label
+(* One byte, forwarded from the store buffer when [forward] holds, else read
+   from the cache. Neither fast check allocates. *)
+let read_byte ctx ~forward addr label =
+  let b =
+    if forward then Tso.Store_buffer.forward_byte (Tso.Thread_state.store_buffer ctx.cur) addr
+    else -1
+  in
+  if b >= 0 then b
+  else
+    let b = Exec.Exec_record.last_store_byte (Exec.Exec_stack.top ctx.stack) addr in
+    if b >= 0 then b else read_byte_slow ctx addr label
+
+let read_bytes ctx ~forward addr width label =
+  let v = ref 0 in
+  for i = 0 to width - 1 do
+    v := !v lor (read_byte ctx ~forward (addr + i) label lsl (8 * i))
+  done;
+  !v
+
+(* Store-to-load forwarding, one scan per load. If the newest buffered store
+   overlapping the loaded range covers all of it, every byte forwards from
+   that store (no newer store touches the range), so its value shifted and
+   masked to [width] bytes is exactly what the per-byte path returns.
+   Otherwise the bytes come one at a time; with no overlap at all none of
+   them can forward, so the store buffer is not scanned again. *)
+let load_value ctx ~width addr label =
+  let sb = Tso.Thread_state.store_buffer ctx.cur in
+  if Tso.Store_buffer.is_empty sb then read_bytes ctx ~forward:false addr width label
+  else
+    match Tso.Store_buffer.newest_overlap sb addr ~width with
+    | -1 -> read_bytes ctx ~forward:false addr width label
+    | i -> (
+        match Tso.Store_buffer.nth sb i with
+        | Tso.Store_buffer.Store { addr = sa; value; width = sw; label = _ }
+          when sa <= addr && addr + width <= sa + sw ->
+            Pmem.Bytes_le.truncate ~width (value lsr (8 * (addr - sa)))
+        | _ -> read_bytes ctx ~forward:true addr width label)
 
 let load ctx ?(label = "load") ~width addr =
   step ctx label;
   bounds ctx addr width "load" label;
   maybe_yield ctx;
-  let v = ref 0 in
-  for i = 0 to width - 1 do
-    v := !v lor (read_byte ctx (addr + i) label lsl (8 * i))
-  done;
-  let v = !v in
+  let v = load_value ctx ~width addr label in
   if not ctx.in_rmw then
     emit ctx (Analysis.Event.Load { addr; width; value = v; tid = tid ctx; label });
   v

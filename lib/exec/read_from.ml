@@ -5,9 +5,6 @@ type source = {
   label : string;
 }
 
-let source_from_current stack ~value ~label =
-  { exec = Exec_stack.top stack; seq = None; value; label }
-
 let source_of_idx exec q i =
   {
     exec;
@@ -48,24 +45,21 @@ let rec read_pre_failure stack e addr =
         if idx_le_lo >= 0 then wins @ [ source_of_idx e q idx_le_lo ]
         else wins @ read_pre_failure stack (Exec_stack.prev stack e) addr
 
-let build_may_read_from ?sb_value stack addr =
-  match sb_value with
-  | Some (value, label) -> [ source_from_current stack ~value ~label ]
-  | None -> (
-      let top = Exec_stack.top stack in
-      match Exec_record.visible_stores top addr with
-      | Some (q, n) ->
-          (* A store of the current execution carries no persistency
-             constraint: the paper's ⟨top(exec), _, val⟩ tuple. *)
-          [
-            {
-              exec = top;
-              seq = None;
-              value = Store_queue.value_at q (n - 1);
-              label = Store_queue.label_at q (n - 1);
-            };
-          ]
-      | None -> read_pre_failure stack (Exec_stack.prev stack top) addr)
+let build_may_read_from stack addr =
+  let top = Exec_stack.top stack in
+  match Exec_record.visible_stores top addr with
+  | Some (q, n) ->
+      (* A store of the current execution carries no persistency
+         constraint: the paper's ⟨top(exec), _, val⟩ tuple. *)
+      [
+        {
+          exec = top;
+          seq = None;
+          value = Store_queue.value_at q (n - 1);
+          label = Store_queue.label_at q (n - 1);
+        };
+      ]
+  | None -> read_pre_failure stack (Exec_stack.prev stack top) addr
 
 (* UpdateRanges (Fig. 10). Walk down from the execution just below the current
    one to the source's execution, refining each line interval in place. *)

@@ -14,20 +14,15 @@ type source = {
   label : string;  (** source label of the store, for bug reports *)
 }
 
-val source_from_current : Exec_stack.t -> value:int -> label:string -> source
-(** A store performed by the currently-running execution — no persistency
-    constraint applies (the paper's [⟨top(exec), _, val⟩] tuples). *)
-
-val build_may_read_from :
-  ?sb_value:int * string -> Exec_stack.t -> Pmem.Addr.t -> source list
+val build_may_read_from : Exec_stack.t -> Pmem.Addr.t -> source list
 (** All stores the byte load may read from, newest candidates first.
 
-    [sb_value], when given, is the value and label of the newest store to the
-    address still sitting in the loading thread's store buffer — store-buffer
-    bypass wins outright (Fig. 9 lines 2–3). Otherwise the newest cache store
-    of the current execution wins (lines 4–5); otherwise candidates come from
-    pre-failure executions via [ReadPreFailure] (lines 7–13). The result is
-    never empty: the initial all-zero image backstops the recursion. *)
+    Store-buffer bypass (Fig. 9 lines 2–3) is not handled here: the caller
+    forwards from the loading thread's store buffer first
+    ([Tso.Store_buffer]). The newest cache store of the current
+    execution wins (lines 4–5); otherwise candidates come from pre-failure
+    executions via [ReadPreFailure] (lines 7–13). The result is never empty:
+    the initial all-zero image backstops the recursion. *)
 
 val do_read : Exec_stack.t -> Pmem.Addr.t -> source -> unit
 (** Commits the load to one source and refines last-writeback intervals of

@@ -18,5 +18,4 @@ let drain fb f =
   loop ()
 
 let copy fb = { q = Queue.copy fb.q }
-let entries fb = List.of_seq (Queue.to_seq fb.q)
 let clear fb = Queue.clear fb.q

@@ -23,5 +23,4 @@ val drain : t -> (entry -> unit) -> unit
 val copy : t -> t
 (** An independent copy of the buffer; entries are immutable and shared. *)
 
-val entries : t -> entry list
 val clear : t -> unit

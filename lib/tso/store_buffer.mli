@@ -3,7 +3,10 @@
     Stores, [clflush]es, [clflushopt]s and [sfence]s are buffered in FIFO
     order when executed and take effect in the cache only when evicted
     (paper Fig. 1 and Fig. 7). Loads forward from the newest buffered store to
-    the same byte (store-buffer bypass). *)
+    the same byte (store-buffer bypass, Fig. 9 lines 2–3).
+
+    The buffer is a growable ring array. Forwarding scans it newest first,
+    stops at the first match and allocates nothing. *)
 
 type entry =
   | Store of { addr : Pmem.Addr.t; value : int; width : int; label : string }
@@ -20,6 +23,8 @@ type entry =
 type t
 
 val create : unit -> t
+(** An empty buffer; its ring is allocated at the first [enqueue]. *)
+
 val is_empty : t -> bool
 val length : t -> int
 val enqueue : t -> entry -> unit
@@ -27,17 +32,21 @@ val enqueue : t -> entry -> unit
 val dequeue : t -> entry option
 (** Oldest entry, removed. *)
 
-val bypass : t -> Pmem.Addr.t -> (int * string) option
-(** [bypass sb a] is the value (and store label) the newest buffered store
-    writes to byte [a], if any — the TSO load-forwarding path. *)
+val nth : t -> int -> entry
+(** [nth sb i] is the [i]-th entry, oldest first ([0] is the next to be
+    dequeued). Raises [Invalid_argument] unless [0 <= i < length sb]. *)
 
-val pending_writes : t -> bool
-(** Whether any buffered entry is a store. *)
+val newest_overlap : t -> Pmem.Addr.t -> width:int -> int
+(** [newest_overlap sb a ~width] is the position (as for {!nth}) of the
+    newest buffered store that writes any byte of [[a, a + width)], or [-1]
+    if none does. *)
+
+val forward_byte : t -> Pmem.Addr.t -> int
+(** [forward_byte sb a] is the byte the newest buffered store to address [a]
+    writes, or [-1] if no buffered store writes [a] — the TSO
+    load-forwarding path for one byte. *)
 
 val copy : t -> t
 (** An independent copy of the FIFO; entries are immutable and shared. *)
-
-val entries : t -> entry list
-(** Oldest first. *)
 
 val clear : t -> unit

@@ -79,8 +79,6 @@ let exec_mfence th sink =
   drain th sink;
   drain_flush_buffer th sink
 
-let bypass th addr = Store_buffer.bypass th.sb addr
-
 let reset th =
   Store_buffer.clear th.sb;
   Flush_buffer.clear th.fb;

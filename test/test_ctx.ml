@@ -159,6 +159,62 @@ let test_rmw_semantics () =
   in
   Alcotest.(check bool) "clean" false (Explorer.found_bug o)
 
+(* --- store-to-load forwarding under Buffered eviction -------------------------- *)
+
+(* Without failures or threads nothing drains a Buffered store buffer but
+   [mfence], so these loads forward from buffered stores. *)
+let buffered = { no_failures with Config.evict_policy = Config.Buffered }
+
+let check_buffered body =
+  let o = run_one ~config:buffered body in
+  match o.Explorer.bugs with
+  | [] -> ()
+  | b :: _ -> Alcotest.failf "%a" Bug.pp b
+
+let test_sb_bypass_wins () =
+  (* The buffered store shadows this execution's own store in the cache. *)
+  check_buffered (fun ctx ->
+      Ctx.store64 ctx base 1;
+      Ctx.mfence ctx ();
+      Ctx.store64 ctx base 7;
+      Ctx.check ctx (Ctx.load64 ctx base = 7) "store buffer bypass")
+
+let test_merged_fallback () =
+  (* The newest overlapping store covers only two bytes: the load merges it
+     byte-wise with the older buffered word. *)
+  check_buffered (fun ctx ->
+      Ctx.store64 ctx base 0x0102030405060708;
+      Ctx.store16 ctx (base + 3) 0xabcd;
+      Ctx.check ctx (Ctx.load64 ctx base = 0x010203abcd060708) "merged";
+      Ctx.check ctx (Ctx.load16 ctx (base + 3) = 0xabcd) "covered narrow";
+      Ctx.check ctx (Ctx.load32 ctx (base + 2) = 0x03abcd06) "straddles both";
+      Ctx.check ctx (Ctx.load16 ctx (base + 4) = 0x03ab) "overhangs the narrow store";
+      Ctx.mfence ctx ();
+      Ctx.check ctx (Ctx.load64 ctx base = 0x010203abcd060708) "merged after mfence")
+
+let test_masked_store32 () =
+  (* Bits above the store's width never reach a load, buffered or drained. *)
+  check_buffered (fun ctx ->
+      Ctx.store32 ctx base 0x7_1234_5678;
+      Ctx.store32 ctx (base + 8) (-2);
+      Ctx.check ctx (Ctx.load32 ctx base = 0x12345678) "wide value, buffered";
+      Ctx.check ctx (Ctx.load32 ctx (base + 8) = 0xfffffffe) "negative, buffered";
+      Ctx.check ctx (Ctx.load64 ctx base = 0x12345678) "upper half untouched, buffered";
+      Ctx.mfence ctx ();
+      Ctx.check ctx (Ctx.load32 ctx base = 0x12345678) "wide value, drained";
+      Ctx.check ctx (Ctx.load32 ctx (base + 8) = 0xfffffffe) "negative, drained";
+      Ctx.check ctx (Ctx.load64 ctx base = 0x12345678) "upper half untouched, drained")
+
+let test_load8_inside_store64 () =
+  check_buffered (fun ctx ->
+      Ctx.store64 ctx base 0x0102030405060708;
+      Ctx.check ctx (Ctx.load8 ctx (base + 5) = 0x03) "byte 5";
+      Ctx.check ctx (Ctx.load8 ctx (base + 7) = 0x01) "top byte";
+      Ctx.check ctx (Ctx.load16 ctx (base + 6) = 0x0102) "top half-word";
+      Ctx.store64 ctx (base + 8) (-1);
+      Ctx.check ctx (Ctx.load64 ctx (base + 8) = -1) "negative word";
+      Ctx.check ctx (Ctx.load8 ctx (base + 15) = 0x7f) "63-bit top byte")
+
 (* --- threads ---------------------------------------------------------------- *)
 
 let test_parallel_tso_visibility () =
@@ -333,6 +389,13 @@ let () =
           Alcotest.test_case "memset/memcpy" `Quick test_memset_memcpy;
           Alcotest.test_case "memcpy_persist durable" `Quick test_memcpy_persist_durable;
           Alcotest.test_case "crash inside parallel" `Quick test_crash_inside_parallel;
+        ] );
+      ( "buffered",
+        [
+          Alcotest.test_case "sb bypass wins" `Quick test_sb_bypass_wins;
+          Alcotest.test_case "merged fallback" `Quick test_merged_fallback;
+          Alcotest.test_case "masked store32" `Quick test_masked_store32;
+          Alcotest.test_case "load8 inside store64" `Quick test_load8_inside_store64;
         ] );
       ( "threads",
         [

@@ -113,11 +113,6 @@ let test_rf_current_execution_wins () =
   Alcotest.(check bool) "no persistency constraint" true
     ((List.hd srcs).Exec.Read_from.seq = None)
 
-let test_rf_sb_bypass_wins () =
-  let s = stack_with_stores [ (100, 1, 1) ] ~flush_at:None in
-  let srcs = Exec.Read_from.build_may_read_from ~sb_value:(7, "sb") s 100 in
-  Alcotest.(check (list int)) "store buffer bypass" [ 7 ] (source_values srcs)
-
 let test_do_read_refines_same_line () =
   (* The Fig. 2/3 scenario at byte granularity: after committing to the
      second store of a line, earlier stores to other bytes of that line are
@@ -257,7 +252,6 @@ let () =
           Alcotest.test_case "flushed line" `Quick test_rf_flushed_line;
           Alcotest.test_case "fully flushed" `Quick test_rf_fully_flushed;
           Alcotest.test_case "current execution wins" `Quick test_rf_current_execution_wins;
-          Alcotest.test_case "sb bypass wins" `Quick test_rf_sb_bypass_wins;
           Alcotest.test_case "same-line refinement" `Quick test_do_read_refines_same_line;
           Alcotest.test_case "upper-bound refinement" `Quick test_do_read_refines_upper_bound;
           Alcotest.test_case "two failures deep" `Quick test_rf_two_failures_deep;

@@ -205,7 +205,21 @@ let test_stats_merge_identity_and_sums () =
    outcome must be byte-identical for every worker count, with the snapshot
    layer on or off. *)
 
-type op = Store of int * int | Flush of int | Flushopt of int | Fence
+type op =
+  | Store of int * int
+  | Flush of int
+  | Flushopt of int
+  | Fence
+  | Store_n of int * int * int * int  (* line, byte offset, width, value *)
+  | Load_n of int * int * int  (* line, byte offset, width: load, store back plus one *)
+
+(* Narrow accesses at any byte offset inside the observed word, overlapping
+   the word stores: buffered loads take both the covering and the byte-wise
+   forwarding path. *)
+let narrow_gen k =
+  QCheck.Gen.(
+    int_range 0 1 >>= fun l ->
+    oneofl [ 1; 2; 4 ] >>= fun w -> int_range 0 (8 - w) >>= fun b -> k l b w)
 
 let op_gen =
   QCheck.Gen.(
@@ -215,6 +229,10 @@ let op_gen =
         (2, map (fun l -> Flush l) (int_range 0 1));
         (2, map (fun l -> Flushopt l) (int_range 0 1));
         (1, return Fence);
+        ( 2,
+          narrow_gen (fun l b w ->
+              map (fun v -> Store_n (l, b, w, v)) (oneofl [ 1; -1; 0x1_0000_0003 ])) );
+        (2, narrow_gen (fun l b w -> return (Load_n (l, b, w))));
       ])
 
 let pp_op = function
@@ -222,6 +240,8 @@ let pp_op = function
   | Flush l -> Printf.sprintf "clflush l%d" l
   | Flushopt l -> Printf.sprintf "clflushopt l%d" l
   | Fence -> "sfence"
+  | Store_n (l, b, w, v) -> Printf.sprintf "st%d l%d+%d=%d" (8 * w) l b v
+  | Load_n (l, b, w) -> Printf.sprintf "ld%d+1 l%d+%d" (8 * w) l b
 
 let op_shrink op yield =
   match op with
@@ -233,6 +253,17 @@ let op_shrink op yield =
       yield (Flush l);
       if l > 0 then yield (Flushopt 0)
   | Fence -> ()
+  | Store_n (l, b, w, v) ->
+      yield (Store (l, 1));
+      if v <> 1 then yield (Store_n (l, b, w, 1));
+      if l > 0 then yield (Store_n (0, b, w, v));
+      if b > 0 then yield (Store_n (l, 0, w, v));
+      if w > 1 then yield (Store_n (l, b, 1, v))
+  | Load_n (l, b, w) ->
+      yield (Store_n (l, b, w, 1));
+      if l > 0 then yield (Load_n (0, b, w));
+      if b > 0 then yield (Load_n (l, 0, w));
+      if w > 1 then yield (Load_n (l, b, 1))
 
 let program_shrink = QCheck.Shrink.list ~shrink:op_shrink
 let program_print ops = String.concat "; " (List.map pp_op ops)
@@ -245,7 +276,11 @@ let run_program ctx ops =
       | Store (l, v) -> Ctx.store64 ctx ~label:(pp_op op) (addr_of l) v
       | Flush l -> Ctx.clflush ctx ~label:(pp_op op) (addr_of l) 8
       | Flushopt l -> Ctx.clflushopt ctx ~label:(pp_op op) (addr_of l) 8
-      | Fence -> Ctx.sfence ctx ~label:"sfence" ())
+      | Fence -> Ctx.sfence ctx ~label:"sfence" ()
+      | Store_n (l, b, w, v) -> Ctx.store ctx ~label:(pp_op op) ~width:w (addr_of l + b) v
+      | Load_n (l, b, w) ->
+          let a = addr_of l + b in
+          Ctx.store ctx ~label:(pp_op op) ~width:w a (Ctx.load ctx ~label:(pp_op op) ~width:w a + 1))
     ops
 
 let scenario_of (t0, t1) =

@@ -20,8 +20,22 @@ type op =
   | Flushopt of int
   | Clwb of int
   | Fence
+  | Store_n of int * int * int * int  (* line, byte offset, width, value *)
+  | Load_n of int * int * int
+      (* line, byte offset, width: load, then store the value plus one back *)
 
 let lines = 3 (* cache lines the generator spans *)
+
+(* Narrow (8/16/32-bit) accesses at any byte offset inside the two words the
+   observer reads, so that they straddle words and overlap wider stores:
+   buffered loads then take both the covering and the byte-wise forwarding
+   path. Values may be negative or wider than the access. *)
+let narrow_gen k =
+  QCheck.Gen.(
+    int_range 0 (lines - 1) >>= fun l ->
+    oneofl [ 1; 2; 4 ] >>= fun w -> int_range 0 (16 - w) >>= fun b -> k l b w)
+
+let narrow_value_gen = QCheck.Gen.oneofl [ 1; 2; 3; -1; 0x10_0000_0002 ]
 
 let op_gen =
   QCheck.Gen.(
@@ -33,6 +47,8 @@ let op_gen =
         (2, map (fun l -> Flushopt l) (int_range 0 (lines - 1)));
         (1, map (fun l -> Clwb l) (int_range 0 (lines - 1)));
         (1, return Fence);
+        (2, narrow_gen (fun l b w -> map (fun v -> Store_n (l, b, w, v)) narrow_value_gen));
+        (2, narrow_gen (fun l b w -> return (Load_n (l, b, w))));
       ])
 
 let program_gen = QCheck.Gen.(list_size (int_range 1 8) op_gen)
@@ -44,13 +60,16 @@ let pp_op = function
   | Flushopt l -> Printf.sprintf "clflushopt l%d" l
   | Clwb l -> Printf.sprintf "clwb l%d" l
   | Fence -> "sfence"
+  | Store_n (l, b, w, v) -> Printf.sprintf "st%d l%d+%d=%d" (8 * w) l b v
+  | Load_n (l, b, w) -> Printf.sprintf "ld%d+1 l%d+%d" (8 * w) l b
 
 let program_print ops = String.concat "; " (List.map pp_op ops)
 
 (* Per-op shrinker: every candidate strictly decreases (kind rank, fields)
-   lexicographically — Rmw simplifies to a plain store, the weakly ordered
-   flush kinds collapse toward clflush, and all indices shrink toward 0 — so
-   QCheck's list shrinker drives failures to a minimal counterexample. *)
+   lexicographically — Rmw and the narrow accesses simplify to a plain store,
+   the weakly ordered flush kinds collapse toward clflush, and all indices
+   shrink toward 0 — so QCheck's list shrinker drives failures to a minimal
+   counterexample. *)
 let op_shrink op yield =
   match op with
   | Store (l, o, v) ->
@@ -70,6 +89,17 @@ let op_shrink op yield =
       yield (Flushopt l);
       if l > 0 then yield (Clwb 0)
   | Fence -> ()
+  | Store_n (l, b, w, v) ->
+      yield (Store (l, b / 8, 1));
+      if v <> 1 then yield (Store_n (l, b, w, 1));
+      if l > 0 then yield (Store_n (0, b, w, v));
+      if b > 0 then yield (Store_n (l, 0, w, v));
+      if w > 1 then yield (Store_n (l, b, 1, v))
+  | Load_n (l, b, w) ->
+      yield (Store_n (l, b, w, 1));
+      if l > 0 then yield (Load_n (0, b, w));
+      if b > 0 then yield (Load_n (l, 0, w));
+      if w > 1 then yield (Load_n (l, b, 1))
 
 let program_shrink = QCheck.Shrink.list ~shrink:op_shrink
 let program_arb = QCheck.make ~print:program_print ~shrink:program_shrink program_gen
@@ -85,7 +115,11 @@ let run_program ctx ops =
       | Flush l -> Ctx.clflush ctx ~label:(pp_op op) (addr_of l 0) 8
       | Flushopt l -> Ctx.clflushopt ctx ~label:(pp_op op) (addr_of l 0) 8
       | Clwb l -> Ctx.clwb ctx ~label:(pp_op op) (addr_of l 0) 8
-      | Fence -> Ctx.sfence ctx ~label:"sfence" ())
+      | Fence -> Ctx.sfence ctx ~label:"sfence" ()
+      | Store_n (l, b, w, v) -> Ctx.store ctx ~label:(pp_op op) ~width:w (addr_of l 0 + b) v
+      | Load_n (l, b, w) ->
+          let a = addr_of l 0 + b in
+          Ctx.store ctx ~label:(pp_op op) ~width:w a (Ctx.load ctx ~label:(pp_op op) ~width:w a + 1))
     ops
 
 (* The two-thread shape: the second thread is empty in the sequential shape;

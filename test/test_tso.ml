@@ -12,7 +12,6 @@ let test_store_buffer_fifo () =
   Tso.Store_buffer.enqueue sb Tso.Store_buffer.Sfence;
   Tso.Store_buffer.enqueue sb (Tso.Store_buffer.Store { addr = 8; value = 2; width = 1; label = "b" });
   Alcotest.(check int) "length" 3 (Tso.Store_buffer.length sb);
-  Alcotest.(check bool) "pending writes" true (Tso.Store_buffer.pending_writes sb);
   (match Tso.Store_buffer.dequeue sb with
   | Some (Tso.Store_buffer.Store { label = "a"; _ }) -> ()
   | _ -> Alcotest.fail "FIFO order violated");
@@ -27,11 +26,151 @@ let test_store_buffer_bypass () =
     (Tso.Store_buffer.Store { addr = 100; value = 0x04030201; width = 4; label = "old" });
   Tso.Store_buffer.enqueue sb
     (Tso.Store_buffer.Store { addr = 102; value = 9; width = 1; label = "new" });
-  Alcotest.(check (option (pair int string))) "newest wins" (Some (9, "new"))
-    (Tso.Store_buffer.bypass sb 102);
-  Alcotest.(check (option (pair int string))) "older byte" (Some (2, "old"))
-    (Tso.Store_buffer.bypass sb 101);
-  Alcotest.(check (option (pair int string))) "miss" None (Tso.Store_buffer.bypass sb 104)
+  Alcotest.(check int) "newest wins" 9 (Tso.Store_buffer.forward_byte sb 102);
+  Alcotest.(check int) "older byte" 2 (Tso.Store_buffer.forward_byte sb 101);
+  Alcotest.(check int) "miss" (-1) (Tso.Store_buffer.forward_byte sb 104)
+
+(* --- store-to-load forwarding against a reference model ------------------- *)
+
+(* Random buffer histories over a small window, so that stores overlap and
+   straddle each other and the cache-line boundary at 64. After every step,
+   every load in the window is checked against a naive model that shares no
+   code with the store buffer: per byte, the newest pending store covering it
+   (masked to that byte), else the value already drained to the cache. Bytes
+   are those of the 63-bit value, as in [Pmem.Bytes_le]: byte 7 of a width-8
+   store is at most 0x7f. *)
+
+type sb_op =
+  | St of int * int * int  (* window offset, width, value *)
+  | Fl of int
+  | Sf
+  | Ev  (* evict the oldest entry into the cache *)
+
+let window_base = 52
+let window = 24
+
+let sb_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          oneofl [ 1; 2; 4; 8 ] >>= fun width ->
+          map2
+            (fun off v -> St (off, width, v))
+            (int_range 0 (window - width))
+            (oneof [ int; int_range (-300) 300; map (fun v -> v lsl 40) small_signed_int ]) );
+        (1, map (fun off -> Fl off) (int_range 0 (window - 1)));
+        (1, return Sf);
+        (4, return Ev);
+      ])
+
+let pp_sb_op = function
+  | St (off, w, v) -> Printf.sprintf "st%d @%d=%d" (8 * w) off v
+  | Fl off -> Printf.sprintf "clflush @%d" off
+  | Sf -> "sfence"
+  | Ev -> "evict"
+
+let sb_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_sb_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 80) sb_op_gen)
+
+(* The model: pending entries newest first, and the drained bytes. *)
+type model = { mutable pending : sb_op list; drained : (int, int) Hashtbl.t }
+
+let model_byte m a =
+  let rec newest = function
+    | St (off, w, v) :: _ when a >= window_base + off && a < window_base + off + w ->
+        let k = a - (window_base + off) in
+        Some ((v lsr (8 * k)) land 0xff)
+    | _ :: rest -> newest rest
+    | [] -> None
+  in
+  match newest m.pending with
+  | Some b -> b
+  | None -> Option.value ~default:0 (Hashtbl.find_opt m.drained a)
+
+let model_load m a w =
+  let v = ref 0 in
+  for k = w - 1 downto 0 do
+    v := (!v lsl 8) lor model_byte m (a + k)
+  done;
+  !v
+
+let model_evict m =
+  match List.rev m.pending with
+  | [] -> ()
+  | oldest :: rest_rev ->
+      m.pending <- List.rev rest_rev;
+      (match oldest with
+      | St (off, w, v) ->
+          for k = 0 to w - 1 do
+            Hashtbl.replace m.drained (window_base + off + k) ((v lsr (8 * k)) land 0xff)
+          done
+      | Fl _ | Sf | Ev -> ())
+
+(* A load as the checker context performs it: one scan for the newest
+   overlapping store; its masked bytes if it covers the range, else byte-wise
+   forwarding over the drained cache. *)
+let sb_load sb record a w =
+  let memory a = max 0 (Exec.Exec_record.last_store_byte record a) in
+  let bytewise forward =
+    let v = ref 0 in
+    for k = 0 to w - 1 do
+      let b = if forward then Tso.Store_buffer.forward_byte sb (a + k) else -1 in
+      let b = if b >= 0 then b else memory (a + k) in
+      v := !v lor (b lsl (8 * k))
+    done;
+    !v
+  in
+  match Tso.Store_buffer.newest_overlap sb a ~width:w with
+  | -1 -> bytewise false
+  | i -> (
+      match Tso.Store_buffer.nth sb i with
+      | Tso.Store_buffer.Store { addr; value; width; _ } when addr <= a && a + w <= addr + width
+        ->
+          Pmem.Bytes_le.truncate ~width:w (value lsr (8 * (a - addr)))
+      | _ -> bytewise true)
+
+let prop_forwarding_matches_model =
+  QCheck.Test.make ~name:"forwarding = newest-store model" ~count:300 sb_ops_arb (fun ops ->
+      let sink, record, _ = mk_sink () in
+      let th = Tso.Thread_state.create ~tid:0 in
+      let sb = Tso.Thread_state.store_buffer th in
+      let m = { pending = []; drained = Hashtbl.create 32 } in
+      let check_all step =
+        for a = window_base to window_base + window - 1 do
+          List.iter
+            (fun w ->
+              if a + w <= window_base + window then begin
+                let expected = model_load m a w and got = sb_load sb record a w in
+                if got <> expected then
+                  QCheck.Test.fail_reportf "after %s: load%d @%d = %d, model %d" step (8 * w)
+                    (a - window_base) got expected
+              end)
+            [ 1; 2; 4; 8 ]
+        done
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | St (off, width, value) ->
+              Tso.Thread_state.exec_store th (window_base + off) ~value ~width ~label:"st";
+              m.pending <- op :: m.pending
+          | Fl off ->
+              Tso.Thread_state.exec_clflush th (window_base + off) ~label:"fl";
+              m.pending <- op :: m.pending
+          | Sf ->
+              Tso.Thread_state.exec_sfence th;
+              m.pending <- op :: m.pending
+          | Ev ->
+              ignore (Tso.Thread_state.evict_one th sink);
+              model_evict m);
+          Alcotest.(check int) "buffer length" (List.length m.pending) (Tso.Store_buffer.length sb);
+          check_all (pp_sb_op op))
+        ops;
+      true)
 
 let test_store_atomic_bytes () =
   (* All bytes of a store take effect with one sequence number. *)
@@ -166,6 +305,7 @@ let () =
         [
           Alcotest.test_case "fifo" `Quick test_store_buffer_fifo;
           Alcotest.test_case "bypass" `Quick test_store_buffer_bypass;
+          QCheck_alcotest.to_alcotest prop_forwarding_matches_model;
         ] );
       ( "eviction",
         [
