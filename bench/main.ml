@@ -4,10 +4,7 @@
      table2   - system configuration (Table 2)
      fig12/16 - bugs found in PMDK (+ manifestation detail)
      fig13/15 - bugs found in RECIPE (+ manifestation detail)
-     fig14    - Jaaru state-space reduction vs. the eager (Yat) baseline,
-                with a Bechamel timing run per benchmark
-     scaling  - domain-parallel exploration: jobs=1 vs jobs=N wall time and
-                the determinism cross-check
+     fig14    - Jaaru state-space reduction vs. the eager (Yat) baseline
      analysis - overhead of the online persistency-sanitizer passes
      ablation - constraint refinement / commit-store design points
 
@@ -119,32 +116,6 @@ let fig14 () =
     "@.(Shape to compare with the paper: a handful of executions per failure point —@.\
      the paper reports 1.5 to 8 — against astronomically many eager states.)@."
 
-(* Bechamel timing: one Test.make per Fig. 14 benchmark, measuring a full
-   exhaustive exploration of that benchmark. *)
-let fig14_bechamel () =
-  section_header "Figure 14 (JTime column, Bechamel measurement)";
-  let open Bechamel in
-  let open Toolkit in
-  let test_of (benchmark, n) =
-    Test.make ~name:benchmark
-      (Staged.stage (fun () ->
-           let scn = Recipe.Workloads.fixed_scenario benchmark n in
-           let config = { Config.default with Config.max_steps = 200_000 } in
-           ignore (Explorer.run ~config scn)))
-  in
-  let test = Test.make_grouped ~name:"fig14" ~fmt:"%s/%s" (List.map test_of fig14_sizes) in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~stabilize:false () in
-  let raw = Benchmark.all cfg instances test in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, result) ->
-         match Analyze.OLS.estimates result with
-         | Some [ ns ] -> Format.printf "%-24s %10.3f ms / full exploration@." name (ns /. 1e6)
-         | Some _ | None -> Format.printf "%-24s (no estimate)@." name)
-
 (* Byte-identity of reports and comparable stats — the determinism contract
    every perf layer and jobs value must preserve. *)
 let same_outcome (a : Explorer.outcome) (b : Explorer.outcome) =
@@ -153,41 +124,6 @@ let same_outcome (a : Explorer.outcome) (b : Explorer.outcome) =
   && a.Explorer.perf = b.Explorer.perf
   && a.Explorer.findings = b.Explorer.findings
   && Stats.comparable a.Explorer.stats = Stats.comparable b.Explorer.stats
-
-(* --- scaling: domain-parallel exploration -------------------------------------- *)
-
-(* jobs=1 vs jobs=N over the Fig. 14 workloads: the whole lazy search is
-   embarrassingly parallel at the granularity of complete executions, so the
-   frontier of choice-tree prefixes should scale until the host runs out of
-   cores. Also asserts the determinism guarantee: every jobs value must
-   report identical bugs/multi-rf/perf and identical stats modulo wall
-   time. *)
-let scaling () =
-  section_header "Scaling: domain-parallel exploration (jobs=1 vs jobs=N, Fig. 14 workloads)";
-  let cores = Domain.recommended_domain_count () in
-  let njobs = List.sort_uniq compare [ 1; 2; 4; cores ] in
-  Format.printf "host reports %d usable core(s)@.@." cores;
-  Format.printf "%-12s" "Benchmark";
-  List.iter (fun j -> Format.printf " %8s" (Printf.sprintf "j=%d" j)) njobs;
-  Format.printf " %9s %s@." "speedup" "identical";
-  List.iter
-    (fun (benchmark, n) ->
-      let scn = Recipe.Workloads.fixed_scenario benchmark n in
-      let run jobs =
-        let config = { Config.default with Config.max_steps = 200_000; jobs } in
-        let t0 = Unix.gettimeofday () in
-        let o = Explorer.run ~config scn in
-        (o, Unix.gettimeofday () -. t0)
-      in
-      let results = List.map (fun j -> (j, run j)) njobs in
-      let (_, (base_o, base_t)) = List.hd results in
-      let best_t = List.fold_left (fun acc (_, (_, t)) -> min acc t) base_t results in
-      let identical = List.for_all (fun (_, (o, _)) -> same_outcome base_o o) results in
-      Format.printf "%-12s" benchmark;
-      List.iter (fun (_, (_, t)) -> Format.printf " %7.2fs" t) results;
-      Format.printf " %8.2fx %s@." (base_t /. best_t) (if identical then "yes" else "NO");
-      assert identical)
-    fig14_sizes
 
 (* --- analysis overhead ---------------------------------------------------------- *)
 
@@ -568,11 +504,7 @@ let () =
   let recipe_rows = if want "fig13" || want "fig15" then fig13 () else [] in
   if want "fig15" then manifestation_table "Figure 15: RECIPE bug manifestations" recipe_rows;
   if want "fig16" then manifestation_table "Figure 16: PMDK bug manifestations" pmdk_rows;
-  if want "fig14" then begin
-    fig14 ();
-    fig14_bechamel ()
-  end;
-  if want "scaling" then scaling ();
+  if want "fig14" then fig14 ();
   if want "analysis" then analysis_overhead ();
   if want "snapshot" then snapshot_bench ~smoke:false;
   (* snapshot-smoke is opt-in only (CI): a seconds-long subset of the

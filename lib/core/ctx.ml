@@ -15,9 +15,7 @@ type t = {
   reg : Pmem.Region.t;
   choice : Choice.t;
   stack : Exec.Exec_stack.t;
-  seq : int ref;
   trace : Trace.t;
-  mutable sink : Tso.Sink.t;
   mutable threads : Tso.Thread_state.t list;
   mutable cur : Tso.Thread_state.t;
   mutable next_tid : int;
@@ -42,8 +40,6 @@ type t = {
 }
 
 let create ?snapshots ?cancel ~config ~choice () =
-  let stack = Exec.Exec_stack.create () in
-  let seq = ref 0 in
   let thread0 = Tso.Thread_state.create ~tid:0 in
   let engine =
     let hb =
@@ -72,12 +68,10 @@ let create ?snapshots ?cancel ~config ~choice () =
     cfg = config;
     reg = Pmem.Region.v ~base:config.Config.region_base ~size:config.Config.region_size;
     choice;
-    stack;
-    seq;
+    stack = Exec.Exec_stack.create ();
     (* A fresh ring per context: at the default depth of 64 it is a
        minor-heap allocation, cheaper than pooling one across replays. *)
     trace = Trace.create ~depth:config.Config.trace_depth;
-    sink = Tso.Sink.to_exec_record ~seq (Exec.Exec_stack.top stack);
     threads = [ thread0 ];
     cur = thread0;
     next_tid = 1;
@@ -171,7 +165,7 @@ let drain_choices ctx =
       if n > 0 then begin
         let keep = Choice.choose ctx.choice Choice.Drain (n + 1) in
         for _ = 1 to keep do
-          ignore (Tso.Thread_state.evict_one th ctx.sink)
+          ignore (Tso.Thread_state.evict_one th ctx.stack)
         done
       end)
     ctx.threads
@@ -193,7 +187,7 @@ let capture_snapshot ctx ~crash_label ~pending_failure =
       in
       if not (Snapshot.mem cache key) then
         Snapshot.store cache
-          (Snapshot.capture ~key ~stack:ctx.stack ~seq:!(ctx.seq) ~threads:ctx.threads
+          (Snapshot.capture ~key ~stack:ctx.stack ~threads:ctx.threads
              ~trace:ctx.trace ~failure_count:ctx.failure_count ~fp_count:ctx.fp_count
              ~rng:ctx.rng ~last:ctx.last ~crash_label)
 
@@ -214,8 +208,7 @@ let failure_point ?(force = false) ctx label =
   end
 
 let after_crash ctx =
-  let record = Exec.Exec_stack.push_fresh ctx.stack in
-  ctx.sink <- Tso.Sink.to_exec_record ~seq:ctx.seq record;
+  ignore (Exec.Exec_stack.push_fresh ctx.stack);
   (* Volatile state is lost: store/flush buffers, every thread but a fresh
      main one, and the step budget restart with the new execution. *)
   let thread0 = Tso.Thread_state.create ~tid:0 in
@@ -244,9 +237,7 @@ let crash ctx =
 let resume_from_snapshot ctx (snap : Snapshot.t) =
   Choice.fast_forward ctx.choice (Array.length snap.Snapshot.key);
   let records, threads = Snapshot.materialize ~deep_top:(not (eager ctx)) snap in
-  Exec.Exec_stack.restore ctx.stack records;
-  ctx.seq := snap.Snapshot.seq;
-  ctx.sink <- Tso.Sink.to_exec_record ~seq:ctx.seq (Exec.Exec_stack.top ctx.stack);
+  Exec.Exec_stack.restore ctx.stack ~seq:snap.Snapshot.seq records;
   ctx.threads <- threads;
   Trace.restore ctx.trace ~from:snap.Snapshot.trace;
   ctx.failure_count <- snap.Snapshot.failure_count;
@@ -263,14 +254,23 @@ let finish_execution ctx =
   failure_point ~force:true ctx "<end of execution>";
   List.iter
     (fun th ->
-      Tso.Thread_state.drain th ctx.sink;
-      Tso.Thread_state.drain_flush_buffer th ctx.sink)
+      Tso.Thread_state.drain th ctx.stack;
+      Tso.Thread_state.drain_flush_buffer th ctx.stack)
     ctx.threads;
   emit ctx Analysis.Event.End_execution
 
 (* --- stores and flushes ------------------------------------------------ *)
 
+(* Rejected up front, like a negative [memset] length: an out-of-range store
+   would otherwise sit in the store buffer, forward its bytes to later loads
+   and fail only when evicted, and a load would assemble 0 or 9+ bytes. *)
+let check_width op width =
+  if width < 1 || width > Pmem.Bytes_le.max_width then
+    invalid_arg
+      (Printf.sprintf "Ctx.%s: width %d not in [1, %d]" op width Pmem.Bytes_le.max_width)
+
 let store ctx ?(label = "store") ~width addr v =
+  check_width "store" width;
   step ctx label;
   bounds ctx addr width "store" label;
   maybe_yield ctx;
@@ -278,7 +278,7 @@ let store ctx ?(label = "store") ~width addr v =
   ctx.writes_since_fp <- true;
   if not ctx.in_rmw then
     emit ctx (Analysis.Event.Store { addr; width; value = v; tid = tid ctx; label });
-  if eager ctx then Tso.Thread_state.drain ctx.cur ctx.sink
+  if eager ctx then Tso.Thread_state.drain ctx.cur ctx.stack
 
 let flush_lines ctx ~kind ~label addr size =
   bounds ctx addr (max size 1) "flush" label;
@@ -291,9 +291,9 @@ let flush_lines ctx ~kind ~label addr size =
       failure_point ctx label;
       step ctx label;
       emit ctx (Analysis.Event.Flush { line_addr; kind; tid = tid ctx; label });
-      if opt then Tso.Thread_state.exec_clflushopt ctx.cur ctx.sink line_addr ~label
+      if opt then Tso.Thread_state.exec_clflushopt ctx.cur ctx.stack line_addr ~label
       else Tso.Thread_state.exec_clflush ctx.cur line_addr ~label;
-      if eager ctx then Tso.Thread_state.drain ctx.cur ctx.sink)
+      if eager ctx then Tso.Thread_state.drain ctx.cur ctx.stack)
     addr (max size 1);
   maybe_yield ctx
 
@@ -311,14 +311,14 @@ let sfence ctx ?(label = "sfence") () =
   if not ctx.in_rmw then
     emit ctx (Analysis.Event.Fence { kind = Analysis.Event.Sfence; tid = tid ctx; label });
   Tso.Thread_state.exec_sfence ctx.cur;
-  if eager ctx then Tso.Thread_state.drain ctx.cur ctx.sink;
+  if eager ctx then Tso.Thread_state.drain ctx.cur ctx.stack;
   maybe_yield ctx
 
 let mfence ctx ?(label = "mfence") () =
   step ctx label;
   if not ctx.in_rmw then
     emit ctx (Analysis.Event.Fence { kind = Analysis.Event.Mfence; tid = tid ctx; label });
-  Tso.Thread_state.exec_mfence ctx.cur ctx.sink;
+  Tso.Thread_state.exec_mfence ctx.cur ctx.stack;
   maybe_yield ctx
 
 (* --- loads -------------------------------------------------------------- *)
@@ -388,6 +388,7 @@ let load_value ctx ~width addr label =
         | _ -> read_bytes ctx ~forward:true addr width label)
 
 let load ctx ?(label = "load") ~width addr =
+  check_width "load" width;
   step ctx label;
   bounds ctx addr width "load" label;
   maybe_yield ctx;
@@ -518,14 +519,14 @@ let install_concrete_state ctx bytes =
   List.iter
     (fun (addr, value) ->
       bounds ctx addr 1 "store" "<concrete state>";
-      incr ctx.seq;
-      Exec.Exec_record.push_store record addr ~value ~seq:!(ctx.seq) ~label:"<concrete state>";
+      let seq = Exec.Exec_stack.next_seq ctx.stack in
+      Exec.Exec_record.push_store record addr ~value ~seq ~label:"<concrete state>";
       Hashtbl.replace touched (Pmem.Addr.line_of addr) ())
     bytes;
   Hashtbl.iter
     (fun line () ->
-      incr ctx.seq;
-      Exec.Exec_record.flush_line record (line * Pmem.Addr.cache_line_size) ~seq:!(ctx.seq))
+      let seq = Exec.Exec_stack.next_seq ctx.stack in
+      Exec.Exec_record.flush_line record (line * Pmem.Addr.cache_line_size) ~seq)
     touched;
   emit ctx (Analysis.Event.Crash { label = Some "<concrete state>"; tid = tid ctx });
   ctx.failure_count <- ctx.failure_count + 1;
@@ -545,8 +546,8 @@ let parallel ctx ?(label = "parallel") bodies =
   (* Spawning is a synchronisation edge (pthread_create implies
      happens-before): the parent's buffered stores and flushes become
      visible before any fiber runs. *)
-  Tso.Thread_state.drain ctx.cur ctx.sink;
-  Tso.Thread_state.drain_flush_buffer ctx.cur ctx.sink;
+  Tso.Thread_state.drain ctx.cur ctx.stack;
+  Tso.Thread_state.drain_flush_buffer ctx.cur ctx.stack;
   let parent_tid = tid ctx in
   let spawned =
     List.map
@@ -575,8 +576,8 @@ let parallel ctx ?(label = "parallel") bodies =
               (* Thread exit is a synchronisation edge too: without it a
                  final release store (e.g. an unlock) could stay buffered
                  until the join while a sibling spins on it forever. *)
-              Tso.Thread_state.drain th ctx.sink;
-              Tso.Thread_state.drain_flush_buffer th ctx.sink);
+              Tso.Thread_state.drain th ctx.stack;
+              Tso.Thread_state.drain_flush_buffer th ctx.stack);
         })
       spawned
   in
@@ -601,8 +602,8 @@ let parallel ctx ?(label = "parallel") bodies =
      [after_crash] resets the list). *)
   List.iter
     (fun (th, _) ->
-      Tso.Thread_state.drain th ctx.sink;
-      Tso.Thread_state.drain_flush_buffer th ctx.sink;
+      Tso.Thread_state.drain th ctx.stack;
+      Tso.Thread_state.drain_flush_buffer th ctx.stack;
       emit ctx
         (Analysis.Event.Thread_join { tid = Tso.Thread_state.tid th; parent = parent_tid; label }))
     spawned;

@@ -117,7 +117,12 @@ val in_recovery : t -> bool
     serve as both the pre- and post-failure program. *)
 
 val store : t -> ?label:string -> width:int -> Pmem.Addr.t -> int -> unit
+(** A little-endian [width]-byte store of the value's low bytes. Raises
+    [Invalid_argument] unless [1 <= width <= Pmem.Bytes_le.max_width]. *)
+
 val load : t -> ?label:string -> width:int -> Pmem.Addr.t -> int
+(** A little-endian [width]-byte load, zero-extended. Raises
+    [Invalid_argument] unless [1 <= width <= Pmem.Bytes_le.max_width]. *)
 
 val store8 : t -> ?label:string -> Pmem.Addr.t -> int -> unit
 val store16 : t -> ?label:string -> Pmem.Addr.t -> int -> unit

@@ -38,8 +38,9 @@ let mem cache key = List.exists (fun s -> s.key = key) cache.snaps
    records' queues are frozen already and keep whatever bound they carry
    (restored replays can themselves be captured). The initial image is
    immutable and shared outright. *)
-let capture ~key ~stack ~seq ~threads ~trace ~failure_count ~fp_count ~rng ~last
+let capture ~key ~stack ~threads ~trace ~failure_count ~fp_count ~rng ~last
     ~crash_label =
+  let seq = Exec.Exec_stack.cur_seq stack in
   let stack =
     List.mapi
       (fun i e ->

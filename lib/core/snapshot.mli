@@ -31,7 +31,9 @@ type t = {
   stack : Exec.Exec_record.t list;
       (** Master copies of the execution stack, top first; never mutated —
           {!materialize} copies them again per restore. *)
-  seq : int;  (** Global store/flush sequence counter at the capture. *)
+  seq : int;
+      (** The stack's store/flush sequence counter ({!Exec.Exec_stack.cur_seq})
+          at the capture. *)
   threads : Tso.Thread_state.t list;
       (** Per-thread TSO state (store/flush buffers, timestamps); empty
           buffers under eager eviction, live ones under buffered. *)
@@ -56,7 +58,6 @@ val crash_key : Choice.t -> key
 val capture :
   key:key ->
   stack:Exec.Exec_stack.t ->
-  seq:int ->
   threads:Tso.Thread_state.t list ->
   trace:Trace.t ->
   failure_count:int ->
@@ -65,9 +66,10 @@ val capture :
   last:string ->
   crash_label:string option ->
   t
-(** Deep-copies the live state into an immutable master snapshot. The top
-    execution record is fully cloned (the capturing replay keeps writing
-    into the original), buried records share their frozen store queues. *)
+(** Deep-copies the live state, including the stack's sequence counter, into
+    an immutable master snapshot. The top execution record is fully cloned
+    (the capturing replay keeps writing into the original), buried records
+    share their frozen store queues. *)
 
 val materialize : deep_top:bool -> t -> Exec.Exec_record.t list * Tso.Thread_state.t list
 (** Fresh mutable copies of the stack records and thread states for one

@@ -33,9 +33,7 @@ let queue e addr =
       Hashtbl.add e.queues addr q;
       q
 
-let queue_opt e addr = Hashtbl.find_opt e.queues addr
-
-(* Unboxed line-interval reads: the per-line state lives in the flat
+(* Line-interval reads: the per-line state lives in the flat
    {!Pmem.Line_table}, so the bounds come back as plain ints. The slot index
    is only valid until the next insertion, hence the immediate reads. *)
 let line_lo e addr =
@@ -55,16 +53,10 @@ let lower_line_hi e addr ~seq =
   let lines = e.lines in
   Pmem.Line_table.lower_hi lines (Pmem.Line_table.find lines (Pmem.Addr.line_of addr)) seq
 
-(* Boxed view for cold paths (state counters, tests): a copy, not an alias —
-   refinements must go through {!raise_line_lo} / {!lower_line_hi}. *)
-let cacheline e addr =
-  let lo, hi = line_bounds e addr in
-  Pmem.Interval.of_bounds ~lo ~hi
-
 let push_store e addr ~value ~seq ~label =
   if e.seq_bound <> max_int then
     invalid_arg "Exec_record.push_store: snapshot views are read-only";
-  Store_queue.push_unboxed (queue e addr) ~value ~seq ~label;
+  Store_queue.push (queue e addr) ~value ~seq ~label;
   e.store_count <- e.store_count + 1
 
 (* Bounded store accessors: the visible history of [addr] is the queue prefix
@@ -73,26 +65,12 @@ let push_store e addr ~value ~seq ~label =
 let visible_len e q =
   if e.seq_bound = max_int then Store_queue.length q else Store_queue.count_le q e.seq_bound
 
-let stores_opt e addr =
+let visible_stores e addr =
   match Hashtbl.find_opt e.queues addr with
   | None -> None
   | Some q ->
       let n = visible_len e q in
       if n = 0 then None else Some (q, n)
-
-let visible_stores = stores_opt
-let has_stores e addr = stores_opt e addr <> None
-
-let fold_stores f e addr acc =
-  match stores_opt e addr with
-  | None -> acc
-  | Some (q, n) -> Store_queue.fold_prefix f q n acc
-
-let first_store e addr =
-  match stores_opt e addr with None -> None | Some (q, _) -> Some (Store_queue.get q 0)
-
-let last_store e addr =
-  match stores_opt e addr with None -> None | Some (q, n) -> Some (Store_queue.get q (n - 1))
 
 let last_store_byte e addr =
   match Hashtbl.find_opt e.queues addr with
@@ -102,20 +80,15 @@ let last_store_byte e addr =
       if n = 0 then -1 else Store_queue.value_at q (n - 1)
 
 let next_store_seq_after e addr s =
-  match stores_opt e addr with
-  | None -> Pmem.Interval.infinity
+  match visible_stores e addr with
+  | None -> Pmem.Line_table.infinity
   | Some (q, _) ->
       let r = Store_queue.next_seq_after q s in
-      if r > e.seq_bound then Pmem.Interval.infinity else r
+      if r > e.seq_bound then Pmem.Line_table.infinity else r
 
 let flush_line e addr ~seq =
   raise_line_lo e addr ~seq;
   e.flush_count <- e.flush_count + 1
-
-(* Line-interval enumeration for state canonicalization: [f line ~lo ~hi]
-   over every materialized line, in unspecified order (callers sort). Lines
-   still at the default [0, inf) are indistinguishable from absent ones to
-   every reader, so canonicalizers must skip them. *)
 
 (* A read-only view that stays correct while the original keeps executing,
    for the failure-point snapshot layer. Line intervals are duplicated — a
@@ -160,19 +133,6 @@ let store_count e = e.store_count
 let flush_count e = e.flush_count
 
 let written_addrs e =
-  Hashtbl.fold (fun addr _ acc -> if has_stores e addr then addr :: acc else acc) e.queues []
-
-let unflushed_store_count e addr =
-  match stores_opt e addr with
-  | None -> 0
-  | Some (q, n) ->
-      let lo = line_lo e addr in
-      let m = ref 0 in
-      for i = 0 to n - 1 do
-        if Store_queue.seq_at q i > lo then incr m
-      done;
-      !m
-
-let pp ppf e =
-  Format.fprintf ppf "exec#%d: %d stores, %d flushes over %d addrs" e.id e.store_count
-    e.flush_count (Hashtbl.length e.queues)
+  Hashtbl.fold
+    (fun addr q acc -> if visible_len e q > 0 then addr :: acc else acc)
+    e.queues []

@@ -23,24 +23,13 @@ val initial : unit -> t
 val id : t -> int
 val is_initial : t -> bool
 
-val queue : t -> Pmem.Addr.t -> Store_queue.t
-(** The store history for one byte address, created empty on first use. *)
-
-val queue_opt : t -> Pmem.Addr.t -> Store_queue.t option
-(** Like {!queue} but without materialising an empty history. *)
-
-val cacheline : t -> Pmem.Addr.t -> Pmem.Interval.t
-(** A boxed {e copy} of the last-writeback interval of the line containing
-    the given byte, created as [\[0, inf)] on first use. Read-only: the live
-    per-line state is unboxed (see {!line_bounds}); refinements must go
-    through {!raise_line_lo} / {!lower_line_hi}, and a copy taken before a
-    refinement does not see it. *)
-
 val line_lo : t -> Pmem.Addr.t -> int
-(** The line's last-writeback lower bound, without boxing. *)
+(** The last-writeback lower bound of the line containing the given byte
+    ([0] for a line no flush has reached). *)
 
 val line_bounds : t -> Pmem.Addr.t -> int * int
-(** The line's [(lo, hi)] bounds, without boxing. *)
+(** The [(lo, hi)] last-writeback interval of the line containing the given
+    byte, [(0, Pmem.Line_table.infinity)] for an untouched line. *)
 
 val raise_line_lo : t -> Pmem.Addr.t -> seq:int -> unit
 (** Raises the line's lower bound to [seq] if higher (a flush took effect). *)
@@ -58,26 +47,17 @@ val flush_line : t -> Pmem.Addr.t -> seq:int -> unit
 
 (** {1 Bounded store accessors}
 
-    Read paths must use these instead of touching {!queue_opt} directly: a
-    snapshot view (below) shares the live record's queue table and hides
-    every store pushed after the capture behind a sequence-number bound, and
-    only these accessors apply that bound. On ordinary records they see the
-    whole queue. *)
-
-val has_stores : t -> Pmem.Addr.t -> bool
-(** Whether [addr] has at least one visible store. *)
+    The only read paths into the store histories: a snapshot view (below)
+    shares the live record's queue table and hides every store pushed after
+    the capture behind a sequence-number bound, which these accessors apply.
+    On ordinary records they see the whole queue. *)
 
 val visible_stores : t -> Pmem.Addr.t -> (Store_queue.t * int) option
-(** The store history of [addr] together with its visible length (the prefix
-    a snapshot view exposes), for unboxed indexed reads via
-    {!Store_queue.value_at} and friends. Indices [0 .. n-1] are visible; the
-    queue may physically hold more. *)
-
-val fold_stores : (Store_queue.entry -> 'a -> 'a) -> t -> Pmem.Addr.t -> 'a -> 'a
-(** Oldest-first fold over the visible stores of [addr]. *)
-
-val first_store : t -> Pmem.Addr.t -> Store_queue.entry option
-val last_store : t -> Pmem.Addr.t -> Store_queue.entry option
+(** The store history of [addr] together with its visible length [n > 0]
+    (the prefix a snapshot view exposes), for indexed reads via
+    {!Store_queue.value_at} and friends, or [None] if [addr] has no visible
+    store. Indices [0 .. n-1] are visible; the queue may physically hold
+    more. *)
 
 val last_store_byte : t -> Pmem.Addr.t -> int
 (** The newest visible store's byte value at [addr], or [-1] if the address
@@ -86,7 +66,7 @@ val last_store_byte : t -> Pmem.Addr.t -> int
 
 val next_store_seq_after : t -> Pmem.Addr.t -> int -> int
 (** The sequence number of the oldest visible store of [addr] strictly newer
-    than the given seq, or {!Pmem.Interval.infinity} — the paper's "next
+    than the given seq, or {!Pmem.Line_table.infinity} — the paper's "next
     tuple" bound used to refine interval upper ends. *)
 
 (** {1 Snapshot copies}
@@ -117,11 +97,4 @@ val flush_count : t -> int
 (** Total line-flush events recorded. *)
 
 val written_addrs : t -> Pmem.Addr.t list
-(** All byte addresses with at least one recorded store (unordered). *)
-
-val unflushed_store_count : t -> Pmem.Addr.t -> int
-(** Number of stores to the byte that are not certainly persisted, i.e. with
-    sequence numbers above the line's last-writeback lower bound. Used by the
-    Yat state counter. *)
-
-val pp : Format.formatter -> t -> unit
+(** All byte addresses with at least one visible store (unordered). *)

@@ -3,7 +3,11 @@
     The paper records the sequence of executions that have run against the
     persistent store as a stack [exec]; [top] is the currently-running
     execution and [prev e] the one that failed immediately before [e] began.
-    The bottom of the stack is always the {!Exec_record.initial} image. *)
+    The bottom of the stack is always the {!Exec_record.initial} image.
+
+    The stack also owns the global sequence counter (the paper's σ_curr):
+    every sequence number stamps a store or flush taking effect in [top], so
+    evictions draw from {!next_seq} and write into {!top} directly. *)
 
 type t
 
@@ -13,6 +17,14 @@ val create : unit -> t
 
 val top : t -> Exec_record.t
 
+val next_seq : t -> int
+(** Advances the sequence counter and returns the new value (σ_curr + 1).
+    The first number drawn from a fresh stack is 1. *)
+
+val cur_seq : t -> int
+(** The last sequence number drawn, without advancing (0 on a fresh
+    stack). *)
+
 val prev : t -> Exec_record.t -> Exec_record.t
 (** [prev s e] is the execution immediately below [e]. Raises
     [Invalid_argument] on the initial record or a record not in [s]. *)
@@ -21,10 +33,11 @@ val push_fresh : t -> Exec_record.t
 (** Simulates a power failure: pushes and returns a new empty execution on
     top of the stack. Volatile state is the caller's to reset. *)
 
-val restore : t -> Exec_record.t list -> unit
-(** Replaces the whole stack with the given records (top first). The caller
-    owns the records — the snapshot layer passes freshly materialised
-    copies. Raises [Invalid_argument] if the list is empty or its bottom is
+val restore : t -> seq:int -> Exec_record.t list -> unit
+(** Replaces the whole stack with the given records (top first) and sets the
+    sequence counter to [seq], the value {!cur_seq} had when they were
+    captured. The caller owns the records — the snapshot layer passes freshly
+    materialised copies. Raises [Invalid_argument] if the list is empty or its bottom is
     not the {!Exec_record.initial} image. *)
 
 val depth : t -> int

@@ -1,10 +1,8 @@
 (* Structure-of-arrays slab: values, sequence numbers and labels in parallel
    arrays rather than one boxed record per store. A push is three array
    writes; the binary searches ([count_le], [next_seq_after]) scan a flat
-   [int array] of seqs; [copy] for the snapshot layer is three blits. The
-   boxed {!entry} view survives only on cold paths (reports, tests). *)
-
-type entry = { value : int; seq : int; label : string }
+   [int array] of seqs; [truncated_copy] for the snapshot layer is three
+   array copies. *)
 
 type t = {
   mutable values : int array;
@@ -15,7 +13,6 @@ type t = {
 
 let create () = { values = [||]; seqs = [||]; labels = [||]; len = 0 }
 let length q = q.len
-let is_empty q = q.len = 0
 
 let grow q =
   let cap = Array.length q.seqs in
@@ -28,7 +25,7 @@ let grow q =
   q.seqs <- seqs;
   q.labels <- labels
 
-let push_unboxed q ~value ~seq ~label =
+let push q ~value ~seq ~label =
   if q.len > 0 && seq <= q.seqs.(q.len - 1) then
     invalid_arg "Store_queue.push: sequence numbers must increase";
   if q.len = Array.length q.seqs then grow q;
@@ -36,11 +33,6 @@ let push_unboxed q ~value ~seq ~label =
   Array.unsafe_set q.seqs q.len seq;
   Array.unsafe_set q.labels q.len label;
   q.len <- q.len + 1
-
-let push q e = push_unboxed q ~value:e.value ~seq:e.seq ~label:e.label
-
-let copy q =
-  { values = Array.copy q.values; seqs = Array.copy q.seqs; labels = Array.copy q.labels; len = q.len }
 
 let truncated_copy q n =
   let n = min n q.len in
@@ -52,7 +44,7 @@ let truncated_copy q n =
   }
 
 let check_index q i =
-  if i < 0 || i >= q.len then invalid_arg "Store_queue.get: index out of range"
+  if i < 0 || i >= q.len then invalid_arg "Store_queue: index out of range"
 
 let value_at q i =
   check_index q i;
@@ -66,13 +58,6 @@ let label_at q i =
   check_index q i;
   Array.unsafe_get q.labels i
 
-let get q i =
-  check_index q i;
-  { value = q.values.(i); seq = q.seqs.(i); label = q.labels.(i) }
-
-let first q = if q.len = 0 then None else Some (get q 0)
-let last q = if q.len = 0 then None else Some (get q (q.len - 1))
-
 let count_le q s =
   (* Binary search: number of entries with seq <= s (seqs strictly increase). *)
   let rec loop lo hi =
@@ -83,28 +68,6 @@ let count_le q s =
   in
   loop 0 q.len
 
-let fold_prefix f q n acc =
-  let n = min n q.len in
-  let acc = ref acc in
-  for i = 0 to n - 1 do
-    acc := f (get q i) !acc
-  done;
-  !acc
-
 let next_seq_after q s =
-  (* Binary search for the oldest entry with seq > s. *)
-  let rec loop lo hi =
-    if lo >= hi then if lo >= q.len then Pmem.Interval.infinity else q.seqs.(lo)
-    else
-      let mid = (lo + hi) / 2 in
-      if Array.unsafe_get q.seqs mid <= s then loop (mid + 1) hi else loop lo mid
-  in
-  loop 0 q.len
-
-let fold f q acc = fold_prefix f q q.len acc
-
-let to_list q = List.rev (fold (fun e acc -> e :: acc) q [])
-
-let pp ppf q =
-  let pp_entry ppf e = Format.fprintf ppf "%d@@%d" e.value e.seq in
-  Format.fprintf ppf "[%a]" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp_entry) (to_list q)
+  let i = count_le q s in
+  if i >= q.len then Pmem.Line_table.infinity else Array.unsafe_get q.seqs i

@@ -2,60 +2,33 @@
 
     This is the paper's [e.queue(addr)]: the sequence of tuples [(val, seq)]
     recording the values written to one byte address, in the order the stores
-    took effect in the cache (strictly increasing sequence numbers). *)
-
-type entry = { value : int; seq : int; label : string }
-(** One store that reached the cache: the byte [value] written, the global
-    sequence number [seq] assigned when it left the store buffer, and a
-    human-readable source [label] for bug reports. A boxed {e view} — the
-    queue itself stores the three fields in parallel unboxed arrays, and hot
-    paths should use {!value_at} / {!seq_at} / {!label_at} instead. *)
+    took effect in the cache (strictly increasing sequence numbers). Each
+    entry also carries a human-readable source label for bug reports. The
+    three fields live in parallel unboxed arrays and are read by index. *)
 
 type t
 
 val create : unit -> t
 val length : t -> int
-val is_empty : t -> bool
 
-val push : t -> entry -> unit
-(** Appends a store. Its [seq] must exceed the last entry's. *)
-
-val push_unboxed : t -> value:int -> seq:int -> label:string -> unit
-(** {!push} without constructing the entry record (the hot path). *)
+val push : t -> value:int -> seq:int -> label:string -> unit
+(** Appends a store of byte [value] that reached the cache at global sequence
+    number [seq]. Its [seq] must exceed the last entry's. *)
 
 val value_at : t -> int -> int
 val seq_at : t -> int -> int
 val label_at : t -> int -> string
-(** Field reads of the [i]-th oldest entry, without boxing it. *)
-
-val copy : t -> t
-(** An independent copy: pushes to either queue never affect the other
-    (entries themselves are immutable and shared). Used by the failure-point
-    snapshot layer. *)
+(** Field reads of the [i]-th oldest entry. Raise [Invalid_argument] outside
+    [0 .. length - 1]. *)
 
 val truncated_copy : t -> int -> t
 (** [truncated_copy q n] is an independent copy of the oldest [n] entries. *)
-
-val get : t -> int -> entry
-(** [get q i] is the [i]-th oldest entry. *)
-
-val first : t -> entry option
-val last : t -> entry option
 
 val count_le : t -> int -> int
 (** [count_le q s] is the number of entries with [seq <= s] (binary search —
     seqs strictly increase). Used to bound reads to a snapshot's prefix. *)
 
-val fold_prefix : (entry -> 'a -> 'a) -> t -> int -> 'a -> 'a
-(** [fold_prefix f q n acc] folds the oldest [n] entries (oldest first). *)
-
 val next_seq_after : t -> int -> int
 (** [next_seq_after q s] is the sequence number of the oldest entry strictly
-    newer than [s], or {!Pmem.Interval.infinity} if none — the paper's "next
-    tuple" bound used to refine interval upper ends. *)
-
-val fold : (entry -> 'a -> 'a) -> t -> 'a -> 'a
-(** Oldest-first fold. *)
-
-val to_list : t -> entry list
-val pp : Format.formatter -> t -> unit
+    newer than [s], or {!Pmem.Line_table.infinity} if none — the paper's
+    "next tuple" bound used to refine interval upper ends. *)

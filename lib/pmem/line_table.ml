@@ -2,6 +2,8 @@
    cache-line numbers (>= 0); -1 marks an empty slot. There are no deletions,
    so probing never needs tombstones. *)
 
+let infinity = max_int
+
 type t = {
   mutable keys : int array;
   mutable lo : int array;
@@ -15,7 +17,7 @@ let create () =
   {
     keys = Array.make initial_capacity (-1);
     lo = Array.make initial_capacity 0;
-    hi = Array.make initial_capacity Interval.infinity;
+    hi = Array.make initial_capacity infinity;
     count = 0;
   }
 
@@ -40,7 +42,7 @@ let grow t =
   let cap' = 2 * Array.length keys in
   t.keys <- Array.make cap' (-1);
   t.lo <- Array.make cap' 0;
-  t.hi <- Array.make cap' Interval.infinity;
+  t.hi <- Array.make cap' infinity;
   Array.iteri
     (fun i k ->
       if k >= 0 then begin
@@ -59,7 +61,7 @@ let find t key =
   if Array.unsafe_get t.keys i = -1 then begin
     t.keys.(i) <- key;
     t.lo.(i) <- 0;
-    t.hi.(i) <- Interval.infinity;
+    t.hi.(i) <- infinity;
     t.count <- t.count + 1
   end;
   i

@@ -33,51 +33,57 @@ let exec_store th addr ~value ~width ~label =
 let exec_clflush th addr ~label =
   Store_buffer.enqueue th.sb (Store_buffer.Clflush { addr; label })
 
-let exec_clflushopt th (sink : Sink.t) addr ~label =
-  Store_buffer.enqueue th.sb (Store_buffer.Clflushopt { addr; enq_seq = sink.cur_seq (); label })
+let exec_clflushopt th stack addr ~label =
+  Store_buffer.enqueue th.sb
+    (Store_buffer.Clflushopt { addr; enq_seq = Exec.Exec_stack.cur_seq stack; label })
 
 let exec_sfence th = Store_buffer.enqueue th.sb Store_buffer.Sfence
 
-(* Phase two: eviction (Fig. 8). *)
+(* Phase two: eviction (Fig. 8). Every effect lands in the execution on top
+   of the stack, stamped from the stack's sequence counter. *)
 
-let drain_flush_buffer th (sink : Sink.t) =
-  Flush_buffer.drain th.fb (fun { Flush_buffer.addr; bound } -> sink.flush_line addr ~seq:bound)
+let drain_flush_buffer th stack =
+  let record = Exec.Exec_stack.top stack in
+  Flush_buffer.drain th.fb (fun { Flush_buffer.addr; bound } ->
+      Exec.Exec_record.flush_line record addr ~seq:bound)
 
-let apply th (sink : Sink.t) entry =
+let apply th stack entry =
   match entry with
   | Store_buffer.Store { addr; value; width; label } ->
       (* All bytes of one store hit the cache atomically, sharing one
          sequence number (paper §4, mixed-size accesses). *)
-      let seq = sink.next_seq () in
+      let seq = Exec.Exec_stack.next_seq stack in
+      let record = Exec.Exec_stack.top stack in
       for i = 0 to width - 1 do
-        sink.push_store (addr + i) ~value:(Pmem.Bytes_le.byte_at ~width value i) ~seq ~label
+        Exec.Exec_record.push_store record (addr + i)
+          ~value:(Pmem.Bytes_le.byte_at ~width value i) ~seq ~label
       done;
       Pmem.Addr.iter_lines_spanned (fun line -> set_line_ts th line seq) addr width
   | Store_buffer.Clflush { addr; label = _ } ->
-      let seq = sink.next_seq () in
-      sink.flush_line addr ~seq;
+      let seq = Exec.Exec_stack.next_seq stack in
+      Exec.Exec_record.flush_line (Exec.Exec_stack.top stack) addr ~seq;
       set_line_ts th (Pmem.Addr.line_of addr) seq
   | Store_buffer.Clflushopt { addr; enq_seq; label = _ } ->
       let line = Pmem.Addr.line_of addr in
       let bound = max enq_seq (max (line_ts th line) th.fence_ts) in
       Flush_buffer.add th.fb { Flush_buffer.addr; bound }
   | Store_buffer.Sfence ->
-      let seq = sink.next_seq () in
-      drain_flush_buffer th sink;
+      let seq = Exec.Exec_stack.next_seq stack in
+      drain_flush_buffer th stack;
       th.fence_ts <- seq
 
-let evict_one th sink =
+let evict_one th stack =
   match Store_buffer.dequeue th.sb with
   | None -> false
   | Some entry ->
-      apply th sink entry;
+      apply th stack entry;
       true
 
-let rec drain th sink = if evict_one th sink then drain th sink
+let rec drain th stack = if evict_one th stack then drain th stack
 
-let exec_mfence th sink =
-  drain th sink;
-  drain_flush_buffer th sink
+let exec_mfence th stack =
+  drain th stack;
+  drain_flush_buffer th stack
 
 let reset th =
   Store_buffer.clear th.sb;

@@ -3,8 +3,9 @@
 
     Instruction execution (the [exec_*] functions) enqueues into the thread's
     store buffer; eviction ([evict_one], [drain]) pops entries and applies
-    their cache / persistent-storage effects through a {!Sink.t}. The thread
-    also tracks the per-line and per-fence timestamps used to compute the
+    their cache / persistent-storage effects to the top of an
+    {!Exec.Exec_stack.t}, stamping them from the stack's sequence counter.
+    The thread also tracks the per-line and per-fence timestamps used to compute the
     flush-buffer lower bounds for [clflushopt]. *)
 
 type t
@@ -28,23 +29,23 @@ val exec_store : t -> Pmem.Addr.t -> value:int -> width:int -> label:string -> u
 
 val exec_clflush : t -> Pmem.Addr.t -> label:string -> unit
 
-val exec_clflushopt : t -> Sink.t -> Pmem.Addr.t -> label:string -> unit
-(** Captures the current sequence number at execution time. *)
+val exec_clflushopt : t -> Exec.Exec_stack.t -> Pmem.Addr.t -> label:string -> unit
+(** Captures the stack's current sequence number at execution time. *)
 
 val exec_sfence : t -> unit
 
-val exec_mfence : t -> Sink.t -> unit
+val exec_mfence : t -> Exec.Exec_stack.t -> unit
 (** Drains the store buffer, then the flush buffer (mfence is not buffered). *)
 
 (** {1 Phase two — updating storage (Fig. 8)} *)
 
-val evict_one : t -> Sink.t -> bool
+val evict_one : t -> Exec.Exec_stack.t -> bool
 (** Pops and applies the oldest store-buffer entry. [false] when empty. *)
 
-val drain : t -> Sink.t -> unit
+val drain : t -> Exec.Exec_stack.t -> unit
 (** Evicts until the store buffer is empty. *)
 
-val drain_flush_buffer : t -> Sink.t -> unit
+val drain_flush_buffer : t -> Exec.Exec_stack.t -> unit
 (** Applies and empties the flush buffer (sfence/mfence/RMW semantics). *)
 
 val reset : t -> unit

@@ -17,12 +17,11 @@ let snapshot_record record =
   let by_line : (int, (Pmem.Addr.t * (int * int) list) list ref) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun addr ->
-      match Exec.Exec_record.queue_opt record addr with
+      match Exec.Exec_record.visible_stores record addr with
       | None -> ()
-      | Some q ->
+      | Some (q, n) ->
           let entries =
-            List.map (fun e -> (e.Exec.Store_queue.seq, e.Exec.Store_queue.value))
-              (Exec.Store_queue.to_list q)
+            List.init n (fun i -> (Exec.Store_queue.seq_at q i, Exec.Store_queue.value_at q i))
           in
           let line = Pmem.Addr.line_of addr in
           let cell =
@@ -38,9 +37,7 @@ let snapshot_record record =
   Hashtbl.fold
     (fun line cell acc ->
       let byte_entries = List.rev !cell in
-      let lo =
-        Pmem.Interval.lo (Exec.Exec_record.cacheline record (line * Pmem.Addr.cache_line_size))
-      in
+      let lo = Exec.Exec_record.line_lo record (line * Pmem.Addr.cache_line_size) in
       let events =
         List.sort_uniq compare
           (List.concat_map

@@ -7,11 +7,11 @@ let unflushed_events_by_line record =
   let by_line : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun addr ->
-      match Exec.Exec_record.queue_opt record addr with
+      match Exec.Exec_record.visible_stores record addr with
       | None -> ()
-      | Some q ->
+      | Some (q, n) ->
           let line = Pmem.Addr.line_of addr in
-          let lo = Pmem.Interval.lo (Exec.Exec_record.cacheline record addr) in
+          let lo = Exec.Exec_record.line_lo record addr in
           let seqs =
             match Hashtbl.find_opt by_line line with
             | Some s -> s
@@ -20,10 +20,10 @@ let unflushed_events_by_line record =
                 Hashtbl.add by_line line s;
                 s
           in
-          Exec.Store_queue.fold
-            (fun entry () ->
-              if entry.Exec.Store_queue.seq > lo then Hashtbl.replace seqs entry.seq ())
-            q ())
+          for i = 0 to n - 1 do
+            let seq = Exec.Store_queue.seq_at q i in
+            if seq > lo then Hashtbl.replace seqs seq ()
+          done)
     (Exec.Exec_record.written_addrs record);
   by_line
 

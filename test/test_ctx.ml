@@ -215,6 +215,45 @@ let test_load8_inside_store64 () =
       Ctx.check ctx (Ctx.load64 ctx (base + 8) = -1) "negative word";
       Ctx.check ctx (Ctx.load8 ctx (base + 15) = 0x7f) "63-bit top byte")
 
+(* --- access widths ---------------------------------------------------------- *)
+
+(* A width outside [1, max_width] is rejected before the access executes,
+   under either eviction policy: nothing reaches the store buffer, so later
+   loads and fences see only the valid accesses. *)
+let test_width_rejected policy () =
+  let config = { no_failures with Config.evict_policy = policy } in
+  let raised = ref [] in
+  let attempt f =
+    match f () with
+    | () -> raised := "accepted" :: !raised
+    | exception Invalid_argument m -> raised := m :: !raised
+  in
+  let o =
+    run_one ~config (fun ctx ->
+        List.iter
+          (fun width ->
+            attempt (fun () -> Ctx.store ctx ~width base 5);
+            attempt (fun () -> ignore (Ctx.load ctx ~width base)))
+          [ 0; 9; -1 ];
+        Ctx.check ctx (Ctx.load64 ctx base = 0) "a rejected store forwards nothing";
+        Ctx.store ctx ~width:8 (base + 8) 7;
+        Ctx.mfence ctx ();
+        Ctx.check ctx (Ctx.load64 ctx base = 0) "a rejected store never reaches the cache";
+        Ctx.check ctx (Ctx.load ctx ~width:8 (base + 8) = 7) "full width still accepted")
+  in
+  (match o.Explorer.bugs with [] -> () | b :: _ -> Alcotest.failf "%a" Bug.pp b);
+  Alcotest.(check (list string))
+    "every bad width rejected"
+    [
+      "Ctx.store: width 0 not in [1, 8]";
+      "Ctx.load: width 0 not in [1, 8]";
+      "Ctx.store: width 9 not in [1, 8]";
+      "Ctx.load: width 9 not in [1, 8]";
+      "Ctx.store: width -1 not in [1, 8]";
+      "Ctx.load: width -1 not in [1, 8]";
+    ]
+    (List.rev !raised)
+
 (* --- threads ---------------------------------------------------------------- *)
 
 let test_parallel_tso_visibility () =
@@ -396,6 +435,13 @@ let () =
           Alcotest.test_case "merged fallback" `Quick test_merged_fallback;
           Alcotest.test_case "masked store32" `Quick test_masked_store32;
           Alcotest.test_case "load8 inside store64" `Quick test_load8_inside_store64;
+        ] );
+      ( "widths",
+        [
+          Alcotest.test_case "out-of-range rejected, eager" `Quick
+            (test_width_rejected Config.Eager);
+          Alcotest.test_case "out-of-range rejected, buffered" `Quick
+            (test_width_rejected Config.Buffered);
         ] );
       ( "threads",
         [

@@ -1,29 +1,34 @@
 (* Unit tests for execution records and the Fig. 9/10 read-from analysis. *)
 
-let entry value seq = { Exec.Store_queue.value; seq; label = Printf.sprintf "s%d" seq }
+let push q value seq = Exec.Store_queue.push q ~value ~seq ~label:(Printf.sprintf "s%d" seq)
 
 let test_store_queue_basics () =
   let q = Exec.Store_queue.create () in
-  Alcotest.(check bool) "empty" true (Exec.Store_queue.is_empty q);
-  Exec.Store_queue.push q (entry 1 5);
-  Exec.Store_queue.push q (entry 2 9);
-  Exec.Store_queue.push q (entry 3 12);
+  Alcotest.(check int) "empty" 0 (Exec.Store_queue.length q);
+  push q 1 5;
+  push q 2 9;
+  push q 3 12;
   Alcotest.(check int) "length" 3 (Exec.Store_queue.length q);
-  Alcotest.(check int) "first" 1 (Option.get (Exec.Store_queue.first q)).Exec.Store_queue.value;
-  Alcotest.(check int) "last" 3 (Option.get (Exec.Store_queue.last q)).Exec.Store_queue.value;
-  Alcotest.(check int) "get" 2 (Exec.Store_queue.get q 1).Exec.Store_queue.value;
+  Alcotest.(check int) "first" 1 (Exec.Store_queue.value_at q 0);
+  Alcotest.(check int) "last" 3 (Exec.Store_queue.value_at q (Exec.Store_queue.length q - 1));
+  Alcotest.(check int) "get" 2 (Exec.Store_queue.value_at q 1);
+  Alcotest.(check int) "seq_at" 9 (Exec.Store_queue.seq_at q 1);
+  Alcotest.(check string) "label_at" "s9" (Exec.Store_queue.label_at q 1);
   Alcotest.check_raises "non-monotone push"
-    (Invalid_argument "Store_queue.push: sequence numbers must increase") (fun () ->
-      Exec.Store_queue.push q (entry 4 12))
+    (Invalid_argument "Store_queue.push: sequence numbers must increase") (fun () -> push q 4 12);
+  Alcotest.check_raises "index past the end" (Invalid_argument "Store_queue: index out of range")
+    (fun () -> ignore (Exec.Store_queue.value_at q 3));
+  Alcotest.check_raises "negative index" (Invalid_argument "Store_queue: index out of range")
+    (fun () -> ignore (Exec.Store_queue.seq_at q (-1)))
 
 let test_next_seq_after () =
   let q = Exec.Store_queue.create () in
-  List.iter (fun s -> Exec.Store_queue.push q (entry s s)) [ 5; 9; 12; 20 ];
+  List.iter (fun s -> push q s s) [ 5; 9; 12; 20 ];
   Alcotest.(check int) "before all" 5 (Exec.Store_queue.next_seq_after q 0);
   Alcotest.(check int) "at 5" 9 (Exec.Store_queue.next_seq_after q 5);
   Alcotest.(check int) "between" 12 (Exec.Store_queue.next_seq_after q 10);
-  Alcotest.(check int) "at last" Pmem.Interval.infinity (Exec.Store_queue.next_seq_after q 20);
-  Alcotest.(check int) "past" Pmem.Interval.infinity (Exec.Store_queue.next_seq_after q 99)
+  Alcotest.(check int) "at last" Pmem.Line_table.infinity (Exec.Store_queue.next_seq_after q 20);
+  Alcotest.(check int) "past" Pmem.Line_table.infinity (Exec.Store_queue.next_seq_after q 99)
 
 let prop_next_seq_after =
   QCheck.Test.make ~name:"next_seq_after = first strictly greater" ~count:300
@@ -31,10 +36,10 @@ let prop_next_seq_after =
     (fun (seqs, s) ->
       let seqs = List.sort_uniq compare seqs in
       let q = Exec.Store_queue.create () in
-      List.iter (fun x -> Exec.Store_queue.push q (entry x x)) seqs;
+      List.iter (fun x -> push q x x) seqs;
       let expected =
         match List.filter (fun x -> x > s) seqs with
-        | [] -> Pmem.Interval.infinity
+        | [] -> Pmem.Line_table.infinity
         | x :: _ -> x
       in
       Exec.Store_queue.next_seq_after q s = expected)
@@ -47,13 +52,22 @@ let test_exec_record () =
   Exec.Exec_record.push_store e 200 ~value:9 ~seq:3 ~label:"c";
   Alcotest.(check int) "store count" 3 (Exec.Exec_record.store_count e);
   Alcotest.(check int) "queue length" 2
-    (Exec.Store_queue.length (Exec.Exec_record.queue e 100));
+    (match Exec.Exec_record.visible_stores e 100 with Some (_, n) -> n | None -> 0);
   Alcotest.(check bool) "no queue for untouched" true
-    (Exec.Exec_record.queue_opt e 300 = None);
-  Alcotest.(check int) "unflushed before flush" 2 (Exec.Exec_record.unflushed_store_count e 100);
+    (Exec.Exec_record.visible_stores e 300 = None);
+  (* Stores above the line's last-writeback lower bound are not certainly
+     persisted. *)
+  let unflushed addr =
+    match Exec.Exec_record.visible_stores e addr with
+    | None -> 0
+    | Some (q, n) ->
+        let lo = Exec.Exec_record.line_lo e addr in
+        List.length (List.filter (fun i -> Exec.Store_queue.seq_at q i > lo) (List.init n Fun.id))
+  in
+  Alcotest.(check int) "unflushed before flush" 2 (unflushed 100);
   Exec.Exec_record.flush_line e 100 ~seq:5;
-  Alcotest.(check int) "unflushed after flush" 0 (Exec.Exec_record.unflushed_store_count e 100);
-  Alcotest.(check int) "other line unaffected" 1 (Exec.Exec_record.unflushed_store_count e 200);
+  Alcotest.(check int) "unflushed after flush" 0 (unflushed 100);
+  Alcotest.(check int) "other line unaffected" 1 (unflushed 200);
   Alcotest.(check int) "flush count" 1 (Exec.Exec_record.flush_count e);
   Alcotest.(check int) "written addrs" 2 (List.length (Exec.Exec_record.written_addrs e))
 
@@ -70,6 +84,23 @@ let test_exec_stack () =
   Alcotest.(check int) "prev of new top" 1 (Exec.Exec_record.id (Exec.Exec_stack.prev s e2));
   Alcotest.check_raises "prev of initial" (Invalid_argument "Exec_stack.prev: no predecessor")
     (fun () -> ignore (Exec.Exec_stack.prev s below))
+
+let test_exec_stack_seq () =
+  let s = Exec.Exec_stack.create () in
+  Alcotest.(check int) "fresh counter" 0 (Exec.Exec_stack.cur_seq s);
+  Alcotest.(check int) "first draw" 1 (Exec.Exec_stack.next_seq s);
+  Alcotest.(check int) "second draw" 2 (Exec.Exec_stack.next_seq s);
+  Alcotest.(check int) "cur does not advance" 2 (Exec.Exec_stack.cur_seq s);
+  let records = Exec.Exec_stack.to_list s in
+  ignore (Exec.Exec_stack.push_fresh s);
+  Alcotest.(check int) "a crash keeps counting" 3 (Exec.Exec_stack.next_seq s);
+  Exec.Exec_stack.restore s ~seq:2 records;
+  Alcotest.(check int) "restore sets the counter" 2 (Exec.Exec_stack.cur_seq s);
+  Alcotest.(check int) "restore sets the records" 1 (Exec.Exec_stack.depth s);
+  Alcotest.(check int) "draws resume from the restored counter" 3 (Exec.Exec_stack.next_seq s);
+  Alcotest.check_raises "restore without the initial image"
+    (Invalid_argument "Exec_stack.restore: bottom record must be the initial image") (fun () ->
+      Exec.Exec_stack.restore s ~seq:0 [ Exec.Exec_record.create ~id:1 ])
 
 (* --- read-from semantics ------------------------------------------------- *)
 
@@ -245,6 +276,7 @@ let () =
         [
           Alcotest.test_case "exec record" `Quick test_exec_record;
           Alcotest.test_case "exec stack" `Quick test_exec_stack;
+          Alcotest.test_case "exec stack sequence counter" `Quick test_exec_stack_seq;
         ] );
       ( "read-from",
         [

@@ -12,31 +12,98 @@ let test_addr_lines () =
   Alcotest.(check (list int)) "span two" [ 0; 1 ] (Pmem.Addr.lines_spanned 60 8);
   Alcotest.(check (list int)) "span three" [ 0; 1; 2 ] (Pmem.Addr.lines_spanned 0 129)
 
-let test_interval_basics () =
-  let iv = Pmem.Interval.make () in
-  Alcotest.(check int) "lo" 0 (Pmem.Interval.lo iv);
-  Alcotest.(check int) "hi" Pmem.Interval.infinity (Pmem.Interval.hi iv);
-  Alcotest.(check bool) "not empty" false (Pmem.Interval.is_empty iv);
-  Pmem.Interval.raise_lo iv 10;
-  Pmem.Interval.raise_lo iv 5 (* no-op: lower than current *);
-  Alcotest.(check int) "lo raised" 10 (Pmem.Interval.lo iv);
-  Pmem.Interval.lower_hi iv 20;
-  Pmem.Interval.lower_hi iv 30 (* no-op *);
-  Alcotest.(check int) "hi lowered" 20 (Pmem.Interval.hi iv);
-  Alcotest.(check bool) "mem 10" true (Pmem.Interval.mem iv 10);
-  Alcotest.(check bool) "mem 19" true (Pmem.Interval.mem iv 19);
-  Alcotest.(check bool) "not mem 20" false (Pmem.Interval.mem iv 20);
-  Pmem.Interval.lower_hi iv 10;
-  Alcotest.(check bool) "now empty" true (Pmem.Interval.is_empty iv)
+(* Line_table: the per-line last-writeback intervals [lo, hi). A slot index
+   is valid only until the next insertion, so each read re-finds its line. *)
 
-let test_interval_copy_set () =
-  let a = Pmem.Interval.make () in
-  Pmem.Interval.raise_lo a 3;
-  let b = Pmem.Interval.copy a in
-  Pmem.Interval.raise_lo a 9;
-  Alcotest.(check int) "copy is independent" 3 (Pmem.Interval.lo b);
-  Pmem.Interval.set b a;
-  Alcotest.(check bool) "set copies bounds" true (Pmem.Interval.equal a b)
+module Lt = Pmem.Line_table
+
+let bounds t line =
+  let i = Lt.find t line in
+  (Lt.lo t i, Lt.hi t i)
+
+let raise_lo t line s = Lt.raise_lo t (Lt.find t line) s
+let lower_hi t line s = Lt.lower_hi t (Lt.find t line) s
+let mem t line s =
+  let lo, hi = bounds t line in
+  lo <= s && s < hi
+
+let is_empty t line =
+  let lo, hi = bounds t line in
+  lo >= hi
+
+let test_line_table_basics () =
+  let t = Lt.create () in
+  Alcotest.(check int) "lo" 0 (fst (bounds t 7));
+  Alcotest.(check int) "hi" Lt.infinity (snd (bounds t 7));
+  Alcotest.(check bool) "not empty" false (is_empty t 7);
+  raise_lo t 7 10;
+  raise_lo t 7 5 (* no-op: lower than current *);
+  Alcotest.(check int) "lo raised" 10 (fst (bounds t 7));
+  lower_hi t 7 20;
+  lower_hi t 7 30 (* no-op *);
+  Alcotest.(check int) "hi lowered" 20 (snd (bounds t 7));
+  Alcotest.(check bool) "mem 10" true (mem t 7 10);
+  Alcotest.(check bool) "mem 19" true (mem t 7 19);
+  Alcotest.(check bool) "not mem 20" false (mem t 7 20);
+  Alcotest.(check (pair int int)) "other lines untouched" (0, Lt.infinity) (bounds t 8);
+  lower_hi t 7 10;
+  Alcotest.(check bool) "now empty" true (is_empty t 7);
+  Alcotest.(check int) "two lines materialised" 2 (Lt.length t)
+
+let test_line_table_copy () =
+  let a = Lt.create () in
+  raise_lo a 1 3;
+  let b = Lt.copy a in
+  raise_lo a 1 9;
+  Alcotest.(check int) "copy is independent" 3 (fst (bounds b 1));
+  lower_hi b 1 6;
+  raise_lo b 2 4;
+  Alcotest.(check (pair int int)) "original unaffected by the copy" (9, Lt.infinity) (bounds a 1);
+  Alcotest.(check int) "line added to the copy only" 1 (Lt.length a);
+  Alcotest.(check int) "copy keeps its own lines" 2 (Lt.length b)
+
+let test_line_table_grows () =
+  let t = Lt.create () in
+  let n = 1_000 in
+  (* Scattered line numbers, so several grows rehash colliding probes. *)
+  let line k = (k * 7919) + (k land 3) in
+  for k = 0 to n - 1 do
+    raise_lo t (line k) (k + 1);
+    lower_hi t (line k) (2 * n + k)
+  done;
+  Alcotest.(check int) "every line stored" n (Lt.length t);
+  for k = 0 to n - 1 do
+    if bounds t (line k) <> (k + 1, 2 * n + k) then
+      Alcotest.failf "line %d lost its interval across grows" (line k)
+  done;
+  Alcotest.(check int) "lookups insert nothing" n (Lt.length t)
+
+let test_line_table_negative () =
+  Alcotest.check_raises "negative line" (Invalid_argument "Line_table.find: negative line")
+    (fun () -> ignore (Lt.find (Lt.create ()) (-1)))
+
+(* Against a model: lo is the largest raise (or 0), hi the smallest lowering
+   (or infinity), whatever the order of refinements across a few lines. *)
+let prop_line_table_monotone =
+  QCheck.Test.make ~name:"line_table refinements are monotone" ~count:300
+    QCheck.(list (triple bool (int_range 0 5) (int_range 0 1000)))
+    (fun ops ->
+      let t = Lt.create () in
+      let model = Hashtbl.create 8 in
+      List.iter
+        (fun (up, line, s) ->
+          let lo, hi = Option.value ~default:(0, Lt.infinity) (Hashtbl.find_opt model line) in
+          if up then begin
+            raise_lo t line s;
+            Hashtbl.replace model line (max lo s, hi)
+          end
+          else begin
+            lower_hi t line s;
+            Hashtbl.replace model line (lo, min hi s)
+          end)
+        ops;
+      Hashtbl.fold (fun line b ok -> ok && bounds t line = b) model true
+      && Lt.length t = Hashtbl.length model)
 
 let test_bytes_known () =
   Alcotest.(check (list int)) "explode 1" [ 0xff ] (Pmem.Bytes_le.explode ~width:1 0xff);
@@ -101,10 +168,13 @@ let () =
     [
       ( "addr",
         [ Alcotest.test_case "lines" `Quick test_addr_lines ] );
-      ( "interval",
+      ( "line_table",
         [
-          Alcotest.test_case "basics" `Quick test_interval_basics;
-          Alcotest.test_case "copy/set" `Quick test_interval_copy_set;
+          Alcotest.test_case "basics" `Quick test_line_table_basics;
+          Alcotest.test_case "copy" `Quick test_line_table_copy;
+          Alcotest.test_case "1000 lines across grows" `Quick test_line_table_grows;
+          Alcotest.test_case "negative line" `Quick test_line_table_negative;
+          QCheck_alcotest.to_alcotest prop_line_table_monotone;
         ] );
       ( "bytes",
         [

@@ -1,10 +1,10 @@
 (* The TSO storage machinery: buffers, eviction algorithms, and Table 1
    checked behaviourally. *)
 
-let mk_sink () =
-  let seq = ref 0 in
-  let record = Exec.Exec_record.create ~id:1 in
-  (Tso.Sink.to_exec_record ~seq record, record, seq)
+(* Evictions write into the top of an execution stack; [record] is that top. *)
+let mk_stack () =
+  let stack = Exec.Exec_stack.create () in
+  (stack, Exec.Exec_stack.top stack)
 
 let test_store_buffer_fifo () =
   let sb = Tso.Store_buffer.create () in
@@ -135,7 +135,7 @@ let sb_load sb record a w =
 
 let prop_forwarding_matches_model =
   QCheck.Test.make ~name:"forwarding = newest-store model" ~count:300 sb_ops_arb (fun ops ->
-      let sink, record, _ = mk_sink () in
+      let stack, record = mk_stack () in
       let th = Tso.Thread_state.create ~tid:0 in
       let sb = Tso.Thread_state.store_buffer th in
       let m = { pending = []; drained = Hashtbl.create 32 } in
@@ -165,7 +165,7 @@ let prop_forwarding_matches_model =
               Tso.Thread_state.exec_sfence th;
               m.pending <- op :: m.pending
           | Ev ->
-              ignore (Tso.Thread_state.evict_one th sink);
+              ignore (Tso.Thread_state.evict_one th stack);
               model_evict m);
           Alcotest.(check int) "buffer length" (List.length m.pending) (Tso.Store_buffer.length sb);
           check_all (pp_sb_op op))
@@ -174,75 +174,73 @@ let prop_forwarding_matches_model =
 
 let test_store_atomic_bytes () =
   (* All bytes of a store take effect with one sequence number. *)
-  let sink, record, _ = mk_sink () in
+  let stack, record = mk_stack () in
   let th = Tso.Thread_state.create ~tid:0 in
   Tso.Thread_state.exec_store th 100 ~value:0x0807060504030201 ~width:8 ~label:"w";
-  Tso.Thread_state.drain th sink;
-  let seqs =
-    List.map
-      (fun i -> (Option.get (Exec.Store_queue.last (Exec.Exec_record.queue record (100 + i)))).Exec.Store_queue.seq)
-      [ 0; 1; 7 ]
+  Tso.Thread_state.drain th stack;
+  let last_seq addr =
+    match Exec.Exec_record.visible_stores record addr with
+    | Some (q, n) -> Exec.Store_queue.seq_at q (n - 1)
+    | None -> Alcotest.fail "byte not stored"
   in
+  let seqs = List.map (fun i -> last_seq (100 + i)) [ 0; 1; 7 ] in
   Alcotest.(check (list int)) "one seq for all bytes" [ 1; 1; 1 ] seqs
 
 let test_clflush_raises_lo () =
-  let sink, record, _ = mk_sink () in
+  let stack, record = mk_stack () in
   let th = Tso.Thread_state.create ~tid:0 in
   Tso.Thread_state.exec_store th 100 ~value:1 ~width:1 ~label:"w";
   Tso.Thread_state.exec_clflush th 100 ~label:"fl";
-  Tso.Thread_state.drain th sink;
-  let iv = Exec.Exec_record.cacheline record 100 in
-  Alcotest.(check int) "flush seq" 2 (Pmem.Interval.lo iv)
+  Tso.Thread_state.drain th stack;
+  Alcotest.(check int) "flush seq" 2 (Exec.Exec_record.line_lo record 100)
 
 let test_clflushopt_waits_for_fence () =
   (* An evicted clflushopt parks in the flush buffer; only a fence applies it. *)
-  let sink, record, _ = mk_sink () in
+  let stack, record = mk_stack () in
   let th = Tso.Thread_state.create ~tid:0 in
   Tso.Thread_state.exec_store th 100 ~value:1 ~width:1 ~label:"w";
-  Tso.Thread_state.exec_clflushopt th sink 100 ~label:"opt";
-  Tso.Thread_state.drain th sink;
+  Tso.Thread_state.exec_clflushopt th stack 100 ~label:"opt";
+  Tso.Thread_state.drain th stack;
   Alcotest.(check int) "not yet applied" 0
-    (Pmem.Interval.lo (Exec.Exec_record.cacheline record 100));
+    (Exec.Exec_record.line_lo record 100);
   Alcotest.(check int) "parked in fb" 1 (Tso.Flush_buffer.length (Tso.Thread_state.flush_buffer th));
   Tso.Thread_state.exec_sfence th;
-  Tso.Thread_state.drain th sink;
-  (* cacheline returns a copy: re-fetch after the drain mutates the record. *)
+  Tso.Thread_state.drain th stack;
   Alcotest.(check bool) "applied after sfence" true
-    (Pmem.Interval.lo (Exec.Exec_record.cacheline record 100) >= 1);
+    (Exec.Exec_record.line_lo record 100 >= 1);
   Alcotest.(check int) "fb empty" 0 (Tso.Flush_buffer.length (Tso.Thread_state.flush_buffer th))
 
 let test_clflushopt_bound_is_preceding_store () =
   (* The applied lower bound covers the same-line store that preceded the
      clflushopt (they cannot reorder), Fig. 8's max computation. *)
-  let sink, record, _ = mk_sink () in
+  let stack, record = mk_stack () in
   let th = Tso.Thread_state.create ~tid:0 in
   Tso.Thread_state.exec_store th 100 ~value:1 ~width:1 ~label:"w1";
-  Tso.Thread_state.drain th sink (* store gets seq 1 *);
-  Tso.Thread_state.exec_clflushopt th sink 100 ~label:"opt";
-  Tso.Thread_state.drain th sink;
+  Tso.Thread_state.drain th stack (* store gets seq 1 *);
+  Tso.Thread_state.exec_clflushopt th stack 100 ~label:"opt";
+  Tso.Thread_state.drain th stack;
   Tso.Thread_state.exec_store th 100 ~value:2 ~width:1 ~label:"w2";
-  Tso.Thread_state.drain th sink (* seq 2: must NOT be covered *);
+  Tso.Thread_state.drain th stack (* seq 2: must NOT be covered *);
   Tso.Thread_state.exec_sfence th;
-  Tso.Thread_state.drain th sink;
-  let iv = Exec.Exec_record.cacheline record 100 in
-  Alcotest.(check int) "bound = first store's seq" 1 (Pmem.Interval.lo iv)
+  Tso.Thread_state.drain th stack;
+  Alcotest.(check int) "bound = first store's seq" 1 (Exec.Exec_record.line_lo record 100)
 
 let test_mfence_immediate () =
-  let sink, record, _ = mk_sink () in
+  let stack, record = mk_stack () in
   let th = Tso.Thread_state.create ~tid:0 in
   Tso.Thread_state.exec_store th 100 ~value:1 ~width:1 ~label:"w";
-  Tso.Thread_state.exec_clflushopt th sink 100 ~label:"opt";
-  Tso.Thread_state.exec_mfence th sink;
+  Tso.Thread_state.exec_clflushopt th stack 100 ~label:"opt";
+  Tso.Thread_state.exec_mfence th stack;
   Alcotest.(check bool) "sb drained" true
     (Tso.Store_buffer.is_empty (Tso.Thread_state.store_buffer th));
   Alcotest.(check bool) "flush applied" true
-    (Pmem.Interval.lo (Exec.Exec_record.cacheline record 100) >= 1)
+    (Exec.Exec_record.line_lo record 100 >= 1)
 
 let test_reset_clears_everything () =
-  let sink, _, _ = mk_sink () in
+  let stack, _ = mk_stack () in
   let th = Tso.Thread_state.create ~tid:0 in
   Tso.Thread_state.exec_store th 100 ~value:1 ~width:1 ~label:"w";
-  Tso.Thread_state.exec_clflushopt th sink 100 ~label:"opt";
+  Tso.Thread_state.exec_clflushopt th stack 100 ~label:"opt";
   Tso.Thread_state.reset th;
   Alcotest.(check bool) "sb empty" true
     (Tso.Store_buffer.is_empty (Tso.Thread_state.store_buffer th));
@@ -285,18 +283,18 @@ let test_table1_rows () =
    line may overtake an earlier clflushopt (W column of the clflushopt row),
    while an sfence forbids it. Observed through the applied lower bound. *)
 let test_table1_behavioural_clflushopt_store () =
-  let sink, record, _ = mk_sink () in
+  let stack, record = mk_stack () in
   let th = Tso.Thread_state.create ~tid:0 in
   Tso.Thread_state.exec_store th 100 ~value:1 ~width:1 ~label:"w1";
-  Tso.Thread_state.exec_clflushopt th sink 100 ~label:"opt";
+  Tso.Thread_state.exec_clflushopt th stack 100 ~label:"opt";
   Tso.Thread_state.exec_store th 200 ~value:2 ~width:1 ~label:"other line";
-  Tso.Thread_state.drain th sink;
+  Tso.Thread_state.drain th stack;
   (* The other-line store took effect in the cache even though the earlier
      clflushopt has not been applied: they reordered. *)
   Alcotest.(check bool) "other store visible" true
-    (Exec.Exec_record.queue_opt record 200 <> None);
+    (Exec.Exec_record.visible_stores record 200 <> None);
   Alcotest.(check int) "flush still pending" 0
-    (Pmem.Interval.lo (Exec.Exec_record.cacheline record 100))
+    (Exec.Exec_record.line_lo record 100)
 
 let () =
   Alcotest.run "tso"

@@ -45,6 +45,20 @@ let count_flush_resets () =
   Alcotest.(check int) "fps" 2 t.Yat.State_count.failure_points;
   Alcotest.(check (float 1e-9)) "log10" (log10 5.) t.Yat.State_count.log10_total
 
+let count_flush_bound_inclusive () =
+  (* A line written back at or after seq [lo] holds every store with seq <=
+     lo: one built by hand with two byte stores and a writeback bound equal
+     to the newer store's seq has a single state; a third store adds one. *)
+  let e = Exec.Exec_record.create ~id:1 in
+  Exec.Exec_record.push_store e base ~value:1 ~seq:3 ~label:"a";
+  Exec.Exec_record.push_store e (base + 1) ~value:2 ~seq:5 ~label:"b";
+  Exec.Exec_record.flush_line e base ~seq:5;
+  Alcotest.(check (float 1e-9)) "bound covers its own seq" 0.
+    (Yat.State_count.log10_states_at e);
+  Exec.Exec_record.push_store e (base + 2) ~value:3 ~seq:6 ~label:"c";
+  Alcotest.(check (float 1e-9)) "newer store adds a state" (log10 2.)
+    (Yat.State_count.log10_states_at e)
+
 let count_recipe_explosion () =
   (* The paper's key claim: eager counts are astronomically larger than the
      handful of executions Jaaru explores. *)
@@ -53,8 +67,14 @@ let count_recipe_explosion () =
   let t = Yat.State_count.analyze pre in
   Format.printf "CCEH yat: %a@." Yat.State_count.pp t;
   (* Millions of eager states where Jaaru explores a few dozen executions;
-     the bench harness reports the full-size numbers. *)
-  Alcotest.(check bool) "astronomical" true (t.Yat.State_count.log10_total > 5.)
+     the bench harness reports the full-size numbers. The exact figures pin
+     the counter's reading of the execution record. *)
+  Alcotest.(check bool) "astronomical" true (t.Yat.State_count.log10_total > 5.);
+  Alcotest.(check (float 1e-9)) "log10 count" 7.098502029269 t.Yat.State_count.log10_total;
+  Alcotest.(check string) "printed count" "1.25x10^7"
+    (Format.asprintf "%a" Yat.State_count.pp_count t.Yat.State_count.log10_total);
+  Alcotest.(check int) "failure points" 68 t.Yat.State_count.failure_points;
+  Alcotest.(check int) "largest line" 21 t.Yat.State_count.max_line_states
 
 (* --- eager vs lazy equivalence on richer programs --------------------------- *)
 
@@ -132,6 +152,7 @@ let () =
           Alcotest.test_case "one line" `Quick count_simple;
           Alcotest.test_case "independent lines" `Quick count_independent_lines;
           Alcotest.test_case "flush resets" `Quick count_flush_resets;
+          Alcotest.test_case "flush bound inclusive" `Quick count_flush_bound_inclusive;
           Alcotest.test_case "recipe explosion" `Quick count_recipe_explosion;
           Alcotest.test_case "pp small" `Quick pp_count_small;
           Alcotest.test_case "pp large" `Quick pp_count_large;
