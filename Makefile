@@ -18,7 +18,10 @@ test:
 # the report omits; the traces must also match with snapshots off. The
 # buffered-eviction leg runs the two-thread P-CLHT case, whose loads forward
 # from deep store buffers: its report must match across --jobs 1, --jobs 3
-# and --snapshot off, and at two failures the committed golden report. A
+# and --snapshot off, and at two failures the committed golden report. The
+# golden leg then runs every other case with a committed report in
+# bench/suite/golden (the 13 clean sequential cases, eager eviction) at two
+# failures and diffs each against it; the golden files are only read. A
 # clean workload must then explore cleanly with several domains.
 parallel-smoke: build
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
@@ -47,6 +50,14 @@ parallel-smoke: build
 	dune exec bin/jaaru_cli.exe -- check P-CLHT-concurrent --max-failures 2 --jobs 1 \
 	  --report-out "$$d/clht-golden.txt" > /dev/null && \
 	diff -u bench/suite/golden/P-CLHT-concurrent.report "$$d/clht-golden.txt"
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	for g in bench/suite/golden/*.report; do \
+	  c=$$(basename "$$g" .report); \
+	  [ "$$c" = P-CLHT-concurrent ] && continue; \
+	  dune exec bin/jaaru_cli.exe -- check "$$c" --max-failures 2 --jobs 1 \
+	    --report-out "$$d/$$c.report" > /dev/null || exit 1; \
+	  diff -u "$$g" "$$d/$$c.report" || exit 1; \
+	done
 	dune exec bin/jaaru_cli.exe -- perf --benchmark P-CLHT -n 3 --jobs 3
 
 # Static persistency lint over every bundled case: fails on any

@@ -252,11 +252,17 @@ let finish_execution ctx =
   (* The paper also injects a failure at the end of the execution (its Fig. 4
      walkthrough), regardless of the no-writes-since-last-point optimisation. *)
   failure_point ~force:true ctx "<end of execution>";
-  List.iter
-    (fun th ->
-      Tso.Thread_state.drain th ctx.stack;
-      Tso.Thread_state.drain_flush_buffer th ctx.stack)
-    ctx.threads;
+  (* Drain only what someone reads. The failure-free original execution's
+     record is read after the run (the store/flush statistics, the Yat
+     oracles); after a crash, the top record is discarded at the next replay
+     and nothing reads it first — evictions emit no analysis events, and
+     bugs are raised before this point. *)
+  if ctx.failure_count = 0 then
+    List.iter
+      (fun th ->
+        Tso.Thread_state.drain th ctx.stack;
+        Tso.Thread_state.drain_flush_buffer th ctx.stack)
+      ctx.threads;
   emit ctx Analysis.Event.End_execution
 
 (* --- stores and flushes ------------------------------------------------ *)
@@ -520,7 +526,7 @@ let install_concrete_state ctx bytes =
     (fun (addr, value) ->
       bounds ctx addr 1 "store" "<concrete state>";
       let seq = Exec.Exec_stack.next_seq ctx.stack in
-      Exec.Exec_record.push_store record addr ~value ~seq ~label:"<concrete state>";
+      Exec.Exec_record.push_store record addr ~width:1 ~value ~seq ~label:"<concrete state>";
       Hashtbl.replace touched (Pmem.Addr.line_of addr) ())
     bytes;
   Hashtbl.iter

@@ -1,11 +1,18 @@
+(* Byte histories live per cache line: the line's {!Pmem.Line_table} slot
+   carries a row of 64 queues, one per byte offset, next to the line's
+   writeback interval. Two shared sentinels stand for what no store has
+   reached — [unwritten] for a byte, [no_stores] for a whole line — and are
+   never pushed into: a first store replaces them with private ones. *)
+let unwritten = Store_queue.create ()
+let no_stores = Array.make Pmem.Addr.cache_line_size unwritten
+
 type t = {
   id : int;
-  queues : (Pmem.Addr.t, Store_queue.t) Hashtbl.t;
-  lines : Pmem.Line_table.t;
+  lines : Store_queue.t array Pmem.Line_table.t;
   seq_bound : int;
       (* Stores with seq > seq_bound are invisible to every read accessor:
-         a snapshot view shares the live record's queue table and hides the
-         entries pushed after the capture. [max_int] = unbounded. *)
+         a snapshot view shares the live record's rows and hides the entries
+         pushed after the capture. [max_int] = unbounded. *)
   mutable store_count : int;
   mutable flush_count : int;
 }
@@ -14,8 +21,7 @@ let create ~id =
   if id < 0 then invalid_arg "Exec_record.create: negative id";
   {
     id;
-    queues = Hashtbl.create 64;
-    lines = Pmem.Line_table.create ();
+    lines = Pmem.Line_table.create ~empty:no_stores;
     seq_bound = max_int;
     store_count = 0;
     flush_count = 0;
@@ -24,14 +30,6 @@ let create ~id =
 let initial () = create ~id:0
 let id e = e.id
 let is_initial e = e.id = 0
-
-let queue e addr =
-  match Hashtbl.find_opt e.queues addr with
-  | Some q -> q
-  | None ->
-      let q = Store_queue.create () in
-      Hashtbl.add e.queues addr q;
-      q
 
 (* Line-interval reads: the per-line state lives in the flat
    {!Pmem.Line_table}, so the bounds come back as plain ints. The slot index
@@ -53,38 +51,73 @@ let lower_line_hi e addr ~seq =
   let lines = e.lines in
   Pmem.Line_table.lower_hi lines (Pmem.Line_table.find lines (Pmem.Addr.line_of addr)) seq
 
-let push_store e addr ~value ~seq ~label =
+(* Records one store of [width] little-endian bytes of [value] into the line
+   starting at [addr], all of whose bytes lie in that line: one line probe,
+   then one append per byte. A byte's first store replaces the shared
+   sentinel with its own queue, and a line's first store its row. *)
+let push_line e addr ~width ~value ~seq ~label =
+  let lines = e.lines in
+  let slot = Pmem.Line_table.find lines (Pmem.Addr.line_of addr) in
+  let row =
+    let row : Store_queue.t array = Pmem.Line_table.data lines slot in
+    if row != no_stores then row
+    else begin
+      let row = Array.make Pmem.Addr.cache_line_size unwritten in
+      Pmem.Line_table.set_data lines slot row;
+      row
+    end
+  in
+  let off = Pmem.Addr.line_offset addr in
+  for i = 0 to width - 1 do
+    let q = row.(off + i) and value = (value lsr (8 * i)) land 0xff in
+    if q != unwritten then Store_queue.push q ~value ~seq ~label
+    else row.(off + i) <- Store_queue.singleton ~value ~seq ~label
+  done
+
+let push_store e addr ~width ~value ~seq ~label =
   if e.seq_bound <> max_int then
     invalid_arg "Exec_record.push_store: snapshot views are read-only";
-  Store_queue.push (queue e addr) ~value ~seq ~label;
-  e.store_count <- e.store_count + 1
+  if width < 1 || width > Pmem.Bytes_le.max_width then
+    invalid_arg (Printf.sprintf "Exec_record.push_store: width %d not in [1, 8]" width);
+  if addr < 0 then invalid_arg "Exec_record.push_store: negative address";
+  (* A store straddling a line boundary is split at it; its tail's bytes are
+     the value's higher ones. *)
+  let head = min width (Pmem.Addr.cache_line_size - Pmem.Addr.line_offset addr) in
+  push_line e addr ~width:head ~value ~seq ~label;
+  if head < width then
+    push_line e (addr + head) ~width:(width - head) ~value:(value lsr (8 * head)) ~seq ~label;
+  e.store_count <- e.store_count + width
 
 (* Bounded store accessors: the visible history of [addr] is the queue prefix
    with seq <= seq_bound. On unbounded records (the common case) this is the
-   whole queue. *)
+   whole queue. A byte no store has reached reads [unwritten], whose visible
+   length is 0, so none of the reads below needs a separate absent case. *)
 let visible_len e q =
   if e.seq_bound = max_int then Store_queue.length q else Store_queue.count_le q e.seq_bound
 
+let queue_of e addr =
+  if addr < 0 then unwritten
+  else
+    Array.unsafe_get
+      (Pmem.Line_table.data_of e.lines (Pmem.Addr.line_of addr))
+      (Pmem.Addr.line_offset addr)
+
 let visible_stores e addr =
-  match Hashtbl.find_opt e.queues addr with
-  | None -> None
-  | Some q ->
-      let n = visible_len e q in
-      if n = 0 then None else Some (q, n)
+  let q = queue_of e addr in
+  let n = visible_len e q in
+  if n = 0 then None else Some (q, n)
 
 let last_store_byte e addr =
-  match Hashtbl.find_opt e.queues addr with
-  | None -> -1
-  | Some q ->
-      let n = visible_len e q in
-      if n = 0 then -1 else Store_queue.value_at q (n - 1)
+  let q = queue_of e addr in
+  let n = visible_len e q in
+  if n = 0 then -1 else Store_queue.value_at q (n - 1)
 
 let next_store_seq_after e addr s =
-  match visible_stores e addr with
-  | None -> Pmem.Line_table.infinity
-  | Some (q, _) ->
-      let r = Store_queue.next_seq_after q s in
-      if r > e.seq_bound then Pmem.Line_table.infinity else r
+  let q = queue_of e addr in
+  if visible_len e q = 0 then Pmem.Line_table.infinity
+  else
+    let r = Store_queue.next_seq_after q s in
+    if r > e.seq_bound then Pmem.Line_table.infinity else r
 
 let flush_line e addr ~seq =
   raise_line_lo e addr ~seq;
@@ -92,38 +125,38 @@ let flush_line e addr ~seq =
 
 (* A read-only view that stays correct while the original keeps executing,
    for the failure-point snapshot layer. Line intervals are duplicated — a
-   flat three-blit copy — because the recovery read-from analysis refines
-   them in place even on buried records (UpdateRanges). The per-byte store
+   flat array copy — because the recovery read-from analysis refines them in
+   place even on buried records (UpdateRanges). The rows of per-byte store
    queues are *shared* — queue entries are immutable, appends only ever add
-   entries with larger seqs, and the view's [seq_bound] hides everything
-   pushed after the capture. Capture cost is therefore O(lines touched),
-   independent of how many stores the pre-failure program executed. *)
+   entries with larger seqs, a byte's first store swaps a sentinel for a
+   queue whose entries are all newer, and the view's [seq_bound] hides
+   everything pushed after the capture. Capture cost is therefore O(lines
+   touched), independent of how many stores the pre-failure program
+   executed. *)
 let snapshot_view ?bound e =
   let seq_bound = match bound with None -> e.seq_bound | Some b -> min b e.seq_bound in
   {
     id = e.id;
-    queues = e.queues;
     lines = Pmem.Line_table.copy e.lines;
     seq_bound;
     store_count = e.store_count;
     flush_count = e.flush_count;
   }
 
-(* A private, physically truncated copy of a view: entries beyond the view's
-   seq_bound are dropped and the result is unbounded, so it may receive new
-   stores. Needed for a restored top record under buffered eviction, where
-   the drain at the crash pushes the surviving buffer entries into it. *)
+(* A private, physically truncated copy of a view: each line's row is copied,
+   entries beyond the view's seq_bound are dropped and the result is
+   unbounded, so it may receive new stores. Needed for a restored top record
+   under buffered eviction, where the drain at the crash pushes the surviving
+   buffer entries into it. *)
 let snapshot_freeze e =
-  let queues = Hashtbl.create (max 16 (Hashtbl.length e.queues)) in
-  Hashtbl.iter
-    (fun addr q ->
-      let n = visible_len e q in
-      if n > 0 then Hashtbl.add queues addr (Store_queue.truncated_copy q n))
-    e.queues;
+  let freeze_queue q =
+    let n = visible_len e q in
+    if n = 0 then unwritten else Store_queue.truncated_copy q n
+  in
+  let freeze_row row = if row == no_stores then row else Array.map freeze_queue row in
   {
     id = e.id;
-    queues;
-    lines = Pmem.Line_table.copy e.lines;
+    lines = Pmem.Line_table.copy_map freeze_row e.lines;
     seq_bound = max_int;
     store_count = e.store_count;
     flush_count = e.flush_count;
@@ -133,6 +166,10 @@ let store_count e = e.store_count
 let flush_count e = e.flush_count
 
 let written_addrs e =
-  Hashtbl.fold
-    (fun addr q acc -> if visible_len e q > 0 then addr :: acc else acc)
-    e.queues []
+  Pmem.Line_table.fold
+    (fun line row acc ->
+      let base = line * Pmem.Addr.cache_line_size in
+      let acc = ref acc in
+      Array.iteri (fun off q -> if visible_len e q > 0 then acc := (base + off) :: !acc) row;
+      !acc)
+    e.lines []

@@ -12,11 +12,17 @@ type t = {
 }
 
 let create () = { values = [||]; seqs = [||]; labels = [||]; len = 0 }
+
+(* Array literals allocate inline; [create] then [push] would make six C
+   calls ([Array.make], [Array.blit]) for the first entry. *)
+let singleton ~value ~seq ~label =
+  { values = [| value |]; seqs = [| seq |]; labels = [| label |]; len = 1 }
+
 let length q = q.len
 
 let grow q =
   let cap = Array.length q.seqs in
-  let cap' = if cap = 0 then 8 else 2 * cap in
+  let cap' = max 8 (2 * cap) in
   let values = Array.make cap' 0 and seqs = Array.make cap' 0 and labels = Array.make cap' "" in
   Array.blit q.values 0 values 0 q.len;
   Array.blit q.seqs 0 seqs 0 q.len;

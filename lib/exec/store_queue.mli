@@ -11,6 +11,10 @@ type t
 val create : unit -> t
 val length : t -> int
 
+val singleton : value:int -> seq:int -> label:string -> t
+(** A queue of one entry, the same as [create] then [push] but cheaper: the
+    first store to a byte is the common case on short replays. *)
+
 val push : t -> value:int -> seq:int -> label:string -> unit
 (** Appends a store of byte [value] that reached the cache at global sequence
     number [seq]. Its [seq] must exceed the last entry's. *)

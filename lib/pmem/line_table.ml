@@ -4,26 +4,39 @@
 
 let infinity = max_int
 
-type t = {
+type 'a t = {
   mutable keys : int array;
   mutable lo : int array;
   mutable hi : int array;
+  mutable data : 'a array;
+  empty : 'a;
   mutable count : int;
 }
 
 let initial_capacity = 16
 
-let create () =
+let create ~empty =
   {
     keys = Array.make initial_capacity (-1);
     lo = Array.make initial_capacity 0;
     hi = Array.make initial_capacity infinity;
+    data = Array.make initial_capacity empty;
+    empty;
     count = 0;
   }
 
+(* [copy] sits on the per-replay snapshot restore path, hence a plain
+   [Array.copy] of the payloads rather than [copy_map Fun.id]. *)
 let copy t =
-  { keys = Array.copy t.keys; lo = Array.copy t.lo; hi = Array.copy t.hi; count = t.count }
+  {
+    t with
+    keys = Array.copy t.keys;
+    lo = Array.copy t.lo;
+    hi = Array.copy t.hi;
+    data = Array.copy t.data;
+  }
 
+let copy_map f t = { (copy t) with data = Array.map f t.data }
 let length t = t.count
 
 (* Fibonacci hashing spreads consecutive line numbers, which are the common
@@ -38,18 +51,20 @@ let rec probe t key i =
   if k = key || k = -1 then i else probe t key ((i + 1) land mask)
 
 let grow t =
-  let keys = t.keys and lo = t.lo and hi = t.hi in
+  let keys = t.keys and lo = t.lo and hi = t.hi and data = t.data in
   let cap' = 2 * Array.length keys in
   t.keys <- Array.make cap' (-1);
   t.lo <- Array.make cap' 0;
   t.hi <- Array.make cap' infinity;
+  t.data <- Array.make cap' t.empty;
   Array.iteri
     (fun i k ->
       if k >= 0 then begin
         let j = probe t k (slot_of t k) in
         t.keys.(j) <- k;
         t.lo.(j) <- lo.(i);
-        t.hi.(j) <- hi.(i)
+        t.hi.(j) <- hi.(i);
+        t.data.(j) <- data.(i)
       end)
     keys
 
@@ -62,11 +77,23 @@ let find t key =
     t.keys.(i) <- key;
     t.lo.(i) <- 0;
     t.hi.(i) <- infinity;
+    t.data.(i) <- t.empty;
     t.count <- t.count + 1
   end;
   i
 
+(* No insertion, so no grow: the load factor keeps an empty slot to stop the
+   probe, and empty slots hold [empty] — a negative key finds one too. *)
+let data_of t key = Array.unsafe_get t.data (probe t key (slot_of t key))
+
 let lo t i = Array.unsafe_get t.lo i
 let hi t i = Array.unsafe_get t.hi i
+let data t i = Array.unsafe_get t.data i
+let set_data t i d = Array.unsafe_set t.data i d
 let raise_lo t i s = if s > Array.unsafe_get t.lo i then Array.unsafe_set t.lo i s
 let lower_hi t i s = if s < Array.unsafe_get t.hi i then Array.unsafe_set t.hi i s
+
+let fold f t acc =
+  let acc = ref acc in
+  Array.iteri (fun i k -> if k >= 0 then acc := f k (Array.unsafe_get t.data i) !acc) t.keys;
+  !acc

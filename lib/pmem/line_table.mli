@@ -16,32 +16,54 @@
 
     The table is open-addressed, from line number to the interval's bounds in
     parallel [int] arrays: a lookup is a probe over an [int array] and
-    {!copy} (the snapshot path) is three array copies. *)
+    {!copy} (the snapshot path) is a few array copies. Each slot also carries
+    a payload of the caller's choosing (the execution record keeps the line's
+    byte histories there), so one probe serves both. *)
 
 val infinity : int
 (** Upper bound representing "no constraint" ([max_int]). *)
 
-type t
+type 'a t
 
-val create : unit -> t
-val copy : t -> t
-(** An independent copy: refinements of either table never reach the other. *)
+val create : empty:'a -> 'a t
+(** An empty table whose fresh slots carry the payload [empty]. *)
 
-val find : t -> int -> int
+val copy : 'a t -> 'a t
+(** An independent copy: refinements of either table never reach the other.
+    Payloads are shared, not copied. *)
+
+val copy_map : ('a -> 'a) -> 'a t -> 'a t
+(** [copy] with every slot's payload passed through the function (empty
+    slots' included, so it must map [empty] to [empty]). *)
+
+val find : 'a t -> int -> int
 (** [find t line] is the slot index of [line], inserting a fresh
-    [\[0, infinity)] interval if absent. Slot indices stay valid until the
-    next insertion (they are positions in the open-addressed arrays), so
-    they must not be cached across mutating calls — use them immediately. *)
+    [\[0, infinity)] interval with payload [empty] if absent. Slot indices
+    stay valid until the next insertion (they are positions in the
+    open-addressed arrays), so they must not be cached across mutating calls
+    — use them immediately. *)
 
-val lo : t -> int -> int
-val hi : t -> int -> int
+val lo : 'a t -> int -> int
+val hi : 'a t -> int -> int
 (** The bounds at a slot index returned by {!find}. *)
 
-val raise_lo : t -> int -> int -> unit
+val raise_lo : 'a t -> int -> int -> unit
 (** [raise_lo t slot s] raises the slot's lower bound to [s] if higher. *)
 
-val lower_hi : t -> int -> int -> unit
+val lower_hi : 'a t -> int -> int -> unit
 (** [lower_hi t slot s] lowers the slot's upper bound to [s] if lower. *)
 
-val length : t -> int
+val data : 'a t -> int -> 'a
+val set_data : 'a t -> int -> 'a -> unit
+(** The payload at a slot index returned by {!find}. *)
+
+val data_of : 'a t -> int -> 'a
+(** [data_of t line] is the payload of [line], or [empty] if the line has no
+    slot. Never inserts. *)
+
+val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+(** [fold f t acc] folds [f line payload] over every line with a slot, in
+    unspecified order. *)
+
+val length : 'a t -> int
 (** Number of lines with an interval (every line {!find} has inserted). *)

@@ -9,10 +9,13 @@ type t = private { base : Addr.t; size : int }
 
 val v : base:Addr.t -> size:int -> t
 (** [v ~base ~size] describes the byte range [\[base, base+size)]. [base] must
-    be cache-line aligned and positive; [size] positive. *)
+    be cache-line aligned and positive; [size] positive, with [base + size]
+    representable. *)
 
 val contains : t -> Addr.t -> int -> bool
-(** [contains r a n] holds when the byte range [\[a, a+n)] lies inside [r]. *)
+(** [contains r a n] holds when the byte range [\[a, a+n)] lies inside [r].
+    Exact for every [a] and [n], including ranges whose end [a + n] would
+    overflow. *)
 
 val limit : t -> Addr.t
 (** One past the last valid byte. *)

@@ -53,11 +53,7 @@ let apply th stack entry =
       (* All bytes of one store hit the cache atomically, sharing one
          sequence number (paper §4, mixed-size accesses). *)
       let seq = Exec.Exec_stack.next_seq stack in
-      let record = Exec.Exec_stack.top stack in
-      for i = 0 to width - 1 do
-        Exec.Exec_record.push_store record (addr + i)
-          ~value:(Pmem.Bytes_le.byte_at ~width value i) ~seq ~label
-      done;
+      Exec.Exec_record.push_store (Exec.Exec_stack.top stack) addr ~width ~value ~seq ~label;
       Pmem.Addr.iter_lines_spanned (fun line -> set_line_ts th line seq) addr width
   | Store_buffer.Clflush { addr; label = _ } ->
       let seq = Exec.Exec_stack.next_seq stack in

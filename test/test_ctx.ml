@@ -52,6 +52,21 @@ let test_assertions () =
   | None -> ()
   | Some _ -> Alcotest.fail "true assertion must not fire"
 
+(* An address near [max_int] makes [addr + width] wrap negative; the region
+   check must still see the access as wild, for stores, loads and flushes. *)
+let test_wild_access_near_max_int () =
+  let wild = max_int - 2 in
+  List.iter
+    (fun (op, body) ->
+      match kind_of (run_one body) with
+      | Some (Bug.Illegal_access { op = o; addr; _ }) when o = op && addr = wild -> ()
+      | _ -> Alcotest.failf "wild %s at max_int - 2 was accepted" op)
+    [
+      ("store", fun ctx -> Ctx.store64 ctx wild 5);
+      ("load", fun ctx -> ignore (Ctx.load64 ctx wild));
+      ("flush", fun ctx -> Ctx.clflush ctx wild 8);
+    ]
+
 (* --- loads, stores, widths ------------------------------------------------ *)
 
 let test_width_roundtrips () =
@@ -338,6 +353,50 @@ let test_buffered_store_lost_at_crash () =
   Alcotest.(check (list string)) "buffered sees both via drain choice" [ "x=0"; "x=7" ]
     (behaviors Config.Buffered)
 
+(* The end-of-execution drain runs only where a reader exists. The failure-
+   free original execution's record is read for the statistics, so its
+   buffered stores and clflushopts must all reach it: 8 + 4 bytes, two line
+   flushes, though nothing fences. *)
+let test_original_execution_drains () =
+  let config = { buffered with Config.max_failures = 1 } in
+  let pre ctx =
+    Ctx.store64 ctx base 1;
+    Ctx.store32 ctx (base + 64) 2;
+    Ctx.clflushopt ctx base 8;
+    Ctx.clflushopt ctx (base + 64) 4
+  in
+  let o = Explorer.run ~config (Explorer.scenario ~name:"drain" ~pre ~post:(fun _ -> ())) in
+  Alcotest.(check int) "stores drained" 12 o.Explorer.stats.Stats.stores;
+  Alcotest.(check int) "flushes drained" 2 o.Explorer.stats.Stats.flushes
+
+(* After a crash the top record is discarded at the next replay, so the
+   drain is skipped: [finish_execution] leaves it exactly as recovery left
+   it, with the recovery's store and clflushopt still buffered. *)
+let test_no_drain_after_crash () =
+  let config = { buffered with Config.max_failures = 1 } in
+  let choice = Choice.create () in
+  Choice.begin_replay choice;
+  let ctx = Ctx.create ~config ~choice () in
+  (try
+     Ctx.store64 ctx base 1;
+     Ctx.crash ctx
+   with Ctx.Power_failure -> ());
+  Ctx.after_crash ctx;
+  Ctx.store64 ctx (base + 8) 7;
+  Ctx.clflushopt ctx (base + 8) 8;
+  let observe () =
+    let top = Exec.Exec_stack.top (Ctx.exec_stack ctx) in
+    ( Exec.Exec_record.store_count top,
+      Exec.Exec_record.flush_count top,
+      List.sort compare (Exec.Exec_record.written_addrs top) )
+  in
+  let before = observe () in
+  Alcotest.(check (triple int int (list int))) "recovery's effects still buffered" (0, 0, [])
+    before;
+  Alcotest.(check int) "the store is in the buffer" 7 (Ctx.load64 ctx (base + 8));
+  Ctx.finish_execution ctx;
+  Alcotest.(check (triple int int (list int))) "no drain after a crash" before (observe ())
+
 let test_multi_failure_depth () =
   (* With max_failures = 2 the recovery itself crashes and recovers. *)
   let config = { Config.default with Config.max_failures = 2 } in
@@ -416,6 +475,7 @@ let () =
           Alcotest.test_case "illegal store" `Quick test_illegal_store_low;
           Alcotest.test_case "illegal load" `Quick test_illegal_load_high;
           Alcotest.test_case "straddling access" `Quick test_access_straddling_limit;
+          Alcotest.test_case "wild access near max_int" `Quick test_wild_access_near_max_int;
           Alcotest.test_case "infinite loop" `Quick test_infinite_loop_detected;
           Alcotest.test_case "program exception" `Quick test_program_exception_captured;
           Alcotest.test_case "assertions" `Quick test_assertions;
@@ -435,6 +495,11 @@ let () =
           Alcotest.test_case "merged fallback" `Quick test_merged_fallback;
           Alcotest.test_case "masked store32" `Quick test_masked_store32;
           Alcotest.test_case "load8 inside store64" `Quick test_load8_inside_store64;
+        ] );
+      ( "drain",
+        [
+          Alcotest.test_case "original execution drains" `Quick test_original_execution_drains;
+          Alcotest.test_case "no drain after a crash" `Quick test_no_drain_after_crash;
         ] );
       ( "widths",
         [

@@ -47,9 +47,9 @@ let prop_next_seq_after =
 let test_exec_record () =
   let e = Exec.Exec_record.create ~id:1 in
   Alcotest.(check bool) "not initial" false (Exec.Exec_record.is_initial e);
-  Exec.Exec_record.push_store e 100 ~value:7 ~seq:1 ~label:"a";
-  Exec.Exec_record.push_store e 100 ~value:8 ~seq:2 ~label:"b";
-  Exec.Exec_record.push_store e 200 ~value:9 ~seq:3 ~label:"c";
+  Exec.Exec_record.push_store e 100 ~width:1 ~value:7 ~seq:1 ~label:"a";
+  Exec.Exec_record.push_store e 100 ~width:1 ~value:8 ~seq:2 ~label:"b";
+  Exec.Exec_record.push_store e 200 ~width:1 ~value:9 ~seq:3 ~label:"c";
   Alcotest.(check int) "store count" 3 (Exec.Exec_record.store_count e);
   Alcotest.(check int) "queue length" 2
     (match Exec.Exec_record.visible_stores e 100 with Some (_, n) -> n | None -> 0);
@@ -102,6 +102,160 @@ let test_exec_stack_seq () =
     (Invalid_argument "Exec_stack.restore: bottom record must be the initial image") (fun () ->
       Exec.Exec_stack.restore s ~seq:0 [ Exec.Exec_record.create ~id:1 ])
 
+(* --- word-granular record against a per-byte model ------------------------ *)
+
+(* The record keeps byte histories per line and takes whole stores; the model
+   is the plain per-byte map it replaces: address to its (value, seq, label)
+   entries, newest first. Pushes of every width land at any offset of three
+   lines (so some straddle a boundary) with arbitrary ints as values; flushes
+   interleave. After every step the bounded accessors are compared over a
+   window one word wider than the lines on each side. The first [Snap] takes
+   a view bounded at the current seq, which must keep showing the model as it
+   was then; at the end a frozen copy of the view takes more pushes while the
+   view stays put. *)
+
+type rec_op = Push of int * int * int | Flush of int | Snap
+
+let window_lo = 64 - 8
+let window_hi = (4 * 64) + 8
+
+type model = {
+  bytes : (int, (int * int * string) list) Hashtbl.t;
+  flushed : (int, int) Hashtbl.t;  (* line -> highest flush seq *)
+  mutable stored : int;
+  mutable flushes : int;
+}
+
+let fresh_model () =
+  { bytes = Hashtbl.create 64; flushed = Hashtbl.create 4; stored = 0; flushes = 0 }
+
+let copy_model m =
+  { m with bytes = Hashtbl.copy m.bytes; flushed = Hashtbl.copy m.flushed }
+
+let entries m addr = List.rev (Option.value ~default:[] (Hashtbl.find_opt m.bytes addr))
+
+let model_push m addr ~width ~value ~seq ~label =
+  for i = 0 to width - 1 do
+    let byte = Pmem.Bytes_le.byte_at ~width:8 value i in
+    let prev = Option.value ~default:[] (Hashtbl.find_opt m.bytes (addr + i)) in
+    Hashtbl.replace m.bytes (addr + i) ((byte, seq, label) :: prev)
+  done;
+  m.stored <- m.stored + width
+
+let model_flush m addr ~seq =
+  let line = Pmem.Addr.line_of addr in
+  let lo = Option.value ~default:0 (Hashtbl.find_opt m.flushed line) in
+  Hashtbl.replace m.flushed line (max lo seq);
+  m.flushes <- m.flushes + 1
+
+(* [None] when the record agrees with the model, else what differs. *)
+let record_mismatch e m =
+  let module R = Exec.Exec_record in
+  let module Q = Exec.Store_queue in
+  let fail fmt = Printf.ksprintf (fun s -> Some s) fmt in
+  let rec at addr =
+    if addr >= window_hi then None
+    else
+      let es = entries m addr in
+      let got =
+        match R.visible_stores e addr with
+        | None -> []
+        | Some (q, n) -> List.init n (fun i -> (Q.value_at q i, Q.seq_at q i, Q.label_at q i))
+      in
+      let newest = match List.rev es with (v, _, _) :: _ -> v | [] -> -1 in
+      let next_after s =
+        match List.filter (fun (_, q, _) -> q > s) es with
+        | (_, q, _) :: _ -> q
+        | [] -> Pmem.Line_table.infinity
+      in
+      let probes = 0 :: List.concat_map (fun (_, q, _) -> [ q - 1; q; q + 1 ]) es in
+      let lo = Option.value ~default:0 (Hashtbl.find_opt m.flushed (Pmem.Addr.line_of addr)) in
+      if got <> es then
+        fail "visible_stores 0x%x: %d entries, model %d" addr (List.length got) (List.length es)
+      else if R.last_store_byte e addr <> newest then
+        fail "last_store_byte 0x%x: %d, model %d" addr (R.last_store_byte e addr) newest
+      else if List.exists (fun s -> R.next_store_seq_after e addr s <> next_after s) probes then
+        fail "next_store_seq_after 0x%x" addr
+      else if R.line_lo e addr <> lo then
+        fail "line_lo 0x%x: %d, model %d" addr (R.line_lo e addr) lo
+      else at (addr + 1)
+  in
+  let written = List.sort compare (Hashtbl.fold (fun a _ acc -> a :: acc) m.bytes []) in
+  match at window_lo with
+  | Some _ as err -> err
+  | None ->
+      if List.sort compare (R.written_addrs e) <> written then fail "written_addrs"
+      else if R.store_count e <> m.stored then
+        fail "store_count %d, model %d" (R.store_count e) m.stored
+      else if R.flush_count e <> m.flushes then fail "flush_count"
+      else None
+
+let gen_rec_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 40)
+      (frequency
+         [
+           ( 6,
+             map3
+               (fun off width value -> Push (64 + off, width, value))
+               (int_range 0 (3 * 64 - 1))
+               (oneofl [ 1; 2; 4; 8 ])
+               int );
+           (1, map (fun off -> Flush (64 + off)) (int_range 0 (3 * 64 - 1)));
+           (1, return Snap);
+         ]))
+
+let print_rec_op = function
+  | Push (a, w, v) -> Printf.sprintf "push 0x%x w%d %d" a w v
+  | Flush a -> Printf.sprintf "flush 0x%x" a
+  | Snap -> "snap"
+
+let prop_word_granular_record =
+  QCheck.Test.make ~name:"word-granular record = per-byte model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print_rec_op) ~shrink:QCheck.Shrink.list gen_rec_ops)
+    (fun ops ->
+      let e = Exec.Exec_record.create ~id:1 and m = fresh_model () in
+      let seq = ref 0 and view = ref None in
+      let check what e m =
+        match record_mismatch e m with
+        | None -> ()
+        | Some err -> QCheck.Test.fail_reportf "%s: %s" what err
+      in
+      let apply e m = function
+        | Push (addr, width, value) ->
+            incr seq;
+            let label = Printf.sprintf "s%d" !seq in
+            Exec.Exec_record.push_store e addr ~width ~value ~seq:!seq ~label;
+            model_push m addr ~width ~value ~seq:!seq ~label
+        | Flush addr ->
+            incr seq;
+            Exec.Exec_record.flush_line e addr ~seq:!seq;
+            model_flush m addr ~seq:!seq
+        | Snap -> ()
+      in
+      List.iter
+        (fun op ->
+          (match (op, !view) with
+          | Snap, None ->
+              view := Some (Exec.Exec_record.snapshot_view ~bound:!seq e, copy_model m)
+          | _ -> apply e m op);
+          check "live" e m;
+          Option.iter (fun (v, vm) -> check "view" v vm) !view)
+        ops;
+      (match !view with
+      | None -> ()
+      | Some (v, vm) ->
+          let frozen = Exec.Exec_record.snapshot_freeze v and fm = copy_model vm in
+          check "frozen" frozen fm;
+          List.iter
+            (fun op ->
+              apply frozen fm op;
+              check "frozen after pushes" frozen fm;
+              check "view after frozen pushes" v vm)
+            ops;
+          check "live after frozen pushes" e m);
+      true)
+
 (* --- read-from semantics ------------------------------------------------- *)
 
 let source_values srcs = List.map (fun s -> s.Exec.Read_from.value) srcs
@@ -110,7 +264,9 @@ let source_values srcs = List.map (fun s -> s.Exec.Read_from.value) srcs
 let stack_with_stores stores ~flush_at =
   let s = Exec.Exec_stack.create () in
   let e1 = Exec.Exec_stack.top s in
-  List.iter (fun (addr, value, seq) -> Exec.Exec_record.push_store e1 addr ~value ~seq ~label:"w") stores;
+  List.iter
+    (fun (addr, value, seq) -> Exec.Exec_record.push_store e1 addr ~width:1 ~value ~seq ~label:"w")
+    stores;
   (match flush_at with
   | Some (addr, seq) -> Exec.Exec_record.flush_line e1 addr ~seq
   | None -> ());
@@ -138,7 +294,7 @@ let test_rf_fully_flushed () =
 let test_rf_current_execution_wins () =
   let s = stack_with_stores [ (100, 1, 1) ] ~flush_at:None in
   let top = Exec.Exec_stack.top s in
-  Exec.Exec_record.push_store top 100 ~value:9 ~seq:10 ~label:"recovery write";
+  Exec.Exec_record.push_store top 100 ~width:1 ~value:9 ~seq:10 ~label:"recovery write";
   let srcs = Exec.Read_from.build_may_read_from s 100 in
   Alcotest.(check (list int)) "own store shadows history" [ 9 ] (source_values srcs);
   Alcotest.(check bool) "no persistency constraint" true
@@ -176,10 +332,10 @@ let test_rf_two_failures_deep () =
      when the newer one never persisted its overwrite. *)
   let s = Exec.Exec_stack.create () in
   let e1 = Exec.Exec_stack.top s in
-  Exec.Exec_record.push_store e1 100 ~value:1 ~seq:1 ~label:"old";
+  Exec.Exec_record.push_store e1 100 ~width:1 ~value:1 ~seq:1 ~label:"old";
   Exec.Exec_record.flush_line e1 100 ~seq:2;
   let e2 = Exec.Exec_stack.push_fresh s in
-  Exec.Exec_record.push_store e2 100 ~value:2 ~seq:3 ~label:"new unflushed";
+  Exec.Exec_record.push_store e2 100 ~width:1 ~value:2 ~seq:3 ~label:"new unflushed";
   ignore (Exec.Exec_stack.push_fresh s);
   let srcs = Exec.Read_from.build_may_read_from s 100 in
   Alcotest.(check (list int)) "new store or older flushed value" [ 2; 1 ] (source_values srcs);
@@ -213,7 +369,8 @@ let prop_candidates_match_reference =
       let s = Exec.Exec_stack.create () in
       let e1 = Exec.Exec_stack.top s in
       List.iter
-        (fun (seq, v) -> Exec.Exec_record.push_store e1 100 ~value:(v land 0xff) ~seq ~label:"w")
+        (fun (seq, v) ->
+          Exec.Exec_record.push_store e1 100 ~width:1 ~value:(v land 0xff) ~seq ~label:"w")
         stores;
       let lo =
         match flush_after with
@@ -238,7 +395,9 @@ let prop_do_read_narrows =
       let stores = List.mapi (fun i v -> ((2 * i) + 2, v land 0xff)) values in
       let s = Exec.Exec_stack.create () in
       let e1 = Exec.Exec_stack.top s in
-      List.iter (fun (seq, v) -> Exec.Exec_record.push_store e1 100 ~value:v ~seq ~label:"w") stores;
+      List.iter
+        (fun (seq, v) -> Exec.Exec_record.push_store e1 100 ~width:1 ~value:v ~seq ~label:"w")
+        stores;
       ignore (Exec.Exec_stack.push_fresh s);
       let before = Exec.Read_from.build_may_read_from s 100 in
       List.for_all
@@ -248,7 +407,7 @@ let prop_do_read_narrows =
           let s = Exec.Exec_stack.create () in
           let e1 = Exec.Exec_stack.top s in
           List.iter
-            (fun (seq, v) -> Exec.Exec_record.push_store e1 100 ~value:v ~seq ~label:"w")
+            (fun (seq, v) -> Exec.Exec_record.push_store e1 100 ~width:1 ~value:v ~seq ~label:"w")
             stores;
           ignore (Exec.Exec_stack.push_fresh s);
           let cands = Exec.Read_from.build_may_read_from s 100 in
@@ -277,6 +436,7 @@ let () =
           Alcotest.test_case "exec record" `Quick test_exec_record;
           Alcotest.test_case "exec stack" `Quick test_exec_stack;
           Alcotest.test_case "exec stack sequence counter" `Quick test_exec_stack_seq;
+          QCheck_alcotest.to_alcotest prop_word_granular_record;
         ] );
       ( "read-from",
         [

@@ -32,7 +32,7 @@ let is_empty t line =
   lo >= hi
 
 let test_line_table_basics () =
-  let t = Lt.create () in
+  let t = Lt.create ~empty:() in
   Alcotest.(check int) "lo" 0 (fst (bounds t 7));
   Alcotest.(check int) "hi" Lt.infinity (snd (bounds t 7));
   Alcotest.(check bool) "not empty" false (is_empty t 7);
@@ -51,7 +51,7 @@ let test_line_table_basics () =
   Alcotest.(check int) "two lines materialised" 2 (Lt.length t)
 
 let test_line_table_copy () =
-  let a = Lt.create () in
+  let a = Lt.create ~empty:() in
   raise_lo a 1 3;
   let b = Lt.copy a in
   raise_lo a 1 9;
@@ -63,7 +63,7 @@ let test_line_table_copy () =
   Alcotest.(check int) "copy keeps its own lines" 2 (Lt.length b)
 
 let test_line_table_grows () =
-  let t = Lt.create () in
+  let t = Lt.create ~empty:() in
   let n = 1_000 in
   (* Scattered line numbers, so several grows rehash colliding probes. *)
   let line k = (k * 7919) + (k land 3) in
@@ -78,9 +78,28 @@ let test_line_table_grows () =
   done;
   Alcotest.(check int) "lookups insert nothing" n (Lt.length t)
 
+(* Each slot carries a payload: [empty] until set, shared by [copy], mapped
+   by [copy_map], and [data_of] reads it without inserting the line. *)
+let test_line_table_payload () =
+  let t = Lt.create ~empty:"" in
+  Alcotest.(check string) "absent line" "" (Lt.data_of t 3);
+  Alcotest.(check int) "data_of inserts nothing" 0 (Lt.length t);
+  Lt.set_data t (Lt.find t 3) "three";
+  ignore (Lt.find t 4);
+  Alcotest.(check string) "set" "three" (Lt.data_of t 3);
+  Alcotest.(check string) "fresh slot" "" (Lt.data t (Lt.find t 4));
+  Alcotest.(check string) "negative line" "" (Lt.data_of t (-1));
+  let c = Lt.copy t and m = Lt.copy_map String.uppercase_ascii t in
+  Lt.set_data t (Lt.find t 3) "changed";
+  Alcotest.(check string) "copy keeps the old payload" "three" (Lt.data_of c 3);
+  Alcotest.(check string) "copy_map maps it" "THREE" (Lt.data_of m 3);
+  Alcotest.(check (list (pair int string)))
+    "fold visits every line" [ (3, "changed"); (4, "") ]
+    (List.sort compare (Lt.fold (fun line d acc -> (line, d) :: acc) t []))
+
 let test_line_table_negative () =
   Alcotest.check_raises "negative line" (Invalid_argument "Line_table.find: negative line")
-    (fun () -> ignore (Lt.find (Lt.create ()) (-1)))
+    (fun () -> ignore (Lt.find (Lt.create ~empty:()) (-1)))
 
 (* Against a model: lo is the largest raise (or 0), hi the smallest lowering
    (or infinity), whatever the order of refinements across a few lines. *)
@@ -88,7 +107,7 @@ let prop_line_table_monotone =
   QCheck.Test.make ~name:"line_table refinements are monotone" ~count:300
     QCheck.(list (triple bool (int_range 0 5) (int_range 0 1000)))
     (fun ops ->
-      let t = Lt.create () in
+      let t = Lt.create ~empty:() in
       let model = Hashtbl.create 8 in
       List.iter
         (fun (up, line, s) ->
@@ -158,10 +177,25 @@ let test_region () =
   Alcotest.(check bool) "limit excluded" false (Pmem.Region.contains r 0x1100 1);
   Alcotest.(check bool) "below" false (Pmem.Region.contains r 0xfff 1);
   Alcotest.(check bool) "overrun" false (Pmem.Region.contains r 0x10ff 2);
+  Alcotest.(check bool) "end at the limit" true (Pmem.Region.contains r 0x10f8 8);
   Alcotest.(check int) "limit" 0x1100 (Pmem.Region.limit r);
   Alcotest.check_raises "unaligned base"
     (Invalid_argument "Region.v: base must be positive and cache-line aligned") (fun () ->
       ignore (Pmem.Region.v ~base:0x1001 ~size:64))
+
+(* [a + n] wraps negative for [a] near [max_int]; the check must not. *)
+let test_region_overflow () =
+  let r = Pmem.Region.v ~base:0x1000 ~size:256 in
+  Alcotest.(check bool) "end wraps" false (Pmem.Region.contains r (max_int - 2) 8);
+  Alcotest.(check bool) "at max_int" false (Pmem.Region.contains r max_int 1);
+  Alcotest.(check bool) "huge width" false (Pmem.Region.contains r 0x1000 max_int);
+  let top = Pmem.Region.v ~base:((max_int - 255) land lnot 63) ~size:128 in
+  Alcotest.(check bool) "end at a high limit" true
+    (Pmem.Region.contains top (Pmem.Region.limit top - 8) 8);
+  Alcotest.(check bool) "past a high limit" false
+    (Pmem.Region.contains top (Pmem.Region.limit top - 7) 8);
+  Alcotest.check_raises "limit overflows" (Invalid_argument "Region.v: base + size overflows")
+    (fun () -> ignore (Pmem.Region.v ~base:0x1000 ~size:max_int))
 
 let () =
   Alcotest.run "pmem"
@@ -174,6 +208,7 @@ let () =
           Alcotest.test_case "copy" `Quick test_line_table_copy;
           Alcotest.test_case "1000 lines across grows" `Quick test_line_table_grows;
           Alcotest.test_case "negative line" `Quick test_line_table_negative;
+          Alcotest.test_case "payload" `Quick test_line_table_payload;
           QCheck_alcotest.to_alcotest prop_line_table_monotone;
         ] );
       ( "bytes",
@@ -189,5 +224,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_crc_incremental;
           QCheck_alcotest.to_alcotest prop_crc_discriminates;
         ] );
-      ("region", [ Alcotest.test_case "bounds" `Quick test_region ]);
+      ( "region",
+        [
+          Alcotest.test_case "bounds" `Quick test_region;
+          Alcotest.test_case "no overflow near max_int" `Quick test_region_overflow;
+        ] );
     ]

@@ -328,11 +328,11 @@ let test_sequential_sections_sync_edges () =
 let test_bounded_view () =
   let e = Exec.Exec_record.create ~id:1 in
   let addr = 0x40 in
-  Exec.Exec_record.push_store e addr ~value:1 ~seq:1 ~label:"a";
-  Exec.Exec_record.push_store e addr ~value:2 ~seq:2 ~label:"b";
+  Exec.Exec_record.push_store e addr ~width:1 ~value:1 ~seq:1 ~label:"a";
+  Exec.Exec_record.push_store e addr ~width:1 ~value:2 ~seq:2 ~label:"b";
   let view = Exec.Exec_record.snapshot_view ~bound:2 e in
-  Exec.Exec_record.push_store e addr ~value:3 ~seq:5 ~label:"c";
-  Exec.Exec_record.push_store e 0x80 ~value:9 ~seq:6 ~label:"d";
+  Exec.Exec_record.push_store e addr ~width:1 ~value:3 ~seq:5 ~label:"c";
+  Exec.Exec_record.push_store e 0x80 ~width:1 ~value:9 ~seq:6 ~label:"d";
   let last r = Exec.Exec_record.last_store_byte r addr in
   Alcotest.(check int) "live record sees the newest store" 3 (last e);
   Alcotest.(check int) "view still ends at the capture" 2 (last view);
@@ -349,9 +349,9 @@ let test_bounded_view () =
     (Exec.Exec_record.next_store_seq_after view addr 1);
   Alcotest.check_raises "views are read-only"
     (Invalid_argument "Exec_record.push_store: snapshot views are read-only") (fun () ->
-      Exec.Exec_record.push_store view addr ~value:7 ~seq:9 ~label:"x");
+      Exec.Exec_record.push_store view addr ~width:1 ~value:7 ~seq:9 ~label:"x");
   let frozen = Exec.Exec_record.snapshot_freeze view in
-  Exec.Exec_record.push_store frozen addr ~value:4 ~seq:7 ~label:"drain";
+  Exec.Exec_record.push_store frozen addr ~width:1 ~value:4 ~seq:7 ~label:"drain";
   Alcotest.(check int) "freeze accepts the drained store" 4 (last frozen);
   Alcotest.(check int) "the live record is unaffected by the freeze" 3 (last e);
   Alcotest.(check int) "the view is unaffected by the freeze" 2 (last view)

@@ -50,12 +50,12 @@ let count_flush_bound_inclusive () =
      lo: one built by hand with two byte stores and a writeback bound equal
      to the newer store's seq has a single state; a third store adds one. *)
   let e = Exec.Exec_record.create ~id:1 in
-  Exec.Exec_record.push_store e base ~value:1 ~seq:3 ~label:"a";
-  Exec.Exec_record.push_store e (base + 1) ~value:2 ~seq:5 ~label:"b";
+  Exec.Exec_record.push_store e base ~width:1 ~value:1 ~seq:3 ~label:"a";
+  Exec.Exec_record.push_store e (base + 1) ~width:1 ~value:2 ~seq:5 ~label:"b";
   Exec.Exec_record.flush_line e base ~seq:5;
   Alcotest.(check (float 1e-9)) "bound covers its own seq" 0.
     (Yat.State_count.log10_states_at e);
-  Exec.Exec_record.push_store e (base + 2) ~value:3 ~seq:6 ~label:"c";
+  Exec.Exec_record.push_store e (base + 2) ~width:1 ~value:3 ~seq:6 ~label:"c";
   Alcotest.(check (float 1e-9)) "newer store adds a state" (log10 2.)
     (Yat.State_count.log10_states_at e)
 
