@@ -104,7 +104,9 @@ pbt-nightly: build
 # Fleet determinism under self-injected faults: `jaaru fleet` with workers
 # being killed, hung and fed torn checkpoints must still report
 # byte-identically to single-process `jaaru check`, across a worker-count
-# matrix, chaos on and off.
+# matrix, chaos on and off, for a PMDK, a RECIPE and a buffered-eviction
+# case; every shard requeued under chaos must be requeued for a
+# chaos-induced reason (the --verbose log is checked).
 fleet-smoke: build
 	scripts/fleet_chaos_smoke.sh
 

@@ -680,8 +680,8 @@ let fleet_chaos_arg =
         ~doc:
           "Self fault injection, e.g. $(b,kill:0.3,hang:0.1,torn:0.2): per-assignment \
            probabilities of SIGKILLing the worker mid-shard, stalling its channel until the \
-           heartbeat timeout fires, or tearing the shard checkpoint file. The merged report is \
-           unchanged — chaos only exercises the retry machinery.")
+           heartbeat timeout fires, or tearing the shard checkpoint in transit. The merged \
+           report is unchanged — chaos only exercises the retry machinery.")
 
 let fleet_chaos_seed_arg =
   Arg.(
@@ -713,25 +713,6 @@ let heartbeat_period_arg =
     & opt (positive float ~zero:0.) 0.05
     & info [ "heartbeat-period" ] ~docv:"SEC" ~doc:"Worker heartbeat interval (internal)")
 
-let rm_rf dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | entries ->
-      Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()) entries;
-      (try Unix.rmdir dir with Unix.Unix_error _ -> ())
-
-let make_scratch () =
-  let rec go n =
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "jaaru-fleet-%d-%d" (Unix.getpid ()) n)
-    in
-    match Unix.mkdir dir 0o700 with
-    | () -> dir
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (n + 1)
-  in
-  go 0
-
 let fleet_result_checks entry (o : Jaaru.Explorer.outcome) =
   let expected_bug = entry.expected <> None in
   let found = Jaaru.Explorer.found_bug o in
@@ -742,7 +723,6 @@ let fleet_result_checks entry (o : Jaaru.Explorer.outcome) =
 let fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout ~heartbeat_period
     ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot ~verbose =
   let config = fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot in
-  let scratch = make_scratch () in
   let worker_argv =
     Array.of_list
       ([ Sys.executable_name; "fleet-worker"; entry.id ]
@@ -759,7 +739,7 @@ let fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout ~heartb
   in
   let fleet =
     {
-      (Fleet.Coordinator.default ~scratch) with
+      (Fleet.Coordinator.default ~scratch:"") with
       Fleet.Coordinator.workers;
       heartbeat_timeout;
       quarantine_after;
@@ -769,11 +749,7 @@ let fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout ~heartb
       log = (if verbose then fun s -> Format.eprintf "[fleet] %s@." s else ignore);
     }
   in
-  Fun.protect
-    ~finally:(fun () -> rm_rf scratch)
-    (fun () ->
-      with_graceful_signals (fun () ->
-          Fleet.Coordinator.run ~fleet ~config ~scenario:entry.scenario))
+  with_graceful_signals (fun () -> Fleet.Coordinator.run ~fleet ~config ~scenario:entry.scenario)
 
 let fleet_run id workers chaos_spec chaos_seed heartbeat_timeout heartbeat_period
     quarantine_after max_failures max_steps jobs snapshot checkpoint report_out verbose =
@@ -858,8 +834,8 @@ let fleet_worker_run id max_failures max_steps jobs snapshot () heartbeat_period
   | Error e -> Error e
   | Ok entry ->
       let config = fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot in
-      let run ~shard:_ ~attempt:_ ~path =
-        match Jaaru.Checkpoint.load path with
+      let run ~shard:_ ~attempt:_ ~payload =
+        match Jaaru.Checkpoint.of_string payload with
         | exception Jaaru.Checkpoint.Rejected msg -> Error msg
         | cp -> (
             match

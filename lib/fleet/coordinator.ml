@@ -14,12 +14,11 @@ type config = {
   spawn_attempts : int;
   chaos : Supervise.chaos;
   chaos_seed : int;
-  scratch : string;
   worker_argv : string array option;
   log : string -> unit;
 }
 
-let default ~scratch =
+let default ~scratch:_ =
   {
     workers = 2;
     heartbeat_timeout = 2.0;
@@ -27,7 +26,6 @@ let default ~scratch =
     spawn_attempts = 3;
     chaos = Supervise.no_chaos;
     chaos_seed = 0;
-    scratch;
     worker_argv = None;
     log = ignore;
   }
@@ -79,7 +77,6 @@ type shard_status = Pending | Assigned of int | Done | Quarantined of string
 type shard = {
   sid : int;
   prefixes : string list;  (* encoded; the shard's frontier *)
-  path : string;
   mutable status : shard_status;
   mutable attempts : int;
   mutable failures : int;  (* non-chaos-induced failures, toward quarantine *)
@@ -137,12 +134,12 @@ type slot = {
   mutable proc : Supervise.proc option;
   mutable reader : Transport.reader option;
   mutable ready : bool;
-  mutable busy : int option;  (* sid of the assigned shard *)
+  mutable busy : shard option;  (* the assigned shard *)
   mutable busy_since : float;
   mutable preempted : bool;
   mutable last_beat : float;
   mutable deaf : bool;  (* hang chaos: this worker's messages are dropped *)
-  mutable kill_at : float option;  (* kill chaos: scheduled SIGKILL *)
+  mutable kill_at : float option;  (* kill chaos: SIGKILL due during this assignment *)
   mutable chaos_attempt : bool;  (* current assignment carries an injected fault *)
   mutable spawns : int;
   mutable disabled : bool;
@@ -180,27 +177,20 @@ let run ~fleet ~config ~scenario =
   let interrupted = ref outcome0.Ex.stats.Jaaru.Stats.interrupted in
   let phase1_only = outcome0.Ex.frontier = [] || !interrupted in
 
-  let shard_target = max 1 fleet.workers * shards_per_worker in
-  let groups = if phase1_only then [] else partition outcome0.Ex.frontier shard_target in
-  let shards =
-    Array.of_list
-      (List.mapi
-         (fun i prefixes ->
-           {
-             sid = i;
-             prefixes;
-             path = Filename.concat fleet.scratch (Printf.sprintf "shard-%d.ckpt" i);
-             status = Pending;
-             attempts = 0;
-             failures = 0;
-             not_before = 0.;
-           })
-         groups)
+  (* Every shard, in id order. Remainders returned by preempted workers are
+     appended as fresh shards. *)
+  let shards = ref [] in
+  let add_shards groups =
+    let n = List.length !shards in
+    shards :=
+      !shards
+      @ List.mapi
+          (fun i prefixes ->
+            { sid = n + i; prefixes; status = Pending; attempts = 0; failures = 0; not_before = 0. })
+          groups
   in
-  let extra_shards = ref [] in
-  (* Remainders stolen from preempted workers become fresh shards. *)
-  let next_sid = ref (Array.length shards) in
-  let shard_list () = Array.to_list shards @ List.rev !extra_shards in
+  if not phase1_only then
+    add_shards (partition outcome0.Ex.frontier (max 1 fleet.workers * shards_per_worker));
   (* Outcomes of finished shards; a shard is merged only from a complete
      result, so it is counted exactly once however many attempts failed. *)
   let results = ref [] in
@@ -208,15 +198,6 @@ let run ~fleet ~config ~scenario =
   (* A fresh piece of work: the frontier, with nothing explored yet (so
      merging never double-counts). *)
   let unexplored frontier = Ex.to_checkpoint ~config scenario { Ex.empty with Ex.frontier } in
-
-  let tear path =
-    match Unix.openfile path [ Unix.O_WRONLY ] 0o644 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-            let len = (Unix.fstat fd).Unix.st_size in
-            Unix.ftruncate fd (max 1 (len / 2)))
-  in
 
   let slots =
     Array.init (max 1 fleet.workers) (fun wid ->
@@ -238,37 +219,16 @@ let run ~fleet ~config ~scenario =
   in
 
   let pending_eligible now =
-    List.filter (fun s -> s.status = Pending && s.not_before <= now) (shard_list ())
+    List.filter (fun s -> s.status = Pending && s.not_before <= now) !shards
   in
-  let unfinished () =
-    List.filter (fun s -> match s.status with Done -> false | _ -> true) (shard_list ())
-  in
+  let unfinished () = List.filter (fun s -> s.status <> Done) !shards in
   let finished () =
-    List.for_all
-      (fun s -> match s.status with Done | Quarantined _ -> true | _ -> false)
-      (shard_list ())
+    List.for_all (fun s -> match s.status with Done | Quarantined _ -> true | _ -> false) !shards
   in
 
-  let steal_split frontier =
-    (* A stolen remainder becomes fresh shards so several idle workers can
-       share it. *)
-    List.iter
-      (fun group ->
-        let sid = !next_sid in
-        incr next_sid;
-        extra_shards :=
-          {
-            sid;
-            prefixes = group;
-            path = Filename.concat fleet.scratch (Printf.sprintf "shard-%d.ckpt" sid);
-            status = Pending;
-            attempts = 0;
-            failures = 0;
-            not_before = 0.;
-          }
-          :: !extra_shards)
-      (partition frontier (max 2 fleet.workers))
-  in
+  (* A stolen remainder becomes fresh shards so several idle workers can
+     share it. *)
+  let steal_split frontier = add_shards (partition frontier (max 2 fleet.workers)) in
 
   let requeue ~why ~chaos sh now =
     incr retries;
@@ -289,6 +249,21 @@ let run ~fleet ~config ~scenario =
     end
   in
 
+  (* The one place an assignment ends, however it ends. The slot is free
+     again, and the assignment's preempt and chaos plan end with it: a kill
+     planned for this shard must never land on the worker's next one. Given
+     a reason, the shard is requeued; without one it was merged, or the run
+     is winding down and leaves it in [remaining]. *)
+  let settle ?why w now =
+    (match (w.busy, why) with
+    | Some sh, Some why when sh.status <> Done -> requeue ~why ~chaos:w.chaos_attempt sh now
+    | _ -> ());
+    w.busy <- None;
+    w.preempted <- false;
+    w.kill_at <- None;
+    w.chaos_attempt <- false
+  in
+
   let release_slot w =
     (match w.reader with Some r -> Transport.close_reader r | None -> ());
     (match w.proc with
@@ -299,23 +274,23 @@ let run ~fleet ~config ~scenario =
     w.proc <- None;
     w.reader <- None;
     w.ready <- false;
-    w.preempted <- false;
-    w.deaf <- false;
-    w.kill_at <- None;
-    w.chaos_attempt <- false
+    w.deaf <- false
   in
 
   (* A worker died (or was declared dead): requeue its shard, if any, and
      free the slot for a respawn. *)
   let worker_down ~why w now =
-    (match w.busy with
-    | Some sid -> (
-        match List.find_opt (fun s -> s.sid = sid) (shard_list ()) with
-        | Some sh when sh.status <> Done -> requeue ~why ~chaos:w.chaos_attempt sh now
-        | _ -> ())
-    | None -> ());
-    w.busy <- None;
+    settle ~why w now;
     release_slot w
+  in
+
+  let kill_worker ~why w now =
+    (match w.proc with
+    | Some p ->
+        Supervise.kill_group p;
+        ignore (Supervise.wait_reap ~grace:0.5 p)
+    | None -> ());
+    worker_down ~why w now
   in
 
   let maybe_spawn now =
@@ -346,53 +321,27 @@ let run ~fleet ~config ~scenario =
           slots
   in
 
-  let handle_result w sid payload now =
+  let handle_result w sh payload now =
     match Ck.of_string payload with
     | exception Ck.Rejected msg ->
-        log "worker %d returned a corrupt result for shard %d: %s" w.wid sid msg;
-        (match List.find_opt (fun s -> s.sid = sid) (shard_list ()) with
-        | Some sh when sh.status <> Done -> requeue ~why:"corrupt result" ~chaos:w.chaos_attempt sh now
-        | _ -> ());
-        w.busy <- None;
-        w.preempted <- false
+        log "worker %d returned a corrupt result for shard %d: %s" w.wid sh.sid msg;
+        settle ~why:"corrupt result" w now
+    | cp when cp.Ck.fingerprint <> real_fp ->
+        log "worker %d returned a foreign result for shard %d" w.wid sh.sid;
+        settle ~why:"fingerprint mismatch in result" w now
     | cp ->
-        if cp.Ck.fingerprint <> real_fp then begin
-          log "worker %d returned a foreign result for shard %d" w.wid sid;
-          match List.find_opt (fun s -> s.sid = sid) (shard_list ()) with
-          | Some sh when sh.status <> Done ->
-              requeue ~why:"fingerprint mismatch in result" ~chaos:w.chaos_attempt sh now
-          | _ -> ()
-        end
-        else begin
-          (match List.find_opt (fun s -> s.sid = sid) (shard_list ()) with
-          | Some sh when sh.status <> Done ->
-              sh.status <- Done;
-              let o = Ex.of_checkpoint cp in
-              results := o :: !results;
-              if o.Ex.frontier <> [] then begin
-                (* A preempted worker returned the explored part plus the
-                   remainder; the remainder becomes new shards. *)
-                incr steals;
-                log "shard %d returned %d remainder prefixes (steal)" sid
-                  (List.length o.Ex.frontier);
-                steal_split o.Ex.frontier
-              end
-          | _ -> ());
-          w.busy <- None;
-          w.preempted <- false
-        end
-  in
-
-  let handle_refused w sid reason now =
-    log "worker %d refused shard %d: %s" w.wid sid reason;
-    (match List.find_opt (fun s -> s.sid = sid) (shard_list ()) with
-    | Some sh when sh.status <> Done ->
-        (* The shard file may be torn (possibly by our own chaos): it is
-           rewritten intact on the next assignment either way. *)
-        requeue ~why:("refused: " ^ reason) ~chaos:w.chaos_attempt sh now
-    | _ -> ());
-    w.busy <- None;
-    w.preempted <- false
+        sh.status <- Done;
+        let o = Ex.of_checkpoint cp in
+        results := o :: !results;
+        if o.Ex.frontier <> [] then begin
+          (* A preempted worker returned the explored part plus the
+             remainder; the remainder becomes new shards. *)
+          incr steals;
+          log "shard %d returned %d remainder prefixes (steal)" sh.sid
+            (List.length o.Ex.frontier);
+          steal_split o.Ex.frontier
+        end;
+        settle w now
   in
 
   let drain_worker w now =
@@ -400,6 +349,15 @@ let run ~fleet ~config ~scenario =
     | None -> ()
     | Some r ->
         let msgs = Transport.drain r in
+        (* A worker answers only for the shard it holds; anything else is a
+           protocol error, handled like a dead worker. *)
+        let answer shard k =
+          match w.busy with
+          | Some sh when sh.sid = shard -> k sh
+          | _ ->
+              log "worker %d answered for shard %d, which it does not hold" w.wid shard;
+              kill_worker ~why:"protocol error" w now
+        in
         if not w.deaf then
           List.iter
             (fun msg ->
@@ -413,8 +371,15 @@ let run ~fleet ~config ~scenario =
                        long chaos-heavy run's many legitimate respawns. *)
                     w.spawns <- 0
                   end
-              | Transport.Result { shard; payload } -> handle_result w shard payload now
-              | Transport.Refused { shard; reason } -> handle_refused w shard reason now
+              | Transport.Result { shard; payload } ->
+                  answer shard (fun sh -> handle_result w sh payload now)
+              | Transport.Refused { shard; reason } ->
+                  answer shard (fun _ ->
+                      log "worker %d refused shard %d: %s" w.wid shard reason;
+                      (* The shard checkpoint may have been torn (possibly by
+                         our own chaos): it is resent intact on the next
+                         assignment either way. *)
+                      settle ~why:("refused: " ^ reason) w now)
               | Transport.Assign _ | Transport.Preempt -> ())
             msgs
   in
@@ -428,11 +393,14 @@ let run ~fleet ~config ~scenario =
         let plan = Supervise.plan rng fleet.chaos in
         if Supervise.injects plan then incr chaos_injected;
         w.chaos_attempt <- Supervise.injects plan;
-        Ck.save (unexplored sh.prefixes) sh.path;
-        if plan.Supervise.torn then begin
-          tear sh.path;
-          log "chaos: tore shard %d's checkpoint" sh.sid
-        end;
+        let payload = Ck.to_string (unexplored sh.prefixes) in
+        let payload =
+          if plan.Supervise.torn then begin
+            log "chaos: tore shard %d's checkpoint" sh.sid;
+            String.sub payload 0 (max 1 (String.length payload / 2))
+          end
+          else payload
+        in
         (match plan.Supervise.kill_after with
         | Some d ->
             w.kill_at <- Some (now +. d);
@@ -444,15 +412,13 @@ let run ~fleet ~config ~scenario =
         end;
         match
           Transport.write p.Supervise.to_child
-            (Transport.Assign { shard = sh.sid; attempt = sh.attempts; path = sh.path })
+            (Transport.Assign { shard = sh.sid; attempt = sh.attempts; payload })
         with
         | () ->
             sh.status <- Assigned w.wid;
-            w.busy <- Some sh.sid;
+            w.busy <- Some sh;
             w.busy_since <- now
-        | exception Transport.Closed _ ->
-            Supervise.kill_group p;
-            worker_down ~why:"assign failed (pipe closed)" w now
+        | exception Transport.Closed _ -> kill_worker ~why:"assign failed (pipe closed)" w now
   in
 
   let preempt w =
@@ -470,7 +436,7 @@ let run ~fleet ~config ~scenario =
      leaves — a cap, or the interrupt — becomes pending shards again, so it
      reaches [remaining]. *)
   let explore_here now =
-    let pending = List.filter (fun s -> s.status = Pending) (shard_list ()) in
+    let pending = List.filter (fun s -> s.status = Pending) !shards in
     List.iter (fun sh -> sh.attempts <- sh.attempts + 1) pending;
     assignments := !assignments + List.length pending;
     let resume = unexplored (List.concat_map (fun sh -> sh.prefixes) pending) in
@@ -486,38 +452,63 @@ let run ~fleet ~config ~scenario =
 
   let all_disabled () = Array.for_all (fun w -> w.disabled) slots in
 
+  (* One supervision tick: wait up to 20 ms for frames, act on them, and
+     retire the workers that died (EOF on the pipe, or a reaped exit).
+     Returns the time the frames were read at. *)
+  let step () =
+    let fds =
+      Array.to_list slots
+      |> List.filter_map (fun w ->
+             match w.reader with
+             | Some r when not (Transport.at_eof r) -> Some (Transport.reader_fd r)
+             | _ -> None)
+    in
+    (if fds = [] then Unix.sleepf 0.02
+     else
+       try ignore (Unix.select fds [] [] 0.02)
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    let now = Unix.gettimeofday () in
+    Array.iter (fun w -> drain_worker w now) slots;
+    Array.iter
+      (fun w ->
+        match w.proc with
+        | None -> ()
+        | Some p -> (
+            let eof = match w.reader with Some r -> Transport.at_eof r | None -> true in
+            if eof then begin
+              let why =
+                match Supervise.wait_reap ~grace:0.5 p with
+                | Supervise.Exited 0 -> "worker exited"
+                | Supervise.Exited c -> Printf.sprintf "worker exited with code %d" c
+                | Supervise.Signaled s -> Printf.sprintf "worker killed by signal %d" s
+                | Supervise.Running -> "worker pipe closed"
+              in
+              worker_down ~why w now
+            end
+            else
+              match Supervise.reap p with
+              | Supervise.Running -> ()
+              | Supervise.Exited c ->
+                  worker_down ~why:(Printf.sprintf "worker exited with code %d" c) w now
+              | Supervise.Signaled s ->
+                  worker_down ~why:(Printf.sprintf "worker killed by signal %d" s) w now))
+      slots;
+    now
+  in
+
   let wind_down () =
     (* Collect what the fleet can still deliver: preempt every busy worker,
        give them a grace period to return partial results, then kill the
        stragglers. A second interrupt skips the grace. *)
-    Array.iter (fun w -> if w.busy <> None then preempt w) slots;
+    Array.iter (fun w -> if Option.is_some w.busy then preempt w) slots;
     let deadline = Unix.gettimeofday () +. 5.0 in
-    let rec collect () =
-      let now = Unix.gettimeofday () in
-      let busy = Array.exists (fun w -> w.busy <> None && w.proc <> None) slots in
-      if busy && now < deadline && Ex.interrupts_requested () <= 1 then begin
-        let fds =
-          Array.to_list slots
-          |> List.filter_map (fun w ->
-                 match w.reader with
-                 | Some r when not (Transport.at_eof r) -> Some (Transport.reader_fd r)
-                 | _ -> None)
-        in
-        (try ignore (Unix.select fds [] [] 0.02)
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        Array.iter (fun w -> drain_worker w now) slots;
-        Array.iter
-          (fun w ->
-            match (w.proc, w.reader) with
-            | Some p, Some r when Transport.at_eof r ->
-                ignore (Supervise.reap p);
-                worker_down ~why:"worker exited during wind-down" w now
-            | _ -> ())
-          slots;
-        collect ()
-      end
-    in
-    collect ();
+    while
+      Array.exists (fun w -> Option.is_some w.busy) slots
+      && Unix.gettimeofday () < deadline
+      && Ex.interrupts_requested () <= 1
+    do
+      ignore (step ())
+    done;
     Array.iter
       (fun w ->
         (match w.proc with
@@ -525,13 +516,7 @@ let run ~fleet ~config ~scenario =
             Supervise.kill_group p;
             ignore (Supervise.wait_reap ~grace:0.5 p)
         | None -> ());
-        (match w.busy with
-        | Some sid -> (
-            match List.find_opt (fun s -> s.sid = sid) (shard_list ()) with
-            | Some sh when sh.status <> Done -> sh.status <- Pending
-            | _ -> ())
-        | None -> ());
-        w.busy <- None;
+        settle w (Unix.gettimeofday ());
         release_slot w)
       slots
   in
@@ -559,65 +544,21 @@ let run ~fleet ~config ~scenario =
               Supervise.kill_group p
           | _ -> ())
         slots;
-      let fds =
-        Array.to_list slots
-        |> List.filter_map (fun w ->
-               match w.reader with
-               | Some r when not (Transport.at_eof r) -> Some (Transport.reader_fd r)
-               | _ -> None)
-      in
-      (if fds = [] then Unix.sleepf 0.02
-       else
-         try ignore (Unix.select fds [] [] 0.02)
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      let now = Unix.gettimeofday () in
-      Array.iter (fun w -> drain_worker w now) slots;
-      (* dead workers: EOF on the pipe, or a reaped exit *)
-      Array.iter
-        (fun w ->
-          match w.proc with
-          | None -> ()
-          | Some p -> (
-              let eof = match w.reader with Some r -> Transport.at_eof r | None -> true in
-              if eof then begin
-                let why =
-                  match Supervise.wait_reap ~grace:0.5 p with
-                  | Supervise.Exited 0 -> "worker exited"
-                  | Supervise.Exited c -> Printf.sprintf "worker exited with code %d" c
-                  | Supervise.Signaled s -> Printf.sprintf "worker killed by signal %d" s
-                  | Supervise.Running -> "worker pipe closed"
-                in
-                worker_down ~why w now
-              end
-              else
-                match Supervise.reap p with
-                | Supervise.Running -> ()
-                | Supervise.Exited c ->
-                    worker_down ~why:(Printf.sprintf "worker exited with code %d" c) w now
-                | Supervise.Signaled s ->
-                    worker_down ~why:(Printf.sprintf "worker killed by signal %d" s) w now))
-        slots;
+      let now = step () in
       (* heartbeat timeouts (the hang-chaos path arrives here: a deaf
          worker's beats are dropped, so its slot times out and the shard
          requeues exactly as for a real hang) *)
       Array.iter
         (fun w ->
-          match w.proc with
-          | Some p when now -. w.last_beat > fleet.heartbeat_timeout ->
-              log "worker %d heartbeat timeout (%.1fs), killing" w.wid
-                (now -. w.last_beat);
-              Supervise.kill_group p;
-              ignore (Supervise.wait_reap ~grace:0.5 p);
-              worker_down ~why:"heartbeat timeout" w now
-          | _ -> ())
+          if w.proc <> None && now -. w.last_beat > fleet.heartbeat_timeout then begin
+            log "worker %d heartbeat timeout (%.1fs), killing" w.wid (now -. w.last_beat);
+            kill_worker ~why:"heartbeat timeout" w now
+          end)
         slots;
       (* assignment: lowest shard id to lowest ready idle worker *)
+      let idle w = w.proc <> None && w.ready && w.busy = None in
       let rec assign_loop () =
-        let idle =
-          Array.to_list slots
-          |> List.find_opt (fun w -> w.proc <> None && w.ready && w.busy = None)
-        in
-        match (idle, pending_eligible now) with
+        match (Array.find_opt idle slots, pending_eligible now) with
         | Some w, sh :: _ ->
             assign w sh now;
             assign_loop ()
@@ -627,10 +568,7 @@ let run ~fleet ~config ~scenario =
       (* work stealing: idle capacity, nothing assignable, and a worker
          stuck in one shard for a while — preempt one per tick; the
          remainder it returns is shattered into fresh shards *)
-      (let idle_capacity =
-         Array.exists (fun w -> w.proc <> None && w.ready && w.busy = None) slots
-       and any_pending = List.exists (fun s -> s.status = Pending) (shard_list ()) in
-       if idle_capacity && not any_pending then
+      (if Array.exists idle slots && not (List.exists (fun s -> s.status = Pending) !shards) then
          match
            Array.to_list slots
            |> List.filter (fun w ->
@@ -646,17 +584,16 @@ let run ~fleet ~config ~scenario =
 
   if not phase1_only then begin
     if fleet.worker_argv <> None then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    log "fleet: %d shards across %d workers" (Array.length shards) fleet.workers;
+    log "fleet: %d shards across %d workers" (List.length !shards) fleet.workers;
     loop ();
     (* shut the workers down cleanly: closing their stdin makes them quit *)
     Array.iter release_slot slots
   end;
 
   let quarantined =
-    shard_list ()
+    !shards
     |> List.filter_map (fun s ->
            match s.status with Quarantined why -> Some (s.sid, why) | _ -> None)
-    |> List.sort compare
   in
   let remaining =
     if phase1_only then outcome0.Ex.frontier
@@ -671,7 +608,7 @@ let run ~fleet ~config ~scenario =
     outcome = { outcome with Ex.frontier = remaining };
     fleet =
       {
-        shards = !next_sid;
+        shards = List.length !shards;
         workers_configured = fleet.workers;
         workers_effective = effective;
         spawns = !spawns;

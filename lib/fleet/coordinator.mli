@@ -5,10 +5,11 @@
     at 32 executions returns its unexplored frontier, which is shattered
     ({!Jaaru.Choice.split_prefix}) into roughly [4 * workers] shards — each
     a slice of the frontier with nothing explored yet (so merging never
-    double-counts). {e Fan-out}: each shard is written as a
-    {!Jaaru.Checkpoint} with the real run's fingerprint and assigned to a
-    spawned worker process over the {!Transport} protocol; the worker
-    resumes it and returns its outcome as checkpoint bytes.
+    double-counts). {e Fan-out}: each shard is sent as the bytes of a
+    {!Jaaru.Checkpoint} with the real run's fingerprint, in an [Assign] frame
+    of the {!Transport} protocol, to a spawned worker process; the worker
+    resumes it and returns its outcome as checkpoint bytes in a [Result]
+    frame. The coordinator writes no files.
 
     {b Determinism.} Partial work is merged {e only} when a [Result] frame
     arrives; a worker that crashes, hangs or is killed mid-shard contributes
@@ -37,9 +38,14 @@
 
     {b Chaos.} With a non-trivial [chaos] spec the coordinator injects the
     faults itself: scheduled SIGKILLs of worker process groups, stalled
-    worker channels (exercising the heartbeat timeout), and torn shard
-    checkpoint files (exercising the [Refused] path). Chaos-induced failures
-    are counted as retries but never toward quarantine. *)
+    worker channels (exercising the heartbeat timeout), and shard
+    checkpoints torn in transit (exercising the [Refused] path). Each fault
+    belongs to one assignment and ends with it. Chaos-induced failures are
+    counted as retries but never toward quarantine.
+
+    {b Protocol errors.} A [Result] or [Refused] frame naming a shard other
+    than the one its worker holds is handled like a dead worker: the worker
+    is killed and its shard requeued. *)
 
 type config = {
   workers : int;  (** worker processes to supervise (domains in the fallback) *)
@@ -48,7 +54,6 @@ type config = {
   spawn_attempts : int;  (** consecutive spawn failures before a slot is disabled *)
   chaos : Supervise.chaos;
   chaos_seed : int;
-  scratch : string;  (** existing directory for shard checkpoints *)
   worker_argv : string array option;
       (** argv of a worker process ([jaaru fleet-worker CASE flags…]);
           [None] takes the in-process fallback *)
@@ -56,6 +61,8 @@ type config = {
 }
 
 val default : scratch:string -> config
+(** [scratch] is ignored: shards travel in frames, so the coordinator needs
+    no directory. It stays only so existing callers keep compiling. *)
 
 type fleet_stats = {
   shards : int;

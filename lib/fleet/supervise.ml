@@ -27,18 +27,13 @@ let parse_chaos s =
   | "" -> no_chaos
   | s -> List.fold_left parse_field no_chaos (String.split_on_char ',' s)
 
-let pp_chaos ppf c =
-  Format.fprintf ppf "kill:%g,hang:%g,torn:%g" c.kill c.hang c.torn
-
 (* The faults planned for one shard assignment. Decided coordinator-side from
    one seeded PRNG so a chaos run's fault schedule — and therefore its retry
    history — is reproducible. [kill_after] is seconds until the coordinator
-   SIGKILLs the worker's process group; [hang] asks the worker (via argv) to
-   stop heartbeating mid-shard; [torn] truncates the shard checkpoint file
-   after writing it, before the worker reads it. *)
+   SIGKILLs the worker's process group; [hang] drops the worker's messages
+   until its heartbeat timeout fires; [torn] truncates the shard checkpoint
+   the coordinator sends. *)
 type plan = { kill_after : float option; hang : bool; torn : bool }
-
-let no_faults = { kill_after = None; hang = false; torn = false }
 
 let injects p = p.kill_after <> None || p.hang || p.torn
 
@@ -137,7 +132,3 @@ let wait_reap ?(grace = 2.0) p =
         end
   in
   go ()
-
-let close_pipes p =
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    [ p.to_child; p.from_child ]

@@ -7,9 +7,9 @@
     The fleet's failure handling is exercised in CI by injecting the faults
     it claims to survive: [kill] SIGKILLs a worker's process group mid-shard,
     [hang] makes a worker stop heartbeating (exercising the heartbeat
-    timeout), [torn] truncates a shard checkpoint file before the worker
-    reads it (exercising the {!Transport.msg.Refused} path). Each field is
-    the per-assignment probability of that fault. *)
+    timeout), [torn] truncates the shard checkpoint the coordinator sends
+    (exercising the {!Transport.msg.Refused} path). Each field is the
+    per-assignment probability of that fault. *)
 
 type chaos = { kill : float; hang : float; torn : float }
 
@@ -20,14 +20,11 @@ val parse_chaos : string -> chaos
     order; the empty string is {!no_chaos}. Raises [Invalid_argument] on an
     unknown mode or a probability outside [0,1]. *)
 
-val pp_chaos : Format.formatter -> chaos -> unit
-
 type plan = { kill_after : float option; hang : bool; torn : bool }
 (** The faults planned for one shard assignment: coordinator-side SIGKILL
-    after [kill_after] seconds, a worker told (via argv) to stall its
-    heartbeats, a shard checkpoint truncated after writing. *)
-
-val no_faults : plan
+    after [kill_after] seconds, the worker's channel stalled (its messages
+    dropped until the heartbeat timeout fires), the shard checkpoint
+    truncated in transit. *)
 
 val injects : plan -> bool
 (** Whether the plan injects any fault — such an attempt's failure is
@@ -75,6 +72,3 @@ val reap : proc -> exit_status
 val wait_reap : ?grace:float -> proc -> exit_status
 (** Polls {!reap} for up to [grace] seconds (default 2), then SIGKILLs the
     group and waits for real. The worker is guaranteed gone on return. *)
-
-val close_pipes : proc -> unit
-(** Closes both pipe ends (idempotent, never raises). *)

@@ -7,14 +7,14 @@ exception Closed of string
 
 type msg =
   | Heartbeat of { shard : int; beats : int }
-  | Assign of { shard : int; attempt : int; path : string }
+  | Assign of { shard : int; attempt : int; payload : string }
   | Preempt
   | Result of { shard : int; payload : string }
   | Refused of { shard : int; reason : string }
 
-(* A frame a worker could construct by accident must never be mistaken for a
-   huge allocation request: a shard-result payload is a checkpoint (KBs to a
-   few MBs); anything beyond this is a corrupt stream. *)
+(* A frame a peer could construct by accident must never be mistaken for a
+   huge allocation request: a shard or result payload is a checkpoint (KBs
+   to a few MBs); anything beyond this is a corrupt stream. *)
 let max_frame = 256 * 1024 * 1024
 
 let encode_msg b = function
@@ -22,11 +22,11 @@ let encode_msg b = function
       Wire.int b 0;
       Wire.int b shard;
       Wire.int b beats
-  | Assign { shard; attempt; path } ->
+  | Assign { shard; attempt; payload } ->
       Wire.int b 1;
       Wire.int b shard;
       Wire.int b attempt;
-      Wire.string b path
+      Wire.string b payload
   | Preempt -> Wire.int b 2
   | Result { shard; payload } ->
       Wire.int b 3;
@@ -48,8 +48,8 @@ let decode_msg payload =
     | 1 ->
         let shard = Wire.rd_int s in
         let attempt = Wire.rd_int s in
-        let path = Wire.rd_string s in
-        Assign { shard; attempt; path }
+        let payload = Wire.rd_string s in
+        Assign { shard; attempt; payload }
     | 2 -> Preempt
     | 3 ->
         let shard = Wire.rd_int s in
@@ -108,45 +108,7 @@ let write fd msg =
   in
   go 0
 
-(* --- blocking reads (worker side) ---------------------------------------- *)
-
-let really_read fd buf off len =
-  let rec go off len =
-    if len > 0 then
-      match Unix.read fd buf off len with
-      | 0 -> raise (Closed "eof mid-frame")
-      | n -> go (off + n) (len - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.ECONNRESET), _, _) ->
-          raise (Closed "peer closed the pipe")
-  in
-  go off len
-
-let parse_frame header body =
-  let expected = rd_be32 header 4 in
-  if Pmem.Crc32.digest_string body <> expected then raise (Closed "frame fails its checksum");
-  match decode_msg body with
-  | m -> m
-  | exception Wire.Corrupt msg -> raise (Closed (Printf.sprintf "corrupt frame: %s" msg))
-
-let read fd =
-  let header = Bytes.create 8 in
-  (* EOF cleanly between frames is a normal shutdown; EOF mid-frame is a torn
-     write from a dying peer — both surface as [Closed], callers do not
-     recover a protocol stream. *)
-  let n = try Unix.read fd header 0 1 with Unix.Unix_error (Unix.EINTR, _, _) -> -1 in
-  if n = 0 then raise (Closed "eof")
-  else begin
-    if n > 0 then really_read fd header n (8 - n) else really_read fd header 0 8;
-    let header = Bytes.unsafe_to_string header in
-    let len = rd_be32 header 0 in
-    if len < 0 || len > max_frame then raise (Closed "oversized frame");
-    let body = Bytes.create len in
-    really_read fd body 0 len;
-    parse_frame header (Bytes.unsafe_to_string body)
-  end
-
-(* --- non-blocking buffered reader (coordinator side) ---------------------- *)
+(* --- non-blocking buffered reader (both sides) ---------------------------- *)
 
 type reader = {
   fd : Unix.file_descr;
@@ -166,44 +128,47 @@ let close_reader r =
   try Unix.close r.fd with Unix.Unix_error _ -> ()
 
 let drain r =
-  let chunk = Bytes.create 65536 in
-  let rec pull acc =
-    match Unix.read r.fd chunk 0 (Bytes.length chunk) with
-    | 0 ->
-        r.eof <- true;
-        acc
-    | n -> pull (acc ^ Bytes.sub_string chunk 0 n)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> acc
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> pull acc
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.ECONNRESET), _, _) ->
-        r.eof <- true;
-        acc
-  in
-  r.pending <- pull r.pending;
-  let msgs = ref [] in
-  let rec parse () =
-    let s = r.pending in
-    if String.length s >= 8 then begin
-      let len = rd_be32 s 0 in
-      if len < 0 || len > max_frame then begin
-        (* Poisoned stream: drop everything, report EOF — the supervisor
-           treats it as a dead worker and requeues the shard. *)
-        r.eof <- true;
-        r.pending <- ""
+  if r.eof then []
+  else begin
+    let chunk = Bytes.create 65536 in
+    let rec pull acc =
+      match Unix.read r.fd chunk 0 (Bytes.length chunk) with
+      | 0 ->
+          r.eof <- true;
+          acc
+      | n -> pull (Bytes.sub_string chunk 0 n :: acc)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> acc
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> pull acc
+      | exception Unix.Unix_error ((Unix.EBADF | Unix.ECONNRESET), _, _) ->
+          r.eof <- true;
+          acc
+    in
+    let s = String.concat "" (List.rev (pull [ r.pending ])) in
+    (* A bad length, checksum or body poisons the stream: drop everything
+       and report EOF — the supervisor treats it as a dead worker and
+       requeues the shard. *)
+    let poison acc =
+      r.eof <- true;
+      r.pending <- "";
+      List.rev acc
+    in
+    let rec parse acc off =
+      let avail = String.length s - off in
+      let len = if avail >= 8 then rd_be32 s off else 0 in
+      if len > max_frame then poison acc
+      else if avail < 8 + len then begin
+        (* A partial frame waits for the next call, unless the stream has
+           ended: then it can never complete. *)
+        r.pending <- (if r.eof then "" else String.sub s off avail);
+        List.rev acc
       end
-      else if String.length s >= 8 + len then begin
-        let body = String.sub s 8 len in
-        r.pending <- String.sub s (8 + len) (String.length s - 8 - len);
-        (match parse_frame s body with
-        | m -> msgs := m :: !msgs
-        | exception Closed _ ->
-            r.eof <- true;
-            r.pending <- "");
-        parse ()
-      end
-    end
-  in
-  parse ();
-  (* A stream that ended mid-frame: the partial bytes can never complete. *)
-  if r.eof && r.pending <> "" then r.pending <- "";
-  List.rev !msgs
+      else
+        let body = String.sub s (off + 8) len in
+        if Pmem.Crc32.digest_string body <> rd_be32 s (off + 4) then poison acc
+        else
+          match decode_msg body with
+          | m -> parse (m :: acc) (off + 8 + len)
+          | exception Wire.Corrupt _ -> poison acc
+    in
+    parse [] 0
+  end

@@ -5,22 +5,26 @@
     Frame layout: 4-byte big-endian payload length, 4-byte big-endian CRC-32
     of the payload, payload. The length catches the common failure (a worker
     SIGKILLed mid-write leaves a short final frame); the CRC guarantees a
-    corrupted stream surfaces as {!Closed} rather than decoding into a
-    plausible wrong message. A transport stream never recovers from a framing
-    error — the supervisor treats it as a dead worker and requeues the
-    shard. *)
+    corrupted stream surfaces as end of stream ({!at_eof}) rather than
+    decoding into a plausible wrong message. A transport stream never
+    recovers from a framing error — the supervisor treats it as a dead worker
+    and requeues the shard.
+
+    Both directions carry the same unit of work: a shard goes down in
+    [Assign] and its result comes back in [Result], each as the bytes of a
+    {!Jaaru.Checkpoint} ({!Jaaru.Checkpoint.to_string}). *)
 
 exception Closed of string
-(** The peer closed the pipe, the stream ended mid-frame, or a frame failed
-    its checksum. *)
+(** {!write} found the peer's end of the pipe closed. *)
 
 type msg =
   | Heartbeat of { shard : int; beats : int }
       (** worker → coordinator, periodic liveness proof; [shard] is the shard
           currently being explored ([-1] when idle — the first idle beat
           doubles as the ready handshake) *)
-  | Assign of { shard : int; attempt : int; path : string }
-      (** coordinator → worker: explore the shard checkpoint at [path] *)
+  | Assign of { shard : int; attempt : int; payload : string }
+      (** coordinator → worker: explore the shard checkpoint whose bytes are
+          [payload] ({!Jaaru.Checkpoint.of_string}) *)
   | Preempt
       (** coordinator → worker: stop cooperatively and return the remainder —
           work stealing and graceful shutdown *)
@@ -29,24 +33,20 @@ type msg =
           ({!Jaaru.Checkpoint.of_string}); an interrupted shard carries a
           non-empty frontier remainder *)
   | Refused of { shard : int; reason : string }
-      (** worker → coordinator: the assignment could not even start (unreadable
-          or torn shard checkpoint, fingerprint mismatch) — distinct from a
-          crash so the coordinator can rewrite the file and retry *)
+      (** worker → coordinator: the assignment could not even start (torn
+          shard checkpoint, fingerprint mismatch) — distinct from a crash so
+          the coordinator can resend the shard and retry *)
 
 val write : Unix.file_descr -> msg -> unit
 (** Writes one complete frame (blocking). Raises {!Closed} on a broken
     pipe. *)
 
-val read : Unix.file_descr -> msg
-(** Blocks until one complete frame arrives — the worker side, where the
-    coordinator is the only peer and there is nothing to do without it.
-    Raises {!Closed} on EOF, a torn frame, or a checksum failure. *)
+(** {1 Non-blocking buffered reader — both sides}
 
-(** {1 Non-blocking buffered reader — the coordinator side}
-
-    The coordinator multiplexes many workers with [Unix.select]; each
-    worker's pipe gets a [reader] that accumulates partial frames across
-    {!drain} calls and never blocks. *)
+    The one frame parser. The coordinator multiplexes many workers with
+    [Unix.select], the worker waits on its stdin between heartbeats; each
+    pipe gets a [reader] that accumulates partial frames across {!drain}
+    calls and never blocks. *)
 
 type reader
 
@@ -59,8 +59,10 @@ val reader_fd : reader -> Unix.file_descr
 val drain : reader -> msg list
 (** Reads everything currently available and returns the complete frames, in
     arrival order; partial trailing bytes are buffered for the next call.
-    EOF and framing errors do not raise — they latch {!at_eof}, because on
-    this side a dead peer is routine (that is what the supervisor is for). *)
+    EOF and framing errors do not raise — they latch {!at_eof}, because a
+    dead peer is routine (that is what the supervisor is for). A framing
+    error yields the complete frames before it and nothing after; once
+    {!at_eof} holds, [drain] returns [[]]. *)
 
 val at_eof : reader -> bool
 (** The stream has ended (peer exit, torn frame, or checksum failure) and no

@@ -3,103 +3,93 @@
    the [run] callback, so this module never depends on the case registry or
    the explorer. See worker.mli for the thread structure. *)
 
-type assignment = { shard : int; attempt : int; path : string }
-
-type event = Run of assignment | Quit
+type event = Run of { shard : int; attempt : int; payload : string } | Quit
 
 let serve ?(heartbeat_period = 0.05) ~on_preempt ~run () =
-  let input = Unix.stdin and output = Unix.stdout in
   let out_mutex = Mutex.create () in
-  let send msg =
-    Mutex.lock out_mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock out_mutex) (fun () ->
-        Transport.write output msg)
-  in
+  let send msg = Mutex.protect out_mutex (fun () -> Transport.write Unix.stdout msg) in
   let current = Atomic.make (-1) in
   let quit = Atomic.make false in
   let inbox = Queue.create () in
   let inbox_mutex = Mutex.create () in
   let inbox_cond = Condition.create () in
   let post ev =
-    Mutex.lock inbox_mutex;
-    Queue.push ev inbox;
-    Condition.signal inbox_cond;
-    Mutex.unlock inbox_mutex
+    Mutex.protect inbox_mutex (fun () ->
+        Queue.push ev inbox;
+        Condition.signal inbox_cond)
   in
-  (* Reader thread: the only consumer of stdin. Preempts are acted on
-     immediately — the main thread is busy inside [run] exactly when they
-     matter. Coordinator death (EOF) is treated as a preempt-then-quit, so an
-     orphaned worker stops instead of exploring into the void. *)
-  let reader =
-    Thread.create
-      (fun () ->
-        let rec loop () =
-          match Transport.read input with
-          | Transport.Assign { shard; attempt; path } ->
-              post (Run { shard; attempt; path });
-              loop ()
-          | Transport.Preempt ->
-              on_preempt ();
-              loop ()
-          | Transport.Heartbeat _ | Transport.Result _ | Transport.Refused _ -> loop ()
-          | exception Transport.Closed _ ->
-              on_preempt ();
-              post Quit
-        in
-        loop ())
-      ()
+  (* Service thread: the only reader of stdin, and the heartbeat — always
+     beating, whatever the main thread is doing, which is the point. It
+     waits on stdin until the next beat is due. Preempts are acted on
+     immediately (the main thread is busy inside [run] exactly when they
+     matter). The first (idle) beat doubles as the ready handshake.
+     Coordinator death — EOF on stdin, or a beat that cannot be sent — is a
+     preempt-then-quit, so an orphaned worker stops instead of exploring
+     into the void. *)
+  let service () =
+    let input = Transport.reader Unix.stdin in
+    let beats = ref 0 and next_beat = ref 0. in
+    let stop () =
+      on_preempt ();
+      post Quit
+    in
+    let rec loop () =
+      let now = Unix.gettimeofday () in
+      let beat = now >= !next_beat in
+      if beat then begin
+        incr beats;
+        next_beat := now +. heartbeat_period
+      end;
+      match
+        if beat then send (Transport.Heartbeat { shard = Atomic.get current; beats = !beats })
+      with
+      | exception Transport.Closed _ -> stop ()
+      | () ->
+          (try
+             ignore
+               (Unix.select [ Transport.reader_fd input ] [] []
+                  (Float.max 0. (!next_beat -. Unix.gettimeofday ())))
+           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+          List.iter
+            (function
+              | Transport.Assign { shard; attempt; payload } ->
+                  post (Run { shard; attempt; payload })
+              | Transport.Preempt -> on_preempt ()
+              | Transport.Heartbeat _ | Transport.Result _ | Transport.Refused _ -> ())
+            (Transport.drain input);
+          if Transport.at_eof input then stop ()
+          else if not (Atomic.get quit) then loop ()
+    in
+    loop ()
   in
-  (* Heartbeat thread: always beating, whatever the main thread is doing —
-     that is the point. The first (idle) beat doubles as the ready
-     handshake. A send failure means the coordinator is gone; stop quietly
-     and let the reader's EOF wind the main loop down. *)
-  let beater =
-    Thread.create
-      (fun () ->
-        let beats = ref 0 in
-        let rec loop () =
-          if not (Atomic.get quit) then begin
-            incr beats;
-            match send (Transport.Heartbeat { shard = Atomic.get current; beats = !beats }) with
-            | () ->
-                Thread.delay heartbeat_period;
-                loop ()
-            | exception Transport.Closed _ -> ()
-          end
-        in
-        loop ())
-      ()
-  in
+  let server = Thread.create service () in
   let rec main () =
-    Mutex.lock inbox_mutex;
-    while Queue.is_empty inbox do
-      Condition.wait inbox_cond inbox_mutex
-    done;
-    let ev = Queue.pop inbox in
-    Mutex.unlock inbox_mutex;
+    let ev =
+      Mutex.protect inbox_mutex (fun () ->
+          while Queue.is_empty inbox do
+            Condition.wait inbox_cond inbox_mutex
+          done;
+          Queue.pop inbox)
+    in
     match ev with
     | Quit -> ()
-    | Run { shard; attempt; path } ->
+    | Run { shard; attempt; payload } -> (
         Atomic.set current shard;
         let reply =
-          match run ~shard ~attempt ~path with
+          match run ~shard ~attempt ~payload with
           | Ok payload -> Transport.Result { shard; payload }
           | Error reason -> Transport.Refused { shard; reason }
-          | exception exn ->
-              Transport.Refused { shard; reason = Printexc.to_string exn }
+          | exception exn -> Transport.Refused { shard; reason = Printexc.to_string exn }
         in
         Atomic.set current (-1);
-        (match send reply with
-        | () -> ()
-        | exception Transport.Closed _ -> Atomic.set quit true);
-        if not (Atomic.get quit) then main ()
+        match send reply with
+        | () -> main ()
+        | exception Transport.Closed _ -> ())
   in
   Fun.protect
     ~finally:(fun () ->
+      (* The service thread waits at most one heartbeat period before it
+         sees the flag. *)
       Atomic.set quit true;
-      (* The reader is blocked on stdin; closing it unblocks the read with
-         [Closed] and lets the thread exit. *)
-      (try Unix.close input with Unix.Unix_error _ -> ());
-      (try Thread.join beater with _ -> ());
-      try Thread.join reader with _ -> ())
+      try Thread.join server with _ -> ())
     main

@@ -1,23 +1,13 @@
 (* Fleet mode: the transport framing, the chaos/backoff machinery, prefix
-   shattering, and — the load-bearing property — that an in-process
-   coordinator run (the fallback onto the explorer's domains that every
-   fleet can degrade to) reports byte-identically to a plain single-process
-   exploration. The spawned-process path is exercised end to end by
-   scripts/fleet_chaos_smoke.sh. *)
+   shattering, and — the load-bearing property — that a coordinator run,
+   on spawned worker processes (this binary re-executed as a fake worker)
+   or in-process (the fallback onto the explorer's domains that every fleet
+   can degrade to), reports byte-identically to a plain single-process
+   exploration. scripts/fleet_chaos_smoke.sh drives the real CLI worker
+   under injected faults. *)
 open Jaaru
 
 let report_text (o : Explorer.outcome) = Format.asprintf "%a" Explorer.pp_report o
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "jaaru_fleet" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      (try Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir)
-       with Sys_error _ -> ());
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
 
 let deep_case () =
   let c = List.hd (Pmdk.Workloads.fig12_cases ()) in
@@ -26,34 +16,151 @@ let deep_case () =
 
 (* --- transport ------------------------------------------------------------- *)
 
+module T = Fleet.Transport
+
 let all_msgs =
   [
-    Fleet.Transport.Heartbeat { shard = -1; beats = 1 };
-    Fleet.Transport.Heartbeat { shard = 42; beats = 1_000_000 };
-    Fleet.Transport.Assign { shard = 0; attempt = 3; path = "/tmp/shard-0.ckpt" };
-    Fleet.Transport.Preempt;
-    Fleet.Transport.Result { shard = 7; payload = String.init 4096 (fun i -> Char.chr (i land 0xff)) };
-    Fleet.Transport.Refused { shard = 9; reason = "checkpoint payload fails its checksum" };
+    T.Heartbeat { shard = -1; beats = 1 };
+    T.Heartbeat { shard = 42; beats = 1_000_000 };
+    T.Assign { shard = 0; attempt = 3; payload = "jaaru-checkpoint-v2\n" };
+    T.Preempt;
+    T.Result { shard = 7; payload = String.init 4096 (fun i -> Char.chr (i land 0xff)) };
+    T.Refused { shard = 9; reason = "checkpoint payload fails its checksum" };
   ]
+
+(* Everything [reader] yields until its stream ends. *)
+let drain_to_eof reader =
+  let rec go acc =
+    if T.at_eof reader then List.concat (List.rev acc)
+    else begin
+      ignore (Unix.select [ T.reader_fd reader ] [] [] 1.0);
+      go (T.drain reader :: acc)
+    end
+  in
+  go []
 
 let test_transport_roundtrip () =
   let r, w = Unix.pipe () in
+  let reader = T.reader r in
+  Fun.protect
+    ~finally:(fun () -> T.close_reader reader)
+    (fun () ->
+      List.iter (fun m -> T.write w m) all_msgs;
+      (* Closing the write end surfaces as a clean EOF after the frames. *)
+      Unix.close w;
+      Alcotest.(check bool) "messages round-trip in order" true (drain_to_eof reader = all_msgs);
+      Alcotest.(check bool) "eof latched" true (T.at_eof reader);
+      Alcotest.(check int) "nothing after eof" 0 (List.length (T.drain reader)))
+
+(* The frames of [msgs] as one byte string, and the offset each frame
+   starts at. Written through a file: a 64 KiB frame does not fit a pipe. *)
+let frames msgs =
+  let path = Filename.temp_file "jaaru_frames" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let starts =
+        List.map
+          (fun m ->
+            let at = Unix.lseek fd 0 Unix.SEEK_CUR in
+            T.write fd m;
+            at)
+          msgs
+      in
+      Unix.close fd;
+      (In_channel.with_open_bin path In_channel.input_all, starts))
+
+(* Delivers [bytes] through a pipe in chunks of random size (1 byte up to
+   the whole rest), draining after every write, and closes the pipe when
+   [close]. Returns what the reader yielded and whether it latched EOF. *)
+let deliver ~chunks ~close bytes =
+  let r, w = Unix.pipe () in
+  Unix.set_nonblock w;
+  let reader = T.reader r in
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close r with Unix.Unix_error _ -> ());
+      T.close_reader reader;
       try Unix.close w with Unix.Unix_error _ -> ())
     (fun () ->
-      List.iter (fun m -> Fleet.Transport.write w m) all_msgs;
-      List.iter
-        (fun expected ->
-          let got = Fleet.Transport.read r in
-          Alcotest.(check bool) "message round-trips" true (got = expected))
-        all_msgs;
-      (* Closing the write end surfaces as a clean EOF. *)
-      Unix.close w;
-      match Fleet.Transport.read r with
-      | _ -> Alcotest.fail "read past EOF must raise Closed"
-      | exception Fleet.Transport.Closed _ -> ())
+      let got = ref [] in
+      let pull () = got := !got @ T.drain reader in
+      let rec push off =
+        let rest = String.length bytes - off in
+        if rest > 0 then begin
+          let bound =
+            match Random.State.int chunks 4 with 0 | 1 -> min rest 16 | 2 -> min rest 4096 | _ -> rest
+          in
+          match Unix.single_write_substring w bytes off (1 + Random.State.int chunks bound) with
+          | n ->
+              pull ();
+              push (off + n)
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              (* A latched reader reads no more: stop once the pipe is full. *)
+              pull ();
+              if not (T.at_eof reader) then push off
+        end
+      in
+      push 0;
+      if close then begin
+        Unix.close w;
+        got := !got @ drain_to_eof reader
+      end
+      else pull ();
+      (!got, T.at_eof reader))
+
+let gen_msg =
+  QCheck.Gen.(
+    let payload = string_size (frequency [ (3, int_bound 64); (1, int_bound 65536) ]) in
+    oneof
+      [
+        map2 (fun shard beats -> T.Heartbeat { shard; beats }) (int_range (-1) 1000) nat;
+        map3 (fun shard attempt payload -> T.Assign { shard; attempt; payload }) nat nat payload;
+        return T.Preempt;
+        map2 (fun shard payload -> T.Result { shard; payload }) nat payload;
+        map2 (fun shard reason -> T.Refused { shard; reason }) nat payload;
+      ])
+
+let print_msg = function
+  | T.Heartbeat { shard; beats } -> Printf.sprintf "Heartbeat(%d,%d)" shard beats
+  | T.Assign { shard; attempt; payload } ->
+      Printf.sprintf "Assign(%d,%d,%d bytes)" shard attempt (String.length payload)
+  | T.Preempt -> "Preempt"
+  | T.Result { shard; payload } -> Printf.sprintf "Result(%d,%d bytes)" shard (String.length payload)
+  | T.Refused { shard; reason } ->
+      Printf.sprintf "Refused(%d,%d bytes)" shard (String.length reason)
+
+(* Any message list, in any chunking: the reader yields exactly the list;
+   cut mid-frame it yields the complete prefix and EOF; with one byte of a
+   frame body flipped it yields the frames before that one and then EOF. *)
+let prop_reader_chunking =
+  QCheck.Test.make ~name:"reader = frames, in any chunking" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list print_msg) int)
+       QCheck.Gen.(pair (list_size (int_range 1 8) gen_msg) int))
+    (fun (msgs, seed) ->
+      let chunks = Random.State.make [| seed |] in
+      let bytes, starts = frames msgs in
+      let n = List.length msgs in
+      let k = Random.State.int chunks n in
+      let start = List.nth starts k in
+      let stop = if k + 1 < n then List.nth starts (k + 1) else String.length bytes in
+      let before = List.filteri (fun i _ -> i < k) msgs in
+      let whole = deliver ~chunks ~close:true bytes in
+      let cut =
+        deliver ~chunks ~close:true
+          (String.sub bytes 0 (start + 1 + Random.State.int chunks (stop - start - 1)))
+      in
+      let flipped =
+        let b = Bytes.of_string bytes in
+        let at = start + 8 + Random.State.int chunks (stop - start - 8) in
+        Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 + Random.State.int chunks 255)));
+        deliver ~chunks ~close:false (Bytes.to_string b)
+      in
+      if whole <> (msgs, true) then QCheck.Test.fail_report "whole stream";
+      if cut <> (before, true) then QCheck.Test.fail_report "cut mid-frame";
+      if flipped <> (before, true) then QCheck.Test.fail_report "flipped body byte";
+      true)
 
 let test_transport_reader_partial_frames () =
   let r, w = Unix.pipe () in
@@ -203,16 +310,10 @@ let test_merge_outcomes_differential () =
 (* --- the coordinator (in-process fallback) ----------------------------------- *)
 
 let coordinator_case scn config ~chaos ~workers =
-  with_temp_dir (fun scratch ->
-      let fleet =
-        {
-          (Fleet.Coordinator.default ~scratch) with
-          Fleet.Coordinator.workers;
-          chaos;
-          worker_argv = None;
-        }
-      in
-      Fleet.Coordinator.run ~fleet ~config ~scenario:scn)
+  let fleet =
+    { (Fleet.Coordinator.default ~scratch:"") with Fleet.Coordinator.workers; chaos; worker_argv = None }
+  in
+  Fleet.Coordinator.run ~fleet ~config ~scenario:scn
 
 let test_coordinator_in_process_differential () =
   let scn, config = deep_case () in
@@ -236,24 +337,23 @@ let test_coordinator_in_process_differential () =
 let test_coordinator_degrades_on_spawn_failure () =
   let scn, config = deep_case () in
   let expected = report_text (Explorer.run ~config scn) in
-  with_temp_dir (fun scratch ->
-      let fleet =
-        {
-          (Fleet.Coordinator.default ~scratch) with
-          Fleet.Coordinator.workers = 2;
-          spawn_attempts = 2;
-          worker_argv = Some [| "/nonexistent/jaaru-worker-binary" |];
-        }
-      in
-      let r = Fleet.Coordinator.run ~fleet ~config ~scenario:scn in
-      Alcotest.(check string) "degraded fleet = single process" expected
-        (report_text r.Fleet.Coordinator.outcome);
-      Alcotest.(check bool) "spawn failures were counted" true
-        (r.Fleet.Coordinator.fleet.Fleet.Coordinator.spawn_failures > 0);
-      Alcotest.(check int) "no effective workers" 0
-        r.Fleet.Coordinator.fleet.Fleet.Coordinator.workers_effective;
-      Alcotest.(check bool) "degraded to in-process" true
-        r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process)
+  let fleet =
+    {
+      (Fleet.Coordinator.default ~scratch:"") with
+      Fleet.Coordinator.workers = 2;
+      spawn_attempts = 2;
+      worker_argv = Some [| "/nonexistent/jaaru-worker-binary" |];
+    }
+  in
+  let r = Fleet.Coordinator.run ~fleet ~config ~scenario:scn in
+  Alcotest.(check string) "degraded fleet = single process" expected
+    (report_text r.Fleet.Coordinator.outcome);
+  Alcotest.(check bool) "spawn failures were counted" true
+    (r.Fleet.Coordinator.fleet.Fleet.Coordinator.spawn_failures > 0);
+  Alcotest.(check int) "no effective workers" 0
+    r.Fleet.Coordinator.fleet.Fleet.Coordinator.workers_effective;
+  Alcotest.(check bool) "degraded to in-process" true
+    r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process
 
 (* An interrupt mid-fleet must leave a remainder that, resumed as a plain
    checkpoint, completes to the uninterrupted report — fleet and check
@@ -288,15 +388,115 @@ let test_coordinator_interrupt_remainder () =
         Alcotest.(check string) "uninterrupted fleet = single process" expected
           (report_text r.Fleet.Coordinator.outcome))
 
+(* --- spawned workers ------------------------------------------------------- *)
+
+(* This test binary doubles as a fleet worker: re-executed as
+   [test_fleet.exe fake-worker MODE], it serves shards of [deep_case]
+   through {!Fleet.Worker.serve}, exploring each honestly. In mode
+   [foreign], every shard's first attempt answers with a result carrying a
+   wrong fingerprint. *)
+let fake_worker mode =
+  let scn, config = deep_case () in
+  let run ~shard:_ ~attempt ~payload =
+    let cp = Checkpoint.of_string payload in
+    Checkpoint.validate cp ~workload:scn.Explorer.name ~config;
+    Explorer.clear_interrupt ();
+    let o = Explorer.run ~config ~resume:cp scn in
+    let cp = Explorer.to_checkpoint ~config scn o in
+    let cp =
+      if mode = "foreign" && attempt = 1 then { cp with Checkpoint.fingerprint = "foreign" }
+      else cp
+    in
+    Ok (Checkpoint.to_string cp)
+  in
+  Fleet.Worker.serve ~on_preempt:Explorer.request_interrupt ~run ()
+
+(* One fleet run on a single spawned fake worker. A watchdog interrupts the
+   run after 30 s, so a wedged coordinator fails the test instead of hanging
+   it. *)
+let spawned_case ~mode ?(chaos = Fleet.Supervise.no_chaos) ?(quarantine_after = 3) () =
+  let scn, config = deep_case () in
+  let fleet =
+    {
+      (Fleet.Coordinator.default ~scratch:"") with
+      Fleet.Coordinator.workers = 1;
+      chaos;
+      chaos_seed = 7;
+      quarantine_after;
+      worker_argv = Some [| Sys.executable_name; "fake-worker"; mode |];
+    }
+  in
+  let over = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. 30. in
+        while (not (Atomic.get over)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.05
+        done;
+        if not (Atomic.get over) then Explorer.request_interrupt ())
+      ()
+  in
+  Explorer.clear_interrupt ();
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set over true;
+        Thread.join watchdog;
+        Explorer.clear_interrupt ())
+      (fun () -> Fleet.Coordinator.run ~fleet ~config ~scenario:scn)
+  in
+  Alcotest.(check bool) "not interrupted by the watchdog" false r.Fleet.Coordinator.interrupted;
+  Alcotest.(check (list string)) "nothing remaining" [] r.Fleet.Coordinator.remaining;
+  Alcotest.(check bool) "ran on worker processes" false
+    r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process;
+  Alcotest.(check string) "spawned fleet = single process"
+    (report_text (Explorer.run ~config scn))
+    (report_text r.Fleet.Coordinator.outcome);
+  r.Fleet.Coordinator.fleet
+
+(* A foreign-fingerprint result ends its assignment like any other: the
+   shard is requeued and the slot is free again, so a single worker still
+   finishes the run. *)
+let test_foreign_result_frees_slot () =
+  let f = spawned_case ~mode:"foreign" () in
+  Alcotest.(check bool) "foreign results were retried" true (f.Fleet.Coordinator.retries >= 1)
+
+(* A chaos kill belongs to one assignment. Under this seed a small shard
+   answers before its planned kill is due and the next, larger shard is
+   drawn without a kill; a kill that outlived its assignment would land on
+   that one, count as a real failure and, with [quarantine_after = 1],
+   quarantine it. *)
+let test_chaos_kill_ends_with_its_assignment () =
+  let f =
+    spawned_case ~mode:"honest"
+      ~chaos:{ Fleet.Supervise.no_chaos with kill = 0.5 }
+      ~quarantine_after:1 ()
+  in
+  Alcotest.(check (list (pair int string)))
+    "no shard quarantined" [] f.Fleet.Coordinator.quarantined
+
 let () =
-  Alcotest.run "fleet"
+  if Array.length Sys.argv = 3 && Sys.argv.(1) = "fake-worker" then fake_worker Sys.argv.(2)
+  else
+    (* The spawned group runs first: OCaml 5 refuses [Unix.fork] in a
+       process that has ever spawned a domain, and the in-process
+       coordinator tests below do. *)
+    Alcotest.run "fleet"
     [
+      ( "spawned",
+        [
+          Alcotest.test_case "foreign result frees the slot" `Slow test_foreign_result_frees_slot;
+          Alcotest.test_case "a chaos kill ends with its assignment" `Slow
+            test_chaos_kill_ends_with_its_assignment;
+        ] );
       ( "transport",
         [
           Alcotest.test_case "round-trip over a pipe" `Quick test_transport_roundtrip;
           Alcotest.test_case "reader reassembles partial frames" `Quick
             test_transport_reader_partial_frames;
           Alcotest.test_case "corrupt frame = dead worker" `Quick test_transport_corrupt_frame;
+          QCheck_alcotest.to_alcotest prop_reader_chunking;
         ] );
       ( "chaos",
         [
@@ -319,4 +519,5 @@ let () =
           Alcotest.test_case "interrupt leaves a resumable remainder" `Quick
             test_coordinator_interrupt_remainder;
         ] );
+
     ]
