@@ -18,7 +18,9 @@ test:
 # the report omits; the traces must also match with snapshots off. The
 # buffered-eviction leg runs the two-thread P-CLHT case, whose loads forward
 # from deep store buffers: its report must match across --jobs 1, --jobs 3
-# and --snapshot off, and at two failures the committed golden report. The
+# and --snapshot off, and at two failures the committed golden report, both
+# at --jobs 1 and at --jobs 2, where each worker restarts its one searcher
+# on dozens of subtree tasks and keeps its snapshots across them. The
 # golden leg then runs every other case with a committed report in
 # bench/suite/golden (the 13 clean sequential cases, eager eviction) at two
 # failures and diffs each against it; the golden files are only read. A
@@ -47,9 +49,11 @@ parallel-smoke: build
 	done && \
 	diff -u "$$d/clht-1-on.txt" "$$d/clht-3-on.txt" && \
 	diff -u "$$d/clht-1-on.txt" "$$d/clht-1-off.txt" && \
-	dune exec bin/jaaru_cli.exe -- check P-CLHT-concurrent --max-failures 2 --jobs 1 \
-	  --report-out "$$d/clht-golden.txt" > /dev/null && \
-	diff -u bench/suite/golden/P-CLHT-concurrent.report "$$d/clht-golden.txt"
+	for j in 1 2; do \
+	  dune exec bin/jaaru_cli.exe -- check P-CLHT-concurrent --max-failures 2 --jobs $$j \
+	    --report-out "$$d/clht-golden-$$j.txt" > /dev/null || exit 1; \
+	  diff -u bench/suite/golden/P-CLHT-concurrent.report "$$d/clht-golden-$$j.txt" || exit 1; \
+	done
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	for g in bench/suite/golden/*.report; do \
 	  c=$$(basename "$$g" .report); \

@@ -251,6 +251,20 @@ let write_report path o =
       let ppf = Format.formatter_of_out_channel oc in
       Format.fprintf ppf "%a@." Jaaru.Explorer.pp_report o)
 
+(* A replay met a different decision shape than the one recorded. After
+   --resume the likely cause is a checkpoint written for other code: its
+   fingerprint covers the configuration and workload name, not the program. *)
+let divergence ?resumed msg =
+  match resumed with
+  | None -> `Msg msg
+  | Some path ->
+      `Msg
+        (Printf.sprintf
+           "%s\ncheckpoint %s does not fit this program: it was most likely written before the \
+            workload's code changed (the fingerprint covers the configuration and workload name, \
+            not the code); re-run without --resume"
+           msg path)
+
 let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf show_trace
     analyze wall_budget step_deadline mem_budget checkpoint checkpoint_every resume report_out =
   match find_entry id with
@@ -275,9 +289,11 @@ let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf s
       match
         with_graceful_signals (fun () ->
             let resume = Option.map Jaaru.Checkpoint.load resume in
+            Option.iter Jaaru.Checkpoint.check_writable checkpoint;
             Jaaru.Explorer.run ~config ?resume ?checkpoint entry.scenario)
       with
       | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
+      | exception Jaaru.Choice.Divergence msg -> Error (divergence ?resumed:resume msg)
       | o ->
           Format.printf "%a@.@." Jaaru.Explorer.pp_outcome o;
           Option.iter (fun path -> write_report path o) report_out;
@@ -761,11 +777,13 @@ let fleet_run id workers chaos_spec chaos_seed heartbeat_timeout heartbeat_perio
       | chaos -> (
           Format.printf "fleet-checking %s (%s): %s@." entry.id entry.benchmark entry.description;
           match
+            Option.iter Jaaru.Checkpoint.check_writable checkpoint;
             fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout
               ~heartbeat_period ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot
               ~verbose
           with
           | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
+          | exception Jaaru.Choice.Divergence msg -> Error (divergence msg)
           | r ->
               let o = r.Fleet.Coordinator.outcome in
               Format.printf "%a@.@." Jaaru.Explorer.pp_outcome o;
@@ -776,23 +794,28 @@ let fleet_run id workers chaos_spec chaos_seed heartbeat_timeout heartbeat_perio
                 (* Checkpoint every live shard so the run is continuable —
                    with plain `jaaru check --resume`: the aggregate uses the
                    same fingerprint and format as a single-process run. *)
-                (match checkpoint with
-                | Some path ->
+                let stopped =
+                  if r.Fleet.Coordinator.interrupted then "run interrupted"
+                  else "unexplored shards remain (quarantined)"
+                in
+                match checkpoint with
+                | Some path -> (
                     let config =
                       fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot
                     in
                     let cp = Jaaru.Explorer.to_checkpoint ~config entry.scenario o in
-                    Jaaru.Checkpoint.save cp path;
-                    Format.printf "@.fleet stopped early; continue with: jaaru check %s --resume %s@."
-                      entry.id path
+                    match Jaaru.Checkpoint.save cp path with
+                    | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
+                    | () ->
+                        Format.printf
+                          "@.fleet stopped early; continue with: jaaru check %s --resume %s@."
+                          entry.id path;
+                        Error (`Msg stopped))
                 | None ->
                     Format.printf
                       "@.fleet stopped early; progress was discarded (re-run with --checkpoint \
-                       FILE to make fleet runs resumable)@.");
-                Error
-                  (`Msg
-                    (if r.Fleet.Coordinator.interrupted then "run interrupted"
-                     else "unexplored shards remain (quarantined)"))
+                       FILE to make fleet runs resumable)@.";
+                    Error (`Msg stopped)
               end
               else fleet_result_checks entry o))
 

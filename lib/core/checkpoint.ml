@@ -281,10 +281,23 @@ let save t path =
         (match !write_fault with None -> () | Some f -> f ());
         output_string oc payload);
     Sys.rename tmp path
-  with e ->
+  with e -> (
     let bt = Printexc.get_raw_backtrace () in
     (try Sys.remove tmp with Sys_error _ -> ());
-    Printexc.raise_with_backtrace e bt
+    match e with
+    | Sys_error msg -> raise (Rejected (Printf.sprintf "cannot write checkpoint %s: %s" path msg))
+    | e -> Printexc.raise_with_backtrace e bt)
+
+(* Checked before a run explores anything, so a typo in the path does not
+   cost the whole exploration: [save] would only fail at the end. *)
+let check_writable path =
+  let fail why = raise (Rejected (Printf.sprintf "cannot write checkpoint %s: %s" path why)) in
+  if Sys.file_exists path && Sys.is_directory path then fail "it is a directory";
+  let dir = Filename.dirname path in
+  match Unix.access dir [ Unix.W_OK; Unix.X_OK ] with
+  | () -> ()
+  | exception Unix.Unix_error (e, _, _) ->
+      fail (Printf.sprintf "directory %s: %s" dir (Unix.error_message e))
 
 (* The exact byte image [save] writes — header (magic line, CRC line) plus
    the Wire payload. Exposed so fleet workers can ship their outcome
@@ -317,18 +330,10 @@ let of_string s =
   t
 
 let load path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> raise (Rejected (Printf.sprintf "cannot open checkpoint: %s" msg))
-  in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try really_input_string ic (in_channel_length ic)
-        with End_of_file -> raise (Rejected "truncated checkpoint"))
-  in
-  of_string contents
+  match In_channel.with_open_bin path In_channel.input_all with
+  | contents -> of_string contents
+  | exception Sys_error msg ->
+      raise (Rejected (Printf.sprintf "cannot read checkpoint %s: %s" path msg))
 
 let validate t ~workload ~config =
   let expected = fingerprint ~workload config in

@@ -32,8 +32,8 @@
 
 exception Rejected of string
 (** The file is not a usable checkpoint for this run: unreadable, corrupt
-    (bad magic, checksum or payload), or fingerprint mismatch. The message
-    says which. *)
+    (bad magic, checksum or payload), or fingerprint mismatch — or, from
+    {!save} and {!check_writable}, not writable. The message says which. *)
 
 type t = {
   fingerprint : string;
@@ -63,9 +63,15 @@ val frontier_prefixes : t -> Choice.prefix list
 
 val save : t -> string -> unit
 (** Atomically writes the checkpoint to a path (temp file + rename). If the
-    write fails before the rename, the temp file is removed and the original
-    exception re-raised — a failed save never leaves a stale [.tmp] sibling
-    behind. *)
+    write fails before the rename, the temp file is removed — a failed save
+    never leaves a stale [.tmp] sibling behind — and an I/O error is raised
+    as {!Rejected} naming the path (any other exception is re-raised). *)
+
+val check_writable : string -> unit
+(** Raises {!Rejected} unless {!save} can create the path: its directory
+    exists and is writable, and the path is not itself a directory. Call it
+    before exploring, so a bad path fails at once instead of after the
+    run. *)
 
 val set_write_fault : (unit -> unit) option -> unit
 (** Test hook: a function {!save} calls after the header and before the
@@ -75,8 +81,8 @@ val set_write_fault : (unit -> unit) option -> unit
 
 val load : string -> t
 (** Reads and integrity-checks a checkpoint (magic, checksum, payload and
-    frontier decodability). Raises {!Rejected} — {e not} validation against
-    a run; call {!validate} for that. *)
+    frontier decodability). Raises {!Rejected}, also when the path cannot be
+    read — {e not} validation against a run; call {!validate} for that. *)
 
 val to_string : t -> string
 (** The exact byte image {!save} writes (header plus payload) — the unit

@@ -11,24 +11,26 @@ type t = {
   mutable cells : cell array;
   mutable len : int;
   mutable cursor : int;
-  base : int;  (* frozen prefix length; advance never flips cells below it *)
+  mutable base : int;  (* frozen prefix length; advance never flips cells below it *)
   created : int array;  (* cumulative fresh decisions, indexed by kind *)
 }
 
 let kind_index = function Failure_point -> 0 | Read_from -> 1 | Drain -> 2
 
+(* Fills unused slots and stands for the root in depth-0 points; never
+   mutated, since only recorded cells are. *)
+let nil = { chosen = 0; num = 1; kind = Read_from; limit = 1 }
+
 let create () = { cells = [||]; len = 0; cursor = 0; base = 0; created = Array.make 3 0 }
 let begin_replay t = t.cursor <- 0
 
-let dummy_cell () = { chosen = 0; num = 1; kind = Read_from; limit = 1 }
-
-let grow t =
+let reserve t n =
   let cap = Array.length t.cells in
-  let cap' = if cap = 0 then 16 else 2 * cap in
-  (* Array.init, not Array.make: [Array.make cap' cell] would alias one
-     mutable record across every fresh slot. *)
-  let cells = Array.init cap' (fun i -> if i < t.len then t.cells.(i) else dummy_cell ()) in
-  t.cells <- cells
+  if n > cap then begin
+    let cells = Array.make (max n (max 16 (2 * cap))) nil in
+    Array.blit t.cells 0 cells 0 t.len;
+    t.cells <- cells
+  end
 
 let choose t kind n =
   if n <= 0 then invalid_arg "Choice.choose: no alternatives";
@@ -39,13 +41,14 @@ let choose t kind n =
         (Divergence
            (Printf.sprintf
            "Choice.choose: replay divergence at decision %d (recorded %d alternatives, now %d) — \
-            the program under test is nondeterministic"
+            the program under test is nondeterministic, or the replayed prefix was recorded for \
+            different code"
               t.cursor cell.num n));
     t.cursor <- t.cursor + 1;
     cell.chosen
   end
   else begin
-    if t.len = Array.length t.cells then grow t;
+    reserve t (t.len + 1);
     t.created.(kind_index kind) <- t.created.(kind_index kind) + 1;
     t.cells.(t.len) <- { chosen = 0; num = n; kind; limit = n };
     t.len <- t.len + 1;
@@ -73,64 +76,45 @@ let advance t =
 let depth t = t.cursor
 let created t kind = t.created.(kind_index kind)
 
-(* --- snapshot keys: identifying a point on the current decision path ------- *)
+(* --- points: positions on the decision path -------------------------------- *)
 
-let step t i =
-  if i < 0 || i >= t.cursor then invalid_arg "Choice.step: not a consumed decision";
-  let c = t.cells.(i) in
-  (c.kind, c.num, c.chosen)
+(* [advance] only strips the deepest cells or bumps the deepest survivor in
+   place, and [restart] keeps the records it shares with the new path, so
+   while [cell] is still the record at index [depth - 1], every shallower
+   decision is the one taken when the point was made. *)
+type point = { depth : int; cell : cell; alt : int }
 
-let consumed t = Array.init t.cursor (fun i -> step t i)
+let point ?alt t =
+  if t.cursor = 0 then { depth = 0; cell = nil; alt = 0 }
+  else
+    let cell = t.cells.(t.cursor - 1) in
+    { depth = t.cursor; cell; alt = Option.value alt ~default:cell.chosen }
 
-let recorded_matches t key =
-  let n = Array.length key in
-  n <= t.len
-  &&
-  let rec ok i =
-    i >= n
-    ||
-    let c = t.cells.(i) in
-    let kind, num, chosen = key.(i) in
-    c.kind = kind && c.num = num && c.chosen = chosen && ok (i + 1)
-  in
-  ok 0
+let point_depth p = p.depth
+let same_point p q = p.depth = q.depth && p.cell == q.cell && p.alt = q.alt
 
-let classify_recorded t key =
-  let n = Array.length key in
-  let rec loop i =
-    if i >= n then `Match
-    else if i >= t.len then `Keep
-    else
-      let c = t.cells.(i) in
-      let kind, num, chosen = key.(i) in
-      if c.kind <> kind || c.num <> num then `Keep
-      else if c.chosen = chosen then loop (i + 1)
-      else if chosen < c.chosen then `Passed
-      else `Keep
-  in
-  loop 0
+let status t p =
+  if p.depth = 0 then `On_path
+  else if p.depth > t.len || t.cells.(p.depth - 1) != p.cell then `Dead
+  else if p.cell.chosen = p.alt then `On_path
+  else if p.cell.chosen < p.alt then `Ahead
+  else `Dead
 
 let fast_forward t n =
   if n < t.cursor || n > t.len then
     invalid_arg "Choice.fast_forward: target outside the recorded prefix";
   t.cursor <- n
 
-let count_kind t kind =
-  let n = ref 0 in
-  for i = 0 to t.len - 1 do
-    if t.cells.(i).kind = kind then incr n
-  done;
-  !n
-
 (* --- prefixes: forking subtrees off an in-progress search ----------------- *)
 
-type prefix_cell = { pkind : kind; pnum : int; pchosen : int; plimit : int }
-type prefix = { pfx : prefix_cell array; frozen : int }
+(* Prefix cells are private records that nothing mutates: [restart] copies
+   them again before a searcher records into them. *)
+type prefix = { pfx : cell array; frozen : int }
 
 let root = { pfx = [||]; frozen = 0 }
 let prefix_depth p = Array.length p.pfx
 let prefix_frozen p = p.frozen
-let prefix_cells p = Array.to_list (Array.map (fun c -> (c.pkind, c.pnum, c.pchosen, c.plimit)) p.pfx)
+let prefix_cells p = Array.to_list (Array.map (fun c -> (c.kind, c.num, c.chosen, c.limit)) p.pfx)
 
 let valid_cell (num, chosen, limit) = num > 0 && chosen >= 0 && chosen < limit && limit <= num
 
@@ -138,10 +122,10 @@ let prefix_of_cells ~frozen cells =
   let pfx =
     Array.of_list
       (List.map
-         (fun (pkind, pnum, pchosen, plimit) ->
-           if not (valid_cell (pnum, pchosen, plimit)) then
+         (fun (kind, num, chosen, limit) ->
+           if not (valid_cell (num, chosen, limit)) then
              invalid_arg "Choice.prefix_of_cells: cell violates 0 <= chosen < limit <= num";
-           { pkind; pnum; pchosen; plimit })
+           { kind; num; chosen; limit })
          cells)
   in
   if frozen < 0 || frozen > Array.length pfx then
@@ -162,8 +146,8 @@ let encode_prefix p =
   Array.iter
     (fun c ->
       Buffer.add_char b ';';
-      Buffer.add_char b (kind_char c.pkind);
-      Buffer.add_string b (Printf.sprintf "%d:%d:%d" c.pnum c.pchosen c.plimit))
+      Buffer.add_char b (kind_char c.kind);
+      Buffer.add_string b (Printf.sprintf "%d:%d:%d" c.num c.chosen c.limit))
     p.pfx;
   Buffer.contents b
 
@@ -173,12 +157,12 @@ let decode_prefix s =
     else
       match kind_of_char tok.[0] with
       | None -> None
-      | Some pkind -> (
+      | Some kind -> (
           match String.split_on_char ':' (String.sub tok 1 (String.length tok - 1)) with
           | [ num; chosen; limit ] -> (
               match (int_of_string_opt num, int_of_string_opt chosen, int_of_string_opt limit) with
-              | Some pnum, Some pchosen, Some plimit when valid_cell (pnum, pchosen, plimit) ->
-                  Some { pkind; pnum; pchosen; plimit }
+              | Some num, Some chosen, Some limit when valid_cell (num, chosen, limit) ->
+                  Some { kind; num; chosen; limit }
               | _ -> None)
           | _ -> None)
   in
@@ -197,22 +181,40 @@ let decode_prefix s =
               Some { pfx = Array.of_list cells; frozen }
           | _ -> None))
 
-let resume_from_prefix p =
+let copy c = { c with chosen = c.chosen }
+
+(* Keeping the shared records keeps every point on them valid, so a worker's
+   snapshots carry over from one subtree task to the next. The deepest kept
+   record may move forward to the prefix's alternative in place, as
+   [advance] would; moving it backward would revive points already reported
+   [`Dead], so such a cell is copied like the rest. *)
+let restart t p =
   let n = Array.length p.pfx in
-  let cells =
-    Array.init (max n 16) (fun i ->
-        if i < n then
-          let c = p.pfx.(i) in
-          { chosen = c.pchosen; num = c.pnum; kind = c.pkind; limit = c.plimit }
-        else dummy_cell ())
+  reserve t n;
+  let rec keep i =
+    if i >= n || i >= t.len then i
+    else
+      let c = t.cells.(i) and q = p.pfx.(i) in
+      if c.kind <> q.kind || c.num <> q.num || c.chosen > q.chosen then i
+      else begin
+        let moved = c.chosen < q.chosen in
+        c.chosen <- q.chosen;
+        c.limit <- q.limit;
+        if moved then i + 1 else keep (i + 1)
+      end
   in
-  { cells; len = n; cursor = 0; base = p.frozen; created = Array.make 3 0 }
+  for i = keep 0 to n - 1 do
+    t.cells.(i) <- copy p.pfx.(i)
+  done;
+  t.len <- n;
+  t.cursor <- 0;
+  t.base <- p.frozen
 
 (* The still-unexplored subtree of this searcher, as a resumable prefix: the
    recorded decisions pin the next leaf the DFS would replay, and each cell's
    [limit] preserves the sibling alternatives it still owns. Valid whenever a
-   fresh replay is about to start (after [advance] or [resume_from_prefix],
-   before consuming decisions), where every recorded cell satisfies
+   fresh replay is about to start (after [advance] or [restart], before
+   consuming decisions), where every recorded cell satisfies
    [chosen < limit]. *)
 let remainder t =
   prefix_of_cells ~frozen:t.base
@@ -220,11 +222,10 @@ let remainder t =
          let c = t.cells.(i) in
          (c.kind, c.num, c.chosen, c.limit)))
 
-(* The static mirror of {!split}, operating on an encoded prefix instead of
-   an in-progress searcher: carve the sibling alternatives of the shallowest
-   wide cell into their own prefix. The fleet coordinator shatters checkpoint
-   frontiers with this to make more shards than the interrupted run had
-   workers — without replaying anything. *)
+(* Carve the sibling alternatives of the shallowest wide cell into their own
+   prefix. The fleet coordinator shatters checkpoint frontiers with this to
+   make more shards than the interrupted run had workers, and [split] applies
+   it to a searcher's current path. *)
 let split_prefix p =
   let n = Array.length p.pfx in
   let rec find i =
@@ -233,7 +234,7 @@ let split_prefix p =
       let c = p.pfx.(i) in
       (* Cells below [frozen] are replayed verbatim: their other alternatives
          were donated elsewhere long ago and are not this prefix's to give. *)
-      if i >= p.frozen && c.pchosen + 1 < c.plimit then Some i else find (i + 1)
+      if i >= p.frozen && c.chosen + 1 < c.limit then Some i else find (i + 1)
   in
   match find 0 with
   | None -> None
@@ -243,14 +244,11 @@ let split_prefix p =
          cell's limit shrunk to its current choice. The donated half covers
          the sibling range [chosen+1, limit); deeper recorded cells belong
          only to the [chosen] branch, so they are dropped, and shallower
-         cells are pinned — exactly what the dynamic [split] emits. *)
+         cells are pinned. Every donated cell is a fresh record. *)
       let kept =
         {
-          pfx =
-            Array.mapi
-              (fun j cc -> if j = i then { cc with plimit = c.pchosen + 1 } else cc)
-              p.pfx;
-          frozen = p.frozen;
+          p with
+          pfx = Array.mapi (fun j cc -> if j = i then { cc with limit = c.chosen + 1 } else cc) p.pfx;
         }
       in
       let donated =
@@ -258,8 +256,8 @@ let split_prefix p =
           pfx =
             Array.init (i + 1) (fun j ->
                 let cc = p.pfx.(j) in
-                if j = i then { cc with pchosen = c.pchosen + 1 }
-                else { cc with plimit = cc.pchosen + 1 });
+                if j = i then { cc with chosen = c.chosen + 1 }
+                else { cc with limit = cc.chosen + 1 });
           frozen = i;
         }
       in
@@ -267,24 +265,12 @@ let split_prefix p =
 
 let split t =
   (* Only cells consumed by the last replay are on the current path; a stale
-     suffix beyond the cursor must not be donated. *)
-  let bound = min t.len t.cursor in
-  let rec find i =
-    if i >= bound then None
-    else
-      let cell = t.cells.(i) in
-      if cell.chosen + 1 < cell.limit then Some i else find (i + 1)
-  in
-  match find t.base with
+     suffix beyond the cursor must not be donated. The view shares the live
+     cells, so its kept half is dropped and the live cell shrinks instead. *)
+  let path = { pfx = Array.sub t.cells 0 (min t.len t.cursor); frozen = t.base } in
+  match split_prefix path with
   | None -> None
-  | Some i ->
-      let cell = t.cells.(i) in
-      let pfx =
-        Array.init (i + 1) (fun j ->
-            let c = t.cells.(j) in
-            if j = i then
-              { pkind = c.kind; pnum = c.num; pchosen = c.chosen + 1; plimit = c.limit }
-            else { pkind = c.kind; pnum = c.num; pchosen = c.chosen; plimit = c.chosen + 1 })
-      in
+  | Some (_, donated) ->
+      let cell = t.cells.(prefix_depth donated - 1) in
       cell.limit <- cell.chosen + 1;
-      Some { pfx; frozen = i }
+      Some donated

@@ -8,7 +8,8 @@
     stack: decisions inside the recorded prefix are replayed, fresh ones
     default to alternative 0 and are recorded. After each replay, {!advance}
     flips the deepest unexhausted decision, depth-first, until the whole tree
-    has been visited. *)
+    has been visited. Snapshot {!point}s and {!split}s refer to its cells:
+    it is the one record of the search path. *)
 
 type kind = Failure_point | Read_from | Drain
 (** What a decision was about — kept for statistics and debug output. *)
@@ -16,7 +17,8 @@ type kind = Failure_point | Read_from | Drain
 exception Divergence of string
 (** A replayed decision saw a different shape than when it was recorded —
     the program under test is nondeterministic (e.g. it consulted wall-clock
-    time or hash-table iteration order). *)
+    time or hash-table iteration order), or a resumed prefix no longer fits
+    the program. *)
 
 type t
 
@@ -39,57 +41,56 @@ val advance : t -> bool
 val depth : t -> int
 (** Decisions consumed by the current replay so far. *)
 
-val count_kind : t -> kind -> int
-(** Decisions of a kind in the current record (diagnostic). *)
-
 val created : t -> kind -> int
-(** Cumulative count of fresh decisions of a kind created over the whole
-    exploration (never decreases on truncation). Decisions replayed out of a
-    resumed prefix are {e not} counted again — summing [created] across the
-    workers of a parallel exploration equals the sequential count. *)
+(** Cumulative count of fresh decisions of a kind over the searcher's whole
+    life, across {!restart}s (never decreases on truncation). Decisions
+    replayed out of a prefix are {e not} counted again — summing [created]
+    across the workers of a parallel exploration equals the sequential
+    count. *)
 
-(** {1 Snapshot keys}
+(** {1 Points}
 
-    A snapshot of the state at a decision point is identified by the exact
-    decisions that led there: any replay whose recorded decisions begin with
-    the same [(kind, num, chosen)] triples deterministically reaches the same
-    state, so it can skip re-executing the program up to that point. *)
+    A point is a position on the decision path: the first [depth] decisions,
+    the last taking alternative [alt]. It names that decision's cell record
+    instead of copying the path: the search only strips the deepest cells or
+    moves the deepest survivor forward in place, so while the record is
+    still the searcher's cell at [depth - 1], every shallower decision is
+    unchanged. Every replay through a point reaches the same state there,
+    so a snapshot taken at it can stand in for re-executing the program. *)
 
-val step : t -> int -> kind * int * int
-(** [(kind, num, chosen)] of consumed decision [i]. Raises
-    [Invalid_argument] unless [0 <= i < depth t]. *)
+type point
 
-val consumed : t -> (kind * int * int) array
-(** The decisions consumed by the replay so far, shallowest first — the
-    snapshot key of the current point. *)
+val point : ?alt:int -> t -> point
+(** The point at the cursor, its last decision taking [alt] (default: the
+    alternative taken). With nothing consumed it is the root, which every
+    replay of every searcher passes through. *)
 
-val recorded_matches : t -> (kind * int * int) array -> bool
-(** Whether the recorded decisions of the upcoming replay begin with exactly
-    the given key — i.e. this replay is guaranteed to pass through the
-    key's decision point. Call after {!begin_replay}, before replaying. *)
+val point_depth : point -> int
+(** Number of decisions up to and including the point's own. *)
 
-val classify_recorded : t -> (kind * int * int) array -> [ `Match | `Passed | `Keep ]
-(** Like {!recorded_matches}, but also detects keys the depth-first search
-    has left behind. [`Match]: the recorded decisions begin with the key.
-    [`Passed]: at the first divergence the key's chosen alternative is
-    smaller than the recorded one (same kind and width) — since {!advance}
-    is a lexicographic increment, no future replay of this searcher can
-    match, and a cache may drop the key's snapshot. [`Keep]: neither, e.g.
-    the key lies ahead of the current path. Call after {!begin_replay}. *)
+val same_point : point -> point -> bool
+(** Whether two points are the same decision and alternative, in O(1). *)
+
+val status : t -> point -> [ `On_path | `Ahead | `Dead ]
+(** The point against the upcoming replay's recorded decisions, in O(1);
+    call after {!begin_replay}. [`On_path]: the replay passes through it.
+    [`Ahead]: its cell is on the path at a smaller alternative. [`Dead]: its
+    cell has left the path or moved past [alt]; no later replay of this
+    searcher passes through it. *)
 
 val fast_forward : t -> int -> unit
 (** Moves the cursor to recorded decision [n] without consuming the cells in
     between — the replay resumes as if the first [n] decisions had been
-    taken. Only meaningful after {!recorded_matches} succeeded on a key of
-    length [n]. Raises [Invalid_argument] when [n] is behind the cursor or
-    beyond the recorded prefix. *)
+    taken. Only meaningful at the depth of an [`On_path] point. Raises
+    [Invalid_argument] when [n] is behind the cursor or beyond the recorded
+    prefix. *)
 
 (** {1 Prefixes: forking subtrees for parallel exploration}
 
     A prefix pins the first decisions of an execution: cells below [frozen]
     are replayed verbatim and never advanced; the remaining cells (in
     practice exactly one, the forked decision) start at [chosen] and are
-    advanced up to [limit - 1] as usual. A searcher resumed from a prefix
+    advanced up to [limit - 1] as usual. A searcher restarted from a prefix
     therefore explores exactly the subtrees of the alternatives
     [\[chosen, limit)] of the forked decision — the other side of a
     {!split}. *)
@@ -97,7 +98,7 @@ val fast_forward : t -> int -> unit
 type prefix
 
 val root : prefix
-(** The empty prefix: resuming from it is a full sequential exploration. *)
+(** The empty prefix: restarting from it is a full sequential exploration. *)
 
 val prefix_depth : prefix -> int
 (** Number of pinned cells; [0] only for {!root}. *)
@@ -119,41 +120,40 @@ val encode_prefix : prefix -> string
 val decode_prefix : string -> prefix option
 (** Inverse of {!encode_prefix}; [None] on malformed or invalid input. *)
 
-val resume_from_prefix : prefix -> t
-(** A fresh searcher over the subtree the prefix describes. Replays the
-    pinned decisions first, then explores depth-first exactly as {!create}
-    would, never flipping a frozen cell. [resume_from_prefix root] is
-    equivalent to {!create}. *)
+val restart : t -> prefix -> unit
+(** Points the searcher at the subtree the prefix describes: it replays the
+    pinned decisions, then explores depth-first as a fresh {!create} would,
+    never flipping a frozen cell. The records it shares with the prefix are
+    kept (the deepest may move forward in place, as {!advance} would), so
+    points on them stay valid across subtree tasks; the rest of the prefix
+    is copied. *)
 
 val remainder : t -> prefix
 (** The searcher's entire unexplored subtree as a resumable prefix:
-    [resume_from_prefix (remainder t)] explores exactly the leaves [t] had
-    left. The basis of checkpointing — a worker asked to stop cooperatively
+    restarting from [remainder t] explores exactly the leaves [t] had left.
+    The basis of checkpointing — a worker asked to stop cooperatively
     captures [remainder] instead of replaying. Call it where a fresh replay
-    would start (after a successful {!advance}, or on a just-resumed
-    searcher before any replay); raises [Invalid_argument] if some recorded
-    cell is exhausted ([chosen >= limit]), which cannot happen at those
-    points. [remainder] of a fresh {!create} (or of [resume_from_prefix
-    root]) is {!root}. *)
+    would start (after a successful {!advance}, or after {!restart} before
+    any replay); raises [Invalid_argument] if some recorded cell is
+    exhausted ([chosen >= limit]), which cannot happen at those points.
+    [remainder] of a fresh {!create} is {!root}. *)
 
 val split_prefix : prefix -> (prefix * prefix) option
-(** The static counterpart of {!split}: carves the sibling alternatives of
-    the shallowest non-frozen wide cell ([chosen + 1 < limit]) out of an
-    encoded prefix without replaying anything. [Some (kept, donated)] covers
-    exactly the subtree of the input — [kept] continues the recorded path
-    with the wide cell's range shrunk to its current choice, [donated] pins
-    the path up to that cell and owns the alternatives [\[chosen+1, limit)] —
-    and the two are disjoint. [None] when no cell is splittable (the prefix
-    pins a single undived path, e.g. {!root} or a fully singleton prefix).
-    The fleet coordinator uses this to shatter a checkpoint frontier into
-    more shards than the run that wrote it had workers. *)
+(** Carves the sibling alternatives of the shallowest non-frozen wide cell
+    ([chosen + 1 < limit]) out of a prefix without replaying anything.
+    [Some (kept, donated)] covers exactly the subtree of the input — [kept]
+    continues the recorded path with the wide cell's range shrunk to its
+    current choice, [donated] pins the path up to that cell and owns the
+    alternatives [\[chosen+1, limit)] — and the two are disjoint. [None]
+    when no cell is splittable (the prefix pins a single undived path, e.g.
+    {!root} or a fully singleton prefix). The fleet coordinator uses this to
+    shatter a checkpoint frontier into more shards than the run that wrote
+    it had workers. *)
 
 val split : t -> prefix option
-(** Donates the unexplored sibling range of the shallowest splittable
-    decision: picks the shallowest non-frozen on-path cell with alternatives
-    [chosen + 1 < limit], returns a prefix covering [\[chosen + 1, limit)] of
-    that cell, and shrinks the local [limit] so this searcher never visits
-    the donated subtrees. [None] when the current path has nothing left to
+(** {!split_prefix} of the current path — the decisions consumed by the last
+    replay, the searcher's frozen cells frozen — returning the donated half
+    and shrinking the live cell's [limit] so this searcher never visits the
+    donated subtrees. [None] when the current path has nothing left to
     donate. Call it between {!advance} and the next replay (or after a
-    completed replay): only decisions consumed by the last replay are
-    considered. *)
+    completed replay). *)

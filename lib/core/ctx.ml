@@ -171,23 +171,22 @@ let drain_choices ctx =
     ctx.threads
 
 (* Capture-at-consideration: the snapshot is taken at every failure point the
-   search considers — before the fail/continue decision — not only when the
-   crash is actually taken. One full replay therefore populates the cache for
-   every failure point on its path, and each crash subtree's replays resume
-   from the restored state without ever re-running the pre-failure program.
-   The [mem] check keeps later replays through the same point from paying for
-   a copy again. *)
-let capture_snapshot ctx ~crash_label ~pending_failure =
+   search considers — right after the fail/continue decision is consumed,
+   before anything of the crash happens — not only when the crash is
+   actually taken. Its point is the take-the-crash alternative of that
+   decision, so one full replay populates the cache for every failure point
+   on its path, and each crash subtree's replays resume from the restored
+   state without ever re-running the pre-failure program. The [mem] check
+   keeps later replays through the same point from paying for a copy
+   again. *)
+let capture_snapshot ?alt ctx ~crash_label =
   match ctx.snapshots with
   | None -> ()
   | Some cache ->
-      let key =
-        if pending_failure then Snapshot.failure_key ctx.choice
-        else Snapshot.crash_key ctx.choice
-      in
-      if not (Snapshot.mem cache key) then
+      let point = Choice.point ?alt ctx.choice in
+      if not (Snapshot.mem cache point) then
         Snapshot.store cache
-          (Snapshot.capture ~key ~stack:ctx.stack ~threads:ctx.threads
+          (Snapshot.capture ~point ~stack:ctx.stack ~threads:ctx.threads
              ~trace:ctx.trace ~failure_count:ctx.failure_count ~fp_count:ctx.fp_count
              ~rng:ctx.rng ~last:ctx.last ~crash_label)
 
@@ -197,14 +196,14 @@ let failure_point ?(force = false) ctx label =
     ctx.fp_count <- ctx.fp_count + 1;
     (match ctx.fp_hook with Some hook -> hook label | None -> ());
     emit ctx (Analysis.Event.Failure_point { label; tid = tid ctx });
-    capture_snapshot ctx ~crash_label:(Some label) ~pending_failure:true;
-    match Choice.choose ctx.choice Choice.Failure_point 2 with
-    | 0 -> ()
-    | _ ->
-        if not (eager ctx) then drain_choices ctx;
-        emit ctx (Analysis.Event.Crash { label = Some label; tid = tid ctx });
-        ctx.failure_count <- ctx.failure_count + 1;
-        raise Power_failure
+    let fail = Choice.choose ctx.choice Choice.Failure_point 2 in
+    capture_snapshot ~alt:1 ctx ~crash_label:(Some label);
+    if fail = 1 then begin
+      if not (eager ctx) then drain_choices ctx;
+      emit ctx (Analysis.Event.Crash { label = Some label; tid = tid ctx });
+      ctx.failure_count <- ctx.failure_count + 1;
+      raise Power_failure
+    end
   end
 
 let after_crash ctx =
@@ -221,7 +220,7 @@ let after_crash ctx =
   ctx.atomic_depth <- 0
 
 let crash ctx =
-  capture_snapshot ctx ~crash_label:None ~pending_failure:false;
+  capture_snapshot ctx ~crash_label:None;
   if not (eager ctx) then drain_choices ctx;
   emit ctx (Analysis.Event.Crash { label = None; tid = tid ctx });
   ctx.failure_count <- ctx.failure_count + 1;
@@ -230,12 +229,12 @@ let crash ctx =
 (* The restore half of the snapshot layer: put the context into exactly the
    state the matching replay would have at the captured crash — restored
    execution stack, sequence counter, thread buffers and trace ring, cursor
-   fast-forwarded past the snapshot's decisions — then take the crash the way
+   fast-forwarded to the snapshot's point — then take the crash the way
    [failure_point] / [crash] would, with the buffered-drain prefix still a
    live [Choice.Drain] decision on the restored buffers. The caller runs
    recovery next; it never re-executes the pre-failure program. *)
 let resume_from_snapshot ctx (snap : Snapshot.t) =
-  Choice.fast_forward ctx.choice (Array.length snap.Snapshot.key);
+  Choice.fast_forward ctx.choice (Choice.point_depth snap.Snapshot.point);
   let records, threads = Snapshot.materialize ~deep_top:(not (eager ctx)) snap in
   Exec.Exec_stack.restore ctx.stack ~seq:snap.Snapshot.seq records;
   ctx.threads <- threads;

@@ -47,7 +47,9 @@ val create :
   t
 (** [snapshots] is the owning worker's failure-point snapshot cache: when
     present, every failure point the execution considers captures a
-    resumable snapshot into it (see {!Snapshot}). Omitted (e.g. with
+    resumable snapshot into it, right after consuming its decision, at the
+    point of that decision's take-the-crash alternative; {!crash} captures
+    at the last consumed decision (see {!Snapshot}). Omitted (e.g. with
     [config.snapshot] off), executions always run from the start.
 
     Each context owns a fresh trace ring of [config.trace_depth] events and
@@ -64,12 +66,12 @@ val create :
 val resume_from_snapshot : t -> Snapshot.t -> unit
 (** Puts a freshly created context into the exact post-crash state of the
     snapshot: restored execution stack, sequence counter, thread buffers and
-    trace ring, decision cursor fast-forwarded past the snapshot's key, the
+    trace ring, decision cursor fast-forwarded to the snapshot's point, the
     buffered-drain decisions replayed live on the restored buffers, and the
     crash event emitted. The caller then runs recovery exactly as if the
-    pre-failure program had been re-executed. The context's recorded
-    decisions must begin with the snapshot's key
-    ({!Snapshot.find} guarantees it). *)
+    pre-failure program had been re-executed. The snapshot's point must be
+    [`On_path] for the context's searcher ({!Snapshot.find} guarantees
+    it). *)
 
 val set_failure_point_hook : t -> (string -> unit) -> unit
 (** Invoked (with the flush label) at every failure-injection point that is

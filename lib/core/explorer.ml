@@ -139,7 +139,6 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
   let perf : (Ctx.perf_report, unit) Hashtbl.t = Hashtbl.create 16 in
   let findings : (Analysis.Report.finding, unit) Hashtbl.t = Hashtbl.create 16 in
   let executions = ref 0 in
-  let rf_created = ref 0 in
   let failure_points = ref 0 in
   let stores = ref 0 in
   let flushes = ref 0 in
@@ -147,6 +146,10 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
   let snapshot_misses = ref 0 in
   let sheds = ref 0 in
   let remainder = ref [] in
+  (* One searcher for the worker's lifetime: [restart] keeps the cells a new
+     task shares with the previous one, so the snapshots on them keep
+     hitting. *)
+  let choice = Choice.create () in
   let record_bug ctx kind location =
     let b =
       {
@@ -168,7 +171,7 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
       List.iter (fun f -> Hashtbl.replace findings f ()) (Ctx.analysis_findings ctx)
   in
   let explore prefix =
-    let choice = Choice.resume_from_prefix prefix in
+    Choice.restart choice prefix;
     (* Only the root task starts with the all-defaults replay — the original
        failure-free execution whose counts Fig. 14 reports. *)
     let original = ref (Choice.prefix_depth prefix = 0) in
@@ -241,8 +244,7 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
              the largest subtree this worker can give away. *)
           Option.iter (Frontier.push frontier) (Choice.split choice)
       end
-    done;
-    rf_created := !rf_created + Choice.created choice Choice.Read_from
+    done
   in
   let rec drain () =
     match Frontier.pop frontier with
@@ -259,7 +261,7 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
     {
       Stats.zero with
       Stats.executions = !executions;
-      rf_decisions = !rf_created;
+      rf_decisions = Choice.created choice Choice.Read_from;
       failure_points = !failure_points;
       stores = !stores;
       flushes = !flushes;

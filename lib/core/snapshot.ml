@@ -1,7 +1,5 @@
-type key = (Choice.kind * int * int) array
-
 type t = {
-  key : key;
+  point : Choice.point;
   stack : Exec.Exec_record.t list;  (* top-first master copies; never mutated *)
   seq : int;
   threads : Tso.Thread_state.t list;
@@ -13,21 +11,21 @@ type t = {
   crash_label : string option;
 }
 
-(* Sorted by key length, deepest first, so the first [recorded_matches] hit
-   in [find] is the deepest usable snapshot — the one that skips the most
-   pre-failure work. *)
-type cache = { mutable snaps : t list }
+(* One slot per point depth. A replay passes through one point per depth,
+   so a new capture at a depth displaces a point the search has left or
+   will reach later; either way the cost is one full replay, as for an
+   eviction. [top] bounds the occupied slots from above, so [find] does not
+   scan the empty tail. *)
+type cache = { mutable slots : t option array; mutable count : int; mutable top : int }
 
 let max_cached = 256
 
-let create_cache () = { snaps = [] }
+let create_cache () = { slots = [||]; count = 0; top = -1 }
 
-let failure_key choice =
-  Array.append (Choice.consumed choice) [| (Choice.Failure_point, 2, 1) |]
-
-let crash_key choice = Choice.consumed choice
-
-let mem cache key = List.exists (fun s -> s.key = key) cache.snaps
+let mem cache point =
+  let d = Choice.point_depth point in
+  d <= cache.top
+  && match cache.slots.(d) with Some s -> Choice.same_point s.point point | None -> false
 
 (* Every record in a snapshot is a bounded view (Exec_record.snapshot_view):
    line intervals copied — the recovery read-from analysis refines them in
@@ -38,7 +36,7 @@ let mem cache key = List.exists (fun s -> s.key = key) cache.snaps
    records' queues are frozen already and keep whatever bound they carry
    (restored replays can themselves be captured). The initial image is
    immutable and shared outright. *)
-let capture ~key ~stack ~threads ~trace ~failure_count ~fp_count ~rng ~last
+let capture ~point ~stack ~threads ~trace ~failure_count ~fp_count ~rng ~last
     ~crash_label =
   let seq = Exec.Exec_stack.cur_seq stack in
   let stack =
@@ -50,7 +48,7 @@ let capture ~key ~stack ~threads ~trace ~failure_count ~fp_count ~rng ~last
       (Exec.Exec_stack.to_list stack)
   in
   {
-    key;
+    point;
     stack;
     seq;
     threads = List.map Tso.Thread_state.copy threads;
@@ -77,59 +75,52 @@ let materialize ~deep_top snap =
   in
   (stack, List.map Tso.Thread_state.copy snap.threads)
 
-(* [advance] is a lexicographic increment over the chosen-vector, so once
-   this worker's search has reached the path of [now], a snapshot that is
-   lexicographically behind [now] on a shared prefix can never match one of
-   this worker's future replays. Pruning is only a wall-time heuristic —
-   subtrees donated via [Choice.split] live in other workers with their own
-   caches, and a missing snapshot merely costs one full replay, which
-   re-captures it. *)
-let dead ~now s =
-  let k = s.key in
-  let n = min (Array.length k) (Array.length now) in
-  let rec loop i =
-    i < n
-    &&
-    let ka, na, ca = k.(i) and kb, nb, cb = now.(i) in
-    ka = kb && na = nb && (ca < cb || (ca = cb && loop (i + 1)))
-  in
-  loop 0
+let drop cache d =
+  cache.slots.(d) <- None;
+  cache.count <- cache.count - 1
 
 let store cache snap =
-  let snaps = List.filter (fun s -> not (dead ~now:snap.key s)) cache.snaps in
-  let rec insert = function
-    | [] -> [ snap ]
-    | s :: _ as rest when Array.length s.key <= Array.length snap.key -> snap :: rest
-    | s :: rest -> s :: insert rest
-  in
-  let snaps = insert snaps in
-  (* Evict the shallowest entries first: they are the cheapest to recompute
-     and skip the least replay work per hit. *)
-  cache.snaps <- List.filteri (fun i _ -> i < max_cached) snaps
+  let d = Choice.point_depth snap.point in
+  let cap = Array.length cache.slots in
+  if d >= cap then begin
+    let slots = Array.make (max (d + 1) (max 16 (2 * cap))) None in
+    Array.blit cache.slots 0 slots 0 cap;
+    cache.slots <- slots
+  end;
+  if Option.is_none cache.slots.(d) then cache.count <- cache.count + 1;
+  cache.slots.(d) <- Some snap;
+  cache.top <- max cache.top d;
+  (* Evict the shallowest entry: it is the cheapest to recompute and skips
+     the least replay work per hit. *)
+  if cache.count > max_cached then begin
+    let rec shallowest i = if Option.is_none cache.slots.(i) then shallowest (i + 1) else i in
+    drop cache (shallowest 0)
+  end
 
-(* Besides returning the deepest match, [find] garbage-collects: an entry the
-   replay's recorded prefix has lexicographically passed can never match
-   again in this worker, and with the cache sorted deepest-first every such
-   entry sits in front of the match, so each is scanned at most once more
-   before being dropped. Without this, every [find] would re-walk the shared
-   prefix of all already-explored deeper snapshots — O(depth^3) over a run. *)
+(* The deepest point the replay passes through skips the most pre-failure
+   work. On the way down, [find] drops the snapshots of points no later
+   replay can reach, so each is scanned at most once more. *)
 let find cache choice =
-  let matched = ref None in
-  let live =
-    List.filter
-      (fun s ->
-        match !matched with
-        | Some _ -> true
-        | None -> (
-            match Choice.classify_recorded choice s.key with
-            | `Match ->
-                matched := Some s;
-                true
-            | `Passed -> false
-            | `Keep -> true))
-      cache.snaps
+  let rec scan d =
+    if d < 0 then None
+    else
+      match cache.slots.(d) with
+      | None -> scan (d - 1)
+      | Some s -> (
+          match Choice.status choice s.point with
+          | `On_path -> Some s
+          | `Ahead -> scan (d - 1)
+          | `Dead ->
+              drop cache d;
+              scan (d - 1))
   in
-  cache.snaps <- live;
-  !matched
+  let found = scan cache.top in
+  while cache.top >= 0 && Option.is_none cache.slots.(cache.top) do
+    cache.top <- cache.top - 1
+  done;
+  found
 
-let clear_cache cache = cache.snaps <- []
+let clear_cache cache =
+  Array.fill cache.slots 0 (Array.length cache.slots) None;
+  cache.count <- 0;
+  cache.top <- -1

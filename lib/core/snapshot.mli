@@ -7,10 +7,10 @@
     (paper §4): where the original forks the process at the failure point and
     resumes children from the frozen image, we capture the replay-relevant
     state — the execution stack, the sequence counter, the per-thread TSO
-    buffers, the trace ring — keyed by the exact decision path that led
-    there. A replay whose recorded decisions begin with a snapshot's key is
-    guaranteed to reach the identical state, so the explorer fast-forwards
-    the choice cursor past the key and resumes at the crash.
+    buffers, the trace ring — at a {!Choice.point} on the decision path. A
+    replay that passes through the point is guaranteed to reach the
+    identical state, so the explorer fast-forwards the choice cursor to the
+    point's depth and resumes at the crash.
 
     Outcomes are byte-identical with snapshots on or off: the state restored
     is exactly the state a full replay would recompute, buffered-drain
@@ -21,13 +21,11 @@
 
     Caches are per-worker and never shared across domains. *)
 
-type key = (Choice.kind * int * int) array
-(** The decision path identifying a capture point: the triples of
-    {!Choice.consumed} up to the crash, including the taken
-    [Failure_point] decision itself for injected failures. *)
-
 type t = {
-  key : key;
+  point : Choice.point;
+      (** Where the crash happens: on the taken [Failure_point] cell
+          ([alt = 1]) for injected failures, on the last consumed cell for
+          {!Ctx.crash}. *)
   stack : Exec.Exec_record.t list;
       (** Master copies of the execution stack, top first; never mutated —
           {!materialize} copies them again per restore. *)
@@ -46,17 +44,8 @@ type t = {
       (** The flush label for injected failures, [None] for {!Ctx.crash}. *)
 }
 
-val failure_key : Choice.t -> key
-(** The key of the failure point currently being considered: the consumed
-    decisions plus the pending take-the-crash [Failure_point] cell (which
-    the caller has not consumed yet — capture happens before the choose). *)
-
-val crash_key : Choice.t -> key
-(** The key of an unconditional {!Ctx.crash} site: exactly the consumed
-    decisions ({!Ctx.crash} consumes no cell of its own). *)
-
 val capture :
-  key:key ->
+  point:Choice.point ->
   stack:Exec.Exec_stack.t ->
   threads:Tso.Thread_state.t list ->
   trace:Trace.t ->
@@ -85,21 +74,22 @@ type cache
 
 val create_cache : unit -> cache
 
-val mem : cache -> key -> bool
-(** Whether a snapshot with exactly this key is already cached — checked
-    before paying for a copy at an already-captured failure point. *)
+val mem : cache -> Choice.point -> bool
+(** Whether the point's snapshot is already cached — checked before paying
+    for a copy at an already-captured failure point. Looks at one slot. *)
 
 val store : cache -> t -> unit
-(** Inserts, pruning entries the depth-first search has lexicographically
-    passed and evicting the shallowest entries over the size cap. Eviction
-    only ever costs wall time: a missing snapshot is re-captured by the next
-    full replay of its path. *)
+(** Puts the snapshot in its depth's slot, displacing the one there, and
+    evicts the shallowest entry over the size cap. Displacement and eviction
+    only ever cost wall time: a missing snapshot is re-captured by the next
+    full replay through its point. *)
 
 val find : cache -> Choice.t -> t option
-(** The deepest cached snapshot whose key is a prefix of the upcoming
-    replay's recorded decisions (call between {!Choice.begin_replay} and the
-    replay). [None] means this replay must execute from the start — which is
-    exactly what (re)captures snapshots for its subtree. *)
+(** The deepest cached snapshot whose point is [`On_path] for the upcoming
+    replay (call between {!Choice.begin_replay} and the replay), dropping
+    [`Dead] ones on the way down. [None] means this replay must execute from
+    the start — which is exactly what (re)captures snapshots for its
+    subtree. *)
 
 val clear_cache : cache -> unit
 (** Drops every cached snapshot (memory-pressure shedding — see

@@ -333,9 +333,9 @@ let test_choice_remainder () =
     match r with
     | None -> Alcotest.fail "stopped enumeration must produce a remainder"
     | Some prefix ->
-        let rest, _ =
-          enumerate_leaves (Choice.resume_from_prefix prefix) ~stop_after:None
-        in
+        let resumed = Choice.create () in
+        Choice.restart resumed prefix;
+        let rest, _ = enumerate_leaves resumed ~stop_after:None in
         Alcotest.(check (list (pair int int)))
           (Printf.sprintf "stop after %d + resume = full" k)
           all (first @ rest)

@@ -103,16 +103,18 @@ let test_invalid_arity () =
 
 (* --- prefixes and splitting -------------------------------------------------- *)
 
-(* Explore [shape] the way the parallel explorer does: a queue of subtree
-   prefixes, each explored to exhaustion, donating a sibling subtree via
-   [split] after every [split_every]-th execution. *)
+(* Explore [shape] the way a parallel explorer's worker does: a queue of
+   subtree prefixes, each explored to exhaustion on one restarted searcher,
+   donating a sibling subtree via [split] after every [split_every]-th
+   execution. *)
 let enumerate_with_splits ?(kind = Choice.Read_from) shape ~split_every =
   let pending = Queue.create () in
   Queue.add Choice.root pending;
   let paths = ref [] in
   let count = ref 0 in
+  let choice = Choice.create () in
   while not (Queue.is_empty pending) do
-    let choice = Choice.resume_from_prefix (Queue.pop pending) in
+    Choice.restart choice (Queue.pop pending);
     let stop = ref false in
     while not !stop do
       Choice.begin_replay choice;
@@ -159,8 +161,9 @@ let test_split_dependent_tree () =
   let pending = Queue.create () in
   Queue.add Choice.root pending;
   let paths = ref [] in
+  let choice = Choice.create () in
   while not (Queue.is_empty pending) do
-    let choice = Choice.resume_from_prefix (Queue.pop pending) in
+    Choice.restart choice (Queue.pop pending);
     let stop = ref false in
     while not !stop do
       explore_one choice paths;
@@ -214,7 +217,8 @@ let test_split_resumes_where_donated () =
     | None -> Alcotest.fail "roundtrip failed"
   in
   (* The donation owns alternatives 1 and 2 of the shallowest decision. *)
-  let resumed = Choice.resume_from_prefix p in
+  let resumed = Choice.create () in
+  Choice.restart resumed p;
   let paths = ref [] in
   let stop = ref false in
   while not !stop do
@@ -263,6 +267,138 @@ let prop_dfs_visits_full_product =
       List.length paths = expected
       && List.length (List.sort_uniq compare paths) = expected)
 
+(* --- points against the decision paths they stand for ----------------------- *)
+
+(* A program whose later decisions depend on earlier ones: each node is a
+   decision, each alternative leads to its own subtree. *)
+type tree = Leaf | Node of Choice.kind * tree list
+
+let rec show_tree = function
+  | Leaf -> "."
+  | Node (k, ch) ->
+      Printf.sprintf "%c(%s)"
+        (match k with Choice.Failure_point -> 'F' | Choice.Read_from -> 'R' | Choice.Drain -> 'D')
+        (String.concat " " (List.map show_tree ch))
+
+let gen_tree =
+  QCheck.Gen.(
+    sized_size (int_bound 24)
+    @@ fix (fun self n ->
+           if n = 0 then return Leaf
+           else
+             frequency
+               [
+                 (1, return Leaf);
+                 ( 3,
+                   pair
+                     (oneofl [ Choice.Failure_point; Choice.Read_from; Choice.Drain ])
+                     (int_range 1 3)
+                   >>= fun (k, num) ->
+                   list_repeat num (self ((n - 1) / num)) >|= fun ch -> Node (k, ch) );
+               ]))
+
+let rec tree_leaves = function
+  | Leaf -> [ [] ]
+  | Node (_, ch) -> List.concat (List.mapi (fun i t -> List.map (List.cons i) (tree_leaves t)) ch)
+
+(* The structural reference the points replace: a point made after the
+   decisions [path] (as [(kind, num, chosen)] triples, the last one taking
+   [alt]) against the recorded decisions of the upcoming replay. *)
+let reference_status path recorded =
+  let d = Array.length path in
+  if d = 0 then `On_path
+  else if d > Array.length recorded then `Dead
+  else
+    let rec same i = i >= d - 1 || (path.(i) = recorded.(i) && same (i + 1)) in
+    let k, n, alt = path.(d - 1) and k', n', chosen = recorded.(d - 1) in
+    if not (same 0 && k = k' && n = n') then `Dead
+    else if chosen = alt then `On_path
+    else if chosen < alt then `Ahead
+    else `Dead
+
+type tracked = {
+  point : Choice.point;
+  path : (Choice.kind * int * int) array;
+  mutable task : int;  (* the last task that captured it *)
+  mutable dead : bool;
+}
+
+(* Explores [tree] DFS-style on one restarted searcher, donating subtrees at
+   random replays, and captures a point after every decision as the
+   snapshot layer does: on the alternative taken, and on the crash
+   alternative of an untaken failure point. At every replay it holds each
+   point's [status] against [reference_status]: exactly for points captured
+   in the current task; for older ones, whose cells a restart may have
+   re-created, [`On_path] and [`Ahead] must still be right. A point once
+   [`Dead] never comes back, and in its own task no replay passes through
+   its path again. Returns the visited leaves. *)
+let explore_with_points tree seed =
+  let rng = Random.State.make [| seed |] in
+  let choice = Choice.create () in
+  let points = ref [] in
+  let task = ref 0 in
+  let capture point path =
+    match List.find_opt (fun t -> Choice.same_point t.point point) !points with
+    | Some t -> t.task <- !task
+    | None -> points := { point; path; task = !task; dead = false } :: !points
+  in
+  let check () =
+    let recorded =
+      Choice.prefix_cells (Choice.remainder choice)
+      |> List.map (fun (k, n, c, _) -> (k, n, c))
+      |> Array.of_list
+    in
+    List.iter
+      (fun t ->
+        let st = Choice.status choice t.point and expected = reference_status t.path recorded in
+        if t.dead && st <> `Dead then failwith "a dead point came back";
+        if t.dead && t.task = !task && expected <> `Dead then
+          failwith "a replay passes through a dead point's path";
+        if t.task = !task && st <> expected then failwith "status differs from the reference";
+        if st <> `Dead && st <> expected then failwith "live status differs from the reference";
+        if st = `Dead then t.dead <- true)
+      !points
+  in
+  let rec walk path = function
+    | Leaf -> List.rev_map (fun (_, _, c) -> c) path
+    | Node (k, ch) ->
+        let n = List.length ch in
+        let c = Choice.choose choice k n in
+        let path' = (k, n, c) :: path in
+        capture (Choice.point choice) (Array.of_list (List.rev path'));
+        if k = Choice.Failure_point && c = 0 && n > 1 then
+          capture (Choice.point ~alt:1 choice) (Array.of_list (List.rev ((k, n, 1) :: path)));
+        walk path' (List.nth ch c)
+  in
+  let pending = Queue.create () in
+  Queue.add Choice.root pending;
+  let leaves = ref [] in
+  while not (Queue.is_empty pending) do
+    Choice.restart choice (Queue.pop pending);
+    incr task;
+    let stop = ref false in
+    while not !stop do
+      Choice.begin_replay choice;
+      check ();
+      capture (Choice.point choice) [||];
+      leaves := walk [] tree :: !leaves;
+      let advanced = Choice.advance choice in
+      if Random.State.int rng 3 = 0 then
+        Option.iter (fun p -> Queue.add p pending) (Choice.split choice);
+      if not advanced then stop := true
+    done
+  done;
+  !leaves
+
+let prop_points_match_paths =
+  QCheck.Test.make ~name:"status agrees with the decision paths, with splits and restarts"
+    ~count:300
+    QCheck.(pair (make ~print:show_tree gen_tree) small_nat)
+    (fun (tree, seed) ->
+      let leaves = explore_with_points tree seed in
+      List.sort compare leaves = List.sort compare (tree_leaves tree)
+      && List.length leaves = List.length (List.sort_uniq compare leaves))
+
 let () =
   Alcotest.run "choice"
     [
@@ -286,4 +422,5 @@ let () =
           Alcotest.test_case "split resumes where donated" `Quick test_split_resumes_where_donated;
           QCheck_alcotest.to_alcotest prop_split_partitions;
         ] );
+      ("points", [ QCheck_alcotest.to_alcotest prop_points_match_paths ]);
     ]

@@ -12,36 +12,54 @@ let contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-(* --- Choice: snapshot keys ------------------------------------------------- *)
+(* --- Choice: snapshot points ------------------------------------------------ *)
 
-let test_choice_consumed_and_matches () =
+let status =
+  Alcotest.testable
+    (fun ppf s ->
+      Format.pp_print_string ppf
+        (match s with `On_path -> "On_path" | `Ahead -> "Ahead" | `Dead -> "Dead"))
+    ( = )
+
+let test_choice_points () =
   let c = Choice.create () in
   Choice.begin_replay c;
+  let root = Choice.point c in
   ignore (Choice.choose c Choice.Failure_point 2);
+  (* A failure point's snapshot stands for its take-the-crash alternative. *)
+  let crash = Choice.point ~alt:1 c in
   ignore (Choice.choose c Choice.Read_from 3);
-  let key = Choice.consumed c in
-  Alcotest.(check int) "two consumed decisions" 2 (Array.length key);
-  Alcotest.(check bool)
-    "consumed records kind/num/chosen" true
-    (key = [| (Choice.Failure_point, 2, 0); (Choice.Read_from, 3, 0) |]);
+  let here = Choice.point c in
+  Alcotest.(check int) "root depth" 0 (Choice.point_depth root);
+  Alcotest.(check int) "crash depth" 1 (Choice.point_depth crash);
+  Alcotest.(check int) "depth counts consumed decisions" 2 (Choice.point_depth here);
+  Alcotest.(check bool) "same point" true (Choice.same_point here (Choice.point c));
+  Alcotest.(check bool) "other alternative" false (Choice.same_point here (Choice.point ~alt:1 c));
   (* Advance flips the deepest cell: the next replay reads [RF = 1]. *)
   Alcotest.(check bool) "advance has work" true (Choice.advance c);
   Choice.begin_replay c;
-  Alcotest.(check bool)
-    "prefix with matching chosen" true
-    (Choice.recorded_matches c [| (Choice.Failure_point, 2, 0) |]);
-  Alcotest.(check bool)
-    "full path with flipped cell" true
-    (Choice.recorded_matches c [| (Choice.Failure_point, 2, 0); (Choice.Read_from, 3, 1) |]);
-  Alcotest.(check bool)
-    "wrong chosen rejected" false
-    (Choice.recorded_matches c [| (Choice.Failure_point, 2, 1) |]);
-  Alcotest.(check bool)
-    "longer than the record rejected" false
-    (Choice.recorded_matches c
-       [|
-         (Choice.Failure_point, 2, 0); (Choice.Read_from, 3, 1); (Choice.Drain, 2, 0);
-       |])
+  Alcotest.check status "root is on every path" `On_path (Choice.status c root);
+  Alcotest.check status "crash alternative not taken yet" `Ahead (Choice.status c crash);
+  Alcotest.check status "flipped past the point" `Dead (Choice.status c here);
+  ignore (Choice.choose c Choice.Failure_point 2);
+  ignore (Choice.choose c Choice.Read_from 3);
+  let last = Choice.point ~alt:2 c in
+  Alcotest.check status "cell not flipped that far yet" `Ahead (Choice.status c last);
+  ignore (Choice.advance c);
+  Choice.begin_replay c;
+  Alcotest.check status "flipped onto the point" `On_path (Choice.status c last);
+  (* Exhausting the read-from cell strips it and takes the crash. *)
+  ignore (Choice.choose c Choice.Failure_point 2);
+  ignore (Choice.choose c Choice.Read_from 3);
+  ignore (Choice.advance c);
+  Choice.begin_replay c;
+  Alcotest.check status "crash alternative reached" `On_path (Choice.status c crash);
+  Alcotest.check status "stripped cell" `Dead (Choice.status c last);
+  (* A fresh cell at the same depth with the same shape is another record. *)
+  ignore (Choice.choose c Choice.Failure_point 2);
+  ignore (Choice.choose c Choice.Read_from 3);
+  Choice.begin_replay c;
+  Alcotest.check status "recreated cell is not the point's" `Dead (Choice.status c last)
 
 let test_choice_fast_forward () =
   let c = Choice.create () in
@@ -89,9 +107,15 @@ let check_snapshot_equivalence name scenario config =
           Alcotest.(check bool)
             (cell ^ " bug records and traces equal")
             true
-            (o.Explorer.bugs = reference.Explorer.bugs))
+            (o.Explorer.bugs = reference.Explorer.bugs);
+          (* One searcher and one cache: only the original replay runs in
+             full, every later one resumes from a snapshot. Outcomes stay
+             byte-identical when hits are lost, so this pins the hit rate. *)
+          if jobs = 1 && snapshot then
+            Alcotest.(check int) (cell ^ " snapshot misses") 1
+              o.Explorer.stats.Stats.snapshot_misses)
         [ true; false ])
-    (Test_env.jobs_matrix ~default:[ 1; 2; 4 ])
+    (List.sort_uniq compare (1 :: Test_env.jobs_matrix ~default:[ 1; 2; 4 ]))
 
 let flush_loop_scenario () =
   Explorer.scenario ~name:"flush-loop"
@@ -117,8 +141,8 @@ let test_equivalence_multi_failure () =
     { Config.default with Config.max_failures = 2 }
 
 let test_equivalence_explicit_crash () =
-  (* [Ctx.crash] with a decision-free pre: the snapshot key is empty and
-     every replay after the first resumes straight at the crash. *)
+  (* [Ctx.crash] with a decision-free pre: the snapshot sits at the root
+     and every replay after the first resumes straight at the crash. *)
   let scn =
     Explorer.scenario ~name:"explicit-crash"
       ~pre:(fun ctx ->
@@ -359,9 +383,9 @@ let test_bounded_view () =
 let () =
   Alcotest.run "snapshot"
     [
-      ( "choice-keys",
+      ( "choice-points",
         [
-          Alcotest.test_case "consumed / recorded_matches" `Quick test_choice_consumed_and_matches;
+          Alcotest.test_case "point / status" `Quick test_choice_points;
           Alcotest.test_case "fast_forward" `Quick test_choice_fast_forward;
         ] );
       ( "equivalence",
