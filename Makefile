@@ -23,7 +23,9 @@ test:
 # on dozens of subtree tasks and keeps its snapshots across them. The
 # golden leg then runs every other case with a committed report in
 # bench/suite/golden (the 13 clean sequential cases, eager eviction) at two
-# failures and diffs each against it; the golden files are only read. A
+# failures, with snapshots on and off, and diffs each run against it: the
+# recovery loads then read through bounded snapshot views and through the
+# unbounded records of full replays. The golden files are only read. A
 # clean workload must then explore cleanly with several domains.
 parallel-smoke: build
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
@@ -58,9 +60,11 @@ parallel-smoke: build
 	for g in bench/suite/golden/*.report; do \
 	  c=$$(basename "$$g" .report); \
 	  [ "$$c" = P-CLHT-concurrent ] && continue; \
-	  dune exec bin/jaaru_cli.exe -- check "$$c" --max-failures 2 --jobs 1 \
-	    --report-out "$$d/$$c.report" > /dev/null || exit 1; \
-	  diff -u "$$g" "$$d/$$c.report" || exit 1; \
+	  for s in on off; do \
+	    dune exec bin/jaaru_cli.exe -- check "$$c" --max-failures 2 --jobs 1 --snapshot $$s \
+	      --report-out "$$d/$$c-$$s.report" > /dev/null || exit 1; \
+	    diff -u "$$g" "$$d/$$c-$$s.report" || exit 1; \
+	  done; \
 	done
 	dune exec bin/jaaru_cli.exe -- perf --benchmark P-CLHT -n 3 --jobs 3
 

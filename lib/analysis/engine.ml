@@ -9,14 +9,20 @@ let create ?(suppress = []) ?hb passes = { passes; findings = Hashtbl.create 32;
 
 let hb t = t.hb
 
+(* A top-level loop rather than [List.iter] over a closure capturing [t]:
+   every memory access emits an event, and this way feeding one allocates
+   nothing beyond what the passes do. *)
+let rec feed findings ev = function
+  | [] -> ()
+  | (p : Pass.instance) :: rest ->
+      (match p.feed ev with
+      | [] -> ()
+      | fs -> List.iter (fun f -> Hashtbl.replace findings f ()) fs);
+      feed findings ev rest
+
 let emit t ev =
   (match t.hb with Some hb -> Hb.observe hb ev | None -> ());
-  List.iter
-    (fun (p : Pass.instance) ->
-      match p.feed ev with
-      | [] -> ()
-      | fs -> List.iter (fun f -> Hashtbl.replace t.findings f ()) fs)
-    t.passes
+  feed t.findings ev t.passes
 
 (* Suppression removes suppressed labels from a finding; a finding whose
    labels are all suppressed is dropped entirely (a finding that never had

@@ -15,6 +15,7 @@ type t = {
   reg : Pmem.Region.t;
   choice : Choice.t;
   stack : Exec.Exec_stack.t;
+  rf : Exec.Read_from.view;  (* the loads' line view of [stack] *)
   trace : Trace.t;
   mutable threads : Tso.Thread_state.t list;
   mutable cur : Tso.Thread_state.t;
@@ -25,6 +26,9 @@ type t = {
   mutable fp_count : int;
   mutable multi_rf : multi_rf list;
   engine : Analysis.Engine.t;  (* analysis passes fed the event stream *)
+  observe_loads : bool;
+      (* a load event has a reader: the trace ring, or the passes that
+         [analyze] adds (the always-on redundant pass ignores loads) *)
   mutable in_rmw : bool;
       (* inside a locked RMW: its constituent load/store/mfence operations
          are not mirrored as events — the RMW is one [Analysis.Event.Rmw] *)
@@ -64,11 +68,13 @@ let create ?snapshots ?cancel ~config ~choice () =
     Analysis.Engine.create ~suppress:config.Config.suppress ?hb
       (Analysis.Pass.instantiate (module Analysis.Redundant) :: passes)
   in
+  let stack = Exec.Exec_stack.create () in
   {
     cfg = config;
     reg = Pmem.Region.v ~base:config.Config.region_base ~size:config.Config.region_size;
     choice;
-    stack = Exec.Exec_stack.create ();
+    stack;
+    rf = Exec.Read_from.view stack;
     (* A fresh ring per context: at the default depth of 64 it is a
        minor-heap allocation, cheaper than pooling one across replays. *)
     trace = Trace.create ~depth:config.Config.trace_depth;
@@ -81,6 +87,7 @@ let create ?snapshots ?cancel ~config ~choice () =
     fp_count = 0;
     multi_rf = [];
     engine;
+    observe_loads = config.Config.trace_depth > 0 || config.Config.analyze;
     in_rmw = false;
     parallel_depth = 0;
     atomic_depth = 0;
@@ -302,13 +309,21 @@ let flush_lines ctx ~kind ~label addr size =
     addr (max size 1);
   maybe_yield ctx
 
+(* Like a negative [memset] length, a negative size is a caller error;
+   size 0 flushes the line holding [addr], as the instruction does. *)
+let check_size op size =
+  if size < 0 then invalid_arg (Printf.sprintf "Ctx.%s: negative size %d" op size)
+
 let clflush ctx ?(label = "clflush") addr size =
+  check_size "clflush" size;
   flush_lines ctx ~kind:Analysis.Event.Clflush ~label addr size
 
 let clflushopt ctx ?(label = "clflushopt") addr size =
+  check_size "clflushopt" size;
   flush_lines ctx ~kind:Analysis.Event.Clflushopt ~label addr size
 
 let clwb ctx ?(label = "clwb") addr size =
+  check_size "clwb" size;
   flush_lines ctx ~kind:Analysis.Event.Clwb ~label addr size
 
 let sfence ctx ?(label = "sfence") () =
@@ -328,48 +343,52 @@ let mfence ctx ?(label = "mfence") () =
 
 (* --- loads -------------------------------------------------------------- *)
 
-(* Reads whose single candidate lives in the current execution — a store-
-   buffer bypass hit or a store this execution already made — carry no
-   persistency constraint ([do_read] is a no-op for them), record no multi-rf
-   report and consume no choice. [read_byte_slow] handles the rest. *)
-let read_byte_slow ctx addr label =
-  let candidates = Exec.Read_from.build_may_read_from ctx.stack addr in
-  let src =
-    match candidates with
-    | [] -> assert false (* the initial image backstops the recursion *)
-    | [ only ] -> only
-    | _ :: _ ->
-        if ctx.cfg.Config.report_multi_rf then
-          ctx.multi_rf <-
-            {
-              load_label = label;
-              load_addr = addr;
-              candidates =
-                List.map (fun s -> (s.Exec.Read_from.label, s.Exec.Read_from.value)) candidates;
-            }
-            :: ctx.multi_rf;
-        let k = Choice.choose ctx.choice Choice.Read_from (List.length candidates) in
-        List.nth candidates k
-  in
-  Exec.Read_from.do_read ctx.stack addr src;
+(* A byte with several read-from candidates: recorded as a multi-rf report
+   when asked for, chosen by the search, then committed. Single-candidate
+   bytes never get here: [Read_from.read] returns their value. *)
+let choose_source ctx off addr label =
+  let candidates = Exec.Read_from.candidates ctx.rf in
+  if ctx.cfg.Config.report_multi_rf then
+    ctx.multi_rf <-
+      {
+        load_label = label;
+        load_addr = addr;
+        candidates =
+          List.map (fun s -> (s.Exec.Read_from.label, s.Exec.Read_from.value)) candidates;
+      }
+      :: ctx.multi_rf;
+  let k = Choice.choose ctx.choice Choice.Read_from (List.length candidates) in
+  let src = List.nth candidates k in
+  Exec.Read_from.commit ctx.rf off src;
   src.Exec.Read_from.value
 
-(* One byte, forwarded from the store buffer when [forward] holds, else read
-   from the cache. Neither fast check allocates. *)
-let read_byte ctx ~forward addr label =
-  let b =
-    if forward then Tso.Store_buffer.forward_byte (Tso.Thread_state.store_buffer ctx.cur) addr
-    else -1
-  in
-  if b >= 0 then b
-  else
-    let b = Exec.Exec_record.last_store_byte (Exec.Exec_stack.top ctx.stack) addr in
-    if b >= 0 then b else read_byte_slow ctx addr label
-
+(* Bytes in address order, each forwarded from the store buffer when
+   [forward] holds, else read through the line view, reopened where the
+   load crosses into the next line. Only a multi-candidate byte
+   allocates. *)
 let read_bytes ctx ~forward addr width label =
+  let sb = Tso.Thread_state.store_buffer ctx.cur in
+  let rf = ctx.rf in
+  let off0 = Pmem.Addr.line_offset addr in
+  Exec.Read_from.open_line rf (Pmem.Addr.line_of addr);
   let v = ref 0 in
   for i = 0 to width - 1 do
-    v := !v lor (read_byte ctx ~forward (addr + i) label lsl (8 * i))
+    let a = addr + i and off = off0 + i in
+    let off =
+      if off < Pmem.Addr.cache_line_size then off
+      else begin
+        if off = Pmem.Addr.cache_line_size then Exec.Read_from.open_line rf (Pmem.Addr.line_of a);
+        off - Pmem.Addr.cache_line_size
+      end
+    in
+    let b = if forward then Tso.Store_buffer.forward_byte sb a else -1 in
+    let b =
+      if b >= 0 then b
+      else
+        let b = Exec.Read_from.read rf off in
+        if b >= 0 then b else choose_source ctx off a label
+    in
+    v := !v lor (b lsl (8 * i))
   done;
   !v
 
@@ -398,7 +417,7 @@ let load ctx ?(label = "load") ~width addr =
   bounds ctx addr width "load" label;
   maybe_yield ctx;
   let v = load_value ctx ~width addr label in
-  if not ctx.in_rmw then
+  if ctx.observe_loads && not ctx.in_rmw then
     emit ctx (Analysis.Event.Load { addr; width; value = v; tid = tid ctx; label });
   v
 

@@ -137,8 +137,9 @@ val load64 : t -> ?label:string -> Pmem.Addr.t -> int
 
 val clflush : t -> ?label:string -> Pmem.Addr.t -> int -> unit
 (** [clflush ctx addr size] issues one [clflush] instruction per cache line
-    covering [\[addr, addr+size)]. Each instruction is a failure-injection
-    point. *)
+    covering [\[addr, addr+size)] (the line holding [addr] when [size] is 0).
+    Each instruction is a failure-injection point. Raises [Invalid_argument]
+    on a negative [size], as {!clflushopt} and {!clwb} do. *)
 
 val clflushopt : t -> ?label:string -> Pmem.Addr.t -> int -> unit
 

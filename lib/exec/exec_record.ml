@@ -29,27 +29,34 @@ let create ~id =
 
 let initial () = create ~id:0
 let id e = e.id
+let seq_bound e = e.seq_bound
 let is_initial e = e.id = 0
 
-(* Line-interval reads: the per-line state lives in the flat
-   {!Pmem.Line_table}, so the bounds come back as plain ints. The slot index
-   is only valid until the next insertion, hence the immediate reads. *)
-let line_lo e addr =
-  let lines = e.lines in
-  Pmem.Line_table.lo lines (Pmem.Line_table.find lines (Pmem.Addr.line_of addr))
+(* Line slots: the per-line state lives in the flat {!Pmem.Line_table}, so
+   the bounds come back as plain ints. Reads probe without inserting (slot
+   -1 for a line no store or flush has reached, read as [\[0, infinity)]
+   with no stores), so no read grows a table; only [push_line] and
+   [flush_line] create lines. *)
+let line_slot e line = Pmem.Line_table.find_existing e.lines line
+let slot_lo e slot = if slot < 0 then 0 else Pmem.Line_table.lo e.lines slot
+
+let slot_hi e slot =
+  if slot < 0 then Pmem.Line_table.infinity else Pmem.Line_table.hi e.lines slot
+
+let slot_row e slot = if slot < 0 then no_stores else Pmem.Line_table.data e.lines slot
+
+(* Refinements only reach lines a store created; slot -1 would write
+   outside the table's arrays. *)
+let refine_slot e slot ~lo ~hi =
+  if slot < 0 then invalid_arg "Exec_record.refine_slot: no such line";
+  Pmem.Line_table.raise_lo e.lines slot lo;
+  Pmem.Line_table.lower_hi e.lines slot hi
 
 let line_bounds e addr =
-  let lines = e.lines in
-  let slot = Pmem.Line_table.find lines (Pmem.Addr.line_of addr) in
-  (Pmem.Line_table.lo lines slot, Pmem.Line_table.hi lines slot)
+  let slot = line_slot e (Pmem.Addr.line_of addr) in
+  (slot_lo e slot, slot_hi e slot)
 
-let raise_line_lo e addr ~seq =
-  let lines = e.lines in
-  Pmem.Line_table.raise_lo lines (Pmem.Line_table.find lines (Pmem.Addr.line_of addr)) seq
-
-let lower_line_hi e addr ~seq =
-  let lines = e.lines in
-  Pmem.Line_table.lower_hi lines (Pmem.Line_table.find lines (Pmem.Addr.line_of addr)) seq
+let line_lo e addr = slot_lo e (line_slot e (Pmem.Addr.line_of addr))
 
 (* Records one store of [width] little-endian bytes of [value] into the line
    starting at [addr], all of whose bytes lie in that line: one line probe,
@@ -92,14 +99,13 @@ let push_store e addr ~width ~value ~seq ~label =
    with seq <= seq_bound. On unbounded records (the common case) this is the
    whole queue. A byte no store has reached reads [unwritten], whose visible
    length is 0, so none of the reads below needs a separate absent case. *)
-let visible_len e q =
-  if e.seq_bound = max_int then Store_queue.length q else Store_queue.count_le q e.seq_bound
+let visible_len e q = Store_queue.count_le q e.seq_bound
 
 let queue_of e addr =
   if addr < 0 then unwritten
   else
     Array.unsafe_get
-      (Pmem.Line_table.data_of e.lines (Pmem.Addr.line_of addr))
+      (slot_row e (line_slot e (Pmem.Addr.line_of addr)))
       (Pmem.Addr.line_offset addr)
 
 let visible_stores e addr =
@@ -113,14 +119,12 @@ let last_store_byte e addr =
   if n = 0 then -1 else Store_queue.value_at q (n - 1)
 
 let next_store_seq_after e addr s =
-  let q = queue_of e addr in
-  if visible_len e q = 0 then Pmem.Line_table.infinity
-  else
-    let r = Store_queue.next_seq_after q s in
-    if r > e.seq_bound then Pmem.Line_table.infinity else r
+  let r = Store_queue.next_seq_after (queue_of e addr) s in
+  if r > e.seq_bound then Pmem.Line_table.infinity else r
 
 let flush_line e addr ~seq =
-  raise_line_lo e addr ~seq;
+  let lines = e.lines in
+  Pmem.Line_table.raise_lo lines (Pmem.Line_table.find lines (Pmem.Addr.line_of addr)) seq;
   e.flush_count <- e.flush_count + 1
 
 (* A read-only view that stays correct while the original keeps executing,

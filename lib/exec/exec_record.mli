@@ -28,20 +28,20 @@ val initial : unit -> t
 val id : t -> int
 val is_initial : t -> bool
 
+val seq_bound : t -> int
+(** Stores with a larger seq are hidden from every read: [max_int] on an
+    ordinary record, the capture-time bound on a snapshot view. The visible
+    part of a byte history [q] is its oldest [Store_queue.count_le q
+    (seq_bound e)] entries. *)
+
 val line_lo : t -> Pmem.Addr.t -> int
 (** The last-writeback lower bound of the line containing the given byte
     ([0] for a line no flush has reached). *)
 
 val line_bounds : t -> Pmem.Addr.t -> int * int
 (** The [(lo, hi)] last-writeback interval of the line containing the given
-    byte, [(0, Pmem.Line_table.infinity)] for an untouched line. *)
-
-val raise_line_lo : t -> Pmem.Addr.t -> seq:int -> unit
-(** Raises the line's lower bound to [seq] if higher (a flush took effect). *)
-
-val lower_line_hi : t -> Pmem.Addr.t -> seq:int -> unit
-(** Lowers the line's upper bound to [seq] if lower (a recovery read proved
-    the writeback happened before [seq]). *)
+    byte, [(0, Pmem.Line_table.infinity)] for a line no store or flush has
+    reached. Like every read here, it never adds a line to the record. *)
 
 val push_store :
   t -> Pmem.Addr.t -> width:int -> value:int -> seq:int -> label:string -> unit
@@ -59,9 +59,10 @@ val flush_line : t -> Pmem.Addr.t -> seq:int -> unit
 
 (** {1 Bounded store accessors}
 
-    The only read paths into the store histories: a snapshot view (below)
+    Per-address reads of the store histories: a snapshot view (below)
     shares the live record's per-line rows and hides every store pushed after
-    the capture behind a sequence-number bound, which these accessors apply.
+    the capture behind a sequence-number bound, which these accessors apply
+    (the line slots below leave it to their reader, through {!seq_bound}).
     On ordinary records they see the whole queue. *)
 
 val visible_stores : t -> Pmem.Addr.t -> (Store_queue.t * int) option
@@ -73,13 +74,36 @@ val visible_stores : t -> Pmem.Addr.t -> (Store_queue.t * int) option
 
 val last_store_byte : t -> Pmem.Addr.t -> int
 (** The newest visible store's byte value at [addr], or [-1] if the address
-    has no visible store — the allocation-free probe behind the common-case
-    read path (every recorded value is a byte in [0, 255]). *)
+    has no visible store (every recorded value is a byte in [0, 255]). *)
 
 val next_store_seq_after : t -> Pmem.Addr.t -> int -> int
 (** The sequence number of the oldest visible store of [addr] strictly newer
     than the given seq, or {!Pmem.Line_table.infinity} — the paper's "next
     tuple" bound used to refine interval upper ends. *)
+
+(** {1 Line slots}
+
+    The read-from path's view of one cache line: one probe yields the slot
+    whose interval and row of 64 byte histories ({!Store_queue}s indexed by
+    line offset, visible up to {!seq_bound}) serve every byte of the
+    line. A slot index stays valid until a store or flush adds a line to
+    the record; no read does. *)
+
+val line_slot : t -> int -> int
+(** [line_slot e line] is the slot of cache line number [line], or [-1] if
+    no store or flush has reached it. Never inserts. *)
+
+val slot_lo : t -> int -> int
+val slot_hi : t -> int -> int
+(** The slot's last-writeback interval; [(0, infinity)] for slot [-1]. *)
+
+val slot_row : t -> int -> Store_queue.t array
+(** The slot's 64 byte histories; all empty for slot [-1]. *)
+
+val refine_slot : t -> int -> lo:int -> hi:int -> unit
+(** Raises the slot's lower bound to [lo] if higher and lowers its upper
+    bound to [hi] if lower: a recovery read proved the line was written back
+    within [\[lo, hi)]. Raises [Invalid_argument] on slot [-1]. *)
 
 (** {1 Snapshot copies}
 

@@ -25,9 +25,15 @@ val cur_seq : t -> int
 (** The last sequence number drawn, without advancing (0 on a fresh
     stack). *)
 
+val nth : t -> int -> Exec_record.t
+(** [nth s i] is the record with id [i]: ids are stack positions, 0 being
+    the initial image and {!depth} the top. O(1). Raises [Invalid_argument]
+    outside [\[0, depth s\]]. *)
+
 val prev : t -> Exec_record.t -> Exec_record.t
-(** [prev s e] is the execution immediately below [e]. Raises
-    [Invalid_argument] on the initial record or a record not in [s]. *)
+(** [prev s e] is the execution immediately below [e] (the record with id
+    [id e - 1]). O(1). Raises [Invalid_argument] on the initial record or an
+    id above the top. *)
 
 val push_fresh : t -> Exec_record.t
 (** Simulates a power failure: pushes and returns a new empty execution on
@@ -37,8 +43,10 @@ val restore : t -> seq:int -> Exec_record.t list -> unit
 (** Replaces the whole stack with the given records (top first) and sets the
     sequence counter to [seq], the value {!cur_seq} had when they were
     captured. The caller owns the records — the snapshot layer passes freshly
-    materialised copies. Raises [Invalid_argument] if the list is empty or its bottom is
-    not the {!Exec_record.initial} image. *)
+    materialised copies. Raises [Invalid_argument] if the list is empty, if
+    its bottom is not the {!Exec_record.initial} image, or if its ids do not
+    count down by one from the top to 0 (naming the first bad id from the
+    bottom). *)
 
 val depth : t -> int
 (** Number of non-initial executions. 1 after {!create}. *)

@@ -64,15 +64,22 @@ let label_at q i =
   check_index q i;
   Array.unsafe_get q.labels i
 
+(* Binary search: number of entries with seq <= s (seqs strictly increase).
+   A top-level function rather than a local closure over [seqs] and [s], so
+   a search allocates nothing. *)
+let rec count_le_in seqs s lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if Array.unsafe_get seqs mid <= s then count_le_in seqs s (mid + 1) hi
+    else count_le_in seqs s lo mid
+
+(* The newest entry is checked first: recovery mostly reads bytes whose
+   every store precedes the line's last flush, or with no writeback bound
+   above, and then no search is needed. *)
 let count_le q s =
-  (* Binary search: number of entries with seq <= s (seqs strictly increase). *)
-  let rec loop lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if Array.unsafe_get q.seqs mid <= s then loop (mid + 1) hi else loop lo mid
-  in
-  loop 0 q.len
+  let n = q.len in
+  if n = 0 || Array.unsafe_get q.seqs (n - 1) <= s then n else count_le_in q.seqs s 0 (n - 1)
 
 let next_seq_after q s =
   let i = count_le q s in

@@ -30,7 +30,9 @@ val truncated_copy : t -> int -> t
 
 val count_le : t -> int -> int
 (** [count_le q s] is the number of entries with [seq <= s] (binary search —
-    seqs strictly increase). Used to bound reads to a snapshot's prefix. *)
+    seqs strictly increase — after an O(1) check of the newest entry, which
+    settles the common cases). Used to bound reads to a snapshot's prefix
+    and to locate a line interval's window in a byte's history. *)
 
 val next_seq_after : t -> int -> int
 (** [next_seq_after q s] is the sequence number of the oldest entry strictly

@@ -83,8 +83,10 @@ let find t key =
   i
 
 (* No insertion, so no grow: the load factor keeps an empty slot to stop the
-   probe, and empty slots hold [empty] — a negative key finds one too. *)
-let data_of t key = Array.unsafe_get t.data (probe t key (slot_of t key))
+   probe. A negative key stops at an empty slot too. *)
+let find_existing t key =
+  let i = probe t key (slot_of t key) in
+  if key >= 0 && Array.unsafe_get t.keys i = key then i else -1
 
 let lo t i = Array.unsafe_get t.lo i
 let hi t i = Array.unsafe_get t.hi i

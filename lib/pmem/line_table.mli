@@ -43,9 +43,15 @@ val find : 'a t -> int -> int
     open-addressed arrays), so they must not be cached across mutating calls
     — use them immediately. *)
 
+val find_existing : 'a t -> int -> int
+(** [find_existing t line] is the slot index of [line], or [-1] if the line
+    has no slot (a negative [line] never has one). Never inserts, so the
+    read paths leave the table, and every copy of it, as they found it. *)
+
 val lo : 'a t -> int -> int
 val hi : 'a t -> int -> int
-(** The bounds at a slot index returned by {!find}. *)
+(** The bounds at a slot index returned by {!find} or {!find_existing}
+    (never [-1]). *)
 
 val raise_lo : 'a t -> int -> int -> unit
 (** [raise_lo t slot s] raises the slot's lower bound to [s] if higher. *)
@@ -55,11 +61,8 @@ val lower_hi : 'a t -> int -> int -> unit
 
 val data : 'a t -> int -> 'a
 val set_data : 'a t -> int -> 'a -> unit
-(** The payload at a slot index returned by {!find}. *)
-
-val data_of : 'a t -> int -> 'a
-(** [data_of t line] is the payload of [line], or [empty] if the line has no
-    slot. Never inserts. *)
+(** The payload at a slot index returned by {!find} or {!find_existing}
+    (never [-1]). *)
 
 val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 (** [fold f t acc] folds [f line payload] over every line with a slot, in

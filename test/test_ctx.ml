@@ -269,6 +269,35 @@ let test_width_rejected policy () =
     ]
     (List.rev !raised)
 
+(* A negative flush size is rejected like a negative [memset] length, for
+   every flush kind; size 0 flushes the one line holding the address. *)
+let test_negative_flush_size_rejected () =
+  let raised = ref [] in
+  let o =
+    run_one (fun ctx ->
+        List.iter
+          (fun flush ->
+            match flush ctx base (-1) with
+            | () -> raised := "accepted" :: !raised
+            | exception Invalid_argument m -> raised := m :: !raised)
+          [
+            (fun ctx a n -> Ctx.clflush ctx a n);
+            (fun ctx a n -> Ctx.clflushopt ctx a n);
+            (fun ctx a n -> Ctx.clwb ctx a n);
+          ];
+        Ctx.clflush ctx base 0)
+  in
+  (match o.Explorer.bugs with [] -> () | b :: _ -> Alcotest.failf "%a" Bug.pp b);
+  Alcotest.(check (list string))
+    "every negative size rejected"
+    [
+      "Ctx.clflush: negative size -1";
+      "Ctx.clflushopt: negative size -1";
+      "Ctx.clwb: negative size -1";
+    ]
+    (List.rev !raised);
+  Alcotest.(check int) "size 0 flushes one line" 1 o.Explorer.stats.Stats.flushes
+
 (* --- threads ---------------------------------------------------------------- *)
 
 let test_parallel_tso_visibility () =
@@ -438,6 +467,47 @@ let test_multi_failure_reads_previous_recovery () =
   Alcotest.(check bool) "clean" false (Explorer.found_bug o);
   Alcotest.(check bool) "all observed values odd" true !ok
 
+(* A recovery load whose bytes each have one read-from candidate allocates
+   nothing: the line view is reused, each byte's walk and refinement run in
+   place, and no read inserts a line into a record (a growing line table
+   would allocate). The loads sweep every line of the region, most of which
+   no execution wrote, and straddle line boundaries. The trace ring is off,
+   as its load events are the only allocation left on this path. *)
+let test_single_candidate_loads_allocate_nothing () =
+  let config = { Config.default with Config.max_failures = 2; trace_depth = 0 } in
+  let choice = Choice.create () in
+  Choice.begin_replay choice;
+  let ctx = Ctx.create ~config ~choice () in
+  let crash () =
+    (try Ctx.crash ctx with Ctx.Power_failure -> ());
+    Ctx.after_crash ctx
+  in
+  Ctx.store64 ctx (base + 60) 0x1122334455667788;
+  Ctx.clflush ctx (base + 60) 8;
+  crash ();
+  Ctx.store64 ctx (base + 192) 7;
+  Ctx.clflush ctx (base + 192) 8;
+  crash ();
+  Alcotest.(check int) "two failures" 3 (Exec.Exec_stack.depth (Ctx.exec_stack ctx));
+  Alcotest.(check int) "straddling value of the first execution" 0x1122334455667788
+    (Ctx.load64 ctx (base + 60));
+  Alcotest.(check int) "value of the second execution" 7 (Ctx.load64 ctx (base + 192));
+  let lines = (config.Config.region_size / Pmem.Addr.cache_line_size) - 1 in
+  let loads = 10_000 in
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = measure (fun () -> ()) in
+  let words =
+    measure (fun () ->
+        for i = 0 to loads - 1 do
+          ignore (Ctx.load64 ctx (base + (64 * (i mod lines)) + 60))
+        done)
+  in
+  Alcotest.(check (float 0.)) "minor words over 10,000 loads" baseline words
+
 (* --- misc ---------------------------------------------------------------------- *)
 
 let test_trace_recorded () =
@@ -488,6 +558,8 @@ let () =
           Alcotest.test_case "memset/memcpy" `Quick test_memset_memcpy;
           Alcotest.test_case "memcpy_persist durable" `Quick test_memcpy_persist_durable;
           Alcotest.test_case "crash inside parallel" `Quick test_crash_inside_parallel;
+          Alcotest.test_case "negative flush size rejected" `Quick
+            test_negative_flush_size_rejected;
         ] );
       ( "buffered",
         [
@@ -520,6 +592,8 @@ let () =
           Alcotest.test_case "buffered store lost" `Quick test_buffered_store_lost_at_crash;
           Alcotest.test_case "multi-failure depth" `Quick test_multi_failure_depth;
           Alcotest.test_case "cross-recovery reads" `Quick test_multi_failure_reads_previous_recovery;
+          Alcotest.test_case "single-candidate loads allocate nothing" `Quick
+            test_single_candidate_loads_allocate_nothing;
         ] );
       ( "misc",
         [

@@ -102,6 +102,50 @@ let test_exec_stack_seq () =
     (Invalid_argument "Exec_stack.restore: bottom record must be the initial image") (fun () ->
       Exec.Exec_stack.restore s ~seq:0 [ Exec.Exec_record.create ~id:1 ])
 
+(* Records are found by id, so a restored list must count down by one to
+   the initial image; the first id out of place, from the bottom, is
+   named, and the stack keeps its old records. *)
+let test_exec_stack_restore_ids () =
+  let s = Exec.Exec_stack.create () in
+  let r id = Exec.Exec_record.create ~id in
+  let initial = Exec.Exec_record.initial () in
+  Alcotest.check_raises "a gap"
+    (Invalid_argument "Exec_stack.restore: record id 3 where 2 expected") (fun () ->
+      Exec.Exec_stack.restore s ~seq:5 [ r 3; r 1; initial ]);
+  Alcotest.check_raises "a duplicate id"
+    (Invalid_argument "Exec_stack.restore: record id 1 where 2 expected") (fun () ->
+      Exec.Exec_stack.restore s ~seq:5 [ r 2; r 1; r 1; initial ]);
+  Alcotest.(check int) "stack unchanged" 1 (Exec.Exec_stack.depth s);
+  Alcotest.(check int) "counter unchanged" 0 (Exec.Exec_stack.cur_seq s);
+  let e2 = r 2 and e1 = r 1 in
+  Exec.Exec_stack.restore s ~seq:5 [ e2; e1; initial ];
+  Alcotest.(check int) "contiguous ids accepted" 2 (Exec.Exec_stack.depth s);
+  Alcotest.(check bool) "prev by id" true (Exec.Exec_stack.prev s e2 == e1);
+  Alcotest.(check bool) "nth by id" true (Exec.Exec_stack.nth s 1 == e1)
+
+(* No read adds a line to a record: a line no store or flush reached keeps
+   reading as [0, infinity) without a slot, in the live record and in a
+   snapshot view of it. *)
+let test_reads_insert_no_lines () =
+  let s = Exec.Exec_stack.create () in
+  let e1 = Exec.Exec_stack.top s in
+  Exec.Exec_record.push_store e1 100 ~width:1 ~value:1 ~seq:1 ~label:"w";
+  let view = Exec.Exec_record.snapshot_view e1 in
+  ignore (Exec.Exec_stack.push_fresh s);
+  let untouched = 1000 in
+  Alcotest.(check (list int)) "initial zero" [ 0 ]
+    (List.map (fun src -> src.Exec.Read_from.value) (Exec.Read_from.build_may_read_from s untouched));
+  List.iter
+    (fun (what, e) ->
+      Alcotest.(check (pair int int))
+        (what ^ ": untouched line's bounds") (0, Pmem.Line_table.infinity)
+        (Exec.Exec_record.line_bounds e untouched);
+      ignore (Exec.Exec_record.line_lo e untouched);
+      ignore (Exec.Exec_record.last_store_byte e untouched);
+      Alcotest.(check int) (what ^ ": no slot") (-1)
+        (Exec.Exec_record.line_slot e (Pmem.Addr.line_of untouched)))
+    [ ("live", e1); ("view", view) ]
+
 (* --- word-granular record against a per-byte model ------------------------ *)
 
 (* The record keeps byte histories per line and takes whole stores; the model
@@ -422,6 +466,223 @@ let prop_do_read_narrows =
           && List.length after <= List.length cands)
         before)
 
+(* --- the per-load read path against a per-byte Fig. 9/10 model ------------ *)
+
+(* A failure scenario over two adjacent cache lines: 1-3 failed executions,
+   each a list of stores (width 1-8, some straddling the line boundary) and
+   line flushes, optionally seen through a snapshot view captured after a
+   prefix of its operations while the live record takes the rest; then a
+   recovery that interleaves its own stores with loads of width 1-8, some
+   straddling the boundary. The loads go through one reused
+   [Read_from.view] as [Ctx] drives it; the model below recomputes every
+   byte from boxed per-byte lists, sharing no code with [Read_from]. A
+   multi-candidate byte takes the next of the generated picks. *)
+
+type rf_op = Write of int * int * int | Flush of int | Load of int * int
+
+type rf_case = {
+  failed : (rf_op list * int option) list;  (* oldest first; capture point *)
+  recovery : rf_op list;
+  picks : int list;
+}
+
+let rf_base = 128 (* the two lines are 2 and 3 *)
+let rf_bytes = 128
+
+let gen_access =
+  QCheck.Gen.(int_range 1 8 >>= fun w -> map (fun a -> (a, w)) (int_range 0 (rf_bytes - w)))
+
+let gen_write = QCheck.Gen.(map2 (fun (a, w) v -> Write (a, w, v)) gen_access int)
+
+let gen_failed =
+  QCheck.Gen.(
+    list_size (int_range 0 10)
+      (frequency [ (7, gen_write); (3, map (fun l -> Flush l) (int_range 0 1)) ])
+    >>= fun ops ->
+    map (fun c -> (ops, c)) (option (int_range 0 (List.length ops))))
+
+let gen_rf_case =
+  QCheck.Gen.(
+    map3
+      (fun failed recovery picks -> { failed; recovery; picks })
+      (list_size (int_range 1 3) gen_failed)
+      (list_size (int_range 1 12)
+         (frequency [ (7, map (fun (a, w) -> Load (a, w)) gen_access); (3, gen_write) ]))
+      (list_size (return 16) (int_range 0 1000)))
+
+let print_rf_op = function
+  | Write (a, w, v) -> Printf.sprintf "W(%d,w%d,%d)" a w v
+  | Flush l -> Printf.sprintf "F%d" l
+  | Load (a, w) -> Printf.sprintf "L(%d,w%d)" a w
+
+let print_rf_case c =
+  let ops l = String.concat " " (List.map print_rf_op l) in
+  String.concat "\n"
+    (List.mapi
+       (fun k (l, cap) ->
+         Printf.sprintf "exec %d%s: %s" (k + 1)
+           (match cap with Some c -> Printf.sprintf " (view after %d)" c | None -> "")
+           (ops l))
+       c.failed
+    @ [ "recovery: " ^ ops c.recovery ])
+
+(* The model: per execution, each byte's visible stores oldest first as
+   (seq, value, label), and each line's interval. *)
+type model_exec = {
+  stores : (int * int * string) list array;
+  lo : int array;
+  hi : int array;
+}
+
+let model_exec () =
+  {
+    stores = Array.make rf_bytes [];
+    lo = Array.make 2 0;
+    hi = Array.make 2 Pmem.Line_table.infinity;
+  }
+
+let model_write m a w v seq label =
+  for i = 0 to w - 1 do
+    m.stores.(a + i) <- m.stores.(a + i) @ [ (seq, (v lsr (8 * i)) land 0xff, label) ]
+  done
+
+(* ReadPreFailure, Fig. 9 lines 7-13, as written: candidates as
+   (exec, seq, value, label), newest first. *)
+let rec model_pre_failure ms k a =
+  if k = 0 then [ (0, 0, 0, "<initial zero>") ]
+  else
+    match ms.(k).stores.(a) with
+    | [] -> model_pre_failure ms (k - 1) a
+    | st ->
+        let line = a / 64 in
+        let lo = ms.(k).lo.(line) and hi = ms.(k).hi.(line) in
+        let tag (s, v, l) = (k, s, v, l) in
+        let window = List.rev (List.filter (fun (s, _, _) -> lo < s && s < hi) st) in
+        let tail =
+          match List.rev (List.filter (fun (s, _, _) -> s <= lo) st) with
+          | newest :: _ -> [ tag newest ]
+          | [] -> model_pre_failure ms (k - 1) a
+        in
+        List.map tag window @ tail
+
+(* UpdateRanges, Fig. 10. *)
+let model_update ms ~top a (k_src, seq, _, _) =
+  let line = a / 64 in
+  for k = top - 1 downto k_src + 1 do
+    match ms.(k).stores.(a) with
+    | (first, _, _) :: _ -> ms.(k).hi.(line) <- min ms.(k).hi.(line) first
+    | [] -> ()
+  done;
+  if k_src > 0 then begin
+    let m = ms.(k_src) in
+    m.lo.(line) <- max m.lo.(line) seq;
+    let next =
+      match List.filter (fun (s, _, _) -> s > seq) m.stores.(a) with
+      | (s, _, _) :: _ -> s
+      | [] -> Pmem.Line_table.infinity
+    in
+    m.hi.(line) <- min m.hi.(line) next
+  end
+
+let prop_read_path_matches_model =
+  QCheck.Test.make ~name:"per-load read path = per-byte Fig. 9/10 model" ~count:500
+    (QCheck.make ~print:print_rf_case gen_rf_case)
+    (fun c ->
+      let module R = Exec.Exec_record in
+      let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "%s" m) fmt in
+      let n = List.length c.failed in
+      let top = n + 1 in
+      let ms = Array.init (top + 1) (fun _ -> model_exec ()) in
+      let seq = ref 0 in
+      let apply e m k op =
+        incr seq;
+        match op with
+        | Write (a, w, v) ->
+            let label = Printf.sprintf "e%d@%d" k !seq in
+            R.push_store e (rf_base + a) ~width:w ~value:v ~seq:!seq ~label;
+            Option.iter (fun m -> model_write m a w v !seq label) m
+        | Flush l ->
+            R.flush_line e (rf_base + (64 * l)) ~seq:!seq;
+            Option.iter (fun m -> m.lo.(l) <- max m.lo.(l) !seq) m
+        | Load _ -> assert false
+      in
+      (* Failed executions: ops after a capture reach the live record only,
+         and the stack holds the view. *)
+      let records =
+        List.mapi
+          (fun i (ops, capture) ->
+            let k = i + 1 in
+            let e = R.create ~id:k and view = ref None in
+            List.iteri
+              (fun j op ->
+                if capture = Some j then view := Some (R.snapshot_view ~bound:!seq e);
+                apply e (if !view = None then Some ms.(k) else None) k op)
+              ops;
+            if capture = Some (List.length ops) then view := Some (R.snapshot_view ~bound:!seq e);
+            Option.value ~default:e !view)
+          c.failed
+      in
+      let s = Exec.Exec_stack.create () in
+      let top_rec = R.create ~id:top in
+      Exec.Exec_stack.restore s ~seq:!seq (top_rec :: List.rev records @ [ R.initial () ]);
+      let v = Exec.Read_from.view s in
+      let picks = ref c.picks in
+      let pick len =
+        match !picks with
+        | p :: rest ->
+            picks := rest @ [ p ];
+            p mod len
+        | [] -> 0
+      in
+      let tuple (src : Exec.Read_from.source) =
+        ( R.id src.exec,
+          Option.value ~default:(-1) src.seq,
+          src.value,
+          src.label )
+      in
+      let read_byte a =
+        let off = (rf_base + a) mod 64 in
+        let got = Exec.Read_from.read v off in
+        match (List.rev ms.(top).stores.(a), model_pre_failure ms n a) with
+        | (_, own, _) :: _, _ -> if got <> own then fail "byte %d: own store %d, read %d" a own got
+        | [], [ ((_, _, value, _) as only) ] ->
+            if got <> value then fail "byte %d: single candidate %d, read %d" a value got;
+            model_update ms ~top a only
+        | [], cands ->
+            if got <> -1 then
+              fail "byte %d: %d candidates, read one (%d)" a (List.length cands) got;
+            let real = Exec.Read_from.candidates v in
+            if List.map tuple real <> cands then fail "byte %d: candidate lists differ" a;
+            let k = pick (List.length cands) in
+            Exec.Read_from.commit v off (List.nth real k);
+            model_update ms ~top a (List.nth cands k)
+      in
+      let check_intervals () =
+        List.iteri
+          (fun i e ->
+            let k = i + 1 in
+            for l = 0 to 1 do
+              let got = R.line_bounds e (rf_base + (64 * l)) in
+              if got <> (ms.(k).lo.(l), ms.(k).hi.(l)) then
+                fail "exec %d line %d: interval (%d, %d), model (%d, %d)" k l (fst got) (snd got)
+                  ms.(k).lo.(l) ms.(k).hi.(l)
+            done)
+          records
+      in
+      List.iter
+        (function
+          | Load (a, w) ->
+              Exec.Read_from.open_line v (Pmem.Addr.line_of (rf_base + a));
+              for i = 0 to w - 1 do
+                if i > 0 && (rf_base + a + i) mod 64 = 0 then
+                  Exec.Read_from.open_line v (Pmem.Addr.line_of (rf_base + a + i));
+                read_byte (a + i)
+              done;
+              check_intervals ()
+          | op -> apply top_rec (Some ms.(top)) top op)
+        c.recovery;
+      true)
+
 let () =
   Alcotest.run "exec"
     [
@@ -436,6 +697,8 @@ let () =
           Alcotest.test_case "exec record" `Quick test_exec_record;
           Alcotest.test_case "exec stack" `Quick test_exec_stack;
           Alcotest.test_case "exec stack sequence counter" `Quick test_exec_stack_seq;
+          Alcotest.test_case "exec stack restore checks ids" `Quick test_exec_stack_restore_ids;
+          Alcotest.test_case "reads insert no lines" `Quick test_reads_insert_no_lines;
           QCheck_alcotest.to_alcotest prop_word_granular_record;
         ] );
       ( "read-from",
@@ -449,5 +712,6 @@ let () =
           Alcotest.test_case "two failures deep" `Quick test_rf_two_failures_deep;
           QCheck_alcotest.to_alcotest prop_candidates_match_reference;
           QCheck_alcotest.to_alcotest prop_do_read_narrows;
+          QCheck_alcotest.to_alcotest prop_read_path_matches_model;
         ] );
     ]

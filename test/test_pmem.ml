@@ -78,21 +78,25 @@ let test_line_table_grows () =
   done;
   Alcotest.(check int) "lookups insert nothing" n (Lt.length t)
 
-(* Each slot carries a payload: [empty] until set, shared by [copy], mapped
-   by [copy_map], and [data_of] reads it without inserting the line. *)
+(* Each slot carries a payload: [empty] until set, shared by [copy] and
+   mapped by [copy_map]; [find_existing] locates a line without inserting
+   it, and answers -1 for an absent or negative line. *)
 let test_line_table_payload () =
   let t = Lt.create ~empty:"" in
-  Alcotest.(check string) "absent line" "" (Lt.data_of t 3);
-  Alcotest.(check int) "data_of inserts nothing" 0 (Lt.length t);
+  let payload t line = match Lt.find_existing t line with -1 -> "<absent>" | i -> Lt.data t i in
+  Alcotest.(check string) "absent line" "<absent>" (payload t 3);
+  Alcotest.(check int) "find_existing inserts nothing" 0 (Lt.length t);
   Lt.set_data t (Lt.find t 3) "three";
   ignore (Lt.find t 4);
-  Alcotest.(check string) "set" "three" (Lt.data_of t 3);
-  Alcotest.(check string) "fresh slot" "" (Lt.data t (Lt.find t 4));
-  Alcotest.(check string) "negative line" "" (Lt.data_of t (-1));
+  Alcotest.(check string) "set" "three" (payload t 3);
+  Alcotest.(check string) "fresh slot" "" (payload t 4);
+  Alcotest.(check int) "same slot as find" (Lt.find t 3) (Lt.find_existing t 3);
+  Alcotest.(check string) "negative line" "<absent>" (payload t (-1));
+  Alcotest.(check int) "still two lines" 2 (Lt.length t);
   let c = Lt.copy t and m = Lt.copy_map String.uppercase_ascii t in
   Lt.set_data t (Lt.find t 3) "changed";
-  Alcotest.(check string) "copy keeps the old payload" "three" (Lt.data_of c 3);
-  Alcotest.(check string) "copy_map maps it" "THREE" (Lt.data_of m 3);
+  Alcotest.(check string) "copy keeps the old payload" "three" (payload c 3);
+  Alcotest.(check string) "copy_map maps it" "THREE" (payload m 3);
   Alcotest.(check (list (pair int string)))
     "fold visits every line" [ (3, "changed"); (4, "") ]
     (List.sort compare (Lt.fold (fun line d acc -> (line, d) :: acc) t []))
