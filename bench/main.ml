@@ -7,6 +7,7 @@
      fig14    - Jaaru state-space reduction vs. the eager (Yat) baseline
      analysis - overhead of the online persistency-sanitizer passes
      ablation - constraint refinement / commit-store design points
+     hot-byte - recovery loads from a line with one byte stored 10,000 times
 
    Run with no arguments for everything, or pass section names. *)
 
@@ -493,6 +494,69 @@ let ablations () =
   ablation_multi_failure ();
   ablation_evict_policy ()
 
+(* --- hot byte ------------------------------------------------------------------- *)
+
+(* Recovery loads from a line whose store history is long and lopsided: byte
+   0 of the line stored [stores] times, a word store to one of words 1-6
+   after every tenth, and word 7 (the cold word) stored once, first. Half
+   way, the line is flushed and a snapshot view of the record is taken; at
+   the end it is flushed again and the execution crashes, so every load
+   below has one candidate. The loads read the hot byte and the cold word
+   through the live record and through the view (restored as the stack's
+   failed execution). ns/load is the median of five timed batches. *)
+let hot_byte_bench ~stores ~loads =
+  section_header
+    (Printf.sprintf "Hot byte: recovery loads on a line with one byte stored %d times" stores);
+  let config =
+    { Config.default with Config.max_failures = 0; max_steps = max_int; trace_depth = 0 }
+  in
+  let choice = Choice.create () in
+  Choice.begin_replay choice;
+  let ctx = Ctx.create ~config ~choice () in
+  let stack = Ctx.exec_stack ctx in
+  let line = config.Config.region_base + 64 in
+  let hot = line and cold = line + 56 and cold_value = 0x0123456789abcdef in
+  Ctx.store64 ctx cold cold_value;
+  let view = ref None in
+  for i = 1 to stores do
+    Ctx.store8 ctx hot (i land 0xff);
+    if i mod 10 = 0 then Ctx.store64 ctx (line + (8 * (1 + (i / 10 mod 6)))) i;
+    if i = stores / 2 then begin
+      Ctx.clflush ctx line 64;
+      view :=
+        Some
+          (Exec.Exec_record.snapshot_view ~bound:(Exec.Exec_stack.cur_seq stack)
+             (Exec.Exec_stack.top stack))
+    end
+  done;
+  Ctx.clflush ctx line 64;
+  (try Ctx.crash ctx with Ctx.Power_failure -> ());
+  Ctx.after_crash ctx;
+  let ns_per_load load addr =
+    let batch () =
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to loads do
+        ignore (load ctx addr)
+      done;
+      (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int loads
+    in
+    let times = List.sort compare (List.init 5 (fun _ -> batch ())) in
+    List.nth times 2
+  in
+  let row record ~hot_value =
+    let load8 ctx a = Ctx.load8 ctx a and load64 ctx a = Ctx.load64 ctx a in
+    assert (load8 ctx hot = hot_value);
+    assert (load64 ctx cold = cold_value);
+    Format.printf "%-8s %12.1f %13.1f@." record (ns_per_load load8 hot) (ns_per_load load64 cold)
+  in
+  Format.printf "%-8s %12s %13s@." "record" "load8 hot" "load64 cold";
+  row "live" ~hot_value:(stores land 0xff);
+  let view = Option.get !view in
+  Exec.Exec_stack.restore stack ~seq:(Exec.Exec_stack.cur_seq stack)
+    [ Exec.Exec_record.create ~id:2; view; Exec.Exec_record.initial () ];
+  row "view" ~hot_value:(stores / 2 land 0xff);
+  Format.printf "(ns per recovery load, median of 5 batches of %d)@." loads
+
 (* --- driver -------------------------------------------------------------------- *)
 
 let () =
@@ -513,4 +577,7 @@ let () =
   if want "checkpoint" then checkpoint_bench ~smoke:false;
   (* checkpoint-smoke is opt-in only (CI), like snapshot-smoke. *)
   if List.mem "checkpoint-smoke" sections then checkpoint_bench ~smoke:true;
-  if want "ablation" then ablations ()
+  if want "ablation" then ablations ();
+  if want "hot-byte" then hot_byte_bench ~stores:10_000 ~loads:200_000;
+  (* hot-byte-smoke is opt-in only (CI): a small run with no timing check. *)
+  if List.mem "hot-byte-smoke" sections then hot_byte_bench ~stores:1_000 ~loads:1_000

@@ -363,14 +363,13 @@ let choose_source ctx off addr label =
   src.Exec.Read_from.value
 
 (* Bytes in address order, each forwarded from the store buffer when
-   [forward] holds, else read through the line view, reopened where the
-   load crosses into the next line. Only a multi-candidate byte
-   allocates. *)
-let read_bytes ctx ~forward addr width label =
+   [forward] holds, else read through the line view, which is open on
+   [addr]'s line and reopened where the load crosses into the next line.
+   Only a multi-candidate byte allocates. *)
+let read_bytewise ctx ~forward addr width label =
   let sb = Tso.Thread_state.store_buffer ctx.cur in
   let rf = ctx.rf in
   let off0 = Pmem.Addr.line_offset addr in
-  Exec.Read_from.open_line rf (Pmem.Addr.line_of addr);
   let v = ref 0 in
   for i = 0 to width - 1 do
     let a = addr + i and off = off0 + i in
@@ -391,6 +390,17 @@ let read_bytes ctx ~forward addr width label =
     v := !v lor (b lsl (8 * i))
   done;
   !v
+
+(* A load that stays in one line and forwards nothing first tries the word
+   path, which reads all its bytes from one store in one step. *)
+let read_bytes ctx ~forward addr width label =
+  let off = Pmem.Addr.line_offset addr in
+  Exec.Read_from.open_line ctx.rf (Pmem.Addr.line_of addr);
+  if (not forward)
+     && off + width <= Pmem.Addr.cache_line_size
+     && Exec.Read_from.load ctx.rf off width
+  then Exec.Read_from.loaded ctx.rf
+  else read_bytewise ctx ~forward addr width label
 
 (* Store-to-load forwarding, one scan per load. If the newest buffered store
    overlapping the loaded range covers all of it, every byte forwards from

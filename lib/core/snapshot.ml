@@ -29,11 +29,11 @@ let mem cache point =
 
 (* Every record in a snapshot is a bounded view (Exec_record.snapshot_view):
    line intervals copied — the recovery read-from analysis refines them in
-   place even on buried records — store queues shared with the capturing
+   place even on buried records — line logs shared with the capturing
    execution, entries newer than the capture hidden behind the view's seq
    bound. The top record is the one the crashing execution keeps writing
    into, so its view is bounded at the capture-time sequence number; buried
-   records' queues are frozen already and keep whatever bound they carry
+   records' logs are frozen already and keep whatever bound they carry
    (restored replays can themselves be captured). The initial image is
    immutable and shared outright. *)
 let capture ~point ~stack ~threads ~trace ~failure_count ~fp_count ~rng ~last
@@ -61,7 +61,7 @@ let capture ~point ~stack ~threads ~trace ~failure_count ~fp_count ~rng ~last
   }
 
 (* Per-restore copies: views of the master's views (fresh line intervals,
-   still-shared queues). Under buffered eviction the top must instead be a
+   still-shared logs). Under buffered eviction the top must instead be a
    private truncated copy ([deep_top]) — the drain at the restored crash
    pushes the surviving store-buffer entries into it. *)
 let materialize ~deep_top snap =

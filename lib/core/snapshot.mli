@@ -58,12 +58,12 @@ val capture :
 (** Deep-copies the live state, including the stack's sequence counter, into
     an immutable master snapshot. The top execution record is fully cloned
     (the capturing replay keeps writing into the original), buried records
-    share their frozen store queues. *)
+    share their frozen line logs. *)
 
 val materialize : deep_top:bool -> t -> Exec.Exec_record.t list * Tso.Thread_state.t list
 (** Fresh mutable copies of the stack records and thread states for one
     restore — the master stays pristine for the next hit. [deep_top] clones
-    the top record's store queues too; required under buffered eviction
+    the top record's line logs too; required under buffered eviction
     (the drain at the restored crash pushes into them), skippable under
     eager (the buffers are empty, so the restored top only ever sees
     interval refinement, which works on the always-cloned lines). *)

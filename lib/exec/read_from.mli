@@ -8,10 +8,13 @@
     looked through are refined so that later loads of the same line stay
     consistent with the observed value ([UpdateRanges]).
 
-    A {!view} does this for the bytes of one cache line: it fetches each
-    execution record's line slot at most once, when a byte first needs it,
-    and a byte with a single candidate is read and refined without
-    allocating. *)
+    A {!view} does this for one cache line over the line logs of
+    {!Exec_record}: it fetches each execution record's line slot at most
+    once per load. A load first tries the {e word path} ({!load}), which
+    reads every byte from one store in one step; the paper's per-byte walk
+    ({!read}, {!candidates}, {!commit}) runs over the per-byte projection of
+    the logs when that does not apply. A byte with a single candidate is
+    read and refined without allocating. *)
 
 type source = {
   exec : Exec_record.t;  (** execution that performed the store *)
@@ -31,6 +34,22 @@ val open_line : view -> int -> unit
     stack as it is now, dropping what it fetched before. Call it at the
     start of every load and when a load crosses into the next line: a store
     or a crash between loads may add lines or records. *)
+
+val load : view -> int -> int -> bool
+(** [load v off width] reads the [width] bytes from offset [off] of the
+    view's line, which must all lie in it, in one step when that is exactly
+    what the per-byte walk would do: from the top record down, records
+    writing none of the bytes are skipped, and the newest store writing any
+    of them must write all of them and either belong to the top record or
+    precede the line's last writeback in its own record. Its bytes are then
+    each byte's only candidate and the refinement is a no-op (past the
+    bottom record, every byte reads the initial zero). On [true] the value
+    is {!loaded}; on [false] nothing changed, and the caller reads the
+    bytes one at a time with {!read}. Store-buffer forwarding is the
+    caller's, as for {!read}. *)
+
+val loaded : view -> int
+(** The value of the last {!load} that returned [true]. *)
 
 val read : view -> int -> int
 (** [read v off] reads the byte at offset [off] of the view's line.
@@ -55,17 +74,5 @@ val commit : view -> int -> source -> unit
     byte, and the source execution's line must have been written back
     within [\[seq, next-store-seq)]. A no-op for a store of the current
     execution. *)
-
-(** {1 List form}
-
-    The same walk over a one-off view, one byte at a time. *)
-
-val build_may_read_from : Exec_stack.t -> Pmem.Addr.t -> source list
-(** All stores the byte load may read from, newest first; never empty. A
-    store of the current execution comes alone, with [seq = None]. Changes
-    nothing. *)
-
-val do_read : Exec_stack.t -> Pmem.Addr.t -> source -> unit
-(** {!commit} for one byte address. *)
 
 val pp_source : Format.formatter -> source -> unit

@@ -18,10 +18,10 @@ let snapshot_record record =
   List.iter
     (fun addr ->
       match Exec.Exec_record.visible_stores record addr with
-      | None -> ()
-      | Some (q, n) ->
+      | [] -> ()
+      | stores ->
           let entries =
-            List.init n (fun i -> (Exec.Store_queue.seq_at q i, Exec.Store_queue.value_at q i))
+            List.map (fun (st : Exec.Exec_record.byte_store) -> (st.seq, st.value)) stores
           in
           let line = Pmem.Addr.line_of addr in
           let cell =

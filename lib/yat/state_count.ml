@@ -8,8 +8,8 @@ let unflushed_events_by_line record =
   List.iter
     (fun addr ->
       match Exec.Exec_record.visible_stores record addr with
-      | None -> ()
-      | Some (q, n) ->
+      | [] -> ()
+      | stores ->
           let line = Pmem.Addr.line_of addr in
           let lo = Exec.Exec_record.line_lo record addr in
           let seqs =
@@ -20,10 +20,10 @@ let unflushed_events_by_line record =
                 Hashtbl.add by_line line s;
                 s
           in
-          for i = 0 to n - 1 do
-            let seq = Exec.Store_queue.seq_at q i in
-            if seq > lo then Hashtbl.replace seqs seq ()
-          done)
+          List.iter
+            (fun (st : Exec.Exec_record.byte_store) ->
+              if st.seq > lo then Hashtbl.replace seqs st.seq ())
+            stores)
     (Exec.Exec_record.written_addrs record);
   by_line
 

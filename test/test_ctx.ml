@@ -471,8 +471,9 @@ let test_multi_failure_reads_previous_recovery () =
    nothing: the line view is reused, each byte's walk and refinement run in
    place, and no read inserts a line into a record (a growing line table
    would allocate). The loads sweep every line of the region, most of which
-   no execution wrote, and straddle line boundaries. The trace ring is off,
-   as its load events are the only allocation left on this path. *)
+   no execution wrote, and straddle line boundaries; loads of every width
+   inside one store, aligned or not, take the word path. The trace ring is
+   off, as its load events are the only allocation left on this path. *)
 let test_single_candidate_loads_allocate_nothing () =
   let config = { Config.default with Config.max_failures = 2; trace_depth = 0 } in
   let choice = Choice.create () in
@@ -486,12 +487,18 @@ let test_single_candidate_loads_allocate_nothing () =
   Ctx.clflush ctx (base + 60) 8;
   crash ();
   Ctx.store64 ctx (base + 192) 7;
-  Ctx.clflush ctx (base + 192) 8;
+  Ctx.store64 ctx (base + 203) 0x0102030405060708;
+  Ctx.clflush ctx (base + 192) 64;
   crash ();
   Alcotest.(check int) "two failures" 3 (Exec.Exec_stack.depth (Ctx.exec_stack ctx));
   Alcotest.(check int) "straddling value of the first execution" 0x1122334455667788
     (Ctx.load64 ctx (base + 60));
   Alcotest.(check int) "value of the second execution" 7 (Ctx.load64 ctx (base + 192));
+  Alcotest.(check int) "unaligned word" 0x0102030405060708 (Ctx.load64 ctx (base + 203));
+  Alcotest.(check int) "byte inside a word" 0x06 (Ctx.load8 ctx (base + 205));
+  Alcotest.(check int) "half inside a word" 0x0607 (Ctx.load16 ctx (base + 204));
+  Alcotest.(check int) "unaligned int inside a word" 0x03040506 (Ctx.load32 ctx (base + 205));
+  Alcotest.(check int) "int inside a word" 0x7 (Ctx.load32 ctx (base + 192));
   let lines = (config.Config.region_size / Pmem.Addr.cache_line_size) - 1 in
   let loads = 10_000 in
   let measure f =
@@ -503,7 +510,12 @@ let test_single_candidate_loads_allocate_nothing () =
   let words =
     measure (fun () ->
         for i = 0 to loads - 1 do
-          ignore (Ctx.load64 ctx (base + (64 * (i mod lines)) + 60))
+          ignore (Ctx.load64 ctx (base + (64 * (i mod lines)) + 60));
+          ignore (Ctx.load8 ctx (base + 205));
+          ignore (Ctx.load16 ctx (base + 204));
+          ignore (Ctx.load32 ctx (base + 205));
+          ignore (Ctx.load64 ctx (base + 203));
+          ignore (Ctx.load32 ctx (base + (64 * (i mod lines)) + 3))
         done)
   in
   Alcotest.(check (float 0.)) "minor words over 10,000 loads" baseline words

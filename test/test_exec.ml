@@ -1,48 +1,87 @@
 (* Unit tests for execution records and the Fig. 9/10 read-from analysis. *)
 
-let push q value seq = Exec.Store_queue.push q ~value ~seq ~label:(Printf.sprintf "s%d" seq)
+module R = Exec.Exec_record
 
-let test_store_queue_basics () =
-  let q = Exec.Store_queue.create () in
-  Alcotest.(check int) "empty" 0 (Exec.Store_queue.length q);
-  push q 1 5;
-  push q 2 9;
-  push q 3 12;
-  Alcotest.(check int) "length" 3 (Exec.Store_queue.length q);
-  Alcotest.(check int) "first" 1 (Exec.Store_queue.value_at q 0);
-  Alcotest.(check int) "last" 3 (Exec.Store_queue.value_at q (Exec.Store_queue.length q - 1));
-  Alcotest.(check int) "get" 2 (Exec.Store_queue.value_at q 1);
-  Alcotest.(check int) "seq_at" 9 (Exec.Store_queue.seq_at q 1);
-  Alcotest.(check string) "label_at" "s9" (Exec.Store_queue.label_at q 1);
+(* A one-byte store labelled after its seq. *)
+let push e addr value seq =
+  R.push_store e addr ~width:1 ~value ~seq ~label:(Printf.sprintf "s%d" seq)
+
+(* The candidate values of a byte load through a fresh view, newest first:
+   [read]'s value when the byte has one candidate (which [read] commits),
+   else its [candidates]. *)
+let may_read s addr =
+  let v = Exec.Read_from.view s in
+  Exec.Read_from.open_line v (Pmem.Addr.line_of addr);
+  match Exec.Read_from.read v (Pmem.Addr.line_offset addr) with
+  | -1 -> List.map (fun src -> src.Exec.Read_from.value) (Exec.Read_from.candidates v)
+  | b -> [ b ]
+
+(* Commits a byte load to its [k]-th candidate, newest first. *)
+let commit_nth s addr k =
+  let v = Exec.Read_from.view s in
+  Exec.Read_from.open_line v (Pmem.Addr.line_of addr);
+  let off = Pmem.Addr.line_offset addr in
+  if Exec.Read_from.read v off = -1 then
+    Exec.Read_from.commit v off (List.nth (Exec.Read_from.candidates v) k)
+
+(* One byte stored thrice among stores to the rest of its line: the byte's
+   projection, and the line log's seq search. *)
+let test_log_basics () =
+  let e = R.create ~id:1 in
+  Alcotest.(check int) "empty" 0 (List.length (R.visible_stores e 100));
+  push e 100 1 5;
+  R.push_store e 96 ~width:4 ~value:0x01020304 ~seq:7 ~label:"other bytes";
+  push e 100 2 9;
+  push e 100 3 12;
+  let stores = R.visible_stores e 100 in
+  let nth i = List.nth stores i in
+  Alcotest.(check int) "length" 3 (List.length stores);
+  Alcotest.(check int) "first" 1 (nth 0).value;
+  Alcotest.(check int) "last" 3 (nth (List.length stores - 1)).value;
+  Alcotest.(check int) "get" 2 (nth 1).value;
+  Alcotest.(check int) "seq_at" 9 (nth 1).seq;
+  Alcotest.(check string) "label_at" "s9" (nth 1).label;
   Alcotest.check_raises "non-monotone push"
-    (Invalid_argument "Store_queue.push: sequence numbers must increase") (fun () -> push q 4 12);
-  Alcotest.check_raises "index past the end" (Invalid_argument "Store_queue: index out of range")
-    (fun () -> ignore (Exec.Store_queue.value_at q 3));
-  Alcotest.check_raises "negative index" (Invalid_argument "Store_queue: index out of range")
-    (fun () -> ignore (Exec.Store_queue.seq_at q (-1)))
+    (Invalid_argument "Exec_record.push_store: sequence numbers must increase") (fun () ->
+      push e 100 4 12);
+  Alcotest.check_raises "non-monotone push to another byte of the line"
+    (Invalid_argument "Exec_record.push_store: sequence numbers must increase") (fun () ->
+      push e 101 4 12);
+  let log = R.slot_log e (R.line_slot e (Pmem.Addr.line_of 100)) in
+  Alcotest.(check int) "one entry per store" 4 log.len;
+  Alcotest.(check int) "count_le before all" 0 (R.count_le log 4);
+  Alcotest.(check int) "count_le at the first" 1 (R.count_le log 5);
+  Alcotest.(check int) "count_le between" 2 (R.count_le log 8);
+  Alcotest.(check int) "count_le at the last" 4 (R.count_le log 12);
+  Alcotest.(check int) "count_le past" 4 (R.count_le log 99)
 
 let test_next_seq_after () =
-  let q = Exec.Store_queue.create () in
-  List.iter (fun s -> push q s s) [ 5; 9; 12; 20 ];
-  Alcotest.(check int) "before all" 5 (Exec.Store_queue.next_seq_after q 0);
-  Alcotest.(check int) "at 5" 9 (Exec.Store_queue.next_seq_after q 5);
-  Alcotest.(check int) "between" 12 (Exec.Store_queue.next_seq_after q 10);
-  Alcotest.(check int) "at last" Pmem.Line_table.infinity (Exec.Store_queue.next_seq_after q 20);
-  Alcotest.(check int) "past" Pmem.Line_table.infinity (Exec.Store_queue.next_seq_after q 99)
+  let e = R.create ~id:1 in
+  (* Seqs 5, 9, 12 and 20 to the byte, among stores to its neighbours, which
+     are not the byte's. *)
+  List.iter
+    (fun (addr, s) -> push e addr s s)
+    [ (100, 5); (101, 7); (100, 9); (100, 12); (101, 15); (100, 20) ];
+  R.push_store e 96 ~width:4 ~value:0 ~seq:21 ~label:"other bytes";
+  Alcotest.(check int) "before all" 5 (R.next_store_seq_after e 100 0);
+  Alcotest.(check int) "at 5" 9 (R.next_store_seq_after e 100 5);
+  Alcotest.(check int) "between" 12 (R.next_store_seq_after e 100 10);
+  Alcotest.(check int) "at last" Pmem.Line_table.infinity (R.next_store_seq_after e 100 20);
+  Alcotest.(check int) "past" Pmem.Line_table.infinity (R.next_store_seq_after e 100 99)
 
 let prop_next_seq_after =
   QCheck.Test.make ~name:"next_seq_after = first strictly greater" ~count:300
     QCheck.(pair (list_of_size (Gen.int_range 1 20) (int_range 1 100)) (int_range 0 110))
     (fun (seqs, s) ->
       let seqs = List.sort_uniq compare seqs in
-      let q = Exec.Store_queue.create () in
-      List.iter (fun x -> push q x x) seqs;
+      let e = R.create ~id:1 in
+      List.iter (fun x -> push e 100 x x) seqs;
       let expected =
         match List.filter (fun x -> x > s) seqs with
         | [] -> Pmem.Line_table.infinity
         | x :: _ -> x
       in
-      Exec.Store_queue.next_seq_after q s = expected)
+      R.next_store_seq_after e 100 s = expected)
 
 let test_exec_record () =
   let e = Exec.Exec_record.create ~id:1 in
@@ -51,18 +90,15 @@ let test_exec_record () =
   Exec.Exec_record.push_store e 100 ~width:1 ~value:8 ~seq:2 ~label:"b";
   Exec.Exec_record.push_store e 200 ~width:1 ~value:9 ~seq:3 ~label:"c";
   Alcotest.(check int) "store count" 3 (Exec.Exec_record.store_count e);
-  Alcotest.(check int) "queue length" 2
-    (match Exec.Exec_record.visible_stores e 100 with Some (_, n) -> n | None -> 0);
+  Alcotest.(check int) "queue length" 2 (List.length (Exec.Exec_record.visible_stores e 100));
   Alcotest.(check bool) "no queue for untouched" true
-    (Exec.Exec_record.visible_stores e 300 = None);
+    (Exec.Exec_record.visible_stores e 300 = []);
   (* Stores above the line's last-writeback lower bound are not certainly
      persisted. *)
   let unflushed addr =
-    match Exec.Exec_record.visible_stores e addr with
-    | None -> 0
-    | Some (q, n) ->
-        let lo = Exec.Exec_record.line_lo e addr in
-        List.length (List.filter (fun i -> Exec.Store_queue.seq_at q i > lo) (List.init n Fun.id))
+    let lo = Exec.Exec_record.line_lo e addr in
+    List.length
+      (List.filter (fun (st : R.byte_store) -> st.seq > lo) (R.visible_stores e addr))
   in
   Alcotest.(check int) "unflushed before flush" 2 (unflushed 100);
   Exec.Exec_record.flush_line e 100 ~seq:5;
@@ -133,8 +169,7 @@ let test_reads_insert_no_lines () =
   let view = Exec.Exec_record.snapshot_view e1 in
   ignore (Exec.Exec_stack.push_fresh s);
   let untouched = 1000 in
-  Alcotest.(check (list int)) "initial zero" [ 0 ]
-    (List.map (fun src -> src.Exec.Read_from.value) (Exec.Read_from.build_may_read_from s untouched));
+  Alcotest.(check (list int)) "initial zero" [ 0 ] (may_read s untouched);
   List.iter
     (fun (what, e) ->
       Alcotest.(check (pair int int))
@@ -194,17 +229,13 @@ let model_flush m addr ~seq =
 
 (* [None] when the record agrees with the model, else what differs. *)
 let record_mismatch e m =
-  let module R = Exec.Exec_record in
-  let module Q = Exec.Store_queue in
   let fail fmt = Printf.ksprintf (fun s -> Some s) fmt in
   let rec at addr =
     if addr >= window_hi then None
     else
       let es = entries m addr in
       let got =
-        match R.visible_stores e addr with
-        | None -> []
-        | Some (q, n) -> List.init n (fun i -> (Q.value_at q i, Q.seq_at q i, Q.label_at q i))
+        List.map (fun (st : R.byte_store) -> (st.value, st.seq, st.label)) (R.visible_stores e addr)
       in
       let newest = match List.rev es with (v, _, _) :: _ -> v | [] -> -1 in
       let next_after s =
@@ -302,8 +333,6 @@ let prop_word_granular_record =
 
 (* --- read-from semantics ------------------------------------------------- *)
 
-let source_values srcs = List.map (fun s -> s.Exec.Read_from.value) srcs
-
 (* One failed execution over the initial image. *)
 let stack_with_stores stores ~flush_at =
   let s = Exec.Exec_stack.create () in
@@ -320,31 +349,28 @@ let stack_with_stores stores ~flush_at =
 let test_rf_unflushed_line () =
   (* No flush: every store plus the initial zero is a candidate. *)
   let s = stack_with_stores [ (100, 1, 1); (100, 2, 2); (100, 3, 3) ] ~flush_at:None in
-  let srcs = Exec.Read_from.build_may_read_from s 100 in
-  Alcotest.(check (list int)) "newest first, zero last" [ 3; 2; 1; 0 ] (source_values srcs)
+  Alcotest.(check (list int)) "newest first, zero last" [ 3; 2; 1; 0 ] (may_read s 100)
 
 let test_rf_flushed_line () =
   (* Flush after seq 2: the newest store at or before the flush is definite;
      later stores remain possible; the initial zero is not. *)
   let s = stack_with_stores [ (100, 1, 1); (100, 2, 2); (100, 3, 4) ] ~flush_at:(Some (100, 3)) in
-  let srcs = Exec.Read_from.build_may_read_from s 100 in
-  Alcotest.(check (list int)) "window plus newest definite" [ 3; 2 ] (source_values srcs)
+  Alcotest.(check (list int)) "window plus newest definite" [ 3; 2 ] (may_read s 100)
 
 let test_rf_fully_flushed () =
   let s = stack_with_stores [ (100, 1, 1); (100, 2, 2) ] ~flush_at:(Some (100, 5)) in
-  let srcs = Exec.Read_from.build_may_read_from s 100 in
-  Alcotest.(check (list int)) "single definite value" [ 2 ] (source_values srcs)
+  Alcotest.(check (list int)) "single definite value" [ 2 ] (may_read s 100)
 
 let test_rf_current_execution_wins () =
   let s = stack_with_stores [ (100, 1, 1) ] ~flush_at:None in
   let top = Exec.Exec_stack.top s in
   Exec.Exec_record.push_store top 100 ~width:1 ~value:9 ~seq:10 ~label:"recovery write";
-  let srcs = Exec.Read_from.build_may_read_from s 100 in
-  Alcotest.(check (list int)) "own store shadows history" [ 9 ] (source_values srcs);
-  Alcotest.(check bool) "no persistency constraint" true
-    ((List.hd srcs).Exec.Read_from.seq = None)
+  Alcotest.(check (list int)) "own store shadows history" [ 9 ] (may_read s 100);
+  (* The read refined nothing below the top. *)
+  Alcotest.(check (pair int int)) "no persistency constraint" (0, Pmem.Line_table.infinity)
+    (Exec.Exec_record.line_bounds (Exec.Exec_stack.nth s 1) 100)
 
-let test_do_read_refines_same_line () =
+let test_commit_refines_same_line () =
   (* The Fig. 2/3 scenario at byte granularity: after committing to the
      second store of a line, earlier stores to other bytes of that line are
      no longer candidates. *)
@@ -353,23 +379,18 @@ let test_do_read_refines_same_line () =
       [ (100, 1, 1) (* x=1 *); (108, 5, 2) (* y=5 *); (100, 2, 3) (* x=2 *) ]
       ~flush_at:None
   in
-  let x_srcs = Exec.Read_from.build_may_read_from s 100 in
-  Alcotest.(check (list int)) "x candidates" [ 2; 1; 0 ] (source_values x_srcs);
+  Alcotest.(check (list int)) "x candidates" [ 2; 1; 0 ] (may_read s 100);
   (* Commit x to the newest store (seq 3). *)
-  Exec.Read_from.do_read s 100 (List.hd x_srcs);
-  let y_srcs = Exec.Read_from.build_may_read_from s 108 in
-  Alcotest.(check (list int)) "y pinned by x's refinement" [ 5 ] (source_values y_srcs)
+  commit_nth s 100 0;
+  Alcotest.(check (list int)) "y pinned by x's refinement" [ 5 ] (may_read s 108)
 
-let test_do_read_refines_upper_bound () =
+let test_commit_refines_upper_bound () =
   let s = stack_with_stores [ (100, 1, 1); (108, 5, 2); (100, 2, 3) ] ~flush_at:None in
-  let x_srcs = Exec.Read_from.build_may_read_from s 100 in
   (* Commit x to the initial zero: the line was never written back after
      any store, so y must also read zero. *)
-  let zero = List.nth x_srcs 2 in
-  Alcotest.(check int) "zero candidate" 0 zero.Exec.Read_from.value;
-  Exec.Read_from.do_read s 100 zero;
-  let y_srcs = Exec.Read_from.build_may_read_from s 108 in
-  Alcotest.(check (list int)) "y pinned to zero" [ 0 ] (source_values y_srcs)
+  Alcotest.(check int) "zero candidate" 0 (List.nth (may_read s 100) 2);
+  commit_nth s 100 2;
+  Alcotest.(check (list int)) "y pinned to zero" [ 0 ] (may_read s 108)
 
 let test_rf_two_failures_deep () =
   (* Two failed executions: a value flushed in the older one is readable
@@ -381,13 +402,11 @@ let test_rf_two_failures_deep () =
   let e2 = Exec.Exec_stack.push_fresh s in
   Exec.Exec_record.push_store e2 100 ~width:1 ~value:2 ~seq:3 ~label:"new unflushed";
   ignore (Exec.Exec_stack.push_fresh s);
-  let srcs = Exec.Read_from.build_may_read_from s 100 in
-  Alcotest.(check (list int)) "new store or older flushed value" [ 2; 1 ] (source_values srcs);
+  Alcotest.(check (list int)) "new store or older flushed value" [ 2; 1 ] (may_read s 100);
   (* Committing to the old value proves e2 never flushed the line after its
      store: e2's candidates collapse for subsequent reads. *)
-  Exec.Read_from.do_read s 100 (List.nth srcs 1);
-  let srcs' = Exec.Read_from.build_may_read_from s 100 in
-  Alcotest.(check (list int)) "refined to the old value" [ 1 ] (source_values srcs')
+  commit_nth s 100 1;
+  Alcotest.(check (list int)) "refined to the old value" [ 1 ] (may_read s 100)
 
 (* Reference model of ReadPreFailure for a single byte of a single failed
    execution: candidates are every store in the open window (lo, hi) newest
@@ -424,47 +443,38 @@ let prop_candidates_match_reference =
         | _ -> 0
       in
       ignore (Exec.Exec_stack.push_fresh s);
-      let got =
-        List.map (fun src -> src.Exec.Read_from.value) (Exec.Read_from.build_may_read_from s 100)
-      in
+      let got = may_read s 100 in
       let expected =
         reference_candidates (List.map (fun (q, v) -> (q, v land 0xff)) stores) ~lo
       in
       got = expected)
 
-let prop_do_read_narrows =
+let prop_commit_narrows =
   QCheck.Test.make ~name:"committing to a candidate never widens later candidate sets" ~count:200
     QCheck.(list_of_size (Gen.int_range 1 6) (int_range 1 100))
     (fun values ->
       let stores = List.mapi (fun i v -> ((2 * i) + 2, v land 0xff)) values in
-      let s = Exec.Exec_stack.create () in
-      let e1 = Exec.Exec_stack.top s in
-      List.iter
-        (fun (seq, v) -> Exec.Exec_record.push_store e1 100 ~width:1 ~value:v ~seq ~label:"w")
-        stores;
-      ignore (Exec.Exec_stack.push_fresh s);
-      let before = Exec.Read_from.build_may_read_from s 100 in
+      (* Refinement mutates the stack, so each candidate gets a fresh one. *)
+      let stack () =
+        let s = Exec.Exec_stack.create () in
+        let e1 = Exec.Exec_stack.top s in
+        List.iter
+          (fun (seq, v) -> Exec.Exec_record.push_store e1 100 ~width:1 ~value:v ~seq ~label:"w")
+          stores;
+        ignore (Exec.Exec_stack.push_fresh s);
+        s
+      in
+      let before = may_read (stack ()) 100 in
       List.for_all
-        (fun src ->
-          (* Refine on a copy of the stack state is impossible (mutable), so
-             rebuild per candidate. *)
-          let s = Exec.Exec_stack.create () in
-          let e1 = Exec.Exec_stack.top s in
-          List.iter
-            (fun (seq, v) -> Exec.Exec_record.push_store e1 100 ~width:1 ~value:v ~seq ~label:"w")
-            stores;
-          ignore (Exec.Exec_stack.push_fresh s);
-          let cands = Exec.Read_from.build_may_read_from s 100 in
-          let chosen =
-            List.find (fun c -> c.Exec.Read_from.seq = src.Exec.Read_from.seq) cands
-          in
-          Exec.Read_from.do_read s 100 chosen;
-          let after = Exec.Read_from.build_may_read_from s 100 in
+        (fun k ->
+          let s = stack () in
+          let cands = may_read s 100 in
+          commit_nth s 100 k;
+          let after = may_read s 100 in
           (* The committed value must still be readable, and the set shrinks
              to candidates consistent with it. *)
-          List.exists (fun c -> c.Exec.Read_from.value = chosen.Exec.Read_from.value) after
-          && List.length after <= List.length cands)
-        before)
+          List.mem (List.nth cands k) after && List.length after <= List.length cands)
+        (List.init (List.length before) Fun.id))
 
 (* --- the per-load read path against a per-byte Fig. 9/10 model ------------ *)
 
@@ -473,7 +483,9 @@ let prop_do_read_narrows =
    line flushes, optionally seen through a snapshot view captured after a
    prefix of its operations while the live record takes the rest; then a
    recovery that interleaves its own stores with loads of width 1-8, some
-   straddling the boundary. The loads go through one reused
+   straddling the boundary. The recovery record too may be replaced in the
+   stack by a view of it after a prefix of its operations, so the loads see
+   none of its later stores. The loads go through one reused
    [Read_from.view] as [Ctx] drives it; the model below recomputes every
    byte from boxed per-byte lists, sharing no code with [Read_from]. A
    multi-candidate byte takes the next of the generated picks. *)
@@ -483,6 +495,7 @@ type rf_op = Write of int * int * int | Flush of int | Load of int * int
 type rf_case = {
   failed : (rf_op list * int option) list;  (* oldest first; capture point *)
   recovery : rf_op list;
+  recovery_capture : int option;
   picks : int list;
 }
 
@@ -501,13 +514,40 @@ let gen_failed =
     >>= fun ops ->
     map (fun c -> (ops, c)) (option (int_range 0 (List.length ops))))
 
+(* Recovery ops: stores, loads, and loads of bytes the newest store wrote,
+   which the word path can take from that store alone. *)
+let gen_recovery =
+  QCheck.Gen.(
+    list_size (int_range 1 12)
+      (frequency
+         [
+           (5, map (fun (a, w) -> `Op (Load (a, w))) gen_access);
+           (3, map (fun op -> `Op op) gen_write);
+           (2, map (fun p -> `Reload p) (pair nat nat));
+         ])
+    >|= fun raw ->
+    let resolve (last, acc) = function
+      | `Op (Write (a, w, _) as op) -> (Some (a, w), op :: acc)
+      | `Op op -> (last, op :: acc)
+      | `Reload (i, j) -> (
+          match last with
+          | Some (a, w) ->
+              let o = i mod w in
+              (last, Load (a + o, 1 + (j mod (w - o))) :: acc)
+          | None -> (last, Load (0, 1) :: acc))
+    in
+    List.rev (snd (List.fold_left resolve (None, []) raw)))
+
 let gen_rf_case =
   QCheck.Gen.(
     map3
-      (fun failed recovery picks -> { failed; recovery; picks })
+      (fun failed (recovery, recovery_capture) picks ->
+        { failed; recovery; recovery_capture; picks })
       (list_size (int_range 1 3) gen_failed)
-      (list_size (int_range 1 12)
-         (frequency [ (7, map (fun (a, w) -> Load (a, w)) gen_access); (3, gen_write) ]))
+      ( gen_recovery >>= fun ops ->
+        map
+          (fun c -> (ops, c))
+          (frequency [ (1, return None); (1, map Option.some (int_range 0 (List.length ops))) ]) )
       (list_size (return 16) (int_range 0 1000)))
 
 let print_rf_op = function
@@ -524,7 +564,13 @@ let print_rf_case c =
            (match cap with Some c -> Printf.sprintf " (view after %d)" c | None -> "")
            (ops l))
        c.failed
-    @ [ "recovery: " ^ ops c.recovery ])
+    @ [
+        Printf.sprintf "recovery%s: %s"
+          (match c.recovery_capture with
+          | Some k -> Printf.sprintf " (view after %d)" k
+          | None -> "")
+          (ops c.recovery);
+      ])
 
 (* The model: per execution, each byte's visible stores oldest first as
    (seq, value, label), and each line's interval. *)
@@ -640,14 +686,19 @@ let prop_read_path_matches_model =
           src.value,
           src.label )
       in
+      (* One byte through [read], checked against the model: the byte
+         [Read_from] gives the load and the model's byte. *)
       let read_byte a =
         let off = (rf_base + a) mod 64 in
         let got = Exec.Read_from.read v off in
         match (List.rev ms.(top).stores.(a), model_pre_failure ms n a) with
-        | (_, own, _) :: _, _ -> if got <> own then fail "byte %d: own store %d, read %d" a own got
+        | (_, own, _) :: _, _ ->
+            if got <> own then fail "byte %d: own store %d, read %d" a own got;
+            (got, own)
         | [], [ ((_, _, value, _) as only) ] ->
             if got <> value then fail "byte %d: single candidate %d, read %d" a value got;
-            model_update ms ~top a only
+            model_update ms ~top a only;
+            (got, value)
         | [], cands ->
             if got <> -1 then
               fail "byte %d: %d candidates, read one (%d)" a (List.length cands) got;
@@ -655,8 +706,21 @@ let prop_read_path_matches_model =
             if List.map tuple real <> cands then fail "byte %d: candidate lists differ" a;
             let k = pick (List.length cands) in
             Exec.Read_from.commit v off (List.nth real k);
-            model_update ms ~top a (List.nth cands k)
+            let ((_, _, value, _) as chosen) = List.nth cands k in
+            model_update ms ~top a chosen;
+            ((List.nth real k).value, value)
       in
+      (* The model's byte for a load the word path took whole: the top's own
+         store, or the only candidate, committed in the model. *)
+      let model_single a =
+        match (List.rev ms.(top).stores.(a), model_pre_failure ms n a) with
+        | (_, own, _) :: _, _ -> own
+        | [], [ ((_, _, value, _) as only) ] ->
+            model_update ms ~top a only;
+            value
+        | [], cands -> fail "byte %d: word path took a byte of %d candidates" a (List.length cands)
+      in
+      let compose bytes = Array.fold_right (fun b acc -> (acc lsl 8) lor b) bytes 0 in
       let check_intervals () =
         List.iteri
           (fun i e ->
@@ -669,26 +733,46 @@ let prop_read_path_matches_model =
             done)
           records
       in
-      List.iter
-        (function
+      (* From the capture on, the stack's top is a view of [top_rec]. *)
+      let top_view = ref false in
+      let capture () =
+        top_view := true;
+        Exec.Exec_stack.restore s ~seq:!seq
+          (R.snapshot_view ~bound:!seq top_rec :: List.rev records @ [ R.initial () ])
+      in
+      List.iteri
+        (fun j op ->
+          if c.recovery_capture = Some j then capture ();
+          match op with
           | Load (a, w) ->
+              (* As [Ctx] loads: the word path for a load inside one line,
+                 else byte by byte, reopening the view at the boundary. *)
+              let off = (rf_base + a) mod 64 in
               Exec.Read_from.open_line v (Pmem.Addr.line_of (rf_base + a));
-              for i = 0 to w - 1 do
-                if i > 0 && (rf_base + a + i) mod 64 = 0 then
-                  Exec.Read_from.open_line v (Pmem.Addr.line_of (rf_base + a + i));
-                read_byte (a + i)
-              done;
+              let got, expected =
+                if off + w <= 64 && Exec.Read_from.load v off w then
+                  (Exec.Read_from.loaded v, compose (Array.init w (fun i -> model_single (a + i))))
+                else
+                  let bytes =
+                    Array.init w (fun i ->
+                        if i > 0 && (rf_base + a + i) mod 64 = 0 then
+                          Exec.Read_from.open_line v (Pmem.Addr.line_of (rf_base + a + i));
+                        read_byte (a + i))
+                  in
+                  (compose (Array.map fst bytes), compose (Array.map snd bytes))
+              in
+              if got <> expected then fail "load(%d, w%d): read 0x%x, model 0x%x" a w got expected;
               check_intervals ()
-          | op -> apply top_rec (Some ms.(top)) top op)
+          | op -> apply top_rec (if !top_view then None else Some ms.(top)) top op)
         c.recovery;
       true)
 
 let () =
   Alcotest.run "exec"
     [
-      ( "store-queue",
+      ( "line-log",
         [
-          Alcotest.test_case "basics" `Quick test_store_queue_basics;
+          Alcotest.test_case "basics" `Quick test_log_basics;
           Alcotest.test_case "next_seq_after" `Quick test_next_seq_after;
           QCheck_alcotest.to_alcotest prop_next_seq_after;
         ] );
@@ -707,11 +791,11 @@ let () =
           Alcotest.test_case "flushed line" `Quick test_rf_flushed_line;
           Alcotest.test_case "fully flushed" `Quick test_rf_fully_flushed;
           Alcotest.test_case "current execution wins" `Quick test_rf_current_execution_wins;
-          Alcotest.test_case "same-line refinement" `Quick test_do_read_refines_same_line;
-          Alcotest.test_case "upper-bound refinement" `Quick test_do_read_refines_upper_bound;
+          Alcotest.test_case "same-line refinement" `Quick test_commit_refines_same_line;
+          Alcotest.test_case "upper-bound refinement" `Quick test_commit_refines_upper_bound;
           Alcotest.test_case "two failures deep" `Quick test_rf_two_failures_deep;
           QCheck_alcotest.to_alcotest prop_candidates_match_reference;
-          QCheck_alcotest.to_alcotest prop_do_read_narrows;
+          QCheck_alcotest.to_alcotest prop_commit_narrows;
           QCheck_alcotest.to_alcotest prop_read_path_matches_model;
         ] );
     ]

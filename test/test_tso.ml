@@ -179,9 +179,9 @@ let test_store_atomic_bytes () =
   Tso.Thread_state.exec_store th 100 ~value:0x0807060504030201 ~width:8 ~label:"w";
   Tso.Thread_state.drain th stack;
   let last_seq addr =
-    match Exec.Exec_record.visible_stores record addr with
-    | Some (q, n) -> Exec.Store_queue.seq_at q (n - 1)
-    | None -> Alcotest.fail "byte not stored"
+    match List.rev (Exec.Exec_record.visible_stores record addr) with
+    | newest :: _ -> newest.Exec.Exec_record.seq
+    | [] -> Alcotest.fail "byte not stored"
   in
   let seqs = List.map (fun i -> last_seq (100 + i)) [ 0; 1; 7 ] in
   Alcotest.(check (list int)) "one seq for all bytes" [ 1; 1; 1 ] seqs
@@ -292,7 +292,7 @@ let test_table1_behavioural_clflushopt_store () =
   (* The other-line store took effect in the cache even though the earlier
      clflushopt has not been applied: they reordered. *)
   Alcotest.(check bool) "other store visible" true
-    (Exec.Exec_record.visible_stores record 200 <> None);
+    (Exec.Exec_record.visible_stores record 200 <> []);
   Alcotest.(check int) "flush still pending" 0
     (Exec.Exec_record.line_lo record 100)
 

@@ -144,6 +144,60 @@ let pp_count_large () =
   let s = Format.asprintf "%a" Yat.State_count.pp_count 182.336 in
   Alcotest.(check string) "large" "2.17x10^182" s
 
+(* --- the oracle on the bundled clean cases --------------------------------- *)
+
+(* The [jaaru yat] line of each clean sequential case: failure points,
+   largest line and the rendered total. The oracle reads the per-byte
+   projection of the execution record's line logs, so these pin it. *)
+let pinned_counts =
+  [
+    ( "CCEH-fixed",
+      "1.25x10^7 eager states over 68 failure points (largest line: 21 states)" );
+    ( "FAST_FAIR-fixed",
+      "982 eager states over 68 failure points (largest line: 17 states)" );
+    ( "P-ART-fixed",
+      "1.38x10^9 eager states over 56 failure points (largest line: 17 states)" );
+    ( "P-BwTree-fixed",
+      "1.33x10^11 eager states over 35 failure points (largest line: 17 states)" );
+    ( "P-CLHT-fixed",
+      "2.37x10^39 eager states over 15 failure points (largest line: 17 states)" );
+    ( "P-Masstree-fixed",
+      "8380 eager states over 31 failure points (largest line: 17 states)" );
+    ( "pmdk-btree-fixed",
+      "19690 eager states over 134 failure points (largest line: 9 states)" );
+    ( "pmdk-clog-fixed",
+      "351 eager states over 3 failure points (largest line: 7 states)" );
+    ( "pmdk-ctree-fixed",
+      "173 eager states over 63 failure points (largest line: 5 states)" );
+    ( "pmdk-hashmap-atomic-fixed",
+      "186 eager states over 73 failure points (largest line: 5 states)" );
+    ( "pmdk-hashmap-tx-fixed",
+      "305 eager states over 98 failure points (largest line: 5 states)" );
+    ( "pmdk-rbtree-fixed",
+      "3680 eager states over 153 failure points (largest line: 7 states)" );
+    ( "pmdk-skiplist-fixed",
+      "151 eager states over 49 failure points (largest line: 7 states)" );
+  ]
+
+let pinned_clean_cases () =
+  let cases =
+    List.map
+      (fun (c : Pmdk.Workloads.case) -> (c.id, c.config, c.scenario))
+      (Pmdk.Workloads.fixed_cases () @ Pmdk.Workloads.checksum_cases ()
+     @ Pmdk.Workloads.skiplist_cases ())
+    @ List.map
+        (fun (c : Recipe.Workloads.case) -> (c.id, c.config, c.scenario))
+        (Recipe.Workloads.fixed_cases ())
+  in
+  List.iter
+    (fun (id, expected) ->
+      match List.find_opt (fun (id', _, _) -> id' = id) cases with
+      | None -> Alcotest.failf "no case %s" id
+      | Some (_, config, scenario) ->
+          let t = Yat.State_count.analyze ~config (fun ctx -> scenario.Explorer.pre ctx) in
+          Alcotest.(check string) id expected (Format.asprintf "%a" Yat.State_count.pp t))
+    pinned_counts
+
 let () =
   Alcotest.run "yat"
     [
@@ -156,6 +210,7 @@ let () =
           Alcotest.test_case "recipe explosion" `Quick count_recipe_explosion;
           Alcotest.test_case "pp small" `Quick pp_count_small;
           Alcotest.test_case "pp large" `Quick pp_count_large;
+          Alcotest.test_case "pinned clean cases" `Quick pinned_clean_cases;
         ] );
       ( "equivalence",
         [
