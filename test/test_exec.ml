@@ -770,7 +770,8 @@ let prop_read_path_matches_model =
 let () =
   Alcotest.run "exec"
     [
-      ( "line-log",
+      (* A byte's store queue: its projection of the line log. *)
+      ( "store-queue",
         [
           Alcotest.test_case "basics" `Quick test_log_basics;
           Alcotest.test_case "next_seq_after" `Quick test_next_seq_after;
