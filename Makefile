@@ -85,13 +85,14 @@ bench: build
 # Seconds-long subsets of the snapshot and checkpoint bench sections: assert
 # that outcomes stay byte-identical with the failure-point snapshot layer on
 # and off, and that a chain of wall-budget-interrupted sessions resumed from
-# checkpoints reports identically to one uninterrupted run, and a small
-# hot-byte run (recovery loads from a line with a long store log; no timing
-# check). Then the paper tables that run in about two seconds: Table 1,
+# checkpoints reports identically to one uninterrupted run, a small
+# hot-byte run (recovery loads from a line with a long store log) and a small
+# ops run (ns per store/load/flush/fence through Ctx), neither with a timing
+# check. Then the paper tables that run in about two seconds: Table 1,
 # Fig. 14 (Jaaru executions against the Yat state count) and the ablations.
 # The perf gate is the macro suite in bench/suite (see its README).
 bench-smoke: build
-	dune exec bench/main.exe -- snapshot-smoke checkpoint-smoke hot-byte-smoke
+	dune exec bench/main.exe -- snapshot-smoke checkpoint-smoke hot-byte-smoke ops-smoke
 	dune exec bench/main.exe -- table1 fig14 ablation
 
 # Stateful-PBT determinism smoke: `jaaru pbt --seed S` (a clean sweep plus

@@ -8,6 +8,7 @@
      analysis - overhead of the online persistency-sanitizer passes
      ablation - constraint refinement / commit-store design points
      hot-byte - recovery loads from a line with one byte stored 10,000 times
+     ops      - ns per store / load / flush / fence through Ctx in recovery
 
    Run with no arguments for everything, or pass section names. *)
 
@@ -557,6 +558,86 @@ let hot_byte_bench ~stores ~loads =
   row "view" ~hot_value:(stores / 2 land 0xff);
   Format.printf "(ns per recovery load, median of 5 batches of %d)@." loads
 
+(* --- per-operation costs ------------------------------------------------------ *)
+
+(* ns per instruction through [Ctx], as a program under test issues it. Each
+   figure is the median of five batches; a batch runs [rounds] rounds of [k]
+   operations and times only the operations. Every round starts, untimed, on
+   a fresh recovery context (the pre-failure execution stored and flushed
+   one line, then crashed), so store logs stay as short as a replay's, plus
+   whatever makes the operation the common useful case: a clflush flushes a
+   line stored to since its last flush, a forwarded load has its store
+   buffered. The trace ring keeps its default depth and the always-on
+   redundant pass runs, as under [jaaru check]. An sfence with nothing
+   pending is flagged redundant, so the sfence row is a store64+sfence pair
+   less the store64 row. *)
+let ops_bench ~rounds ~k =
+  section_header "Per-operation cost through Ctx (recovery context)";
+  let base = Config.default.Config.region_base and stored = 0x0123456789abcdef in
+  let recovery_ctx evict_policy =
+    let config =
+      { Config.default with Config.evict_policy; max_failures = 0; max_steps = max_int }
+    in
+    let choice = Choice.create () in
+    Choice.begin_replay choice;
+    let ctx = Ctx.create ~config ~choice () in
+    Ctx.store64 ctx base stored;
+    Ctx.clflush ctx base 8;
+    Ctx.mfence ctx ();
+    (try Ctx.crash ctx with Ctx.Power_failure -> ());
+    Ctx.after_crash ctx;
+    ctx
+  in
+  let ns_per_op policy ?(prepare = ignore) op =
+    let batch () =
+      let t = ref 0. in
+      for _ = 1 to rounds do
+        let ctx = recovery_ctx policy in
+        prepare ctx;
+        let t0 = Unix.gettimeofday () in
+        for i = 0 to k - 1 do
+          op ctx i
+        done;
+        t := !t +. (Unix.gettimeofday () -. t0)
+      done;
+      !t *. 1e9 /. float_of_int (rounds * k)
+    in
+    let times = List.sort compare (List.init 5 (fun _ -> batch ())) in
+    List.nth times 2
+  in
+  (* Stores go to 16 lines past the crashed one, 8 words each; flushes to
+     [k] distinct lines. *)
+  let word i = base + (64 * (1 + (i land 15))) + (8 * ((i lsr 4) land 7)) in
+  let line i = base + (64 * (1 + i)) in
+  let store64 ctx i = Ctx.store64 ctx (word i) i in
+  let dirty_lines ctx =
+    for i = 0 to k - 1 do
+      Ctx.store64 ctx (line i) i
+    done;
+    Ctx.mfence ctx ()
+  in
+  let clflush ctx i = Ctx.clflush ctx (line i) 8 in
+  let row policy op ns = Format.printf "%-9s %-20s %8.1f@." policy op ns in
+  Format.printf "%-9s %-20s %8s@." "policy" "operation" "ns/op";
+  let buffered = Config.Buffered in
+  let store_ns = ns_per_op buffered store64 in
+  row "buffered" "store64" store_ns;
+  row "buffered" "load64 forwarded"
+    (ns_per_op buffered
+       ~prepare:(fun ctx -> Ctx.store64 ctx (word 0) 42)
+       (fun ctx _ -> assert (Ctx.load64 ctx (word 0) = 42)));
+  row "buffered" "load64 empty buffer"
+    (ns_per_op buffered (fun ctx _ -> assert (Ctx.load64 ctx base = stored)));
+  row "buffered" "clflush" (ns_per_op buffered ~prepare:dirty_lines clflush);
+  row "buffered" "sfence"
+    (ns_per_op buffered (fun ctx i ->
+         store64 ctx i;
+         Ctx.sfence ctx ())
+    -. store_ns);
+  row "eager" "store64" (ns_per_op Config.Eager store64);
+  row "eager" "clflush" (ns_per_op Config.Eager ~prepare:dirty_lines clflush);
+  Format.printf "(ns per operation, median of 5 batches of %d)@." (rounds * k)
+
 (* --- driver -------------------------------------------------------------------- *)
 
 let () =
@@ -580,4 +661,7 @@ let () =
   if want "ablation" then ablations ();
   if want "hot-byte" then hot_byte_bench ~stores:10_000 ~loads:200_000;
   (* hot-byte-smoke is opt-in only (CI): a small run with no timing check. *)
-  if List.mem "hot-byte-smoke" sections then hot_byte_bench ~stores:1_000 ~loads:1_000
+  if List.mem "hot-byte-smoke" sections then hot_byte_bench ~stores:1_000 ~loads:1_000;
+  if want "ops" then ops_bench ~rounds:400 ~k:256;
+  (* ops-smoke is opt-in only (CI): a small run with no timing check. *)
+  if List.mem "ops-smoke" sections then ops_bench ~rounds:2 ~k:16

@@ -1,6 +1,7 @@
 (* Open addressing with linear probing over power-of-two capacities. Keys are
-   cache-line numbers (>= 0); -1 marks an empty slot. There are no deletions,
-   so probing never needs tombstones. *)
+   cache-line numbers (>= 0); -1 marks an empty slot. There are no single-key
+   deletions (only [clear], which empties every slot), so probing never needs
+   tombstones. *)
 
 let infinity = max_int
 
@@ -38,6 +39,15 @@ let copy t =
 
 let copy_map f t = { (copy t) with data = Array.map f t.data }
 let length t = t.count
+
+(* [find] re-initialises a slot's bounds when it inserts, so only the keys
+   (and the payloads, which would otherwise stay reachable) need resetting. *)
+let clear t =
+  if t.count > 0 then begin
+    Array.fill t.keys 0 (Array.length t.keys) (-1);
+    Array.fill t.data 0 (Array.length t.data) t.empty;
+    t.count <- 0
+  end
 
 (* Fibonacci hashing spreads consecutive line numbers, which are the common
    access pattern, across the table. *)

@@ -17,8 +17,18 @@
     The table is open-addressed, from line number to the interval's bounds in
     parallel [int] arrays: a lookup is a probe over an [int array] and
     {!copy} (the snapshot path) is a few array copies. Each slot also carries
-    a payload of the caller's choosing (the execution record keeps the line's
-    byte histories there), so one probe serves both. *)
+    a payload of the caller's choosing, so one probe serves both.
+
+    It is the one per-line map on the per-instruction path, with three users:
+    - execution records ([Exec.Exec_record]): the line's interval plus its
+      store log as payload;
+    - the TSO layer's per-thread line timestamps ([Tso.Thread_state]): the
+      last store/clflush sequence number to the line as payload;
+    - the redundant-flush pass's per-thread dirty lines
+      ([Analysis.Redundant]): a dirty flag as payload.
+
+    [lo]/[hi] matter only to the first; the other two use the table as a flat
+    line-keyed map and never read or move the bounds. *)
 
 val infinity : int
 (** Upper bound representing "no constraint" ([max_int]). *)
@@ -69,4 +79,9 @@ val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
     unspecified order. *)
 
 val length : 'a t -> int
-(** Number of lines with an interval (every line {!find} has inserted). *)
+(** Number of lines with an interval (every line {!find} has inserted since
+    the table was created or last cleared). *)
+
+val clear : 'a t -> unit
+(** Removes every line (keeping the capacity): the table is then as
+    {!create} left it. Slot indices from before are invalid. *)

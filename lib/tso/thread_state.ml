@@ -2,27 +2,38 @@ type t = {
   tid : int;
   sb : Store_buffer.t;
   fb : Flush_buffer.t;
-  line_ts : (int, int) Hashtbl.t;  (* t_{τ,line}: last store/clflush to the line *)
+  line_ts : int Pmem.Line_table.t;
+      (* t_{τ,line}: last store/clflush to the line, as the slot's payload
+         (0 for a line with none); the slot's bounds are unused *)
   mutable fence_ts : int;  (* t_τ: last sfence *)
 }
 
 let create ~tid =
-  { tid; sb = Store_buffer.create (); fb = Flush_buffer.create (); line_ts = Hashtbl.create 16; fence_ts = 0 }
+  {
+    tid;
+    sb = Store_buffer.create ();
+    fb = Flush_buffer.create ();
+    line_ts = Pmem.Line_table.create ~empty:0;
+    fence_ts = 0;
+  }
 
 let copy th =
   {
     tid = th.tid;
     sb = Store_buffer.copy th.sb;
     fb = Flush_buffer.copy th.fb;
-    line_ts = Hashtbl.copy th.line_ts;
+    line_ts = Pmem.Line_table.copy th.line_ts;
     fence_ts = th.fence_ts;
   }
 
 let tid th = th.tid
 let store_buffer th = th.sb
 let flush_buffer th = th.fb
-let line_ts th line = Option.value ~default:0 (Hashtbl.find_opt th.line_ts line)
-let set_line_ts th line seq = Hashtbl.replace th.line_ts line seq
+let line_ts th line =
+  let i = Pmem.Line_table.find_existing th.line_ts line in
+  if i < 0 then 0 else Pmem.Line_table.data th.line_ts i
+
+let set_line_ts th line seq = Pmem.Line_table.(set_data th.line_ts (find th.line_ts line) seq)
 
 (* Phase one: enqueue (Fig. 7). *)
 
@@ -54,7 +65,9 @@ let apply th stack entry =
          sequence number (paper §4, mixed-size accesses). *)
       let seq = Exec.Exec_stack.next_seq stack in
       Exec.Exec_record.push_store (Exec.Exec_stack.top stack) addr ~width ~value ~seq ~label;
-      Pmem.Addr.iter_lines_spanned (fun line -> set_line_ts th line seq) addr width
+      for line = Pmem.Addr.line_of addr to Pmem.Addr.line_of (addr + width - 1) do
+        set_line_ts th line seq
+      done
   | Store_buffer.Clflush { addr; label = _ } ->
       let seq = Exec.Exec_stack.next_seq stack in
       Exec.Exec_record.flush_line (Exec.Exec_stack.top stack) addr ~seq;
@@ -84,5 +97,5 @@ let exec_mfence th stack =
 let reset th =
   Store_buffer.clear th.sb;
   Flush_buffer.clear th.fb;
-  Hashtbl.reset th.line_ts;
+  Pmem.Line_table.clear th.line_ts;
   th.fence_ts <- 0

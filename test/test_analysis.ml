@@ -311,6 +311,170 @@ let test_red_rmw_fences_exempt () =
   in
   Alcotest.(check int) "no findings" 0 (List.length fs)
 
+let test_red_straddle_dirties_both () =
+  (* A store across a line boundary dirties both lines: neither flush is
+     redundant, and a third flush of either line is. *)
+  let fs =
+    run_pass (module Analysis.Redundant)
+      [
+        store ~width:8 ~label:"w" (base + line - 4);
+        flush ~label:"f0" base;
+        flush ~label:"f1" (base + line);
+        flush ~label:"f1-again" (base + line);
+        fin;
+      ]
+  in
+  Alcotest.(check (list string)) "rule" [ "redundant-flush" ] (rules fs);
+  Alcotest.(check (list string)) "only the repeat" [ "f1-again" ] (labels fs)
+
+let test_red_tid_past_capacity () =
+  (* Thread ids index flat per-thread state that grows on demand: a thread
+     first seen after others keeps them as they were, and a thread id inside
+     the grown range that never ran has nothing pending. *)
+  let fs =
+    run_pass (module Analysis.Redundant)
+      [
+        store ~tid:0 ~label:"w0" base;
+        store ~tid:7 ~label:"w7" (base + line);
+        flush ~tid:7 ~label:"f7" (base + line);
+        flush ~tid:0 ~label:"f0" base;
+        sfence ~tid:7 ~label:"s7" ();
+        sfence ~tid:0 ~label:"s0" ();
+        sfence ~tid:3 ~label:"s3" ();
+        flush ~tid:12 ~label:"f12" base;
+        sfence ~tid:12 ~label:"s12" ();
+        fin;
+      ]
+  in
+  Alcotest.(check (list string)) "labels" [ "f12"; "s3" ] (labels fs)
+
+(* The pass as it was written over polymorphic hash tables keyed by
+   [(tid, line)], kept as the reference model for the flat per-thread
+   state. *)
+module Reference_redundant = struct
+  open Analysis
+
+  let name = "redundant"
+
+  type state = {
+    dirty : (int * int, unit) Hashtbl.t;
+        (* (tid, line): lines a thread stored to since its last flush of them *)
+    unfenced : (int, int) Hashtbl.t;  (* tid -> stores/flushes since its last fence *)
+  }
+
+  let create () = { dirty = Hashtbl.create 32; unfenced = Hashtbl.create 8 }
+
+  let pending st tid = Option.value ~default:0 (Hashtbl.find_opt st.unfenced tid)
+  let bump st tid = Hashtbl.replace st.unfenced tid (pending st tid + 1)
+
+  let finding rule label line detail =
+    { Report.severity = Low; pass = name; rule; labels = [ label ]; line; detail }
+
+  let on_event st (ev : Event.t) =
+    match ev with
+    | Store { addr; width; tid; _ } ->
+        List.iter
+          (fun line -> Hashtbl.replace st.dirty (tid, line) ())
+          (Pmem.Addr.lines_spanned addr width);
+        bump st tid;
+        []
+    | Rmw { addr; width; tid; new_value; _ } ->
+        (* A locked RMW carries its own mfences: its store leaves the line
+           dirty (a later flush of it is useful work) and nothing stays
+           unfenced behind it. The intrinsic fences are never flagged. *)
+        (match new_value with
+        | Some _ ->
+            List.iter
+              (fun line -> Hashtbl.replace st.dirty (tid, line) ())
+              (Pmem.Addr.lines_spanned addr width)
+        | None -> ());
+        Hashtbl.replace st.unfenced tid 0;
+        []
+    | Flush { line_addr; tid; label; _ } ->
+        let line = Pmem.Addr.line_of line_addr in
+        let fs =
+          if Hashtbl.mem st.dirty (tid, line) then []
+          else
+            [
+              finding "redundant-flush" label (Some line_addr)
+                "flush of a cache line with no new stores to persist";
+            ]
+        in
+        Hashtbl.remove st.dirty (tid, line);
+        bump st tid;
+        fs
+    | Fence { kind = Sfence; tid; label } ->
+        let fs =
+          if pending st tid = 0 then
+            [ finding "redundant-fence" label None "sfence with nothing pending to order" ]
+          else []
+        in
+        Hashtbl.replace st.unfenced tid 0;
+        fs
+    | Fence { kind = Mfence; tid; label } ->
+        let fs =
+          if pending st tid = 0 then
+            [ finding "redundant-mfence" label None "mfence with nothing pending to order" ]
+          else []
+        in
+        Hashtbl.replace st.unfenced tid 0;
+        fs
+    | Crash _ ->
+        Hashtbl.reset st.dirty;
+        Hashtbl.reset st.unfenced;
+        []
+    | Load _ | Thread_start _ | Thread_join _ | Failure_point _ | End_execution -> []
+end
+
+(* Random event streams over ten threads and three lines, with stores that
+   straddle line boundaries, RMWs with and without a store, flushes of a
+   fourth line nothing stores to, both fences, loads, failure points and
+   crashes: after every event the pass and the reference return the same
+   findings. *)
+let red_event_gen =
+  let open QCheck.Gen in
+  let tid = int_range 0 9 in
+  let label = map (Printf.sprintf "e%d") (int_range 0 5) in
+  let access =
+    oneofl [ 1; 2; 4; 8 ] >>= fun width ->
+    let in_line = int_range 0 ((3 * line) - width) >|= ( + ) base in
+    let straddling () =
+      map2 (fun k back -> base + (k * line) - back) (int_range 1 2) (int_range 1 (width - 1))
+    in
+    map
+      (fun addr -> (addr, width))
+      (if width = 1 then in_line else oneof [ in_line; straddling () ])
+  in
+  frequency
+    [
+      (6, map3 (fun tid (addr, width) label -> store ~tid ~width ~label addr) tid access label);
+      ( 2,
+        map3
+          (fun tid (addr, width) (label, stored) ->
+            rmw ~tid ~width ~new_value:(if stored then Some 1 else None) ~label addr)
+          tid access (pair label bool) );
+      ( 5,
+        map3 (fun tid k label -> flush ~tid ~label (base + (k * line))) tid (int_range 0 3) label
+      );
+      (2, map2 (fun tid label -> sfence ~tid ~label ()) tid label);
+      (1, map2 (fun tid label -> mfence ~tid ~label ()) tid label);
+      (1, map3 (fun tid (addr, width) label -> load ~tid ~width ~label addr) tid access label);
+      (1, map2 (fun tid label -> Analysis.Event.Failure_point { label; tid }) tid label);
+      (1, map (fun tid -> Analysis.Event.Crash { label = None; tid }) tid);
+    ]
+
+let prop_red_matches_reference =
+  QCheck.Test.make ~name:"redundant pass = hash-table reference" ~count:500
+    (QCheck.make
+       ~print:(fun evs -> String.concat "; " (List.map Analysis.Event.render evs))
+       QCheck.Gen.(list_size (int_range 1 80) red_event_gen))
+    (fun events ->
+      let pass = Analysis.Pass.instantiate (module Analysis.Redundant) in
+      let reference = Analysis.Pass.instantiate (module Reference_redundant) in
+      List.for_all
+        (fun ev -> pass.Analysis.Pass.feed ev = reference.Analysis.Pass.feed ev)
+        (events @ [ fin ]))
+
 (* --- vector clocks ---------------------------------------------------------------- *)
 
 let test_vc_basics () =
@@ -767,6 +931,11 @@ let () =
           Alcotest.test_case "per-thread flush" `Quick test_red_per_thread_flush;
           Alcotest.test_case "redundant mfence" `Quick test_red_redundant_mfence;
           Alcotest.test_case "rmw fences exempt" `Quick test_red_rmw_fences_exempt;
+          Alcotest.test_case "a straddling store dirties both lines" `Quick
+            test_red_straddle_dirties_both;
+          Alcotest.test_case "a thread id past the initial capacity" `Quick
+            test_red_tid_past_capacity;
+          QCheck_alcotest.to_alcotest prop_red_matches_reference;
           Alcotest.test_case "perf reports via explorer" `Quick test_perf_reports_via_explorer;
         ] );
       ( "vector-clock",

@@ -101,6 +101,24 @@ let test_line_table_payload () =
     "fold visits every line" [ (3, "changed"); (4, "") ]
     (List.sort compare (Lt.fold (fun line d acc -> (line, d) :: acc) t []))
 
+(* [clear] empties the table in place, keeping its capacity: a line found
+   again afterwards starts over at [0, infinity) with the empty payload, and
+   a copy taken before is untouched. *)
+let test_line_table_clear () =
+  let t = Lt.create ~empty:0 in
+  for line = 0 to 99 do
+    Lt.set_data t (Lt.find t line) (line + 1);
+    raise_lo t line 5
+  done;
+  let c = Lt.copy t in
+  Lt.clear t;
+  Alcotest.(check int) "no lines" 0 (Lt.length t);
+  Alcotest.(check int) "absent after clear" (-1) (Lt.find_existing t 7);
+  Alcotest.(check (pair int int)) "fresh bounds" (0, Lt.infinity) (bounds t 7);
+  Alcotest.(check int) "fresh payload" 0 (Lt.data t (Lt.find t 7));
+  Alcotest.(check int) "copy untouched" 8 (Lt.data c (Lt.find_existing c 7));
+  Alcotest.(check int) "one line again" 1 (Lt.length t)
+
 let test_line_table_negative () =
   Alcotest.check_raises "negative line" (Invalid_argument "Line_table.find: negative line")
     (fun () -> ignore (Lt.find (Lt.create ~empty:()) (-1)))
@@ -213,6 +231,7 @@ let () =
           Alcotest.test_case "1000 lines across grows" `Quick test_line_table_grows;
           Alcotest.test_case "negative line" `Quick test_line_table_negative;
           Alcotest.test_case "payload" `Quick test_line_table_payload;
+          Alcotest.test_case "clear" `Quick test_line_table_clear;
           QCheck_alcotest.to_alcotest prop_line_table_monotone;
         ] );
       ( "bytes",

@@ -247,6 +247,59 @@ let test_reset_clears_everything () =
   Alcotest.(check bool) "fb empty" true
     (Tso.Flush_buffer.is_empty (Tso.Thread_state.flush_buffer th))
 
+(* The bounds of the clflushopts parked in a thread's flush buffer, oldest
+   first (read from a copy, so the buffer is left as it was). *)
+let parked_bounds th =
+  let bounds = ref [] in
+  Tso.Flush_buffer.drain
+    (Tso.Flush_buffer.copy (Tso.Thread_state.flush_buffer th))
+    (fun e -> bounds := e.Tso.Flush_buffer.bound :: !bounds);
+  List.rev !bounds
+
+let test_copy_owns_line_timestamps () =
+  (* Fig. 8's t_{τ,line} is per thread copy: a store evicted on the original
+     after the copy was taken must not raise the bound of a clflushopt the
+     copy evicts. *)
+  let stack, _ = mk_stack () in
+  let th = Tso.Thread_state.create ~tid:0 in
+  Tso.Thread_state.exec_store th 100 ~value:1 ~width:1 ~label:"w1";
+  Tso.Thread_state.drain th stack (* seq 1 *);
+  let cp = Tso.Thread_state.copy th in
+  Tso.Thread_state.exec_clflushopt cp stack 100 ~label:"opt" (* enq_seq 1 *);
+  Tso.Thread_state.exec_store th 104 ~value:2 ~width:1 ~label:"w2";
+  Tso.Thread_state.drain th stack (* seq 2, same line, on the original only *);
+  Tso.Thread_state.drain cp stack;
+  Alcotest.(check (list int)) "bound from the copy's own timestamp" [ 1 ] (parked_bounds cp);
+  Tso.Thread_state.exec_clflushopt th stack 100 ~label:"opt" (* enq_seq 2 *);
+  Tso.Thread_state.drain th stack;
+  Alcotest.(check (list int)) "the original keeps its newer one" [ 2 ] (parked_bounds th)
+
+let test_reset_forgets_line_timestamps () =
+  (* After a reset only [enq_seq] and [fence_ts] bound a clflushopt, while a
+     copy taken before the reset keeps its timestamps. The fence and the
+     stores before the reset ran on another stack, whose sequence numbers
+     ran ahead of the fresh one's. *)
+  let stack, _ = mk_stack () in
+  let th = Tso.Thread_state.create ~tid:0 in
+  Tso.Thread_state.exec_sfence th;
+  for v = 1 to 3 do
+    Tso.Thread_state.exec_store th 100 ~value:v ~width:1 ~label:"w"
+  done;
+  Tso.Thread_state.drain th stack (* the fence at seq 1, the stores at 2-4 *);
+  let cp = Tso.Thread_state.copy th in
+  Tso.Thread_state.reset th;
+  let stack, _ = mk_stack () in
+  Tso.Thread_state.exec_clflushopt th stack 100 ~label:"opt1" (* enq_seq 0 *);
+  Tso.Thread_state.drain th stack;
+  Alcotest.(check (list int)) "nothing left to bound it" [ 0 ] (parked_bounds th);
+  Tso.Thread_state.exec_sfence th;
+  Tso.Thread_state.exec_clflushopt th stack 100 ~label:"opt2" (* enq_seq 0 *);
+  Tso.Thread_state.drain th stack (* the fence at seq 1 *);
+  Alcotest.(check (list int)) "bound from the new fence" [ 1 ] (parked_bounds th);
+  Tso.Thread_state.exec_clflushopt cp stack 100 ~label:"opt3" (* enq_seq 1 *);
+  Tso.Thread_state.drain cp stack;
+  Alcotest.(check (list int)) "the copy kept its timestamp" [ 4 ] (parked_bounds cp)
+
 (* --- Table 1, declarative form ---------------------------------------------- *)
 
 let sym e l = Tso.Constraints.(ordering_symbol (preserved ~earlier:e ~later:l))
@@ -313,6 +366,9 @@ let () =
           Alcotest.test_case "clflushopt bound" `Quick test_clflushopt_bound_is_preceding_store;
           Alcotest.test_case "mfence immediate" `Quick test_mfence_immediate;
           Alcotest.test_case "reset" `Quick test_reset_clears_everything;
+          Alcotest.test_case "copy owns line timestamps" `Quick test_copy_owns_line_timestamps;
+          Alcotest.test_case "reset forgets line timestamps" `Quick
+            test_reset_forgets_line_timestamps;
         ] );
       ( "table1",
         [
