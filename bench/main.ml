@@ -567,8 +567,9 @@ let hot_byte_bench ~stores ~loads =
    one line, then crashed), so store logs stay as short as a replay's, plus
    whatever makes the operation the common useful case: a clflush flushes a
    line stored to since its last flush, a forwarded load has its store
-   buffered. The trace ring keeps its default depth and the always-on
-   redundant pass runs, as under [jaaru check]. An sfence with nothing
+   buffered, a deep-buffer load has 48 stores buffered. The trace ring keeps
+   its default depth, as under [jaaru check --trace], and the always-on
+   redundant pass runs. An sfence with nothing
    pending is flagged redundant, so the sfence row is a store64+sfence pair
    less the store64 row. *)
 let ops_bench ~rounds ~k =
@@ -617,8 +618,8 @@ let ops_bench ~rounds ~k =
     Ctx.mfence ctx ()
   in
   let clflush ctx i = Ctx.clflush ctx (line i) 8 in
-  let row policy op ns = Format.printf "%-9s %-20s %8.1f@." policy op ns in
-  Format.printf "%-9s %-20s %8s@." "policy" "operation" "ns/op";
+  let row policy op ns = Format.printf "%-9s %-24s %8.1f@." policy op ns in
+  Format.printf "%-9s %-24s %8s@." "policy" "operation" "ns/op";
   let buffered = Config.Buffered in
   let store_ns = ns_per_op buffered store64 in
   row "buffered" "store64" store_ns;
@@ -628,6 +629,25 @@ let ops_bench ~rounds ~k =
        (fun ctx _ -> assert (Ctx.load64 ctx (word 0) = 42)));
   row "buffered" "load64 empty buffer"
     (ns_per_op buffered (fun ctx _ -> assert (Ctx.load64 ctx base = stored)));
+  (* 48 buffered stores to consecutive words; a load finds its word's store
+     [back] entries from the newest, or no buffered store at all. *)
+  let deep = 48 in
+  let deep_word j = base + 64 + (8 * j) in
+  let fill ctx =
+    for j = 0 to deep - 1 do
+      Ctx.store64 ctx (deep_word j) (j + 1)
+    done
+  in
+  List.iter
+    (fun back ->
+      let j = deep - back in
+      row "buffered"
+        (Printf.sprintf "load64 48-deep, %d back" back)
+        (ns_per_op buffered ~prepare:fill (fun ctx _ ->
+             assert (Ctx.load64 ctx (deep_word j) = j + 1))))
+    [ 1; 16 ];
+  row "buffered" "load64 48-deep, absent"
+    (ns_per_op buffered ~prepare:fill (fun ctx _ -> assert (Ctx.load64 ctx (deep_word deep) = 0)));
   row "buffered" "clflush" (ns_per_op buffered ~prepare:dirty_lines clflush);
   row "buffered" "sfence"
     (ns_per_op buffered (fun ctx i ->

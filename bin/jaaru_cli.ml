@@ -118,7 +118,12 @@ let multi_rf_arg =
         ~doc:"Print the loads that could read from more than one store (missing-flush debugging aid)")
 
 let trace_arg =
-  Arg.(value & flag & info [ "trace" ] ~doc:"Print the event trace of each reported bug")
+  Arg.(
+    value & flag
+    & info [ "trace" ]
+        ~doc:
+          "Print the event trace of each reported bug. Traces are recorded only under this \
+           option; without it the trace ring is off and reports are otherwise identical.")
 
 let snapshot_arg =
   Arg.(
@@ -277,7 +282,9 @@ let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf s
       let config =
         {
           config with
-          Jaaru.Config.wall_budget;
+          (* Only --trace prints the bug traces the ring records. *)
+          Jaaru.Config.trace_depth = (if show_trace then config.Jaaru.Config.trace_depth else 0);
+          wall_budget;
           step_deadline;
           mem_budget = Option.map (fun mb -> mb * 1024 * 1024) mem_budget;
           checkpoint_every;
@@ -678,7 +685,11 @@ let pbt_cmd =
    of silently exploring the wrong one. Fleet always explores exhaustively
    (stop-at-first-bug stops mid-subtree, which has no deterministic merge). *)
 let fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot =
-  apply_overrides entry.config ~max_failures ~max_steps ~exhaustive:true ~jobs ~snapshot
+  {
+    (apply_overrides entry.config ~max_failures ~max_steps ~exhaustive:true ~jobs ~snapshot) with
+    (* Nothing in fleet mode prints a bug trace, so none is recorded. *)
+    Jaaru.Config.trace_depth = 0;
+  }
 
 let fleet_workers_arg =
   Arg.(

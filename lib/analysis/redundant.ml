@@ -27,7 +27,7 @@ let grow st tid =
     st.pending <- Array.init (tid + 1) (fun i -> if i < n then st.pending.(i) else 0);
     st.dirty <-
       Array.init (tid + 1) (fun i ->
-          if i < n then st.dirty.(i) else Pmem.Line_table.create ~empty:false)
+          if i < n then st.dirty.(i) else Pmem.Line_table.create_payload_only ~empty:false)
   end
 
 let mark_dirty st tid addr width =

@@ -216,7 +216,7 @@ let decode payload =
 
 (* Only the fields that shape the choice tree and the reports participate:
    everything a resumed run may legitimately change — [jobs], [snapshot],
-   the budgets, [checkpoint_every] — is excluded, because outcomes
+   [trace_depth], the budgets, [checkpoint_every] — is excluded, because outcomes
    are identical across those settings (the acceptance property resumption
    relies on). [step_deadline] IS included: its timeouts surface as bugs, so
    resuming under a different deadline would merge incomparable report
@@ -236,7 +236,10 @@ let fingerprint ~workload (c : Config.t) =
   Wire.option Wire.int b c.schedule_seed;
   Wire.int b c.region_base;
   Wire.int b c.region_size;
-  Wire.int b c.trace_depth;
+  (* The slot of [trace_depth], which only decides whether bug traces are
+     recorded (no report shows them): writing the default depth lets a run
+     resume with or without --trace and keeps older fingerprints valid. *)
+  Wire.int b 64;
   Wire.bool b c.analyze;
   Wire.bool b c.analyze_hb;
   Wire.list Wire.string b c.suppress;

@@ -25,10 +25,13 @@
     CRC-32 over the workload name and every configuration field that shapes
     the choice tree or the reports ([max_failures], eviction policy,
     [max_steps], [max_executions], [stop_at_first_bug], report switches,
-    [schedule_seed], region geometry, [trace_depth], [analyze], [suppress],
+    [schedule_seed], region geometry, [analyze], [suppress],
     [step_deadline]). Fields a resumed run may legitimately vary — [jobs],
-    [snapshot], [wall_budget], [mem_budget], [checkpoint_every] —
-    are excluded: outcomes are identical across them by construction. *)
+    [snapshot], [trace_depth], [wall_budget], [mem_budget],
+    [checkpoint_every] — are excluded: outcomes are identical across them by
+    construction. [trace_depth] keeps a constant slot, so checkpoints from
+    before it was excluded stay valid; only the traces of the bugs found
+    before a resume may differ from the original run's. *)
 
 exception Rejected of string
 (** The file is not a usable checkpoint for this run: unreadable, corrupt

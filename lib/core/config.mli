@@ -44,7 +44,9 @@ type t = {
   region_size : int;  (** Size in bytes of the simulated PM pool. *)
   trace_depth : int;
       (** How many recent events to keep for bug reports; [<= 0] disables
-          tracing entirely (no event is recorded or formatted). *)
+          tracing entirely (no event is recorded or formatted). The CLI
+          sets 0 wherever it prints no trace: [check] without [--trace],
+          [fleet] and [pbt]. *)
   analyze : bool;
       (** Run the full analysis-pass suite ({!Analysis.Missing_flush},
           {!Analysis.Torn_write}, {!Analysis.Redundant}, and — see

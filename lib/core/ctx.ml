@@ -28,7 +28,8 @@ type t = {
   engine : Analysis.Engine.t;  (* analysis passes fed the event stream *)
   observe_loads : bool;
       (* a load event has a reader: the trace ring, or the passes that
-         [analyze] adds (the always-on redundant pass ignores loads) *)
+         [analyze] adds; the always-on redundant pass ignores loads, so
+         without [analyze] a load event goes to the ring alone *)
   mutable in_rmw : bool;
       (* inside a locked RMW: its constituent load/store/mfence operations
          are not mirrored as events — the RMW is one [Analysis.Event.Rmw] *)
@@ -427,8 +428,10 @@ let load ctx ?(label = "load") ~width addr =
   bounds ctx addr width "load" label;
   maybe_yield ctx;
   let v = load_value ctx ~width addr label in
-  if ctx.observe_loads && not ctx.in_rmw then
-    emit ctx (Analysis.Event.Load { addr; width; value = v; tid = tid ctx; label });
+  if ctx.observe_loads && not ctx.in_rmw then begin
+    let ev = Analysis.Event.Load { addr; width; value = v; tid = tid ctx; label } in
+    if ctx.cfg.Config.analyze then emit ctx ev else Trace.add ctx.trace ev
+  end;
   v
 
 let store8 ctx ?label addr v = store ctx ?label ~width:1 addr v

@@ -55,7 +55,8 @@ val create :
     Each context owns a fresh trace ring of [config.trace_depth] events and
     an analysis engine running the {!Analysis.Redundant} pass (plus the full
     suite when [config.analyze] is set); every operation's event goes to
-    both.
+    both, except that a load's goes to the engine only when
+    [config.analyze] is set (the redundant pass ignores loads).
 
     [cancel] is the worker's watchdog flag: when the monitor sets it (the
     execution blew [Config.step_deadline]), the next {!step} consumes the

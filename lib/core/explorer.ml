@@ -56,8 +56,9 @@ let clear_interrupt () =
 let interrupts_requested () = Atomic.get interrupt_count
 
 (* Why a round of exploration stopped. The first trigger wins: [Capped] and
-   [First_bug] come from workers, the rest from the watchdog monitor. [Tick]
-   alone continues with another round (after writing a checkpoint). *)
+   [First_bug] come from workers, the rest from the watchdog monitor (whose
+   deadlines the workers also check between replays). [Tick] alone continues
+   with another round (after writing a checkpoint). *)
 type stop_reason = Capped | First_bug | Interrupted | Wall_budget | Tick
 
 (* One complete scenario execution: run the pre-failure program; every
@@ -178,6 +179,7 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
     let continue = ref true in
     while !continue do
       if (not (Atomic.get stopped)) && Atomic.get interrupt_flag then trigger Interrupted;
+      Monitor.check_deadlines monitor;
       if Monitor.take_shed monitor idx then begin
         (match snapshots with Some cache -> Snapshot.clear_cache cache | None -> ());
         incr sheds

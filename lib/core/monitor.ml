@@ -65,10 +65,21 @@ let fire t reason =
 
 let heap_bytes () = (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)
 
+let deadlines t ~now =
+  (match t.wall_deadline with Some d when now >= d -> fire t Wall_budget | _ -> ());
+  match t.tick_deadline with Some d when now >= d -> fire t Tick | _ -> ()
+
+(* The monitor thread runs only when the exploring domain gives up the
+   runtime lock, which a busy replay loop does at the runtime's ~50 ms
+   tick, so workers read the clock themselves between replays. *)
+let check_deadlines t =
+  match (t.wall_deadline, t.tick_deadline) with
+  | None, None -> ()
+  | _ -> deadlines t ~now:(Unix.gettimeofday ())
+
 let poll t ~now =
   if Atomic.get t.interrupt then fire t Interrupt;
-  (match t.wall_deadline with Some d when now >= d -> fire t Wall_budget | _ -> ());
-  (match t.tick_deadline with Some d when now >= d -> fire t Tick | _ -> ());
+  deadlines t ~now;
   (match t.step_deadline with
   | Some deadline ->
       Array.iter

@@ -22,8 +22,9 @@
       over budget, every worker's shed flag is set (see {!take_shed}); the
       trip disarms until the heap falls below 90% of the budget.
 
-    [on_stop] is invoked at most once per monitor, from the monitor thread,
-    with the {e first} reason observed; it must be async-safe-ish (set
+    [on_stop] is invoked at most once per monitor, with the {e first}
+    reason observed, from the monitor thread or, for the two deadlines, from
+    a worker calling {!check_deadlines}; it must be async-safe-ish (set
     atomics, close a frontier — no blocking). *)
 
 type reason = Interrupt | Wall_budget | Tick
@@ -54,6 +55,14 @@ val poll : t -> now:float -> unit
     internally; tests call it directly to drive deadline edge cases
     deterministically, without sleeping — [on_stop] still fires at most once
     per monitor, whoever polls. *)
+
+val check_deadlines : t -> unit
+(** The run-budget and checkpoint-tick duties of {!poll}, against the
+    current clock, for a worker to call between replays. The watchdog thread
+    runs only when the exploring domain releases the runtime lock, which a
+    busy replay loop does at the runtime's tick (~50 ms), so without this a
+    millisecond budget would let thousands of replays run. Reads no clock
+    when neither deadline is set. *)
 
 val shutdown : t -> unit
 (** Stops and joins the watchdog thread (idempotent; safe if never

@@ -2,7 +2,8 @@
     developer can see what led to the crash (paper §4, Debugging support).
 
     The ring stores the boxed {!Analysis.Event.t} values the analysis engine
-    is fed anyway, so adding an event is one array write; nothing is
+    is fed anyway (a load's event is built for the ring alone unless
+    analysis is on), so adding an event is one array write; nothing is
     formatted unless a report is printed. Snapshot copy/restore are array
     blits — events are immutable, so copies share them. *)
 

@@ -4,6 +4,7 @@ let config =
     Jaaru.Config.max_steps = 60_000;
     stop_at_first_bug = false;
     report_multi_rf = false;
+    trace_depth = 0;
   }
 
 (* The unexplainable state rendered into the assertion message: distinct

@@ -16,7 +16,8 @@ val config : Jaaru.Config.t
 (** The engine's base configuration: exhaustive (no stop at first bug — the
     bug list must be a function of the sequence alone, not of which crash
     point a worker reached first), single failure, multi-rf reporting off,
-    and the workloads' customary step budget. Callers layer [jobs] /
+    no trace ring (no pbt report prints a bug trace), and the workloads'
+    customary step budget. Callers layer [jobs] /
     [snapshot] / budget overrides on top; outcomes are
     byte-identical across all of those by the explorer's standing
     contract. *)

@@ -16,18 +16,26 @@ type 'a t = {
 
 let initial_capacity = 16
 
-let create ~empty =
+(* A payload-only table has [lo = hi = [||]] for its whole life: only the
+   paths that write bounds (insertion and [grow]) test for that, so bound
+   reads stay branch-free. *)
+let make ~bounded ~empty =
   {
     keys = Array.make initial_capacity (-1);
-    lo = Array.make initial_capacity 0;
-    hi = Array.make initial_capacity infinity;
+    lo = (if bounded then Array.make initial_capacity 0 else [||]);
+    hi = (if bounded then Array.make initial_capacity infinity else [||]);
     data = Array.make initial_capacity empty;
     empty;
     count = 0;
   }
 
+let create ~empty = make ~bounded:true ~empty
+let create_payload_only ~empty = make ~bounded:false ~empty
+let bounded t = Array.length t.lo > 0
+
 (* [copy] sits on the per-replay snapshot restore path, hence a plain
-   [Array.copy] of the payloads rather than [copy_map Fun.id]. *)
+   [Array.copy] of the payloads rather than [copy_map Fun.id]. A
+   payload-only table's empty bound arrays copy to empty ones. *)
 let copy t =
   {
     t with
@@ -62,18 +70,23 @@ let rec probe t key i =
 
 let grow t =
   let keys = t.keys and lo = t.lo and hi = t.hi and data = t.data in
+  let bounded = bounded t in
   let cap' = 2 * Array.length keys in
   t.keys <- Array.make cap' (-1);
-  t.lo <- Array.make cap' 0;
-  t.hi <- Array.make cap' infinity;
+  if bounded then begin
+    t.lo <- Array.make cap' 0;
+    t.hi <- Array.make cap' infinity
+  end;
   t.data <- Array.make cap' t.empty;
   Array.iteri
     (fun i k ->
       if k >= 0 then begin
         let j = probe t k (slot_of t k) in
         t.keys.(j) <- k;
-        t.lo.(j) <- lo.(i);
-        t.hi.(j) <- hi.(i);
+        if bounded then begin
+          t.lo.(j) <- lo.(i);
+          t.hi.(j) <- hi.(i)
+        end;
         t.data.(j) <- data.(i)
       end)
     keys
@@ -85,8 +98,10 @@ let find t key =
   let i = probe t key (slot_of t key) in
   if Array.unsafe_get t.keys i = -1 then begin
     t.keys.(i) <- key;
-    t.lo.(i) <- 0;
-    t.hi.(i) <- infinity;
+    if bounded t then begin
+      t.lo.(i) <- 0;
+      t.hi.(i) <- infinity
+    end;
     t.data.(i) <- t.empty;
     t.count <- t.count + 1
   end;

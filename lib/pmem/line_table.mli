@@ -28,7 +28,8 @@
       ([Analysis.Redundant]): a dirty flag as payload.
 
     [lo]/[hi] matter only to the first; the other two use the table as a flat
-    line-keyed map and never read or move the bounds. *)
+    line-keyed map, created by {!create_payload_only} without bound arrays,
+    and never read or move the bounds. *)
 
 val infinity : int
 (** Upper bound representing "no constraint" ([max_int]). *)
@@ -37,6 +38,12 @@ type 'a t
 
 val create : empty:'a -> 'a t
 (** An empty table whose fresh slots carry the payload [empty]. *)
+
+val create_payload_only : empty:'a -> 'a t
+(** Like {!create}, but the table keeps no bounds: it allocates, grows and
+    copies no [lo]/[hi] arrays. {!lo}, {!hi}, {!raise_lo} and {!lower_hi}
+    must not be called on it (they do not check, to keep the bounded
+    tables' reads branch-free). *)
 
 val copy : 'a t -> 'a t
 (** An independent copy: refinements of either table never reach the other.
@@ -61,7 +68,7 @@ val find_existing : 'a t -> int -> int
 val lo : 'a t -> int -> int
 val hi : 'a t -> int -> int
 (** The bounds at a slot index returned by {!find} or {!find_existing}
-    (never [-1]). *)
+    (never [-1]) of a table from {!create}. *)
 
 val raise_lo : 'a t -> int -> int -> unit
 (** [raise_lo t slot s] raises the slot's lower bound to [s] if higher. *)

@@ -6,7 +6,20 @@
     the same byte (store-buffer bypass, Fig. 9 lines 2–3).
 
     The buffer is a growable ring array. Forwarding scans it newest first,
-    stops at the first match and allocates nothing. *)
+    stops at the first match and allocates nothing.
+
+    The scan does not start at the newest entry. Beside the ring the buffer
+    keeps a 64-slot table: for each class of 8-byte words (the word number
+    modulo 64), the absolute position of the newest buffered store that
+    writes a word of that class. A load of the words [w..w'] starts its scan
+    at the largest of their classes' positions, or finds nothing at once
+    when that position has already left the buffer. This is exact: every
+    newer entry writes no word of those classes, so none of the loaded
+    words. A scan then visits one entry in the common case, whatever the
+    buffer's depth; only stores to other words of the same class (512-byte
+    stride) make it walk further. Keeping the table costs [enqueue] one
+    write per word a store touches, [copy] a 64-int copy, and nothing in
+    [dequeue] or [clear], which only move the head's absolute position. *)
 
 type entry =
   | Store of { addr : Pmem.Addr.t; value : int; width : int; label : string }
@@ -47,6 +60,7 @@ val forward_byte : t -> Pmem.Addr.t -> int
     load-forwarding path for one byte. *)
 
 val copy : t -> t
-(** An independent copy of the FIFO; entries are immutable and shared. *)
+(** An independent copy of the FIFO and of its forwarding table; entries are
+    immutable and shared. *)
 
 val clear : t -> unit

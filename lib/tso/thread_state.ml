@@ -4,7 +4,7 @@ type t = {
   fb : Flush_buffer.t;
   line_ts : int Pmem.Line_table.t;
       (* t_{τ,line}: last store/clflush to the line, as the slot's payload
-         (0 for a line with none); the slot's bounds are unused *)
+         (0 for a line with none), in a table without bounds *)
   mutable fence_ts : int;  (* t_τ: last sfence *)
 }
 
@@ -13,7 +13,7 @@ let create ~tid =
     tid;
     sb = Store_buffer.create ();
     fb = Flush_buffer.create ();
-    line_ts = Pmem.Line_table.create ~empty:0;
+    line_ts = Pmem.Line_table.create_payload_only ~empty:0;
     fence_ts = 0;
   }
 

@@ -6,23 +6,39 @@
 
 let cli = Sys.argv.(1)
 
-(* Runs the CLI with [args], returning its exit code and stderr. *)
-let run args =
-  let err = Filename.temp_file "jaaru_cli" ".err" in
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Runs the CLI with [args], returning its exit code, stdout and stderr. *)
+let run_full args =
+  let out = Filename.temp_file "jaaru_cli" ".out" and err = Filename.temp_file "jaaru_cli" ".err" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove err)
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
     (fun () ->
       let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-      let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
-      let pid = Unix.create_process cli (Array.of_list (cli :: args)) null null fd in
-      Unix.close null;
-      Unix.close fd;
+      let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+      let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+      let pid = Unix.create_process cli (Array.of_list (cli :: args)) null out_fd err_fd in
+      List.iter Unix.close [ null; out_fd; err_fd ];
       let code =
         match snd (Unix.waitpid [] pid) with
         | Unix.WEXITED c -> c
         | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
       in
-      (code, In_channel.with_open_bin err In_channel.input_all))
+      (code, read_file out, read_file err))
+
+let run args =
+  let code, _, err = run_full args in
+  (code, err)
+
+let run_stdout args =
+  let code, out, _ = run_full args in
+  (code, out)
+
+let with_temp_files n f =
+  let paths = List.init n (fun _ -> Filename.temp_file "jaaru_cli" ".tmp") in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
+    (fun () -> f paths)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -68,6 +84,36 @@ let stale_checkpoint () =
     path;
   [ "check"; "pmdk-ctree-fixed"; "--resume"; path ]
 
+(* Bug traces are recorded only under --trace: the report is the same
+   either way, and only --trace prints "recent events". *)
+let test_trace_only_when_printed () =
+  with_temp_files 2 (fun paths ->
+      let with_trace, without = (List.nth paths 0, List.nth paths 1) in
+      let base = [ "check"; "pmdk-1"; "--exhaustive" ] in
+      let code, out = run_stdout (base @ [ "--trace"; "--report-out"; with_trace ]) in
+      Alcotest.(check int) "--trace: exit status" 0 code;
+      Alcotest.(check bool) "--trace prints recent events" true (contains out "recent events");
+      let code, out = run_stdout (base @ [ "--report-out"; without ]) in
+      Alcotest.(check int) "exit status" 0 code;
+      Alcotest.(check bool) "no recent events without --trace" false
+        (contains out "recent events");
+      Alcotest.(check string) "same report" (read_file with_trace) (read_file without))
+
+(* A checkpoint written with or without --trace resumes under the other
+   setting to the uninterrupted report. The 1 ms budget cuts the first run
+   (a run that finished first still leaves a checkpoint to resume). *)
+let resume_across_trace ~first ~second () =
+  with_temp_files 3 (fun paths ->
+      let ckpt, expected, got = (List.nth paths 0, List.nth paths 1, List.nth paths 2) in
+      let base = [ "check"; "pmdk-1"; "--exhaustive"; "--max-failures"; "2" ] in
+      Alcotest.(check int) "uninterrupted run" 0
+        (fst (run_stdout (base @ [ "--report-out"; expected ])));
+      ignore (run_stdout (base @ first @ [ "--wall-budget"; "0.001"; "--checkpoint"; ckpt ]));
+      Alcotest.(check bool) "checkpoint written" true (String.length (read_file ckpt) > 0);
+      let code, _ = run_stdout (base @ second @ [ "--resume"; ckpt; "--report-out"; got ]) in
+      Alcotest.(check int) "resumed run" 0 code;
+      Alcotest.(check string) "resumed report" (read_file expected) (read_file got))
+
 let accepted args =
   Alcotest.test_case (String.concat " " args) `Quick (fun () ->
       Alcotest.(check int) "exit status" 0 (fst (run args)))
@@ -111,6 +157,15 @@ let () =
             ~needle:("directory " ^ missing_dir);
           refused "resumed frontier that does not fit the program" stale_checkpoint
             ~needle:"written before the workload's code changed";
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "check pmdk-1 --exhaustive: same report, no events without --trace"
+            `Quick test_trace_only_when_printed;
+          Alcotest.test_case "checkpoint without --trace resumes with --trace" `Quick
+            (resume_across_trace ~first:[] ~second:[ "--trace" ]);
+          Alcotest.test_case "checkpoint with --trace resumes without --trace" `Quick
+            (resume_across_trace ~first:[ "--trace" ] ~second:[]);
         ] );
       ( "accepted",
         List.map accepted

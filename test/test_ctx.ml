@@ -520,6 +520,34 @@ let test_single_candidate_loads_allocate_nothing () =
   in
   Alcotest.(check (float 0.)) "minor words over 10,000 loads" baseline words
 
+(* With the trace ring off and no analysis, nothing reads a load event, so
+   a load whose bytes all forward from one buffered store allocates nothing,
+   however deep the buffer: the forwarding table starts the scan at the
+   store, 16 entries back from the newest. *)
+let test_deep_forwarded_load_allocates_nothing () =
+  let config = { buffered with Config.trace_depth = 0 } in
+  let choice = Choice.create () in
+  Choice.begin_replay choice;
+  let ctx = Ctx.create ~config ~choice () in
+  for i = 0 to 47 do
+    Ctx.store64 ctx (base + (8 * i)) (i + 1)
+  done;
+  let target = base + (8 * 32) in
+  Alcotest.(check int) "forwarded value" 33 (Ctx.load64 ctx target);
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = measure (fun () -> ()) in
+  let words =
+    measure (fun () ->
+        for _ = 1 to 10_000 do
+          ignore (Ctx.load64 ctx target)
+        done)
+  in
+  Alcotest.(check (float 0.)) "minor words over 10,000 loads" baseline words
+
 (* --- misc ---------------------------------------------------------------------- *)
 
 let test_trace_recorded () =
@@ -606,6 +634,9 @@ let () =
           Alcotest.test_case "cross-recovery reads" `Quick test_multi_failure_reads_previous_recovery;
           Alcotest.test_case "single-candidate loads allocate nothing" `Quick
             test_single_candidate_loads_allocate_nothing;
+          Alcotest.test_case
+            "a forwarded load from a 48-deep buffer allocates nothing at trace depth 0" `Quick
+            test_deep_forwarded_load_allocates_nothing;
         ] );
       ( "misc",
         [

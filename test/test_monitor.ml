@@ -94,6 +94,53 @@ let test_mem_budget_shed_hysteresis () =
   Monitor.poll m ~now:1.0;
   Alcotest.(check bool) "generous budget never sheds" false (Monitor.take_shed m 0)
 
+(* [check_deadlines] is the worker's own look at the two deadlines. *)
+let test_check_deadlines () =
+  let m, fired = make_monitor ~wall_deadline:(Unix.gettimeofday () +. 3600.) () in
+  Monitor.check_deadlines m;
+  Alcotest.(check int) "future deadline: silent" 0 (List.length !fired);
+  let m, fired = make_monitor ~tick_deadline:0. () in
+  Monitor.check_deadlines m;
+  Monitor.check_deadlines m;
+  Alcotest.(check bool) "past tick fires once" true (!fired = [ Monitor.Tick ]);
+  let m, fired = make_monitor ~step_deadline:0. ~mem_budget:1 () in
+  Monitor.check_deadlines m;
+  Alcotest.(check int) "no run deadline: nothing fires" 0 (List.length !fired);
+  Alcotest.(check bool) "and nothing is shed" false (Monitor.take_shed m 0)
+
+(* Every replay of this scenario busy-waits 2 ms without releasing the
+   runtime lock, and its 30 failure points make 31 replays. A 1 ms budget
+   has passed when the first replay ends, so each worker stops at its next
+   replay boundary; a budget seen only by the monitor thread would let
+   replays run until the runtime's ~50 ms tick. *)
+let test_budget_stops_at_replay_boundary () =
+  let spin () =
+    let t0 = Unix.gettimeofday () in
+    while Unix.gettimeofday () -. t0 < 0.002 do
+      ()
+    done
+  in
+  let base = Config.default.Config.region_base in
+  let pre ctx =
+    spin ();
+    for i = 0 to 29 do
+      Ctx.store64 ctx (base + (64 * i)) i;
+      Ctx.clflush ctx (base + (64 * i)) 8
+    done
+  in
+  let post _ = spin () in
+  let scn = Explorer.scenario ~name:"spin" ~pre ~post in
+  List.iter
+    (fun jobs ->
+      let config = { Config.default with Config.jobs; wall_budget = Some 0.001 } in
+      let o = Explorer.run ~config scn in
+      let label = Printf.sprintf "jobs=%d" jobs in
+      Alcotest.(check bool) (label ^ ": interrupted") true o.Explorer.stats.Stats.interrupted;
+      let executions = o.Explorer.stats.Stats.executions in
+      if executions > 2 * jobs then
+        Alcotest.failf "%s: %d replays ran under a 1 ms budget" label executions)
+    (Test_env.jobs_matrix ~default:[ 1; 2 ])
+
 (* --- explorer-level races --------------------------------------------------- *)
 
 (* An interrupt that lands in the middle of a checkpoint save (the watchdog
@@ -166,6 +213,9 @@ let () =
           Alcotest.test_case "step deadline cancels current exec only" `Quick
             test_step_deadline_cancels_current_exec_only;
           Alcotest.test_case "mem budget shed hysteresis" `Quick test_mem_budget_shed_hysteresis;
+          Alcotest.test_case "workers check deadlines" `Quick test_check_deadlines;
+          Alcotest.test_case "1 ms budget stops at a replay boundary" `Quick
+            test_budget_stops_at_replay_boundary;
         ] );
       ( "races",
         [

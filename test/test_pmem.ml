@@ -81,8 +81,8 @@ let test_line_table_grows () =
 (* Each slot carries a payload: [empty] until set, shared by [copy] and
    mapped by [copy_map]; [find_existing] locates a line without inserting
    it, and answers -1 for an absent or negative line. *)
-let test_line_table_payload () =
-  let t = Lt.create ~empty:"" in
+let line_table_payload create () =
+  let t = create ~empty:"" in
   let payload t line = match Lt.find_existing t line with -1 -> "<absent>" | i -> Lt.data t i in
   Alcotest.(check string) "absent line" "<absent>" (payload t 3);
   Alcotest.(check int) "find_existing inserts nothing" 0 (Lt.length t);
@@ -100,6 +100,31 @@ let test_line_table_payload () =
   Alcotest.(check (list (pair int string)))
     "fold visits every line" [ (3, "changed"); (4, "") ]
     (List.sort compare (Lt.fold (fun line d acc -> (line, d) :: acc) t []))
+
+let test_line_table_payload = line_table_payload Lt.create
+
+(* A payload-only table, as the TSO line timestamps and the redundant pass
+   keep, has no bounds to read: payloads survive grows, copies are
+   independent, and [clear] forgets every line. *)
+let test_payload_only_grows_copies_clears () =
+  let t = Lt.create_payload_only ~empty:0 in
+  let n = 1_000 in
+  let line k = (k * 7919) + (k land 3) in
+  for k = 0 to n - 1 do
+    Lt.set_data t (Lt.find t (line k)) (k + 1)
+  done;
+  Alcotest.(check int) "every line stored" n (Lt.length t);
+  let c = Lt.copy t in
+  for k = 0 to n - 1 do
+    if Lt.data t (Lt.find_existing t (line k)) <> k + 1 then
+      Alcotest.failf "line %d lost its payload across grows" (line k)
+  done;
+  Lt.set_data t (Lt.find t (line 5)) 0;
+  Alcotest.(check int) "copy keeps its payload" 6 (Lt.data c (Lt.find_existing c (line 5)));
+  Lt.clear t;
+  Alcotest.(check int) "no lines" 0 (Lt.length t);
+  Alcotest.(check int) "fresh payload" 0 (Lt.data t (Lt.find t (line 7)));
+  Alcotest.(check int) "copy untouched by clear" n (Lt.length c)
 
 (* [clear] empties the table in place, keeping its capacity: a line found
    again afterwards starts over at [0, infinity) with the empty payload, and
@@ -232,6 +257,10 @@ let () =
           Alcotest.test_case "negative line" `Quick test_line_table_negative;
           Alcotest.test_case "payload" `Quick test_line_table_payload;
           Alcotest.test_case "clear" `Quick test_line_table_clear;
+          Alcotest.test_case "payload-only payload" `Quick
+            (line_table_payload Lt.create_payload_only);
+          Alcotest.test_case "payload-only grows, copies, clears" `Quick
+            test_payload_only_grows_copies_clears;
           QCheck_alcotest.to_alcotest prop_line_table_monotone;
         ] );
       ( "bytes",

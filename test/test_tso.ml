@@ -172,6 +172,183 @@ let prop_forwarding_matches_model =
         ops;
       true)
 
+(* --- the forwarding table against the scan it replaced ---------------------- *)
+
+(* The scan-only forwarding of the store buffer before it kept a table: both
+   functions walk the whole buffer newest first, here through [nth] instead
+   of the ring's slots. *)
+module Scan = struct
+  let rec overlap_from sb a width i =
+    if i < 0 then -1
+    else
+      match Tso.Store_buffer.nth sb i with
+      | Tso.Store_buffer.Store { addr; width = w; _ } when addr < a + width && a < addr + w -> i
+      | Store _ | Clflush _ | Clflushopt _ | Sfence -> overlap_from sb a width (i - 1)
+
+  let newest_overlap sb a ~width = overlap_from sb a width (Tso.Store_buffer.length sb - 1)
+
+  let rec byte_from sb a i =
+    if i < 0 then -1
+    else
+      match Tso.Store_buffer.nth sb i with
+      | Tso.Store_buffer.Store { addr; value; width; _ } when a >= addr && a < addr + width ->
+          (value lsr (8 * (a - addr))) land 0xff
+      | Store _ | Clflush _ | Clflushopt _ | Sfence -> byte_from sb a (i - 1)
+
+  let forward_byte sb a = byte_from sb a (Tso.Store_buffer.length sb - 1)
+end
+
+(* Three blocks 512 bytes apart, so that their words share classes, each a
+   16-byte window across a word and a cache-line boundary. *)
+let block_stride = 512
+let block_window = 16
+let block_addr block off = 56 + (block_stride * block) + off
+
+type fwd_op =
+  | Enq of int * Tso.Store_buffer.entry  (* which buffer (0 or 1), entry *)
+  | Deq of int
+  | Copy of int  (* the other buffer becomes a copy of this one *)
+  | Clear of int
+
+let fwd_op_gen =
+  QCheck.Gen.(
+    let store =
+      map3
+        (fun block (off, width) value ->
+          Tso.Store_buffer.Store { addr = block_addr block off; value; width; label = "st" })
+        (int_range 0 2)
+        ( int_range 1 8 >>= fun width ->
+          map (fun off -> (off, width)) (int_range 0 (block_window - width)) )
+        int
+    in
+    let other =
+      oneof
+        [
+          map
+            (fun b -> Tso.Store_buffer.Clflush { addr = block_addr b 0; label = "fl" })
+            (int_range 0 2);
+          map
+            (fun b ->
+              Tso.Store_buffer.Clflushopt { addr = block_addr b 8; enq_seq = 0; label = "fo" })
+            (int_range 0 2);
+          return Tso.Store_buffer.Sfence;
+        ]
+    in
+    int_range 0 1 >>= fun sb ->
+    frequency
+      [
+        (12, map (fun e -> Enq (sb, e)) store);
+        (2, map (fun e -> Enq (sb, e)) other);
+        (4, return (Deq sb));
+        (1, return (Copy sb));
+        (1, return (Clear sb));
+      ])
+
+let pp_fwd_op = function
+  | Enq (sb, Tso.Store_buffer.Store { addr; width; _ }) ->
+      Printf.sprintf "%d: st%d @%d" sb (8 * width) addr
+  | Enq (sb, Clflush { addr; _ }) -> Printf.sprintf "%d: clflush @%d" sb addr
+  | Enq (sb, Clflushopt { addr; _ }) -> Printf.sprintf "%d: clflushopt @%d" sb addr
+  | Enq (sb, Sfence) -> Printf.sprintf "%d: sfence" sb
+  | Deq sb -> Printf.sprintf "%d: dequeue" sb
+  | Copy sb -> Printf.sprintf "%d: copy" sb
+  | Clear sb -> Printf.sprintf "%d: clear" sb
+
+(* After every step, both buffers answer every load of the three windows,
+   widths 1 to 8, and every byte, as the scan does. *)
+let prop_table_is_scan =
+  QCheck.Test.make ~name:"forwarding table = newest-first scan" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_fwd_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 120) fwd_op_gen))
+    (fun ops ->
+      let sbs = [| Tso.Store_buffer.create (); Tso.Store_buffer.create () |] in
+      let check step =
+        Array.iteri
+          (fun k sb ->
+            for block = 0 to 2 do
+              for off = 0 to block_window - 1 do
+                let a = block_addr block off in
+                let expected = Scan.forward_byte sb a
+                and got = Tso.Store_buffer.forward_byte sb a in
+                if got <> expected then
+                  QCheck.Test.fail_reportf "after %s: buffer %d forward_byte @%d = %d, scan %d" step
+                    k a got expected;
+                for width = 1 to min 8 (block_window - off) do
+                  let expected = Scan.newest_overlap sb a ~width
+                  and got = Tso.Store_buffer.newest_overlap sb a ~width in
+                  if got <> expected then
+                    QCheck.Test.fail_reportf
+                      "after %s: buffer %d newest_overlap @%d/%d = %d, scan %d" step k a width
+                      got expected
+                done
+              done
+            done)
+          sbs
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Enq (k, e) -> Tso.Store_buffer.enqueue sbs.(k) e
+          | Deq k -> ignore (Tso.Store_buffer.dequeue sbs.(k))
+          | Copy k -> sbs.(1 - k) <- Tso.Store_buffer.copy sbs.(k)
+          | Clear k -> Tso.Store_buffer.clear sbs.(k));
+          check (pp_fwd_op op))
+        ops;
+      true)
+
+let store sb addr ~width value =
+  Tso.Store_buffer.enqueue sb (Tso.Store_buffer.Store { addr; value; width; label = "st" })
+
+(* Words 512 bytes apart share a table slot: the newer store to one must not
+   hide the older store to the other. *)
+let test_two_words_one_class () =
+  let sb = Tso.Store_buffer.create () in
+  store sb 64 ~width:8 0x1111;
+  store sb (64 + 512) ~width:8 0x2222;
+  Alcotest.(check int) "older word found" 0 (Tso.Store_buffer.newest_overlap sb 64 ~width:8);
+  Alcotest.(check int) "older word forwards" 0x11 (Tso.Store_buffer.forward_byte sb 64);
+  Alcotest.(check int) "newer word found" 1
+    (Tso.Store_buffer.newest_overlap sb (64 + 512) ~width:8);
+  Alcotest.(check int) "newer word forwards" 0x22 (Tso.Store_buffer.forward_byte sb (64 + 512));
+  Alcotest.(check int) "third word of the class" (-1)
+    (Tso.Store_buffer.newest_overlap sb (64 + 1024) ~width:8)
+
+(* A dequeued store still owns its table slot; its position is below the
+   head, so a load finds nothing without scanning the stores left. *)
+let test_newest_store_dequeued () =
+  let sb = Tso.Store_buffer.create () in
+  store sb 64 ~width:8 7;
+  store sb 128 ~width:8 9;
+  ignore (Tso.Store_buffer.dequeue sb);
+  Alcotest.(check int) "dequeued word" (-1) (Tso.Store_buffer.newest_overlap sb 64 ~width:8);
+  Alcotest.(check int) "dequeued byte" (-1) (Tso.Store_buffer.forward_byte sb 64);
+  Alcotest.(check int) "remaining word" 0 (Tso.Store_buffer.newest_overlap sb 128 ~width:8);
+  ignore (Tso.Store_buffer.dequeue sb);
+  store sb 192 ~width:1 3;
+  Alcotest.(check int) "after refill" (-1) (Tso.Store_buffer.newest_overlap sb 128 ~width:8);
+  Tso.Store_buffer.clear sb;
+  Alcotest.(check int) "after clear" (-1) (Tso.Store_buffer.forward_byte sb 192)
+
+(* Stores to a copy or to its original never reach the other's table: here
+   the copy's later store to a word would otherwise move the original's slot
+   for that word back past the original's own newer store to it. *)
+let test_copy_owns_table () =
+  let sb = Tso.Store_buffer.create () in
+  store sb 64 ~width:8 1;
+  let c = Tso.Store_buffer.copy sb in
+  store sb 192 ~width:8 3;
+  store sb 128 ~width:8 4;
+  store c 128 ~width:8 5;
+  Alcotest.(check int) "original's store" 4 (Tso.Store_buffer.forward_byte sb 128);
+  Alcotest.(check int) "original's position" 2 (Tso.Store_buffer.newest_overlap sb 128 ~width:8);
+  Alcotest.(check int) "copy's store" 5 (Tso.Store_buffer.forward_byte c 128);
+  Alcotest.(check int) "copy's position" 1 (Tso.Store_buffer.newest_overlap c 128 ~width:8);
+  Alcotest.(check int) "original's other store absent from the copy" (-1)
+    (Tso.Store_buffer.forward_byte c 192);
+  Alcotest.(check int) "shared older store" 1 (Tso.Store_buffer.forward_byte c 64)
+
 let test_store_atomic_bytes () =
   (* All bytes of a store take effect with one sequence number. *)
   let stack, record = mk_stack () in
@@ -357,6 +534,10 @@ let () =
           Alcotest.test_case "fifo" `Quick test_store_buffer_fifo;
           Alcotest.test_case "bypass" `Quick test_store_buffer_bypass;
           QCheck_alcotest.to_alcotest prop_forwarding_matches_model;
+          QCheck_alcotest.to_alcotest prop_table_is_scan;
+          Alcotest.test_case "two words in one class" `Quick test_two_words_one_class;
+          Alcotest.test_case "newest store dequeued" `Quick test_newest_store_dequeued;
+          Alcotest.test_case "copy owns its table" `Quick test_copy_owns_table;
         ] );
       ( "eviction",
         [
