@@ -595,6 +595,9 @@ let ops_bench ~rounds ~k =
       for _ = 1 to rounds do
         let ctx = recovery_ctx policy in
         prepare ctx;
+        (* Empty the minor heap, so the timed operations do not pay for
+           collecting the set-up's allocation. *)
+        Gc.minor ();
         let t0 = Unix.gettimeofday () in
         for i = 0 to k - 1 do
           op ctx i

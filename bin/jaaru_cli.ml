@@ -270,6 +270,15 @@ let divergence ?resumed msg =
             not the code); re-run without --resume"
            msg path)
 
+(* The verdict `check' and `fleet' give a run that was not interrupted: a
+   seeded bug must be found, a clean case must stay clean. *)
+let verdict entry (o : Jaaru.Explorer.outcome) =
+  let expected_bug = entry.expected <> None in
+  let found = Jaaru.Explorer.found_bug o in
+  if expected_bug && not found then Error (`Msg "seeded bug was not found")
+  else if (not expected_bug) && found then Error (`Msg "clean case reported a bug")
+  else Ok ()
+
 let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf show_trace
     analyze wall_budget step_deadline mem_budget checkpoint checkpoint_every resume report_out =
   match find_entry id with
@@ -329,13 +338,7 @@ let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf s
                    make runs resumable)@.");
             Error (`Msg "run interrupted")
           end
-          else begin
-            let expected_bug = entry.expected <> None in
-            let found = Jaaru.Explorer.found_bug o in
-            if expected_bug && not found then Error (`Msg "seeded bug was not found")
-            else if (not expected_bug) && found then Error (`Msg "clean case reported a bug")
-            else Ok ()
-          end)
+          else verdict entry o)
 
 let check_cmd =
   let doc = "Model check one bundled case" in
@@ -740,13 +743,6 @@ let heartbeat_period_arg =
     & opt (positive float ~zero:0.) 0.05
     & info [ "heartbeat-period" ] ~docv:"SEC" ~doc:"Worker heartbeat interval (internal)")
 
-let fleet_result_checks entry (o : Jaaru.Explorer.outcome) =
-  let expected_bug = entry.expected <> None in
-  let found = Jaaru.Explorer.found_bug o in
-  if expected_bug && not found then Error (`Msg "seeded bug was not found")
-  else if (not expected_bug) && found then Error (`Msg "clean case reported a bug")
-  else Ok ()
-
 let fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout ~heartbeat_period
     ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot ~verbose =
   let config = fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot in
@@ -828,7 +824,7 @@ let fleet_run id workers chaos_spec chaos_seed heartbeat_timeout heartbeat_perio
                        FILE to make fleet runs resumable)@.";
                     Error (`Msg stopped)
               end
-              else fleet_result_checks entry o))
+              else verdict entry o))
 
 let fleet_cmd =
   let doc = "Model check one case across supervised worker processes" in
@@ -897,134 +893,6 @@ let fleet_worker_cmd =
         (const fleet_worker_run $ id_arg $ max_failures_arg $ max_steps_arg $ jobs_arg
        $ snapshot_arg $ ignored_memo_arg $ heartbeat_period_arg))
 
-(* --- serve ----------------------------------------------------------------- *)
-
-(* Long-running job intake: a directory queue (incoming/ -> active/ -> done/)
-   of small job files, each naming a case, checked with the fleet and the
-   report written next to the job. *)
-
-let serve_dir_arg =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"DIR" ~doc:"Queue directory ($(docv)/incoming, $(docv)/active, $(docv)/done)")
-
-let once_arg =
-  Arg.(value & flag & info [ "once" ] ~doc:"Process the current backlog and exit (testing, cron)")
-
-let poll_arg =
-  Arg.(
-    value
-    & opt (positive float ~zero:0.) 1.0
-    & info [ "poll" ] ~docv:"SEC" ~doc:"Queue poll interval (default 1s)")
-
-let read_job path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> match input_line ic with line -> String.trim line | exception End_of_file -> "")
-
-let serve_run dir once poll workers chaos_spec chaos_seed heartbeat_timeout heartbeat_period
-    quarantine_after verbose =
-  match Fleet.Supervise.parse_chaos chaos_spec with
-  | exception Invalid_argument m -> Error (`Msg m)
-  | chaos ->
-      let incoming = Filename.concat dir "incoming"
-      and active = Filename.concat dir "active"
-      and done_ = Filename.concat dir "done" in
-      List.iter
-        (fun d ->
-          try Unix.mkdir d 0o755
-          with Unix.Unix_error (Unix.EEXIST, _, _) -> () | Unix.Unix_error (Unix.ENOENT, _, _) ->
-            failwith (dir ^ ": no such directory"))
-        [ incoming; active; done_ ];
-      let interrupted () = Jaaru.Explorer.interrupts_requested () > 0 in
-      let run_job name =
-        let src = Filename.concat incoming name in
-        let work = Filename.concat active name in
-        Sys.rename src work;
-        let case = read_job work in
-        Format.printf "serve: job %s -> case %s@." name case;
-        let report =
-          match find_entry case with
-          | Error (`Msg m) -> Printf.sprintf "error: %s\n" m
-          | Ok entry -> (
-              match
-                fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout
-                  ~heartbeat_period ~quarantine_after ~max_failures:None ~max_steps:None ~jobs:1
-                  ~snapshot:true ~verbose
-              with
-              | exception Jaaru.Checkpoint.Rejected msg -> Printf.sprintf "error: %s\n" msg
-              | r ->
-                  let o = r.Fleet.Coordinator.outcome in
-                  let status =
-                    if r.Fleet.Coordinator.interrupted then "interrupted"
-                    else if r.Fleet.Coordinator.remaining <> [] then "incomplete (quarantined shards)"
-                    else
-                      match fleet_result_checks entry o with
-                      | Ok () -> "pass"
-                      | Error (`Msg m) -> "fail: " ^ m
-                  in
-                  Format.asprintf "%a@.%a@.status: %s@." Jaaru.Explorer.pp_report o
-                    Fleet.Coordinator.pp_fleet r.Fleet.Coordinator.fleet status)
-        in
-        if interrupted () then begin
-          (* Put the job back for the next serve rather than recording a
-             partial verdict. *)
-          Sys.rename work src;
-          Format.printf "serve: interrupted, job %s returned to the queue@." name
-        end
-        else begin
-          let out = Filename.concat done_ (Filename.remove_extension name ^ ".report") in
-          let oc = open_out out in
-          Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc report);
-          Sys.remove work;
-          Format.printf "serve: job %s done -> %s@." name out
-        end
-      in
-      let backlog () =
-        Sys.readdir incoming |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".job")
-        |> List.sort compare
-      in
-      with_graceful_signals (fun () ->
-          let rec loop () =
-            if not (interrupted ()) then begin
-              match backlog () with
-              | [] ->
-                  if once then ()
-                  else begin
-                    Unix.sleepf poll;
-                    loop ()
-                  end
-              | jobs ->
-                  List.iter (fun j -> if not (interrupted ()) then run_job j) jobs;
-                  if once && not (interrupted ()) then loop () else if once then () else loop ()
-            end
-          in
-          loop ());
-      if interrupted () then Error (`Msg "serve interrupted") else Ok ()
-
-let serve_cmd =
-  let doc = "Run a long-lived fleet serving jobs from a directory queue" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Watches $(i,DIR)/incoming for $(b,*.job) files (first line: a case id, as in `jaaru \
-         list'), checks each with the fleet, streams progress to stdout, and writes \
-         $(i,DIR)/done/$(i,NAME).report. Jobs survive interruption: a job being processed when \
-         SIGINT/SIGTERM arrives is returned to the queue.";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "serve" ~doc ~man)
-    Term.(
-      term_result
-        (const serve_run $ serve_dir_arg $ once_arg $ poll_arg $ fleet_workers_arg
-       $ fleet_chaos_arg $ fleet_chaos_seed_arg $ heartbeat_timeout_arg $ heartbeat_period_arg
-       $ quarantine_arg $ verbose_arg))
-
 (* --- main ------------------------------------------------------------------ *)
 
 let () =
@@ -1038,7 +906,6 @@ let () =
             check_cmd;
             fleet_cmd;
             fleet_worker_cmd;
-            serve_cmd;
             lint_cmd;
             yat_cmd;
             perf_cmd;

@@ -21,8 +21,8 @@ type kind =
           exceptions. *)
   | Execution_timeout of { seconds : float }
       (** One execution exceeded the per-execution wall-clock deadline
-          ({!Config.step_deadline}) and was cancelled by the watchdog monitor.
-          Catches workloads that diverge between [Ctx] operations faster than
+          ({!Config.step_deadline}) and was cancelled at its first [Ctx]
+          operation past it. Catches workloads that diverge between [Ctx] operations faster than
           [max_steps] can see; [seconds] is the configured deadline, so the
           report is deterministic even though the trigger is wall-clock. *)
 

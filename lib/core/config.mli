@@ -78,9 +78,10 @@ type t = {
           change removes it together with the suite's [memo.*] metrics and
           its [memo-off] variant. *)
   wall_budget : float option;
-      (** Wall-clock budget in seconds for the whole run. When it trips, the
-          watchdog monitor requests a cooperative stop: every worker finishes
-          its current replay, the unexplored frontier is preserved (and
+      (** Wall-clock budget in seconds for the whole run. The first worker to
+          see it expired at a replay boundary requests a cooperative stop:
+          every worker finishes its current replay, the unexplored frontier
+          is preserved (and
           checkpointed when a checkpoint path is configured), and the partial
           outcome is reported with [Stats.interrupted] set. [None] (the
           default): unbounded. *)
@@ -90,14 +91,15 @@ type t = {
           [max_steps] counts them — or with [max_steps] effectively unbounded.
           A tripped deadline cancels only that execution, recording a
           {!Bug.Execution_timeout}; the exploration continues. Enforced by
-          the monitor setting a cancel flag that the next [Ctx] operation
-          observes, so a loop that never calls into [Ctx] cannot be cancelled
-          (cancellation is cooperative). [None]: no deadline. *)
+          the first [Ctx] operation past the deadline, so a loop that never
+          calls into [Ctx] cannot be cancelled (cancellation is
+          cooperative). [None]: no deadline. *)
   mem_budget : int option;
-      (** Soft memory budget in bytes, sampled from [Gc] statistics by the
-          monitor. When the heap exceeds it, workers shed their snapshot
-          caches — correct but slower, never aborting — and the trip
-          count surfaces as [Stats.sheds]. [None]: never shed. *)
+      (** Soft memory budget in bytes. Each worker samples the heap size
+          from [Gc] statistics between replays, at most every 50 ms. When it
+          exceeds the budget, the worker sheds its snapshot cache — correct
+          but slower, never aborting — and the shed count surfaces as
+          [Stats.sheds]. [None]: never shed. *)
   checkpoint_every : float;
       (** Seconds between periodic checkpoints when the explorer is given a
           checkpoint path; ignored otherwise. Default 30. *)

@@ -39,12 +39,12 @@ type t = {
   mutable fp_hook : (string -> unit) option;
   mutable rng : int;  (* schedule-fuzzing PRNG state; reset per replay *)
   snapshots : Snapshot.cache option;  (* the owning worker's snapshot cache *)
-  cancel : bool Atomic.t option;
-      (* watchdog flag: set by the monitor when this execution blows its
-         wall-clock deadline, observed (and consumed) at the next [step] *)
+  deadline : float option;
+      (* the [Unix.gettimeofday] instant [config.step_deadline] after the
+         context was created; the first [step] past it times out *)
 }
 
-let create ?snapshots ?cancel ~config ~choice () =
+let create ?snapshots ~config ~choice () =
   let thread0 = Tso.Thread_state.create ~tid:0 in
   let engine =
     let hb =
@@ -99,7 +99,7 @@ let create ?snapshots ?cancel ~config ~choice () =
       | Some seed -> (seed lxor 0x9e3779b9) lor 1
       | None -> 0);
     snapshots;
-    cancel;
+    deadline = Option.map (fun d -> Unix.gettimeofday () +. d) config.Config.step_deadline;
   }
 
 let set_failure_point_hook ctx hook = ctx.fp_hook <- Some hook
@@ -143,14 +143,12 @@ let step ctx label =
   ctx.steps <- ctx.steps + 1;
   if ctx.steps > ctx.cfg.Config.max_steps then
     raise (Bug.Found (Bug.Infinite_loop { steps = ctx.steps }, label));
-  match ctx.cancel with
-  | Some c when Atomic.get c ->
-      (* Consume the flag so a raise swallowed by the program under test does
-         not re-fire on the next replay. *)
-      Atomic.set c false;
-      let seconds = Option.value ~default:0. ctx.cfg.Config.step_deadline in
-      raise (Bug.Found (Bug.Execution_timeout { seconds }, label))
-  | _ -> ()
+  match ctx.deadline with
+  | None -> ()
+  | Some d ->
+      if Unix.gettimeofday () >= d then
+        let seconds = Option.value ~default:0. ctx.cfg.Config.step_deadline in
+        raise (Bug.Found (Bug.Execution_timeout { seconds }, label))
 
 let progress ctx ?(label = "progress") () = step ctx label
 

@@ -40,7 +40,6 @@ type perf_report = { perf_kind : perf_kind; perf_label : string }
 
 val create :
   ?snapshots:Snapshot.cache ->
-  ?cancel:bool Atomic.t ->
   config:Config.t ->
   choice:Choice.t ->
   unit ->
@@ -58,11 +57,10 @@ val create :
     both, except that a load's goes to the engine only when
     [config.analyze] is set (the redundant pass ignores loads).
 
-    [cancel] is the worker's watchdog flag: when the monitor sets it (the
-    execution blew [Config.step_deadline]), the next {!step} consumes the
-    flag and raises {!Bug.Found} with {!Bug.Execution_timeout}. Cancellation
-    is cooperative — code that never issues a [Ctx] operation cannot be
-    interrupted. *)
+    With [config.step_deadline] set, the execution's deadline is that many
+    seconds after [create]: the first operation past it raises {!Bug.Found}
+    with {!Bug.Execution_timeout}. Cancellation is cooperative — code that
+    never issues a [Ctx] operation cannot be interrupted. *)
 
 val resume_from_snapshot : t -> Snapshot.t -> unit
 (** Puts a freshly created context into the exact post-crash state of the

@@ -34,9 +34,9 @@ let of_checkpoint (cp : Checkpoint.t) =
   }
 
 (* The CLI's signal handlers (and tests) request a cooperative stop through
-   this process-global flag: workers poll it between replays, and the monitor
-   thread polls it too. It is only cleared explicitly — a SIGINT that lands
-   while a checkpoint is being written must still stop the next round. *)
+   this process-global flag: workers poll it between replays. It is only
+   cleared explicitly — a SIGINT that lands while a checkpoint is being
+   written must still stop the next round. *)
 let interrupt_flag = Atomic.make false
 
 (* How many times an interrupt has been requested since the last clear.
@@ -56,10 +56,10 @@ let clear_interrupt () =
 let interrupts_requested () = Atomic.get interrupt_count
 
 (* Why a round of exploration stopped. The first trigger wins: [Capped] and
-   [First_bug] come from workers, the rest from the watchdog monitor (whose
-   deadlines the workers also check between replays). [Tick] alone continues
-   with another round (after writing a checkpoint). *)
-type stop_reason = Capped | First_bug | Interrupted | Wall_budget | Tick
+   [First_bug] come from the replays, [Limit] from the {!Monitor} checks the
+   workers make between replays. [Limit Tick] alone continues with another
+   round (after writing a checkpoint). *)
+type stop_reason = Capped | First_bug | Limit of Monitor.reason
 
 (* One complete scenario execution: run the pre-failure program; every
    injected failure aborts the current execution and starts the recovery
@@ -129,12 +129,11 @@ let reserve_slot reserved ~budget =
 (* The per-worker replay loop: drain subtree tasks off the frontier until
    the exploration completes or is stopped. [stopped] is the cooperative
    stop flag; [trigger] records why it was raised (first reason wins) and
-   closes the frontier. *)
-let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
+   closes the frontier. [limits] is this worker's {!Monitor}, checked before
+   every replay. *)
+let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~limits () =
   let budget = config.Config.max_executions in
   let snapshots = if config.Config.snapshot then Some (Snapshot.create_cache ()) else None in
-  let timed = config.Config.step_deadline <> None in
-  let cancel = if timed then Some (Monitor.cancel_flag monitor idx) else None in
   let bugs = Hashtbl.create 16 in
   let multi_rf : (string * Pmem.Addr.t, Ctx.multi_rf) Hashtbl.t = Hashtbl.create 16 in
   let perf : (Ctx.perf_report, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -178,9 +177,11 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
     let original = ref (Choice.prefix_depth prefix = 0) in
     let continue = ref true in
     while !continue do
-      if (not (Atomic.get stopped)) && Atomic.get interrupt_flag then trigger Interrupted;
-      Monitor.check_deadlines monitor;
-      if Monitor.take_shed monitor idx then begin
+      (if not (Atomic.get stopped) then
+         match Monitor.stop_reason limits ~now:Unix.gettimeofday with
+         | Some r -> trigger (Limit r)
+         | None -> ());
+      if Monitor.shed limits ~now:Unix.gettimeofday ~heap:Monitor.heap_bytes then begin
         (match snapshots with Some cache -> Snapshot.clear_cache cache | None -> ());
         incr sheds
       end;
@@ -209,8 +210,7 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
                   incr snapshot_misses;
                   None)
         in
-        let ctx = Ctx.create ?snapshots ?cancel ~config ~choice () in
-        if timed then Monitor.exec_started monitor idx;
+        let ctx = Ctx.create ?snapshots ~config ~choice () in
         (try replay_once ?snapshot scn ctx with
         | Ctx.Power_failure -> assert false
         | Choice.Divergence _ as e -> raise e
@@ -221,7 +221,6 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
             record_bug ctx
               (Bug.Program_exception (Bug.normalize_message (Printexc.to_string e)))
               (Ctx.last_label ctx));
-        if timed then Monitor.exec_finished monitor idx;
         incr executions;
         if !original then begin
           failure_points := Ctx.fp_count ctx;
@@ -341,29 +340,19 @@ let run ?(config = Config.default) ?resume ?checkpoint scn =
         Frontier.close frontier
       end
     in
-    let now = Unix.gettimeofday () in
-    let monitor =
-      Monitor.create ~workers:jobs ~interrupt:interrupt_flag
-        ?wall_deadline:(Option.map (fun b -> t0 +. b) config.Config.wall_budget)
-        ?tick_deadline:
-          (match checkpoint with
-          | Some _ -> Some (now +. config.Config.checkpoint_every)
-          | None -> None)
-        ?step_deadline:config.Config.step_deadline ?mem_budget:config.Config.mem_budget
-        ~on_stop:(fun r ->
-          trigger
-            (match r with
-            | Monitor.Interrupt -> Interrupted
-            | Monitor.Wall_budget -> Wall_budget
-            | Monitor.Tick -> Tick))
-        ()
+    let wall_deadline = Option.map (fun b -> t0 +. b) config.Config.wall_budget in
+    let tick_deadline =
+      Option.map (fun _ -> Unix.gettimeofday () +. config.Config.checkpoint_every) checkpoint
     in
-    Monitor.start monitor;
     (* A worker that dies (Choice.Divergence — a broken harness) must not
        leave its peers blocked on the frontier forever: close it, join
        everyone, then re-raise. *)
-    let guarded idx () =
-      match worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () with
+    let guarded () =
+      let limits =
+        Monitor.create ~interrupt:interrupt_flag ?wall_deadline ?tick_deadline
+          ?mem_budget:config.Config.mem_budget ()
+      in
+      match worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~limits () with
       | r -> Ok r
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
@@ -372,15 +361,12 @@ let run ?(config = Config.default) ?resume ?checkpoint scn =
           Error (e, bt)
     in
     let results =
-      Fun.protect
-        ~finally:(fun () -> Monitor.shutdown monitor)
-        (fun () ->
-          if jobs = 1 then [ guarded 0 () ]
-          else begin
-            let spawned = List.init (jobs - 1) (fun i -> Domain.spawn (guarded (i + 1))) in
-            let mine = guarded 0 () in
-            mine :: List.map Domain.join spawned
-          end)
+      if jobs = 1 then [ guarded () ]
+      else begin
+        let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn guarded) in
+        let mine = guarded () in
+        mine :: List.map Domain.join spawned
+      end
     in
     let results =
       List.map
@@ -401,8 +387,8 @@ let run ?(config = Config.default) ?resume ?checkpoint scn =
     let completed, interrupted =
       match (reason, remainder) with
       (* Ran dry (a Tick that found nothing left is completion too). *)
-      | None, _ | Some Tick, [] -> (true, false)
-      | Some (Tick | Interrupted | Wall_budget), _ -> (false, true)
+      | None, _ | Some (Limit Tick), [] -> (true, false)
+      | Some (Limit _), _ -> (false, true)
       (* Cut short, but not "interrupted": resuming a capped checkpoint just
          caps again (the budget travels in the stats). *)
       | Some (Capped | First_bug), _ -> (false, false)
@@ -417,7 +403,7 @@ let run ?(config = Config.default) ?resume ?checkpoint scn =
     in
     Option.iter (fun path -> Checkpoint.save (to_checkpoint ~config scn o) path) checkpoint;
     match (reason, remainder) with
-    | Some Tick, _ :: _ -> rounds o remainder
+    | Some (Limit Tick), _ :: _ -> rounds o remainder
     | _ -> o
   in
   rounds explored tasks

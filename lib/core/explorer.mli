@@ -73,7 +73,10 @@ val run : ?config:Config.t -> ?resume:Checkpoint.t -> ?checkpoint:string -> scen
     the rest of the tree in the checkpoint. [config.step_deadline] cancels
     individual runaway executions as {!Bug.Execution_timeout} bugs, and
     [config.mem_budget] sheds the snapshot caches under memory
-    pressure; neither ends the run.
+    pressure; neither ends the run. Each worker checks the interrupt flag,
+    the wall budget, the checkpoint tick and the memory budget between its
+    replays ({!Monitor}), and an execution's step deadline at each of its
+    [Ctx] operations.
 
     With [config.jobs > 1] the choice tree is explored by that many OCaml
     domains: each worker replays executions out of a shared {!Frontier} of

@@ -28,8 +28,8 @@ type t = {
   snapshot_misses : int;
       (** replays that found no usable snapshot and ran from the start *)
   sheds : int;
-      (** times the watchdog monitor tripped [Config.mem_budget] and workers
-          dropped their snapshot caches (0 unless a budget is set) *)
+      (** times a worker found the heap over [Config.mem_budget] and dropped
+          its snapshot cache (0 unless a budget is set) *)
   wall_time : float;  (** seconds spent exploring (JTime) *)
   exhausted : bool;
       (** whether the search space was fully explored (false when a limit or

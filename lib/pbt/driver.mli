@@ -18,7 +18,7 @@
     {b Nightly mode.} With [deadline] (absolute, [Unix.gettimeofday]) the
     driver checks the clock between sequences and also hands each
     exploration the remaining budget as [Config.wall_budget], so the
-    watchdog monitor interrupts even a single oversized exploration
+    explorer's workers interrupt even a single oversized exploration
     cooperatively. A deadline-tripped structure reports [interrupted = true]
     with the sequences it completed; determinism is forfeited, minimality of
     an in-flight shrink may be too — soundness (no false failures) is not. *)

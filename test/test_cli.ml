@@ -136,7 +136,6 @@ let () =
             ("--fleet-workers", [ "fleet"; "pmdk-1"; "--fleet-workers=-2" ]);
             ("--quarantine-after", [ "fleet"; "pmdk-1"; "--quarantine-after=0" ]);
             ("--heartbeat-period", [ "fleet"; "pmdk-1"; "--heartbeat-period=0" ]);
-            ("--poll", [ "serve"; "."; "--poll=0" ]);
             ("--jobs", [ "check"; "pmdk-1"; "--jobs=-3" ]);
             ("--max-steps", [ "check"; "pmdk-1"; "--max-steps=-5" ]);
             ("--time-budget", [ "pbt"; "--time-budget=-1" ]);

@@ -1,7 +1,9 @@
-(* Watchdog edge cases, driven deterministically through [Monitor.poll ~now]
-   (no sleeping), plus the explorer-level races the fleet PR cares about:
-   an interrupt landing in the middle of a checkpoint save, a memory-budget
-   shed racing parallel frontier splits, and double-interrupt escalation. *)
+(* Exploration limits: their edge cases, driven through [Monitor]'s checks
+   with a given clock (no sleeping); each limit taking effect at the first
+   replay boundary or [Ctx] operation past it; and the explorer-level races
+   of interrupts and sheds: an interrupt landing in the middle of a
+   checkpoint save, a memory-budget shed racing parallel frontier splits,
+   and double-interrupt escalation. *)
 open Jaaru
 
 let report_text (o : Explorer.outcome) = Format.asprintf "%a" Explorer.pp_report o
@@ -20,116 +22,137 @@ let deep_case () =
   ( c.Pmdk.Workloads.scenario,
     { c.Pmdk.Workloads.config with Config.max_failures = 2; stop_at_first_bug = false } )
 
-let make_monitor ?wall_deadline ?tick_deadline ?step_deadline ?mem_budget ?(workers = 1)
-    ?(interrupt = Atomic.make false) () =
-  let fired = ref [] in
-  let m =
-    Monitor.create ~workers ~interrupt ?wall_deadline ?tick_deadline ?step_deadline ?mem_budget
-      ~on_stop:(fun r -> fired := r :: !fired)
-      ()
-  in
-  (m, fired)
+let limits ?wall_deadline ?tick_deadline ?mem_budget ?(interrupt = Atomic.make false) () =
+  Monitor.create ~interrupt ?wall_deadline ?tick_deadline ?mem_budget ()
 
-(* --- deadline duties, one deterministic poll at a time ---------------------- *)
+let at instant () = instant
+let no_clock () = Alcotest.fail "the clock was read"
 
-let test_wall_deadline_fires_once () =
-  let m, fired = make_monitor ~wall_deadline:100.0 () in
-  Monitor.poll m ~now:99.9;
-  Alcotest.(check int) "before the deadline: silent" 0 (List.length !fired);
-  Monitor.poll m ~now:100.0;
-  Alcotest.(check bool) "at the deadline: Wall_budget" true (!fired = [ Monitor.Wall_budget ]);
-  Monitor.poll m ~now:500.0;
-  Monitor.poll m ~now:1000.0;
-  Alcotest.(check int) "on_stop is once-only" 1 (List.length !fired)
+let reason =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.pp_print_string ppf
+        (match r with
+        | Monitor.Interrupt -> "Interrupt"
+        | Monitor.Wall_budget -> "Wall_budget"
+        | Monitor.Tick -> "Tick"))
+    ( = )
+
+let stop = Alcotest.option reason
+
+let spin seconds =
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < seconds do
+    ()
+  done
+
+(* --- limits, one deterministic check at a time ------------------------------ *)
+
+let test_wall_deadline_fires () =
+  let m = limits ~wall_deadline:100.0 () in
+  Alcotest.check stop "before the deadline: silent" None (Monitor.stop_reason m ~now:(at 99.9));
+  Alcotest.check stop "at the deadline: Wall_budget" (Some Monitor.Wall_budget)
+    (Monitor.stop_reason m ~now:(at 100.0));
+  Alcotest.check stop "and every check after it" (Some Monitor.Wall_budget)
+    (Monitor.stop_reason m ~now:(at 1000.0))
 
 let test_tick_fires () =
-  let m, fired = make_monitor ~tick_deadline:10.0 () in
-  Monitor.poll m ~now:9.0;
-  Monitor.poll m ~now:10.5;
-  Alcotest.(check bool) "tick deadline fires Tick" true (!fired = [ Monitor.Tick ])
+  let m = limits ~tick_deadline:10.0 () in
+  Alcotest.check stop "before the tick: silent" None (Monitor.stop_reason m ~now:(at 9.0));
+  Alcotest.check stop "tick deadline fires Tick" (Some Monitor.Tick)
+    (Monitor.stop_reason m ~now:(at 10.5))
 
 let test_interrupt_wins () =
-  (* Interrupt is sampled first: when a poll observes both a pending
-     interrupt and an expired budget, the stop reason is the interrupt. *)
-  let interrupt = Atomic.make true in
-  let m, fired = make_monitor ~interrupt ~wall_deadline:1.0 ~tick_deadline:1.0 () in
-  Monitor.poll m ~now:50.0;
-  Alcotest.(check bool) "interrupt outranks expired budgets" true (!fired = [ Monitor.Interrupt ])
+  (* A pending interrupt outranks expired budgets, and the run budget
+     outranks the checkpoint tick. *)
+  let m = limits ~interrupt:(Atomic.make true) ~wall_deadline:1.0 ~tick_deadline:1.0 () in
+  Alcotest.check stop "interrupt outranks expired budgets" (Some Monitor.Interrupt)
+    (Monitor.stop_reason m ~now:(at 50.0));
+  let m = limits ~wall_deadline:1.0 ~tick_deadline:1.0 () in
+  Alcotest.check stop "run budget outranks the tick" (Some Monitor.Wall_budget)
+    (Monitor.stop_reason m ~now:(at 50.0))
 
+(* The deadline belongs to one context: a later execution starts with its
+   own full deadline, and a run without one never times out. *)
 let test_step_deadline_cancels_current_exec_only () =
-  let m, fired = make_monitor ~step_deadline:0.5 ~workers:2 () in
-  let t0 = Unix.gettimeofday () in
-  Monitor.exec_started m 0;
-  Monitor.poll m ~now:(t0 +. 0.1);
-  Alcotest.(check bool) "young execution not cancelled" false
-    (Atomic.get (Monitor.cancel_flag m 0));
-  Monitor.poll m ~now:(t0 +. 10.0);
-  Alcotest.(check bool) "overdue execution cancelled" true (Atomic.get (Monitor.cancel_flag m 0));
-  Alcotest.(check bool) "idle worker untouched" false (Atomic.get (Monitor.cancel_flag m 1));
-  Alcotest.(check int) "step deadline is not a stop" 0 (List.length !fired);
-  (* The flag from a dying execution must not poison the next one. *)
-  Monitor.exec_started m 0;
-  Alcotest.(check bool) "next execution starts clean" false
-    (Atomic.get (Monitor.cancel_flag m 0));
-  Monitor.exec_finished m 0;
-  Monitor.poll m ~now:(t0 +. 100.0);
-  Alcotest.(check bool) "finished execution has no deadline" false
-    (Atomic.get (Monitor.cancel_flag m 0))
+  let config = { Config.default with Config.step_deadline = Some 0.2 } in
+  let fresh config =
+    let choice = Choice.create () in
+    Choice.begin_replay choice;
+    Ctx.create ~config ~choice ()
+  in
+  let overdue = fresh config in
+  let untimed = fresh { config with Config.step_deadline = None } in
+  spin 0.21;
+  let young = fresh config in
+  (match Ctx.progress overdue () with
+  | () -> Alcotest.fail "overdue execution not cancelled"
+  | exception Bug.Found (Bug.Execution_timeout { seconds }, _) ->
+      Alcotest.(check (float 1e-9)) "reports the configured deadline" 0.2 seconds);
+  Ctx.progress young ();
+  Ctx.progress untimed ()
 
+(* Heap samples come from a counter here, so the throttle and the 90%
+   re-arm are visible. *)
 let test_mem_budget_shed_hysteresis () =
-  (* A 1-byte budget is always exceeded: the trip must set every worker's
-     shed flag once, then disarm (the heap can never fall back under 90%
-     of a byte), so repeated polls never re-shed. *)
-  let m, _ = make_monitor ~mem_budget:1 ~workers:3 () in
-  Monitor.poll m ~now:1.0;
-  for i = 0 to 2 do
-    Alcotest.(check bool) (Printf.sprintf "worker %d shed once" i) true (Monitor.take_shed m i);
-    Alcotest.(check bool) (Printf.sprintf "worker %d shed is consumed" i) false
-      (Monitor.take_shed m i)
-  done;
-  Monitor.poll m ~now:2.0;
-  Monitor.poll m ~now:3.0;
-  Alcotest.(check bool) "tripped budget stays disarmed" false (Monitor.take_shed m 0);
-  let m, _ = make_monitor ~mem_budget:max_int ~workers:1 () in
-  Monitor.poll m ~now:1.0;
-  Alcotest.(check bool) "generous budget never sheds" false (Monitor.take_shed m 0)
+  let heap = ref 2000 and samples = ref 0 in
+  let sample () =
+    incr samples;
+    !heap
+  in
+  let m = limits ~mem_budget:1000 () in
+  let shed instant = Monitor.shed m ~now:(at instant) ~heap:sample in
+  Alcotest.(check bool) "over budget at the first check: shed" true (shed 1.0);
+  Alcotest.(check bool) "within 50 ms: no sample" false (shed 1.01);
+  Alcotest.(check int) "one sample so far" 1 !samples;
+  Alcotest.(check bool) "still over: the trip stays disarmed" false (shed 1.1);
+  heap := 950;
+  Alcotest.(check bool) "above 90% of the budget: still disarmed" false (shed 1.2);
+  heap := 2000;
+  Alcotest.(check bool) "so over again is not a new trip" false (shed 1.3);
+  heap := 800;
+  Alcotest.(check bool) "below 90% re-arms" false (shed 1.4);
+  heap := 2000;
+  Alcotest.(check bool) "the next trip sheds again" true (shed 1.5);
+  Alcotest.(check int) "one sample per check past the throttle" 6 !samples;
+  let m = limits ~mem_budget:max_int () in
+  Alcotest.(check bool) "generous budget never sheds" false
+    (Monitor.shed m ~now:Unix.gettimeofday ~heap:Monitor.heap_bytes);
+  Alcotest.(check bool) "no budget: nothing is read" false
+    (Monitor.shed (limits ()) ~now:no_clock ~heap:(fun () -> Alcotest.fail "heap sampled"))
 
-(* [check_deadlines] is the worker's own look at the two deadlines. *)
+(* The worker's look at the limits against the real clock. *)
 let test_check_deadlines () =
-  let m, fired = make_monitor ~wall_deadline:(Unix.gettimeofday () +. 3600.) () in
-  Monitor.check_deadlines m;
-  Alcotest.(check int) "future deadline: silent" 0 (List.length !fired);
-  let m, fired = make_monitor ~tick_deadline:0. () in
-  Monitor.check_deadlines m;
-  Monitor.check_deadlines m;
-  Alcotest.(check bool) "past tick fires once" true (!fired = [ Monitor.Tick ]);
-  let m, fired = make_monitor ~step_deadline:0. ~mem_budget:1 () in
-  Monitor.check_deadlines m;
-  Alcotest.(check int) "no run deadline: nothing fires" 0 (List.length !fired);
-  Alcotest.(check bool) "and nothing is shed" false (Monitor.take_shed m 0)
+  let m = limits ~wall_deadline:(Unix.gettimeofday () +. 3600.) () in
+  Alcotest.check stop "future deadline: silent" None
+    (Monitor.stop_reason m ~now:Unix.gettimeofday);
+  let m = limits ~tick_deadline:0. () in
+  Alcotest.check stop "past tick fires" (Some Monitor.Tick)
+    (Monitor.stop_reason m ~now:Unix.gettimeofday);
+  let m = limits ~mem_budget:1 () in
+  Alcotest.check stop "no run deadline: no clock read, nothing fires" None
+    (Monitor.stop_reason m ~now:no_clock)
 
 (* Every replay of this scenario busy-waits 2 ms without releasing the
-   runtime lock, and its 30 failure points make 31 replays. A 1 ms budget
-   has passed when the first replay ends, so each worker stops at its next
-   replay boundary; a budget seen only by the monitor thread would let
-   replays run until the runtime's ~50 ms tick. *)
-let test_budget_stops_at_replay_boundary () =
-  let spin () =
-    let t0 = Unix.gettimeofday () in
-    while Unix.gettimeofday () -. t0 < 0.002 do
-      ()
-    done
-  in
+   runtime lock, and its [points] failure points make [points + 1]
+   replays. *)
+let spin_scenario ~points =
   let base = Config.default.Config.region_base in
   let pre ctx =
-    spin ();
-    for i = 0 to 29 do
+    spin 0.002;
+    for i = 0 to points - 1 do
       Ctx.store64 ctx (base + (64 * i)) i;
       Ctx.clflush ctx (base + (64 * i)) 8
     done
   in
-  let post _ = spin () in
-  let scn = Explorer.scenario ~name:"spin" ~pre ~post in
+  Explorer.scenario ~name:"spin" ~pre ~post:(fun _ -> spin 0.002)
+
+(* A 1 ms budget has passed when the first of 31 replays ends, so each
+   worker stops at its next replay boundary; a budget seen only by a
+   background thread would let replays run until the runtime's ~50 ms
+   tick. *)
+let test_budget_stops_at_replay_boundary () =
+  let scn = spin_scenario ~points:30 in
   List.iter
     (fun jobs ->
       let config = { Config.default with Config.jobs; wall_budget = Some 0.001 } in
@@ -141,10 +164,43 @@ let test_budget_stops_at_replay_boundary () =
         Alcotest.failf "%s: %d replays ran under a 1 ms budget" label executions)
     (Test_env.jobs_matrix ~default:[ 1; 2 ])
 
+(* Each operation of this replay comes 2 ms after the previous one, without
+   releasing the runtime lock. Under a 1 ms step deadline the first
+   operation is already late, so the execution times out there; a deadline
+   enforced by a background thread would let operations run until the
+   runtime's ~50 ms tick. *)
+let test_step_deadline_at_operation () =
+  let base = Config.default.Config.region_base in
+  let ops = ref 0 in
+  let pre ctx =
+    ops := 0;
+    for i = 0 to 99 do
+      spin 0.002;
+      incr ops;
+      Ctx.store64 ctx (base + (8 * i)) i
+    done
+  in
+  let scn = Explorer.scenario ~name:"slow-ops" ~pre ~post:ignore in
+  let config = { Config.default with Config.step_deadline = Some 0.001 } in
+  let o = Explorer.run ~config scn in
+  (match o.Explorer.bugs with
+  | [ { Bug.kind = Bug.Execution_timeout _; _ } ] -> ()
+  | bs -> Alcotest.failf "expected one Execution_timeout, got %d bug(s)" (List.length bs));
+  if !ops > 2 then Alcotest.failf "%d operations ran under a 1 ms step deadline" !ops
+
+(* A 1-byte budget is over at the first sample, which a worker takes at its
+   first replay boundary. The run's few replays end well before the
+   runtime's ~50 ms tick, when a background sampler would first run. *)
+let test_mem_budget_sheds_at_replay_boundary () =
+  let scn = spin_scenario ~points:3 in
+  let config = { Config.default with Config.mem_budget = Some 1 } in
+  let o = Explorer.run ~config scn in
+  Alcotest.(check int) "one shed, at the first replay boundary" 1 o.Explorer.stats.Stats.sheds
+
 (* --- explorer-level races --------------------------------------------------- *)
 
-(* An interrupt that lands in the middle of a checkpoint save (the watchdog
-   firing while [save] is between its header and payload writes) must not
+(* An interrupt that lands in the middle of a checkpoint save (a signal
+   arriving while [save] is between its header and payload writes) must not
    corrupt the file: the save completes, the run stops interrupted, and
    resuming the checkpoint finishes to the exact uninterrupted report. *)
 let test_interrupt_during_checkpoint_save () =
@@ -207,7 +263,7 @@ let () =
     [
       ( "deadlines",
         [
-          Alcotest.test_case "wall deadline fires once" `Quick test_wall_deadline_fires_once;
+          Alcotest.test_case "wall deadline fires at its instant" `Quick test_wall_deadline_fires;
           Alcotest.test_case "tick deadline fires" `Quick test_tick_fires;
           Alcotest.test_case "interrupt outranks budgets" `Quick test_interrupt_wins;
           Alcotest.test_case "step deadline cancels current exec only" `Quick
@@ -216,6 +272,10 @@ let () =
           Alcotest.test_case "workers check deadlines" `Quick test_check_deadlines;
           Alcotest.test_case "1 ms budget stops at a replay boundary" `Quick
             test_budget_stops_at_replay_boundary;
+          Alcotest.test_case "1 ms step deadline stops at an operation" `Quick
+            test_step_deadline_at_operation;
+          Alcotest.test_case "1-byte budget sheds at a replay boundary" `Quick
+            test_mem_budget_sheds_at_replay_boundary;
         ] );
       ( "races",
         [
