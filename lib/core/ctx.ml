@@ -162,19 +162,25 @@ let eager ctx = ctx.cfg.Config.evict_policy = Config.Eager
 
 (* --- failure injection ------------------------------------------------- *)
 
-(* Buffered policy only: at a crash, a nondeterministic prefix of each store
-   buffer may already have drained to the cache. *)
-let drain_choices ctx =
-  List.iter
-    (fun th ->
-      let n = Tso.Store_buffer.length (Tso.Thread_state.store_buffer th) in
-      if n > 0 then begin
-        let keep = Choice.choose ctx.choice Choice.Drain (n + 1) in
-        for _ = 1 to keep do
-          ignore (Tso.Thread_state.evict_one th ctx.stack)
-        done
-      end)
-    ctx.threads
+(* At a crash under buffered eviction, a nondeterministic prefix of each
+   store buffer may already have drained to the cache: one [Drain] decision
+   per non-empty buffer, in thread order, picks its length. Under eager
+   eviction the buffers are empty and every length is 0. *)
+let drain_choices ctx threads =
+  let keep = Array.make (List.length threads) 0 in
+  if not (eager ctx) then
+    List.iteri
+      (fun i th ->
+        let n = Tso.Store_buffer.length (Tso.Thread_state.store_buffer th) in
+        if n > 0 then keep.(i) <- Choice.choose ctx.choice Choice.Drain (n + 1))
+      threads;
+  keep
+
+let drain_at_crash ctx =
+  let keep = drain_choices ctx ctx.threads in
+  Tso.Thread_state.evict_prefixes ctx.threads ctx.stack
+    ~evicted:(Array.make (Array.length keep) 0)
+    ~keep
 
 (* Capture-at-consideration: the snapshot is taken at every failure point the
    search considers — right after the fail/continue decision is consumed,
@@ -205,7 +211,7 @@ let failure_point ?(force = false) ctx label =
     let fail = Choice.choose ctx.choice Choice.Failure_point 2 in
     capture_snapshot ~alt:1 ctx ~crash_label:(Some label);
     if fail = 1 then begin
-      if not (eager ctx) then drain_choices ctx;
+      drain_at_crash ctx;
       emit ctx (Analysis.Event.Crash { label = Some label; tid = tid ctx });
       ctx.failure_count <- ctx.failure_count + 1;
       raise Power_failure
@@ -227,29 +233,29 @@ let after_crash ctx =
 
 let crash ctx =
   capture_snapshot ctx ~crash_label:None;
-  if not (eager ctx) then drain_choices ctx;
+  drain_at_crash ctx;
   emit ctx (Analysis.Event.Crash { label = None; tid = tid ctx });
   ctx.failure_count <- ctx.failure_count + 1;
   raise Power_failure
 
 (* The restore half of the snapshot layer: put the context into exactly the
-   state the matching replay would have at the captured crash — restored
-   execution stack, sequence counter, thread buffers and trace ring, cursor
-   fast-forwarded to the snapshot's point — then take the crash the way
-   [failure_point] / [crash] would, with the buffered-drain prefix still a
-   live [Choice.Drain] decision on the restored buffers. The caller runs
-   recovery next; it never re-executes the pre-failure program. *)
+   state the matching replay would have at the captured crash — execution
+   stack, sequence counter and trace ring, cursor fast-forwarded to the
+   snapshot's point — with the buffered-drain prefixes still live
+   [Choice.Drain] decisions, taken on the captured buffer lengths. The
+   snapshot's drained master applies them (see [Snapshot.materialize]); the
+   threads themselves are not restored, since the crash discards them and
+   [after_crash] starts a fresh main thread. The caller runs recovery next;
+   it never re-executes the pre-failure program. *)
 let resume_from_snapshot ctx (snap : Snapshot.t) =
   Choice.fast_forward ctx.choice (Choice.point_depth snap.Snapshot.point);
-  let records, threads = Snapshot.materialize ~deep_top:(not (eager ctx)) snap in
-  Exec.Exec_stack.restore ctx.stack ~seq:snap.Snapshot.seq records;
-  ctx.threads <- threads;
+  let records, seq = Snapshot.materialize snap ~keep:(drain_choices ctx snap.Snapshot.threads) in
+  Exec.Exec_stack.restore ctx.stack ~seq records;
   Trace.restore ctx.trace ~from:snap.Snapshot.trace;
   ctx.failure_count <- snap.Snapshot.failure_count;
   ctx.fp_count <- snap.Snapshot.fp_count;
   ctx.rng <- snap.Snapshot.rng;
   ctx.last <- snap.Snapshot.last;
-  if not (eager ctx) then drain_choices ctx;
   emit ctx (Analysis.Event.Crash { label = snap.Snapshot.crash_label; tid = tid ctx });
   ctx.failure_count <- ctx.failure_count + 1
 

@@ -64,13 +64,15 @@ val create :
 
 val resume_from_snapshot : t -> Snapshot.t -> unit
 (** Puts a freshly created context into the exact post-crash state of the
-    snapshot: restored execution stack, sequence counter, thread buffers and
-    trace ring, decision cursor fast-forwarded to the snapshot's point, the
-    buffered-drain decisions replayed live on the restored buffers, and the
-    crash event emitted. The caller then runs recovery exactly as if the
-    pre-failure program had been re-executed. The snapshot's point must be
-    [`On_path] for the context's searcher ({!Snapshot.find} guarantees
-    it). *)
+    snapshot: restored execution stack, sequence counter and trace ring,
+    decision cursor fast-forwarded to the snapshot's point, the
+    buffered-drain decisions taken live on the captured buffer lengths and
+    applied through the snapshot's drained master
+    ({!Snapshot.materialize}), and the crash event emitted. The threads are
+    not restored: the crash discards them. The caller then runs recovery
+    exactly as if the pre-failure program had been re-executed. The
+    snapshot's point must be [`On_path] for the context's searcher
+    ({!Snapshot.find} guarantees it). *)
 
 val set_failure_point_hook : t -> (string -> unit) -> unit
 (** Invoked (with the flush label) at every failure-injection point that is

@@ -1,6 +1,16 @@
+(* A buffered crash's drained master: a private, unbounded copy of the
+   snapshot's top record on top of its buried records, private copies of its
+   threads, and [evicted.(i)], the entries thread [i] has evicted so far.
+   Restores bring it forward and take views of it. *)
+type master = {
+  stack : Exec.Exec_stack.t;
+  threads : Tso.Thread_state.t list;
+  evicted : int array;
+}
+
 type t = {
   point : Choice.point;
-  stack : Exec.Exec_record.t list;  (* top-first master copies; never mutated *)
+  stack : Exec.Exec_record.t list;  (* top-first bounded views; never mutated *)
   seq : int;
   threads : Tso.Thread_state.t list;
   trace : Trace.t;
@@ -9,6 +19,7 @@ type t = {
   rng : int;
   last : string;
   crash_label : string option;
+  mutable master : master option;
 }
 
 (* One slot per point depth. A replay passes through one point per depth,
@@ -33,9 +44,10 @@ let mem cache point =
    execution, entries newer than the capture hidden behind the view's seq
    bound. The top record is the one the crashing execution keeps writing
    into, so its view is bounded at the capture-time sequence number; buried
-   records' logs are frozen already and keep whatever bound they carry
-   (restored replays can themselves be captured). The initial image is
-   immutable and shared outright. *)
+   records keep whatever bound they carry (restored replays can themselves
+   be captured, and a restored top is a view of a master that later
+   restores append to). The initial image is immutable and shared
+   outright. *)
 let capture ~point ~stack ~threads ~trace ~failure_count ~fp_count ~rng ~last
     ~crash_label =
   let seq = Exec.Exec_stack.cur_seq stack in
@@ -58,22 +70,53 @@ let capture ~point ~stack ~threads ~trace ~failure_count ~fp_count ~rng ~last
     rng;
     last;
     crash_label;
+    master = None;
   }
 
-(* Per-restore copies: views of the master's views (fresh line intervals,
-   still-shared logs). Under buffered eviction the top must instead be a
-   private truncated copy ([deep_top]) — the drain at the restored crash
-   pushes the surviving store-buffer entries into it. *)
-let materialize ~deep_top snap =
-  let stack =
-    List.mapi
-      (fun i e ->
-        if Exec.Exec_record.is_initial e then e
-        else if i = 0 && deep_top then Exec.Exec_record.snapshot_freeze e
-        else Exec.Exec_record.snapshot_view e)
-      snap.stack
+let view e = if Exec.Exec_record.is_initial e then e else Exec.Exec_record.snapshot_view e
+
+let fresh_master snap =
+  let stack = Exec.Exec_stack.create () in
+  Exec.Exec_stack.restore stack ~seq:snap.seq
+    (Exec.Exec_record.snapshot_freeze (List.hd snap.stack) :: List.tl snap.stack);
+  {
+    stack;
+    threads = List.map Tso.Thread_state.copy snap.threads;
+    evicted = Array.make (List.length snap.threads) 0;
+  }
+
+(* Evictions are stamped in thread order, so the master can reach [keep] by
+   evicting more only if no thread is past its target and no thread after
+   the first one that must move has evicted anything. *)
+let reusable evicted keep =
+  let rec go i moved =
+    i = Array.length keep
+    || (evicted.(i) <= keep.(i)
+       && (not (moved && evicted.(i) > 0))
+       && go (i + 1) (moved || evicted.(i) < keep.(i)))
   in
-  (stack, List.map Tso.Thread_state.copy snap.threads)
+  go 0 false
+
+(* Per-restore copies are views (fresh line intervals, shared logs). With
+   nothing evicted they are views of the snapshot itself; otherwise the top
+   is a view of the master, bounded at its sequence counter, so entries a
+   later restore evicts into the master stay hidden from this one. *)
+let materialize snap ~keep =
+  if Array.for_all (fun k -> k = 0) keep then (List.map view snap.stack, snap.seq)
+  else begin
+    let m =
+      match snap.master with
+      | Some m when reusable m.evicted keep -> m
+      | _ ->
+          let m = fresh_master snap in
+          snap.master <- Some m;
+          m
+    in
+    Tso.Thread_state.evict_prefixes m.threads m.stack ~evicted:m.evicted ~keep;
+    let seq = Exec.Exec_stack.cur_seq m.stack in
+    let top = Exec.Exec_record.snapshot_view ~bound:seq (Exec.Exec_stack.top m.stack) in
+    (top :: List.map view (List.tl snap.stack), seq)
+  end
 
 let drop cache d =
   cache.slots.(d) <- None;

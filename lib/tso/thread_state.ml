@@ -90,6 +90,17 @@ let evict_one th stack =
 
 let rec drain th stack = if evict_one th stack then drain th stack
 
+let evict_prefixes threads stack ~evicted ~keep =
+  List.iteri
+    (fun i th ->
+      if evicted.(i) > keep.(i) then
+        invalid_arg "Thread_state.evict_prefixes: more evicted than kept";
+      for _ = evicted.(i) + 1 to keep.(i) do
+        ignore (evict_one th stack)
+      done;
+      evicted.(i) <- keep.(i))
+    threads
+
 let exec_mfence th stack =
   drain th stack;
   drain_flush_buffer th stack

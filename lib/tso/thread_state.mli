@@ -45,6 +45,14 @@ val evict_one : t -> Exec.Exec_stack.t -> bool
 val drain : t -> Exec.Exec_stack.t -> unit
 (** Evicts until the store buffer is empty. *)
 
+val evict_prefixes : t list -> Exec.Exec_stack.t -> evicted:int array -> keep:int array -> unit
+(** The drain at a crash: thread after thread, in list order, evicts the
+    [i]-th thread's oldest entries until [keep.(i)] of them are gone,
+    [evicted.(i)] counting those already evicted, and records the new
+    count in [evicted.(i)]. A thread's evictions are stamped after every
+    earlier thread's. Raises [Invalid_argument] if some [evicted.(i)]
+    exceeds [keep.(i)]. *)
+
 val drain_flush_buffer : t -> Exec.Exec_stack.t -> unit
 (** Applies and empties the flush buffer (sfence/mfence/RMW semantics). *)
 

@@ -12,8 +12,9 @@ dune build bin/jaaru_cli.exe
 JAARU=_build/default/bin/jaaru_cli.exe
 
 # The acceptance combination: parallel exploration with the snapshot replay
-# accelerator off, over a deep two-failure tree.
-ARGS=(check pmdk-1 --exhaustive --max-failures 2 --jobs 4 --snapshot off)
+# accelerator off, over a deep three-failure tree (about 1.5 s on two cores,
+# several checkpoint ticks).
+ARGS=(check pmdk-1 --exhaustive --max-failures 3 --jobs 4 --snapshot off)
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -21,32 +22,36 @@ trap 'rm -rf "$work"' EXIT
 echo "== baseline (uninterrupted) =="
 "$JAARU" "${ARGS[@]}" --report-out "$work/baseline.txt"
 
-echo "== interrupted run (SIGTERM after 2s) =="
-"$JAARU" "${ARGS[@]}" --checkpoint "$work/run.ckpt" --checkpoint-every 1 \
+echo "== interrupted run (SIGTERM once the first checkpoint is on disk) =="
+"$JAARU" "${ARGS[@]}" --checkpoint "$work/run.ckpt" --checkpoint-every 0.2 \
   --report-out "$work/resumed.txt" &
 pid=$!
-sleep 2
-kill -TERM "$pid" 2>/dev/null || true
+while [ ! -e "$work/run.ckpt" ] && kill -0 "$pid" 2>/dev/null; do
+  sleep 0.02
+done
+if ! kill -TERM "$pid" 2>/dev/null; then
+  wait "$pid" || true
+  echo "FAIL: the run finished before the signal; the resume leg did not run" >&2
+  exit 1
+fi
 status=0
 wait "$pid" || status=$?
 
 if [ "$status" -eq 0 ]; then
-  # The exploration beat the signal; its completion checkpoint and report
-  # are already those of a finished run. Still valid, just less interesting.
-  echo "run completed before the signal landed (ok on fast hosts)"
-else
-  echo "interrupted with status $status; resuming"
-  for i in $(seq 1 20); do
-    status=0
-    "$JAARU" "${ARGS[@]}" --resume "$work/run.ckpt" \
-      --report-out "$work/resumed.txt" || status=$?
-    [ "$status" -eq 0 ] && break
-    echo "-- session $i interrupted again; continuing"
-  done
-  if [ "$status" -ne 0 ]; then
-    echo "FAIL: run never completed after 20 resume sessions" >&2
-    exit 1
-  fi
+  echo "FAIL: the signalled run exited 0; the resume leg did not run" >&2
+  exit 1
+fi
+echo "interrupted with status $status; resuming"
+for i in $(seq 1 20); do
+  status=0
+  "$JAARU" "${ARGS[@]}" --resume "$work/run.ckpt" \
+    --report-out "$work/resumed.txt" || status=$?
+  [ "$status" -eq 0 ] && break
+  echo "-- session $i interrupted again; continuing"
+done
+if [ "$status" -ne 0 ]; then
+  echo "FAIL: run never completed after 20 resume sessions" >&2
+  exit 1
 fi
 
 echo "== diff: resumed report vs baseline =="

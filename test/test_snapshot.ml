@@ -181,6 +181,106 @@ let test_equivalence_restored_counter () =
   check_snapshot_equivalence "restored-counter" scn
     { Config.default with Config.max_failures = 0; evict_policy = Config.Buffered }
 
+(* Two threads whose buffers both hold stores when an explicit crash fires
+   inside the parallel section, to two words of one line. Each recovery
+   reports the pair it read as a bug labelled with it, so the outcome lists
+   every crash state reached. Restores evict into the snapshot's drained
+   master, and moving on from thread 2's last prefix to thread 1's next one
+   rebuilds it. *)
+let test_equivalence_two_threads () =
+  let x = base and y = base + 8 in
+  let scn =
+    Explorer.scenario ~name:"two-thread-crash"
+      ~pre:(fun ctx ->
+        Ctx.parallel ctx
+          [
+            (fun ctx ->
+              Ctx.store64 ctx ~label:"a1" x 1;
+              Ctx.store64 ctx ~label:"a2" y 1;
+              for _ = 1 to 4 do
+                ignore (Ctx.load64 ctx ~label:"spin" (base + 0x1000))
+              done);
+            (fun ctx ->
+              Ctx.store64 ctx ~label:"b1" y 2;
+              Ctx.store64 ctx ~label:"b2" x 2;
+              Ctx.crash ctx);
+          ])
+      ~post:(fun ctx ->
+        let vx = Ctx.load64 ctx ~label:"rx" x in
+        let vy = Ctx.load64 ctx ~label:"ry" y in
+        Ctx.abort ctx ~label:(Printf.sprintf "observed %d%d" vx vy) "crash state")
+  in
+  let config =
+    { Config.default with Config.max_failures = 0; evict_policy = Config.Buffered }
+  in
+  let o = Explorer.run ~config:{ config with Config.stop_at_first_bug = false } scn in
+  (* x from thread 1 and y from thread 2: both buffers drained part way. *)
+  Alcotest.(check bool)
+    "a crash state mixes both threads' stores" true
+    (List.exists (fun b -> b.Bug.location = "observed 12") o.Explorer.bugs);
+  check_snapshot_equivalence "two-thread buffered" scn config
+
+(* The drained master against restores from freshly captured snapshots,
+   over a sequence of drain prefixes that extends the master, moves an
+   earlier thread after a later one evicted, and moves counts backwards.
+   Both buffers hold stores to a shared line, and thread 2's a clflushopt
+   and an sfence, so the evictions also reach the flush buffer and a line
+   interval. A restore's views must also stay as they were when later
+   restores extend the master. *)
+let test_master_rebuild () =
+  let x = base and y = base + 8 and z = base + 64 in
+  let capture () =
+    let stack = Exec.Exec_stack.create () in
+    let t1 = Tso.Thread_state.create ~tid:1 and t2 = Tso.Thread_state.create ~tid:2 in
+    Tso.Thread_state.exec_store t1 x ~value:7 ~width:8 ~label:"pre";
+    Tso.Thread_state.drain t1 stack;
+    List.iter
+      (fun (th, addr, value) ->
+        Tso.Thread_state.exec_store th addr ~value ~width:8 ~label:(Printf.sprintf "s%d" value))
+      [ (t1, x, 1); (t2, y, 2); (t1, y, 3); (t2, x, 4); (t1, z, 5) ];
+    Tso.Thread_state.exec_clflushopt t2 stack z ~label:"fo";
+    Tso.Thread_state.exec_sfence t2;
+    let c = Choice.create () in
+    Choice.begin_replay c;
+    Snapshot.capture ~point:(Choice.point c) ~stack ~threads:[ t1; t2 ]
+      ~trace:(Trace.create ~depth:0) ~failure_count:0 ~fp_count:0 ~rng:0 ~last:""
+      ~crash_label:None
+  in
+  let render (records, seq) =
+    let record e =
+      let stores a =
+        List.map
+          (fun (s : Exec.Exec_record.byte_store) ->
+            Printf.sprintf "%d:%d:%s" s.Exec.Exec_record.seq s.value s.label)
+          (Exec.Exec_record.visible_stores e a)
+      in
+      let lo, hi = Exec.Exec_record.line_bounds e z in
+      Printf.sprintf "id %d [%s] z-line [%d, %d)" (Exec.Exec_record.id e)
+        (String.concat " "
+           (List.concat_map stores (List.sort compare (Exec.Exec_record.written_addrs e))))
+        lo hi
+    in
+    Printf.sprintf "seq %d; %s" seq (String.concat "; " (List.map record records))
+  in
+  let snap = capture () in
+  let earlier = ref [] in
+  List.iter
+    (fun keep ->
+      let name = String.concat "," (List.map string_of_int (Array.to_list keep)) in
+      let restored = Snapshot.materialize snap ~keep in
+      Alcotest.(check string)
+        ("keep " ^ name) (render (Snapshot.materialize (capture ()) ~keep)) (render restored);
+      earlier := (name, restored, render restored) :: !earlier)
+    [
+      [| 0; 1 |]; [| 1; 1 |]; [| 1; 3 |]; [| 1; 2 |]; [| 3; 0 |];
+      [| 0; 0 |]; [| 2; 4 |]; [| 3; 4 |]; [| 3; 4 |];
+    ];
+  List.iter
+    (fun (name, restored, text) ->
+      Alcotest.(check string)
+        ("keep " ^ name ^ " unchanged by later restores") text (render restored))
+    !earlier
+
 let test_equivalence_analysis () =
   check_snapshot_equivalence "analysis" (flush_loop_scenario ())
     { Config.default with Config.analyze = true }
@@ -396,6 +496,8 @@ let () =
           Alcotest.test_case "explicit crash" `Quick test_equivalence_explicit_crash;
           Alcotest.test_case "restored sequence counter" `Quick
             test_equivalence_restored_counter;
+          Alcotest.test_case "two-thread buffered crash" `Quick test_equivalence_two_threads;
+          Alcotest.test_case "drained master rebuild" `Quick test_master_rebuild;
           Alcotest.test_case "analysis passes" `Quick test_equivalence_analysis;
           Alcotest.test_case "PMDK case" `Quick test_equivalence_pmdk;
           Alcotest.test_case "RECIPE case" `Quick test_equivalence_recipe;
