@@ -207,8 +207,10 @@ let report_out_arg =
     & info [ "report-out" ] ~docv:"FILE"
         ~doc:
           "Also write the comparable report (wall-clock and other schedule-dependent counters \
-           zeroed) to $(docv) — byte-identical across $(b,--jobs) values and interrupt/resume \
-           histories; meant for diffing in CI.")
+           zeroed) to $(docv); meant for diffing in CI. An exhaustive run writes it \
+           byte-identically across $(b,--jobs) values and interrupt/resume histories. A run cut \
+           short by the execution cap at $(b,--jobs) > 1 explores a schedule-dependent subset, \
+           so it may write a different report every time.")
 
 let apply_overrides config ~max_failures ~max_steps ~exhaustive ~jobs ~snapshot =
   let config =

@@ -112,8 +112,8 @@ let multi_rf_reports ctx = List.rev ctx.multi_rf
 
 let analysis_findings ctx = Analysis.Engine.findings ctx.engine
 
-(* Legacy view of the redundant pass's findings, for callers of the pre-
-   framework perf-report API. *)
+(* The redundant pass's findings as performance reports, the source of
+   every report's "performance issue(s)" section. *)
 let perf_reports ctx =
   List.filter_map
     (fun (f : Analysis.Report.finding) ->
@@ -231,7 +231,15 @@ let after_crash ctx =
   ctx.parallel_depth <- 0;
   ctx.atomic_depth <- 0
 
+(* An explicit crash may take the run one failure past [max_failures] (the
+   litmus idiom crashes at [max_failures = 0]) but no further: [after_crash]
+   restarts the step budget and every crash pushes a record, so a recovery
+   that crashes on every run would otherwise recover forever. *)
 let crash ctx =
+  if ctx.failure_count > ctx.cfg.Config.max_failures then
+    invalid_arg
+      (Printf.sprintf "Ctx.crash: %d failures already, max_failures is %d" ctx.failure_count
+         ctx.cfg.Config.max_failures);
   capture_snapshot ctx ~crash_label:None;
   drain_at_crash ctx;
   emit ctx (Analysis.Event.Crash { label = None; tid = tid ctx });

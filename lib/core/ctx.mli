@@ -91,7 +91,8 @@ val fp_count : t -> int
 val multi_rf_reports : t -> multi_rf list
 
 val perf_reports : t -> perf_report list
-(** Legacy view of the {!Analysis.Redundant} pass findings. *)
+(** The {!Analysis.Redundant} pass findings as performance reports: they
+    feed the "performance issue(s)" section of every report. *)
 
 val analysis_findings : t -> Analysis.Report.finding list
 (** Everything the configured analysis passes reported for this execution:
@@ -190,10 +191,14 @@ val parallel : t -> ?label:string -> (t -> unit) list -> unit
     section); [label] tags those events, default ["parallel"]. *)
 
 val crash : t -> 'a
-(** Unconditionally injects a power failure at this exact point. With
-    [max_failures = 0] this is the only failure in the scenario — the
-    litmus-test idiom for asking "what exactly can recovery observe if power
-    is lost precisely here?". *)
+(** Injects a power failure at this exact point. With [max_failures = 0]
+    this is the only failure in the scenario — the litmus-test idiom for
+    asking "what exactly can recovery observe if power is lost precisely
+    here?". An explicit crash may take the run one failure past
+    [max_failures], no further: once {!failures} exceeds [max_failures] it
+    raises [Invalid_argument], which the explorer reports as a
+    {!Bug.Program_exception}. So a recovery that crashes on every run ends
+    its replay instead of recovering forever. *)
 
 val progress : t -> ?label:string -> unit -> unit
 (** Charges one step against the loop budget without touching memory — call

@@ -445,6 +445,24 @@ let test_multi_failure_depth () =
   Alcotest.(check int) "second failure explored" 2 !max_depth;
   Alcotest.(check bool) "exhausted" true o.Explorer.stats.Stats.exhausted
 
+(* A recovery that crashes on every run: the explicit crash that would take
+   the run a second failure past [max_failures] is rejected, so the replay
+   ends in a report instead of recovering forever. *)
+let test_crash_in_recovery_ends () =
+  let config = { Config.default with Config.max_failures = 1; wall_budget = Some 3. } in
+  let pre ctx = Ctx.store64 ctx ~label:"w" base 1 in
+  let post ctx =
+    ignore (Ctx.load64 ctx ~label:"r" base);
+    Ctx.crash ctx
+  in
+  let o = Explorer.run ~config (Explorer.scenario ~name:"crash-in-recovery" ~pre ~post) in
+  (match kind_of o with
+  | Some (Bug.Program_exception msg) ->
+      Alcotest.(check string) "rejected crash"
+        "Invalid_argument(\"Ctx.crash: 2 failures already, max_failures is 1\")" msg
+  | _ -> Alcotest.fail "expected the crash to be rejected");
+  Alcotest.(check bool) "exhausted" true o.Explorer.stats.Stats.exhausted
+
 let test_multi_failure_reads_previous_recovery () =
   (* A value written by the first recovery must be readable by the second
      when it was flushed, exercising ReadPreFailure across three
@@ -637,6 +655,7 @@ let () =
           Alcotest.test_case
             "a forwarded load from a 48-deep buffer allocates nothing at trace depth 0" `Quick
             test_deep_forwarded_load_allocates_nothing;
+          Alcotest.test_case "crash in recovery ends" `Quick test_crash_in_recovery_ends;
         ] );
       ( "misc",
         [

@@ -200,104 +200,21 @@ let test_stats_merge_identity_and_sums () =
 
 (* --- random threaded programs ----------------------------------------------------- *)
 
-(* Generated two-thread store/flush/fence programs under buffered eviction,
-   where drain cuts and interleavings multiply the choice tree: the rendered
-   outcome must be byte-identical for every worker count, with the snapshot
-   layer on or off. *)
-
-type op =
-  | Store of int * int
-  | Flush of int
-  | Flushopt of int
-  | Fence
-  | Store_n of int * int * int * int  (* line, byte offset, width, value *)
-  | Load_n of int * int * int  (* line, byte offset, width: load, store back plus one *)
-
-(* Narrow accesses at any byte offset inside the observed word, overlapping
-   the word stores: buffered loads take both the covering and the byte-wise
-   forwarding path. *)
-let narrow_gen k =
-  QCheck.Gen.(
-    int_range 0 1 >>= fun l ->
-    oneofl [ 1; 2; 4 ] >>= fun w -> int_range 0 (8 - w) >>= fun b -> k l b w)
-
-let op_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (5, map2 (fun l v -> Store (l, v + 1)) (int_range 0 1) (int_range 0 3));
-        (2, map (fun l -> Flush l) (int_range 0 1));
-        (2, map (fun l -> Flushopt l) (int_range 0 1));
-        (1, return Fence);
-        ( 2,
-          narrow_gen (fun l b w ->
-              map (fun v -> Store_n (l, b, w, v)) (oneofl [ 1; -1; 0x1_0000_0003 ])) );
-        (2, narrow_gen (fun l b w -> return (Load_n (l, b, w))));
-      ])
-
-let pp_op = function
-  | Store (l, v) -> Printf.sprintf "st l%d=%d" l v
-  | Flush l -> Printf.sprintf "clflush l%d" l
-  | Flushopt l -> Printf.sprintf "clflushopt l%d" l
-  | Fence -> "sfence"
-  | Store_n (l, b, w, v) -> Printf.sprintf "st%d l%d+%d=%d" (8 * w) l b v
-  | Load_n (l, b, w) -> Printf.sprintf "ld%d+1 l%d+%d" (8 * w) l b
-
-let op_shrink op yield =
-  match op with
-  | Store (l, v) ->
-      if v > 1 then yield (Store (l, 1));
-      if l > 0 then yield (Store (0, v))
-  | Flush l -> if l > 0 then yield (Flush 0)
-  | Flushopt l ->
-      yield (Flush l);
-      if l > 0 then yield (Flushopt 0)
-  | Fence -> ()
-  | Store_n (l, b, w, v) ->
-      yield (Store (l, 1));
-      if v <> 1 then yield (Store_n (l, b, w, 1));
-      if l > 0 then yield (Store_n (0, b, w, v));
-      if b > 0 then yield (Store_n (l, 0, w, v));
-      if w > 1 then yield (Store_n (l, b, 1, v))
-  | Load_n (l, b, w) ->
-      yield (Store_n (l, b, w, 1));
-      if l > 0 then yield (Load_n (0, b, w));
-      if b > 0 then yield (Load_n (l, 0, w));
-      if w > 1 then yield (Load_n (l, b, 1))
-
-let program_shrink = QCheck.Shrink.list ~shrink:op_shrink
-let program_print ops = String.concat "; " (List.map pp_op ops)
-let addr_of l = 0x1000 + (64 * l)
-
-let run_program ctx ops =
-  List.iter
-    (fun op ->
-      match op with
-      | Store (l, v) -> Ctx.store64 ctx ~label:(pp_op op) (addr_of l) v
-      | Flush l -> Ctx.clflush ctx ~label:(pp_op op) (addr_of l) 8
-      | Flushopt l -> Ctx.clflushopt ctx ~label:(pp_op op) (addr_of l) 8
-      | Fence -> Ctx.sfence ctx ~label:"sfence" ()
-      | Store_n (l, b, w, v) -> Ctx.store ctx ~label:(pp_op op) ~width:w (addr_of l + b) v
-      | Load_n (l, b, w) ->
-          let a = addr_of l + b in
-          Ctx.store ctx ~label:(pp_op op) ~width:w a (Ctx.load ctx ~label:(pp_op op) ~width:w a + 1))
-    ops
-
-let scenario_of (t0, t1) =
-  Explorer.scenario ~name:"rand-threads"
-    ~pre:(fun ctx ->
-      match t1 with
-      | [] -> run_program ctx t0
-      | _ -> Ctx.parallel ctx [ (fun ctx -> run_program ctx t0); (fun ctx -> run_program ctx t1) ])
-    ~post:(fun ctx ->
-      ignore (Ctx.load64 ctx ~label:"obs0" (addr_of 0));
-      ignore (Ctx.load64 ctx ~label:"obs1" (addr_of 1)))
-
-let threaded_arb =
-  QCheck.make
-    ~print:(fun (a, b) -> program_print a ^ " || " ^ program_print b)
-    ~shrink:(QCheck.Shrink.pair program_shrink program_shrink)
-    QCheck.Gen.(pair (list_size (int_range 1 5) op_gen) (list_size (int_range 0 2) op_gen))
+(* Generated programs of up to three threads under buffered eviction, where
+   drain cuts and interleavings multiply the choice tree, with RMWs, both
+   fences and an explicit crash among the ops: the rendered outcome must be
+   byte-identical for every worker count, with the snapshot layer on or
+   off. Narrow accesses land anywhere inside the observed word of each of
+   two lines. *)
+let shape =
+  {
+    Program.lines = 2;
+    span = 8;
+    word_values = 4;
+    narrow_values = [ 1; -1; 0x1_0000_0003 ];
+    weights = { Program.sequential.Program.weights with mfence = 1; crash = 1 };
+    threads = [ (1, 5); (0, 2); (0, 2) ];
+  }
 
 let threaded_config =
   {
@@ -308,8 +225,13 @@ let threaded_config =
   }
 
 let prop_jobs_snapshot_differential =
-  QCheck.Test.make ~name:"jobs x snapshot byte-identical" ~count:60 threaded_arb (fun prog ->
-      let scn = scenario_of prog in
+  QCheck.Test.make ~name:"jobs x snapshot byte-identical" ~count:60 (Program.arb shape)
+    (fun prog ->
+      let scn =
+        Explorer.scenario ~name:"rand-threads"
+          ~pre:(fun ctx -> Program.run ctx prog)
+          ~post:(fun ctx -> ignore (Program.observe shape ctx))
+      in
       let run ~jobs ~snapshot =
         Format.asprintf "%a" Explorer.pp_report
           (Explorer.run ~config:{ threaded_config with Config.jobs; snapshot } scn)
