@@ -37,39 +37,33 @@ let table2 () =
 
 (* --- bug tables (Figs. 12/13/15/16) ------------------------------------------ *)
 
-let run_bug_case ~id ~benchmark ~description scenario config =
-  let t0 = Unix.gettimeofday () in
-  let o = Explorer.run ~config scenario in
-  let dt = Unix.gettimeofday () -. t0 in
-  let symptom =
-    match o.Explorer.bugs with [] -> "NOT FOUND" | b :: _ -> Bug.symptom b
-  in
-  Format.printf "%-14s %-16s %-55s %s@." id benchmark symptom
-    (Printf.sprintf "(%d exec, %.2fs)" o.Explorer.stats.Stats.executions dt);
-  (id, benchmark, description, symptom)
-
-let fig12 () =
-  section_header "Figure 12: bugs found in PMDK";
+let bug_table title cases =
+  section_header title;
   Format.printf "%-14s %-16s %s@." "#" "Benchmark" "Symptom";
   List.map
-    (fun (c : Pmdk.Workloads.case) ->
-      run_bug_case ~id:c.id ~benchmark:c.benchmark ~description:c.description c.scenario c.config)
+    (fun (c : Case.t) ->
+      let t0 = Unix.gettimeofday () in
+      let o = Explorer.run ~config:c.config c.scenario in
+      let dt = Unix.gettimeofday () -. t0 in
+      let symptom = match o.Explorer.bugs with [] -> "NOT FOUND" | b :: _ -> Bug.symptom b in
+      Format.printf "%-14s %-16s %-55s %s@." c.id c.benchmark symptom
+        (Printf.sprintf "(%d exec, %.2fs)" o.Explorer.stats.Stats.executions dt);
+      (c, symptom))
+    cases
+
+let fig12 () =
+  bug_table "Figure 12: bugs found in PMDK"
     (Pmdk.Workloads.fig12_cases () @ Pmdk.Workloads.checksum_cases ())
 
 let fig13 () =
-  section_header "Figure 13: bugs found in RECIPE (all 18, paper numbering)";
-  Format.printf "%-14s %-16s %s@." "#" "Benchmark" "Symptom";
-  List.map
-    (fun (c : Recipe.Workloads.case) ->
-      run_bug_case ~id:c.id ~benchmark:c.benchmark ~description:c.description c.scenario c.config)
+  bug_table "Figure 13: bugs found in RECIPE (all 18, paper numbering)"
     (Recipe.Workloads.fig13_cases ())
 
 let manifestation_table title rows =
   section_header title;
   Format.printf "%-14s %-55s %s@." "Bug ID" "Type of bug" "Cause / manifestation";
   List.iter
-    (fun (id, _benchmark, description, symptom) ->
-      Format.printf "%-14s %-55s %s@." id description symptom)
+    (fun ((c : Case.t), symptom) -> Format.printf "%-14s %-55s %s@." c.id c.description symptom)
     rows
 
 (* --- Figure 14 ---------------------------------------------------------------- *)
@@ -294,9 +288,9 @@ let checkpoint_bench ~smoke =
      has something to interrupt; the seeded bug is still found, exercising
      report merging across sessions. *)
   let case = List.hd (Pmdk.Workloads.fig12_cases ()) in
-  let scn = case.Pmdk.Workloads.scenario in
+  let scn = case.Case.scenario in
   let base_config =
-    { case.Pmdk.Workloads.config with Config.max_failures = 2; stop_at_first_bug = false }
+    { case.Case.config with Config.max_failures = 2; stop_at_first_bug = false }
   in
   (* Warm-up exploration so the baseline timing doesn't charge first-run
      costs (code paths, GC heap growth) that the chain then gets for free. *)

@@ -3,51 +3,18 @@
 
 open Cmdliner
 
-type entry = {
-  id : string;
-  benchmark : string;
-  description : string;
-  expected : string list option;
-  lint_roots : string list;
-  scenario : Jaaru.Explorer.scenario;
-  config : Jaaru.Config.t;
-}
+let all_cases () =
+  Pmdk.Workloads.fig12_cases () @ Pmdk.Workloads.fixed_cases () @ Pmdk.Workloads.checksum_cases ()
+  @ Pmdk.Workloads.skiplist_cases () @ Recipe.Workloads.fig13_cases ()
+  @ Recipe.Workloads.fixed_cases () @ Recipe.Workloads.concurrent_cases ()
 
-let all_entries () =
-  let of_pmdk (c : Pmdk.Workloads.case) =
-    {
-      id = c.id;
-      benchmark = c.benchmark;
-      description = c.description;
-      expected = c.expected_symptom;
-      lint_roots = c.lint_roots;
-      scenario = c.scenario;
-      config = c.config;
-    }
-  in
-  let of_recipe (c : Recipe.Workloads.case) =
-    {
-      id = c.id;
-      benchmark = c.benchmark;
-      description = c.description;
-      expected = c.expected_symptom;
-      lint_roots = c.lint_roots;
-      scenario = c.scenario;
-      config = c.config;
-    }
-  in
-  List.map of_pmdk (Pmdk.Workloads.fig12_cases ())
-  @ List.map of_pmdk (Pmdk.Workloads.fixed_cases ())
-  @ List.map of_pmdk (Pmdk.Workloads.checksum_cases ())
-  @ List.map of_pmdk (Pmdk.Workloads.skiplist_cases ())
-  @ List.map of_recipe (Recipe.Workloads.fig13_cases ())
-  @ List.map of_recipe (Recipe.Workloads.fixed_cases ())
-  @ List.map of_recipe (Recipe.Workloads.concurrent_cases ())
+let find_case id =
+  match Jaaru.Case.find (all_cases ()) id with
+  | c -> Ok c
+  | exception Not_found -> Error (`Msg (Printf.sprintf "unknown case %S; try `jaaru list'" id))
 
-let find_entry id =
-  match List.find_opt (fun e -> e.id = id) (all_entries ()) with
-  | Some e -> Ok e
-  | None -> Error (`Msg (Printf.sprintf "unknown case %S; try `jaaru list'" id))
+(* Whether a finished `check', `fleet' or `fuzz' run met its case. *)
+let verdict c bugs = Result.map_error (fun m -> `Msg m) (Jaaru.Case.verdict c bugs)
 
 (* --- list ---------------------------------------------------------------- *)
 
@@ -56,11 +23,11 @@ let list_cmd =
   let run () =
     Format.printf "%-26s %-16s %-8s %s@." "ID" "BENCHMARK" "SEEDED" "DESCRIPTION";
     List.iter
-      (fun e ->
-        Format.printf "%-26s %-16s %-8s %s@." e.id e.benchmark
-          (match e.expected with Some _ -> "bug" | None -> "clean")
-          e.description)
-      (all_entries ())
+      (fun (c : Jaaru.Case.t) ->
+        Format.printf "%-26s %-16s %-8s %s@." c.id c.benchmark
+          (match c.expected_symptom with Some _ -> "bug" | None -> "clean")
+          c.description)
+      (all_cases ())
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
@@ -272,22 +239,13 @@ let divergence ?resumed msg =
             not the code); re-run without --resume"
            msg path)
 
-(* The verdict `check' and `fleet' give a run that was not interrupted: a
-   seeded bug must be found, a clean case must stay clean. *)
-let verdict entry (o : Jaaru.Explorer.outcome) =
-  let expected_bug = entry.expected <> None in
-  let found = Jaaru.Explorer.found_bug o in
-  if expected_bug && not found then Error (`Msg "seeded bug was not found")
-  else if (not expected_bug) && found then Error (`Msg "clean case reported a bug")
-  else Ok ()
-
 let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf show_trace
     analyze wall_budget step_deadline mem_budget checkpoint checkpoint_every resume report_out =
-  match find_entry id with
+  match find_case id with
   | Error e -> Error e
-  | Ok entry -> (
+  | Ok c -> (
       let config =
-        apply_overrides entry.config ~max_failures ~max_steps ~exhaustive ~jobs ~snapshot
+        apply_overrides c.config ~max_failures ~max_steps ~exhaustive ~jobs ~snapshot
       in
       let config = if analyze then { config with Jaaru.Config.analyze = true } else config in
       let config =
@@ -302,13 +260,13 @@ let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf s
         }
       in
       let checkpoint = match (checkpoint, resume) with Some p, _ -> Some p | None, r -> r in
-      Format.printf "checking %s (%s): %s@." entry.id entry.benchmark entry.description;
+      Format.printf "checking %s (%s): %s@." c.id c.benchmark c.description;
       Format.printf "config: %a@.@." Jaaru.Config.pp config;
       match
         with_graceful_signals (fun () ->
             let resume = Option.map Jaaru.Checkpoint.load resume in
             Option.iter Jaaru.Checkpoint.check_writable checkpoint;
-            Jaaru.Explorer.run ~config ?resume ?checkpoint entry.scenario)
+            Jaaru.Explorer.run ~config ?resume ?checkpoint c.scenario)
       with
       | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
       | exception Jaaru.Choice.Divergence msg -> Error (divergence ?resumed:resume msg)
@@ -333,14 +291,14 @@ let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf s
             (match checkpoint with
             | Some path ->
                 Format.printf "@.run interrupted; continue with: jaaru check %s --resume %s@."
-                  entry.id path
+                  c.id path
             | None ->
                 Format.printf
                   "@.run interrupted; progress was discarded (re-run with --checkpoint FILE to \
                    make runs resumable)@.");
             Error (`Msg "run interrupted")
           end
-          else verdict entry o)
+          else verdict c o.Jaaru.Explorer.bugs)
 
 let check_cmd =
   let doc = "Model check one bundled case" in
@@ -370,11 +328,11 @@ let lint_config config ~jobs =
     jobs;
   }
 
-let lint_one ~fail_on ~jobs entry =
-  let config = lint_config entry.config ~jobs in
-  let o = Jaaru.Explorer.run ~config entry.scenario in
+let lint_one ~fail_on ~jobs (c : Jaaru.Case.t) =
+  let config = lint_config c.config ~jobs in
+  let o = Jaaru.Explorer.run ~config c.scenario in
   let findings = o.Jaaru.Explorer.findings in
-  Format.printf "@[<v>linting %-26s %d finding(s)" entry.id (List.length findings);
+  Format.printf "@[<v>linting %-26s %d finding(s)" c.id (List.length findings);
   List.iter (fun f -> Format.printf "@,  %a" Analysis.Report.pp_finding f) findings;
   Format.printf "@]@.";
   let flagged =
@@ -386,7 +344,7 @@ let lint_one ~fail_on ~jobs entry =
             Analysis.Report.severity_at_least ~threshold f.Analysis.Report.severity)
           findings
   in
-  if entry.lint_roots <> [] then begin
+  if c.lint_roots <> [] then begin
     (* A seeded missing-flush case: lint must name one of the guilty store
        labels in a high-severity missing-flush finding. *)
     let root_caused =
@@ -394,19 +352,19 @@ let lint_one ~fail_on ~jobs entry =
         (fun (f : Analysis.Report.finding) ->
           f.Analysis.Report.severity = Analysis.Report.High
           && f.Analysis.Report.pass = "missing-flush"
-          && List.exists (fun l -> List.mem l entry.lint_roots) f.Analysis.Report.labels)
+          && List.exists (fun l -> List.mem l c.lint_roots) f.Analysis.Report.labels)
         findings
     in
     if root_caused then Ok ()
     else
       Error
         (Printf.sprintf "%s: failed to root-cause seeded bug (expected a store label among: %s)"
-           entry.id
-           (String.concat ", " entry.lint_roots))
+           c.id
+           (String.concat ", " c.lint_roots))
   end
-  else if entry.expected = None && flagged <> [] then
+  else if c.expected_symptom = None && flagged <> [] then
     Error
-      (Printf.sprintf "%s: clean case has %d finding(s) at or above the fail threshold" entry.id
+      (Printf.sprintf "%s: clean case has %d finding(s) at or above the fail threshold" c.id
          (List.length flagged))
   else Ok ()
 
@@ -432,24 +390,24 @@ let fail_on_arg =
            never fail on severity)")
 
 let lint_run ids fail_on jobs =
-  let entries =
+  let cases =
     match ids with
-    | [] -> Ok (all_entries ())
+    | [] -> Ok (all_cases ())
     | ids -> (
-        match List.find_opt (fun id -> Result.is_error (find_entry id)) ids with
+        match List.find_opt (fun id -> Result.is_error (find_case id)) ids with
         | Some bad -> Error (`Msg (Printf.sprintf "unknown case %S; try `jaaru list'" bad))
-        | None -> Ok (List.map (fun id -> Result.get_ok (find_entry id)) ids))
+        | None -> Ok (List.map (fun id -> Result.get_ok (find_case id)) ids))
   in
-  match entries with
+  match cases with
   | Error e -> Error e
-  | Ok entries ->
+  | Ok cases ->
       let errors =
         List.filter_map
-          (fun entry -> match lint_one ~fail_on ~jobs entry with Ok () -> None | Error m -> Some m)
-          entries
+          (fun c -> match lint_one ~fail_on ~jobs c with Ok () -> None | Error m -> Some m)
+          cases
       in
       if errors = [] then begin
-        Format.printf "lint: %d case(s) ok@." (List.length entries);
+        Format.printf "lint: %d case(s) ok@." (List.length cases);
         Ok ()
       end
       else begin
@@ -464,11 +422,11 @@ let lint_cmd =
 (* --- yat ------------------------------------------------------------------ *)
 
 let yat_run id =
-  match find_entry id with
+  match find_case id with
   | Error e -> Error e
-  | Ok entry ->
-      let t = Yat.State_count.analyze ~config:entry.config (fun ctx -> entry.scenario.pre ctx) in
-      Format.printf "%s: %a@." entry.id Yat.State_count.pp t;
+  | Ok c ->
+      let t = Yat.State_count.analyze ~config:c.config (fun ctx -> c.scenario.pre ctx) in
+      Format.printf "%s: %a@." c.id Yat.State_count.pp t;
       Ok ()
 
 let yat_cmd =
@@ -523,20 +481,15 @@ let seeds_arg =
     & info [ "seeds" ] ~docv:"N" ~doc:"Number of schedule seeds to fuzz")
 
 let fuzz_run id nseeds jobs =
-  match find_entry id with
+  match find_case id with
   | Error e -> Error e
-  | Ok entry ->
+  | Ok c ->
       let seeds = List.init nseeds succ in
-      Format.printf "fuzzing %s over %d schedules...@." entry.id nseeds;
-      let config = { entry.config with Jaaru.Config.jobs } in
-      let r = Jaaru.Fuzz.run ~config ~seeds entry.scenario in
+      Format.printf "fuzzing %s over %d schedules...@." c.id nseeds;
+      let config = { c.config with Jaaru.Config.jobs } in
+      let r = Jaaru.Fuzz.run ~config ~seeds c.scenario in
       Format.printf "%a@." Jaaru.Fuzz.pp r;
-      let expected_bug = entry.expected <> None in
-      if expected_bug && not (Jaaru.Fuzz.found_bug r) then
-        Error (`Msg "seeded bug was not found on any schedule")
-      else if (not expected_bug) && Jaaru.Fuzz.found_bug r then
-        Error (`Msg "clean case reported a bug")
-      else Ok ()
+      verdict c r.Jaaru.Fuzz.bugs
 
 let fuzz_cmd =
   let doc = "Fuzz a bundled case across seeded thread schedules (concurrency bugs)" in
@@ -689,9 +642,9 @@ let pbt_cmd =
    a worker that would compute a different tree rejects its shards instead
    of silently exploring the wrong one. Fleet always explores exhaustively
    (stop-at-first-bug stops mid-subtree, which has no deterministic merge). *)
-let fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot =
+let fleet_exploration_config (c : Jaaru.Case.t) ~max_failures ~max_steps ~jobs ~snapshot =
   {
-    (apply_overrides entry.config ~max_failures ~max_steps ~exhaustive:true ~jobs ~snapshot) with
+    (apply_overrides c.config ~max_failures ~max_steps ~exhaustive:true ~jobs ~snapshot) with
     (* Nothing in fleet mode prints a bug trace, so none is recorded. *)
     Jaaru.Config.trace_depth = 0;
   }
@@ -745,12 +698,12 @@ let heartbeat_period_arg =
     & opt (positive float ~zero:0.) 0.05
     & info [ "heartbeat-period" ] ~docv:"SEC" ~doc:"Worker heartbeat interval (internal)")
 
-let fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout ~heartbeat_period
-    ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot ~verbose =
-  let config = fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot in
+let fleet_run_case (c : Jaaru.Case.t) ~workers ~chaos ~chaos_seed ~heartbeat_timeout
+    ~heartbeat_period ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot ~verbose =
+  let config = fleet_exploration_config c ~max_failures ~max_steps ~jobs ~snapshot in
   let worker_argv =
     Array.of_list
-      ([ Sys.executable_name; "fleet-worker"; entry.id ]
+      ([ Sys.executable_name; "fleet-worker"; c.id ]
       @ (match max_failures with Some n -> [ "--max-failures"; string_of_int n ] | None -> [])
       @ (match max_steps with Some n -> [ "--max-steps"; string_of_int n ] | None -> [])
       @ [
@@ -774,20 +727,20 @@ let fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout ~heartb
       log = (if verbose then fun s -> Format.eprintf "[fleet] %s@." s else ignore);
     }
   in
-  with_graceful_signals (fun () -> Fleet.Coordinator.run ~fleet ~config ~scenario:entry.scenario)
+  with_graceful_signals (fun () -> Fleet.Coordinator.run ~fleet ~config ~scenario:c.scenario)
 
 let fleet_run id workers chaos_spec chaos_seed heartbeat_timeout heartbeat_period
     quarantine_after max_failures max_steps jobs snapshot checkpoint report_out verbose =
-  match find_entry id with
+  match find_case id with
   | Error e -> Error e
-  | Ok entry -> (
+  | Ok c -> (
       match Fleet.Supervise.parse_chaos chaos_spec with
       | exception Invalid_argument m -> Error (`Msg m)
       | chaos -> (
-          Format.printf "fleet-checking %s (%s): %s@." entry.id entry.benchmark entry.description;
+          Format.printf "fleet-checking %s (%s): %s@." c.id c.benchmark c.description;
           match
             Option.iter Jaaru.Checkpoint.check_writable checkpoint;
-            fleet_run_entry entry ~workers ~chaos ~chaos_seed ~heartbeat_timeout
+            fleet_run_case c ~workers ~chaos ~chaos_seed ~heartbeat_timeout
               ~heartbeat_period ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot
               ~verbose
           with
@@ -810,15 +763,15 @@ let fleet_run id workers chaos_spec chaos_seed heartbeat_timeout heartbeat_perio
                 match checkpoint with
                 | Some path -> (
                     let config =
-                      fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot
+                      fleet_exploration_config c ~max_failures ~max_steps ~jobs ~snapshot
                     in
-                    let cp = Jaaru.Explorer.to_checkpoint ~config entry.scenario o in
+                    let cp = Jaaru.Explorer.to_checkpoint ~config c.scenario o in
                     match Jaaru.Checkpoint.save cp path with
                     | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
                     | () ->
                         Format.printf
                           "@.fleet stopped early; continue with: jaaru check %s --resume %s@."
-                          entry.id path;
+                          c.id path;
                         Error (`Msg stopped))
                 | None ->
                     Format.printf
@@ -826,7 +779,7 @@ let fleet_run id workers chaos_spec chaos_seed heartbeat_timeout heartbeat_perio
                        FILE to make fleet runs resumable)@.";
                     Error (`Msg stopped)
               end
-              else verdict entry o))
+              else verdict c o.Jaaru.Explorer.bugs))
 
 let fleet_cmd =
   let doc = "Model check one case across supervised worker processes" in
@@ -862,26 +815,26 @@ let ignored_memo_arg =
 (* The internal worker entry point `jaaru fleet` spawns. Its stdin/stdout are
    the protocol pipes — nothing here may print to stdout. *)
 let fleet_worker_run id max_failures max_steps jobs snapshot () heartbeat_period =
-  match find_entry id with
+  match find_case id with
   | Error e -> Error e
-  | Ok entry ->
-      let config = fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot in
+  | Ok c ->
+      let config = fleet_exploration_config c ~max_failures ~max_steps ~jobs ~snapshot in
       let run ~shard:_ ~attempt:_ ~payload =
         match Jaaru.Checkpoint.of_string payload with
         | exception Jaaru.Checkpoint.Rejected msg -> Error msg
         | cp -> (
             match
-              Jaaru.Checkpoint.validate cp ~workload:entry.scenario.Jaaru.Explorer.name ~config
+              Jaaru.Checkpoint.validate cp ~workload:c.scenario.Jaaru.Explorer.name ~config
             with
             | exception Jaaru.Checkpoint.Rejected msg -> Error msg
             | () ->
                 (* A Preempt for the previous shard that raced its Result
                    must not poison this one. *)
                 Jaaru.Explorer.clear_interrupt ();
-                let o = Jaaru.Explorer.run ~config ~resume:cp entry.scenario in
+                let o = Jaaru.Explorer.run ~config ~resume:cp c.scenario in
                 Ok
                   (Jaaru.Checkpoint.to_string
-                     (Jaaru.Explorer.to_checkpoint ~config entry.scenario o)))
+                     (Jaaru.Explorer.to_checkpoint ~config c.scenario o)))
       in
       Fleet.Worker.serve ~heartbeat_period ~on_preempt:Jaaru.Explorer.request_interrupt ~run ();
       Ok ()

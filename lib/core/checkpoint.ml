@@ -248,6 +248,10 @@ let fingerprint ~workload (c : Config.t) =
 
 let magic = "jaaru-checkpoint-v2"
 
+(* What precedes the Wire payload in every checkpoint image: the magic line
+   and the payload's CRC line. *)
+let header payload = Printf.sprintf "%s\n%08x\n" magic (Pmem.Crc32.digest_string payload)
+
 let make ~fingerprint ~frontier ~bugs ~multi_rf ~perf ~findings ~stats =
   { fingerprint; frontier; bugs; multi_rf; perf; findings; stats }
 
@@ -278,9 +282,7 @@ let save t path =
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
         let payload = encode t in
-        output_string oc magic;
-        output_char oc '\n';
-        Printf.fprintf oc "%08x\n" (Pmem.Crc32.digest_string payload);
+        output_string oc (header payload);
         (match !write_fault with None -> () | Some f -> f ());
         output_string oc payload);
     Sys.rename tmp path
@@ -302,13 +304,13 @@ let check_writable path =
   | exception Unix.Unix_error (e, _, _) ->
       fail (Printf.sprintf "directory %s: %s" dir (Unix.error_message e))
 
-(* The exact byte image [save] writes — header (magic line, CRC line) plus
-   the Wire payload. Exposed so fleet workers can ship their outcome
-   checkpoints over a pipe instead of through the filesystem; the integrity
-   checks of [of_string] are the same ones [load] applies to a file. *)
+(* The exact byte image [save] writes — [header] plus the Wire payload.
+   Exposed so fleet workers can ship their outcome checkpoints over a pipe
+   instead of through the filesystem; the integrity checks of [of_string]
+   are the same ones [load] applies to a file. *)
 let to_string t =
   let payload = encode t in
-  Printf.sprintf "%s\n%08x\n%s" magic (Pmem.Crc32.digest_string payload) payload
+  header payload ^ payload
 
 let of_string s =
   let line_end from =

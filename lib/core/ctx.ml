@@ -190,15 +190,18 @@ let drain_at_crash ctx =
    on its path, and each crash subtree's replays resume from the restored
    state without ever re-running the pre-failure program. The [mem] check
    keeps later replays through the same point from paying for a copy
-   again. *)
+   again. Only threads with buffered stores are copied: the restored crash
+   drain reads nothing else, since an empty buffer takes no [Drain]
+   decision and evicts nothing (under [Eager] no thread is copied). *)
 let capture_snapshot ?alt ctx ~crash_label =
   match ctx.snapshots with
   | None -> ()
   | Some cache ->
       let point = Choice.point ?alt ctx.choice in
       if not (Snapshot.mem cache point) then
+        let buffered th = not (Tso.Store_buffer.is_empty (Tso.Thread_state.store_buffer th)) in
         Snapshot.store cache
-          (Snapshot.capture ~point ~stack:ctx.stack ~threads:ctx.threads
+          (Snapshot.capture ~point ~stack:ctx.stack ~threads:(List.filter buffered ctx.threads)
              ~trace:ctx.trace ~failure_count:ctx.failure_count ~fp_count:ctx.fp_count
              ~rng:ctx.rng ~last:ctx.last ~crash_label)
 

@@ -6,40 +6,36 @@ type result = {
 }
 
 let run ?(config = Config.default) ~seeds scn =
-  (* Deduplicate with the explorer's discipline — smallest record per
-     {!Bug.report_key}, result sorted — so the aggregate is a function of the
-     seed *set*: permuting the seed list (or exploring each seed with a
-     different [jobs]) cannot change [bugs] or [buggy_seeds]. A first-seen
-     scheme would keep whichever seed happened to run first. *)
-  let bug_tbl = Hashtbl.create 16 in
-  let keep_min key b =
-    match Hashtbl.find_opt bug_tbl key with
-    | Some b' when compare b' b <= 0 -> ()
-    | Some _ | None -> Hashtbl.replace bug_tbl key b
+  let outcomes =
+    List.map
+      (fun seed -> (seed, Explorer.run ~config:{ config with Config.schedule_seed = Some seed } scn))
+      seeds
   in
-  let buggy_seeds = ref [] in
-  let total = ref 0 in
-  List.iter
-    (fun seed ->
-      let config = { config with Config.schedule_seed = Some seed } in
-      let o = Explorer.run ~config scn in
-      total := !total + o.Explorer.stats.Stats.executions;
-      (match o.Explorer.bugs with
-      | [] -> ()
-      | bs ->
-          (* Every distinct symptom the seed surfaced, not just the first:
-             a seed whose schedule exposes two different manifestations
-             records both. Sorted and deduplicated, so the entry is still a
-             function of the seed's outcome alone. *)
-          let symptoms = List.sort_uniq compare (List.map Bug.symptom bs) in
-          buggy_seeds := (seed, symptoms) :: !buggy_seeds);
-      List.iter (fun b -> keep_min (Bug.report_key b) b) o.Explorer.bugs)
-    seeds;
+  (* Every distinct symptom a seed surfaced, not just the first: a seed
+     whose schedule exposes two different manifestations records both.
+     Sorted and deduplicated, so the entry is a function of the seed's
+     outcome alone. *)
+  let buggy_seeds =
+    List.filter_map
+      (fun (seed, o) ->
+        match o.Explorer.bugs with
+        | [] -> None
+        | bs -> Some (seed, List.sort_uniq compare (List.map Bug.symptom bs)))
+      outcomes
+  in
+  (* The explorer's merge keeps the smallest record per {!Bug.report_key},
+     sorted, so the aggregate is a function of the seed *set*: permuting the
+     seed list (or exploring each seed with a different [jobs]) cannot
+     change [bugs]. A first-seen scheme would keep whichever seed happened
+     to run first. *)
+  let merged =
+    Explorer.merge_outcomes ~completed:true ~interrupted:false (List.map snd outcomes)
+  in
   {
     runs = List.length seeds;
-    bugs = List.sort compare (Hashtbl.fold (fun _ b acc -> b :: acc) bug_tbl []);
-    buggy_seeds = List.sort compare !buggy_seeds;
-    total_executions = !total;
+    bugs = merged.Explorer.bugs;
+    buggy_seeds = List.sort compare buggy_seeds;
+    total_executions = merged.Explorer.stats.Stats.executions;
   }
 
 let found_bug r = r.bugs <> []

@@ -43,8 +43,9 @@ type t = private {
           at the capture. *)
   threads : Tso.Thread_state.t list;
       (** Per-thread TSO state (store/flush buffers, timestamps) as
-          captured, never mutated; empty buffers under eager eviction, live
-          ones under buffered. Their lengths give the [Drain] decisions. *)
+          captured, never mutated. {!Ctx} captures only the threads whose
+          store buffer holds entries, so none under eager eviction. Their
+          lengths give the [Drain] decisions. *)
   trace : Trace.t;  (** The trace ring as of the capture. *)
   failure_count : int;  (** Before the crash increments it. *)
   fp_count : int;

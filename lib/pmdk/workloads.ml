@@ -1,14 +1,4 @@
-type case = {
-  id : string;
-  benchmark : string;
-  description : string;
-  expected_symptom : string list option;
-  lint_roots : string list;
-      (* for seeded missing-flush bugs: the store labels `jaaru lint` must
-         name as the root cause (any one of them suffices) *)
-  scenario : Jaaru.Explorer.scenario;
-  config : Jaaru.Config.t;
-}
+type case = Jaaru.Case.t
 
 let keys n = List.init n (fun i -> ((i * 13) mod 61) + 1)
 
@@ -125,15 +115,9 @@ let skiplist_scenario ?(bugs = Skiplist_map.no_bugs) ?pool_bugs ?alloc_bugs n =
 
 (* --- case tables ---------------------------------------------------------- *)
 
-let case ~id ~benchmark ~description ?expected ?(lint_roots = []) ?(config = config ()) scenario =
-  { id; benchmark; description; expected_symptom = expected; lint_roots; scenario; config }
-
 let fig12_cases () =
   (* Bug hunts stop at the first manifestation, as the paper's runs do. *)
-  let bug_config = { (config ()) with Jaaru.Config.stop_at_first_bug = true } in
-  let case ~id ~benchmark ~description ~expected ?(config = bug_config) scenario =
-    case ~id ~benchmark ~description ~expected ~config scenario
-  in
+  let case = Jaaru.Case.v ~config:{ (config ()) with Jaaru.Config.stop_at_first_bug = true } in
   [
     case ~id:"pmdk-1" ~benchmark:"Btree"
       ~description:"non-transactional node split (atomicity violation)"
@@ -170,6 +154,7 @@ let fig12_cases () =
   ]
 
 let fixed_cases ?(n = 8) () =
+  let case = Jaaru.Case.v ~config:(config ()) in
   [
     case ~id:"pmdk-btree-fixed" ~benchmark:"Btree" ~description:"fixed" (btree_scenario n);
     case ~id:"pmdk-ctree-fixed" ~benchmark:"CTree" ~description:"fixed" (ctree_scenario n);
@@ -183,13 +168,13 @@ let fixed_cases ?(n = 8) () =
 let skiplist_cases () =
   let bug_config = { (config ()) with Jaaru.Config.stop_at_first_bug = true } in
   [
-    case ~id:"pmdk-skiplist-fixed" ~benchmark:"Skiplist" ~description:"fixed"
-      (skiplist_scenario 8);
-    case ~id:"pmdk-skiplist-1" ~benchmark:"Skiplist"
+    Jaaru.Case.v ~id:"pmdk-skiplist-fixed" ~benchmark:"Skiplist" ~description:"fixed"
+      ~config:(config ()) (skiplist_scenario 8);
+    Jaaru.Case.v ~id:"pmdk-skiplist-1" ~benchmark:"Skiplist"
       ~description:"node not flushed before the level-0 commit"
       ~expected:[ "skiplist_map.ml"; "heap.ml" ] ~config:bug_config
       (skiplist_scenario ~bugs:{ Skiplist_map.no_bugs with missing_node_flush = true } 8);
-    case ~id:"pmdk-skiplist-2" ~benchmark:"Skiplist"
+    Jaaru.Case.v ~id:"pmdk-skiplist-2" ~benchmark:"Skiplist"
       ~description:"index levels published before the data level"
       ~expected:[ "skiplist_map.ml" ] ~config:bug_config
       (skiplist_scenario ~bugs:{ Skiplist_map.no_bugs with index_before_data = true } 8);
@@ -208,10 +193,8 @@ let checksum_cases () =
     }
   in
   [
-    case ~id:"pmdk-clog-fixed" ~benchmark:"CLog" ~description:"checksum-based recovery, correct"
-      ~config:clog_config (clog_scenario 6);
-    case ~id:"pmdk-clog-bug" ~benchmark:"CLog" ~description:"recovery skips CRC validation"
+    Jaaru.Case.v ~id:"pmdk-clog-fixed" ~benchmark:"CLog"
+      ~description:"checksum-based recovery, correct" ~config:clog_config (clog_scenario 6);
+    Jaaru.Case.v ~id:"pmdk-clog-bug" ~benchmark:"CLog" ~description:"recovery skips CRC validation"
       ~expected:[ "clog.ml" ] ~config:clog_config (clog_scenario ~bugs:{ Clog.skip_crc = true } 6);
   ]
-
-let find cases id = List.find (fun c -> c.id = id) cases

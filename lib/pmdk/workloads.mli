@@ -5,21 +5,7 @@
     paper's Fig. 12 / Fig. 16 (bugs found in PMDK) and for the fixed-variant
     performance runs. *)
 
-type case = {
-  id : string;  (** e.g. "pmdk-btree-1" *)
-  benchmark : string;  (** paper benchmark name, e.g. "Btree" *)
-  description : string;  (** what is seeded / exercised *)
-  expected_symptom : string list option;
-      (** [Some fragments]: a seeded bug whose symptom should contain at
-          least one of [fragments]; [None]: a fixed variant that must verify
-          clean. *)
-  lint_roots : string list;
-      (** for seeded missing-flush bugs: store labels [jaaru lint] must name
-          as the root cause (naming any one of them counts); [[]] when the
-          case is not lint-detectable *)
-  scenario : Jaaru.Explorer.scenario;
-  config : Jaaru.Config.t;
-}
+type case = Jaaru.Case.t
 
 val fig12_cases : unit -> case list
 (** The seven buggy PMDK configurations of the paper's Fig. 12. *)
@@ -34,6 +20,3 @@ val checksum_cases : unit -> case list
 val skiplist_cases : unit -> case list
 (** The skiplist example (the paper checked every PMDK example program):
     a fixed variant plus two seeded protocol bugs. *)
-
-val find : case list -> string -> case
-(** Lookup by [id]; raises [Not_found]. *)

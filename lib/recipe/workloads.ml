@@ -1,14 +1,4 @@
-type case = {
-  id : string;
-  benchmark : string;
-  description : string;
-  expected_symptom : string list option;
-  lint_roots : string list;
-      (* for seeded missing-flush bugs: the store labels `jaaru lint` must
-         name as the root cause (any one of them suffices) *)
-  scenario : Jaaru.Explorer.scenario;
-  config : Jaaru.Config.t;
-}
+type case = Jaaru.Case.t
 
 let keys n = List.init n (fun i -> ((i * 17) mod 97) + 1)
 
@@ -147,9 +137,6 @@ let fixed_scenario benchmark n =
 
 (* --- case tables ------------------------------------------------------------ *)
 
-let case ~id ~benchmark ~description ?expected ?(lint_roots = []) ?(config = config ()) scenario =
-  { id; benchmark; description; expected_symptom = expected; lint_roots; scenario; config }
-
 (* Every seeded bug must surface as one of the paper's visible
    manifestations (Fig. 15): a segfault-like illegal access, an assertion
    failure, or getting stuck in a loop. Exact locations vary with the
@@ -162,10 +149,7 @@ let fig13_cases () =
      a missing flush multiplies read-from candidates, so exhausting the
      buggy state space would take orders of magnitude longer than finding
      the crash. *)
-  let bug_config = { (config ()) with Jaaru.Config.stop_at_first_bug = true } in
-  let mk ~id ~benchmark ~description ?expected ?lint_roots scenario =
-    case ~id ~benchmark ~description ?expected ?lint_roots ~config:bug_config scenario
-  in
+  let mk = Jaaru.Case.v ~config:{ (config ()) with Jaaru.Config.stop_at_first_bug = true } in
   [
     mk ~id:"CCEH-1" ~benchmark:"CCEH" ~description:"Missing flush in CCEH constructor (directory)"
       ?expected:sd
@@ -246,7 +230,7 @@ let fixed_sizes =
 let fixed_cases () =
   List.map
     (fun (benchmark, n) ->
-      case ~id:(benchmark ^ "-fixed") ~benchmark ~description:"fixed"
+      Jaaru.Case.v ~id:(benchmark ^ "-fixed") ~benchmark ~description:"fixed" ~config:(config ())
         (fixed_scenario benchmark n))
     fixed_sizes
 
@@ -292,11 +276,11 @@ let concurrent_scenario ?(ks0 = [ 3; 5; 7 ]) ?(ks1 = [ 11; 13; 17 ]) ~racy () =
 
 let concurrent_cases () =
   [
-    case ~id:"P-CLHT-concurrent" ~benchmark:"P-CLHT"
+    Jaaru.Case.v ~id:"P-CLHT-concurrent" ~benchmark:"P-CLHT"
       ~description:"two lock-protected writer threads"
       ~config:{ (config ()) with Jaaru.Config.evict_policy = Jaaru.Config.Buffered }
       (concurrent_scenario ~racy:false ());
-    case ~id:"P-CLHT-racy" ~benchmark:"P-CLHT"
+    Jaaru.Case.v ~id:"P-CLHT-racy" ~benchmark:"P-CLHT"
       ~description:"unsynchronised concurrent increment (schedule-dependent)"
       ~expected:[ "workloads.ml:race" ]
       ~config:
@@ -307,5 +291,3 @@ let concurrent_cases () =
         }
       (concurrent_scenario ~racy:true ());
   ]
-
-let find cases id = List.find (fun c -> c.id = id) cases

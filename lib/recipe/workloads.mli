@@ -4,20 +4,7 @@
     per row, same numbering); [fixed_cases] are the bug-free variants used
     for the Fig. 14 state-space-reduction experiment. *)
 
-type case = {
-  id : string;  (** e.g. "CCEH-1" — the paper's Fig. 15 bug id *)
-  benchmark : string;  (** e.g. "CCEH" *)
-  description : string;  (** the paper's Fig. 13 "type of bug" text *)
-  expected_symptom : string list option;
-      (** fragments, at least one of which must appear in a reported
-          symptom; [None] for fixed variants that must verify clean *)
-  lint_roots : string list;
-      (** for seeded missing-flush bugs: store labels [jaaru lint] must name
-          as the root cause (naming any one of them counts); [[]] when the
-          case is not lint-detectable *)
-  scenario : Jaaru.Explorer.scenario;
-  config : Jaaru.Config.t;
-}
+type case = Jaaru.Case.t
 
 val fig13_cases : unit -> case list
 val fixed_cases : unit -> case list
@@ -38,5 +25,3 @@ val concurrent_scenario :
 (** The scenario behind {!concurrent_cases}, with the per-thread key lists
     exposed as knobs ([ks0]/[ks1] for the lock-protected variant; the racy
     variant ignores them) — smaller lists make a seconds-long workload. *)
-
-val find : case list -> string -> case

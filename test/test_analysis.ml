@@ -810,17 +810,17 @@ let test_severity_helpers () =
 (* --- lint root-causes the seeded RECIPE bugs without reaching the symptom -------- *)
 
 let lint_roots_case id =
-  let c = Recipe.Workloads.find (Recipe.Workloads.fig13_cases ()) id in
-  Alcotest.(check bool) (id ^ " declares roots") true (c.Recipe.Workloads.lint_roots <> []);
+  let c = Case.find (Recipe.Workloads.fig13_cases ()) id in
+  Alcotest.(check bool) (id ^ " declares roots") true (c.Case.lint_roots <> []);
   let config =
     {
-      c.Recipe.Workloads.config with
+      c.Case.config with
       Config.analyze = true;
       stop_at_first_bug = false;
       max_executions = 1;
     }
   in
-  let o = Explorer.run ~config c.Recipe.Workloads.scenario in
+  let o = Explorer.run ~config c.Case.scenario in
   (* One failure-free execution: the crash symptom is never explored... *)
   Alcotest.(check int) (id ^ " single execution") 1 o.Explorer.stats.Stats.executions;
   Alcotest.(check bool) (id ^ " no symptom reached") true (o.Explorer.bugs = []);
@@ -830,7 +830,7 @@ let lint_roots_case id =
       (fun f ->
         f.Analysis.Report.severity = Analysis.Report.High
         && f.Analysis.Report.pass = "missing-flush"
-        && List.exists (fun l -> List.mem l c.Recipe.Workloads.lint_roots) f.Analysis.Report.labels)
+        && List.exists (fun l -> List.mem l c.Case.lint_roots) f.Analysis.Report.labels)
       o.Explorer.findings
   in
   Alcotest.(check bool) (id ^ " root-caused") true root_caused
@@ -849,19 +849,19 @@ let test_lint_fixed_variants_clean () =
     (fun (c : Recipe.Workloads.case) ->
       let config =
         {
-          c.Recipe.Workloads.config with
+          c.Case.config with
           Config.analyze = true;
           stop_at_first_bug = false;
           max_executions = 1;
         }
       in
-      let o = Explorer.run ~config c.Recipe.Workloads.scenario in
+      let o = Explorer.run ~config c.Case.scenario in
       let high =
         List.filter
           (fun f -> f.Analysis.Report.severity = Analysis.Report.High)
           o.Explorer.findings
       in
-      Alcotest.(check int) (c.Recipe.Workloads.id ^ " no high findings") 0 (List.length high))
+      Alcotest.(check int) (c.Case.id ^ " no high findings") 0 (List.length high))
     (Recipe.Workloads.fixed_cases ())
 
 (* --- bounded trace ring surfaces its losses -------------------------------------- *)

@@ -15,8 +15,7 @@ let with_temp_file f =
    mid-flight: the first bundled PMDK case, deepened to two failures. *)
 let deep_case () =
   let c = List.hd (Pmdk.Workloads.fig12_cases ()) in
-  ( c.Pmdk.Workloads.scenario,
-    { c.Pmdk.Workloads.config with Config.max_failures = 2; stop_at_first_bug = false } )
+  (c.Case.scenario, { c.Case.config with Config.max_failures = 2; stop_at_first_bug = false })
 
 (* Run session after session against the same checkpoint until one completes;
    every intermediate session must end interrupted, with a resumable file on

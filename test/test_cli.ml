@@ -68,18 +68,14 @@ let in_missing_dir = Filename.concat missing_dir "x.ckpt"
    frontier pins a decision shape the program does not have: what a
    checkpoint written before a workload edit looks like. *)
 let stale_checkpoint () =
-  let c =
-    List.find
-      (fun (c : Pmdk.Workloads.case) -> c.Pmdk.Workloads.id = "pmdk-ctree-fixed")
-      (Pmdk.Workloads.fixed_cases ())
-  in
+  let c = Jaaru.Case.find (Pmdk.Workloads.fixed_cases ()) "pmdk-ctree-fixed" in
   let path = Filename.temp_file "jaaru_cli" ".ckpt" in
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
   Jaaru.Checkpoint.save
     (Jaaru.Checkpoint.make
        ~fingerprint:
-         (Jaaru.Checkpoint.fingerprint ~workload:c.Pmdk.Workloads.scenario.Jaaru.Explorer.name
-            c.Pmdk.Workloads.config)
+         (Jaaru.Checkpoint.fingerprint ~workload:c.Jaaru.Case.scenario.Jaaru.Explorer.name
+            c.Jaaru.Case.config)
        ~frontier:[ "0;F3:0:3" ] ~bugs:[] ~multi_rf:[] ~perf:[] ~findings:[] ~stats:Jaaru.Stats.zero)
     path;
   [ "check"; "pmdk-ctree-fixed"; "--resume"; path ]
@@ -156,6 +152,14 @@ let () =
             ~needle:("directory " ^ missing_dir);
           refused "resumed frontier that does not fit the program" stale_checkpoint
             ~needle:"written before the workload's code changed";
+          (* A step budget too small for the seeded bug reports only a
+             loop, which is not the bug the case seeds. *)
+          refused "check of a seeded case that finds another bug"
+            (fun () -> [ "check"; "pmdk-1"; "--max-steps"; "5" ])
+            ~needle:"seeded bug was not found";
+          refused "fleet of a seeded case that finds another bug"
+            (fun () -> [ "fleet"; "pmdk-1"; "--max-steps"; "5"; "--fleet-workers"; "1" ])
+            ~needle:"seeded bug was not found";
         ] );
       ( "trace",
         [

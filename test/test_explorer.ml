@@ -27,6 +27,34 @@ let test_bug_dedup_key () =
   Alcotest.(check bool) "different loc" false (Bug.same_report a c);
   Alcotest.(check bool) "different kind" false (Bug.same_report a d)
 
+(* --- Case verdict ---------------------------------------------------------------- *)
+
+(* One row of the verdict table: a case seeded with [expected] (clean
+   without it) judged on [bugs]. *)
+let verdict_row name ?expected bugs want =
+  Alcotest.test_case name `Quick (fun () ->
+      let c =
+        Case.v ~id:"t" ~benchmark:"T" ~description:name ?expected ~config:Config.default
+          (Explorer.scenario ~name:"t" ~pre:ignore ~post:ignore)
+      in
+      Alcotest.(check (result unit string)) name want (Case.verdict c bugs))
+
+let verdict_rows =
+  let loop = mk_bug (Bug.Infinite_loop { steps = 5 }) "spin" in
+  let heap = mk_bug (Bug.Assertion_failure "m") "heap.ml:533" in
+  let btree = mk_bug (Bug.Illegal_access { addr = 0; width = 8; op = "load" }) "btree_map.ml:89" in
+  let seeded = [ "btree_map.ml"; "pool.ml" ] in
+  [
+    verdict_row "seeded, matching symptom" ~expected:seeded [ loop; btree ] (Ok ());
+    verdict_row "seeded, other symptoms" ~expected:seeded [ loop; heap; loop ]
+      (Error
+         "seeded bug was not found; found instead: Assertion failure at heap.ml:533; Getting \
+          stuck in an infinite loop");
+    verdict_row "seeded, no bug" ~expected:seeded [] (Error "seeded bug was not found");
+    verdict_row "clean, bug" [ heap ] (Error "clean case reported a bug");
+    verdict_row "clean, no bug" [] (Ok ());
+  ]
+
 (* --- Trace --------------------------------------------------------------------- *)
 
 let test_ring_buffer () =
@@ -165,6 +193,7 @@ let () =
           Alcotest.test_case "symptoms" `Quick test_bug_symptoms;
           Alcotest.test_case "dedup key" `Quick test_bug_dedup_key;
         ] );
+      ("case verdict", verdict_rows);
       ("trace", [ Alcotest.test_case "ring buffer" `Quick test_ring_buffer ]);
       ("stats", [ Alcotest.test_case "ratio" `Quick test_stats_ratio ]);
       ( "driver",

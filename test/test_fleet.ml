@@ -11,8 +11,7 @@ let report_text (o : Explorer.outcome) = Format.asprintf "%a" Explorer.pp_report
 
 let deep_case () =
   let c = List.hd (Pmdk.Workloads.fig12_cases ()) in
-  ( c.Pmdk.Workloads.scenario,
-    { c.Pmdk.Workloads.config with Config.max_failures = 2; stop_at_first_bug = false } )
+  (c.Case.scenario, { c.Case.config with Config.max_failures = 2; stop_at_first_bug = false })
 
 (* --- transport ------------------------------------------------------------- *)
 

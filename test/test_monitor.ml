@@ -19,8 +19,7 @@ let with_temp_file f =
 
 let deep_case () =
   let c = List.hd (Pmdk.Workloads.fig12_cases ()) in
-  ( c.Pmdk.Workloads.scenario,
-    { c.Pmdk.Workloads.config with Config.max_failures = 2; stop_at_first_bug = false } )
+  (c.Case.scenario, { c.Case.config with Config.max_failures = 2; stop_at_first_bug = false })
 
 let limits ?wall_deadline ?tick_deadline ?mem_budget ?(interrupt = Atomic.make false) () =
   Monitor.create ~interrupt ?wall_deadline ?tick_deadline ?mem_budget ()

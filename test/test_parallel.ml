@@ -104,12 +104,11 @@ let check_jobs_equivalence name scenario config =
 
 let test_parallel_pmdk_case () =
   let c = List.hd (Pmdk.Workloads.fig12_cases ()) in
-  check_jobs_equivalence c.Pmdk.Workloads.id c.Pmdk.Workloads.scenario c.Pmdk.Workloads.config
+  check_jobs_equivalence c.Case.id c.Case.scenario c.Case.config
 
 let test_parallel_recipe_case () =
   let c = List.hd (Recipe.Workloads.fig13_cases ()) in
-  check_jobs_equivalence c.Recipe.Workloads.id c.Recipe.Workloads.scenario
-    c.Recipe.Workloads.config
+  check_jobs_equivalence c.Case.id c.Case.scenario c.Case.config
 
 let test_parallel_clean_workload () =
   let scn = Recipe.Workloads.fixed_scenario "P-CLHT" 3 in
@@ -137,26 +136,26 @@ let test_parallel_finds_seeded_bug () =
      records) when explored in parallel. *)
   let c = List.hd (Pmdk.Workloads.fig12_cases ()) in
   let config =
-    { c.Pmdk.Workloads.config with Config.stop_at_first_bug = false; Config.jobs = 3 }
+    { c.Case.config with Config.stop_at_first_bug = false; Config.jobs = 3 }
   in
-  let o = Explorer.run ~config c.Pmdk.Workloads.scenario in
+  let o = Explorer.run ~config c.Case.scenario in
   Alcotest.(check bool) "bug found with jobs=3" true (Explorer.found_bug o)
 
 let test_parallel_analysis_reports () =
   (* With the analysis passes on, the merged findings list must render
      byte-identically for jobs = 1, 2 and 4 — the lint report is part of the
      determinism contract. *)
-  let c = Recipe.Workloads.find (Recipe.Workloads.fig13_cases ()) "CCEH-1" in
+  let c = Case.find (Recipe.Workloads.fig13_cases ()) "CCEH-1" in
   let run jobs =
     let config =
       {
-        c.Recipe.Workloads.config with
+        c.Case.config with
         Config.analyze = true;
         stop_at_first_bug = false;
         jobs;
       }
     in
-    let o = Explorer.run ~config c.Recipe.Workloads.scenario in
+    let o = Explorer.run ~config c.Case.scenario in
     ( o.Explorer.findings,
       String.concat "\n"
         (List.map (Format.asprintf "%a" Analysis.Report.pp_finding) o.Explorer.findings) )

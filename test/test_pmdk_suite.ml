@@ -110,30 +110,17 @@ let clog_functional () =
 
 (* --- model checking: fixed variants are clean, buggy find their bug ------- *)
 
-let check_case (c : Pmdk.Workloads.case) () =
+let check_case (c : Case.t) () =
   let o = Explorer.run ~config:c.config c.scenario in
   Format.printf "%s: %a@." c.id Explorer.pp_outcome o;
-  match c.expected_symptom with
-  | None ->
-      List.iter (fun b -> Format.printf "BUG %a@." Bug.pp b) o.Explorer.bugs;
-      Alcotest.(check bool) (c.id ^ ": clean") false (Explorer.found_bug o);
-      Alcotest.(check bool) (c.id ^ ": exhausted") true o.Explorer.stats.Stats.exhausted
-  | Some fragments ->
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-        nn = 0 || at 0
-      in
-      let hit =
-        List.exists
-          (fun b -> List.exists (contains (Bug.symptom b)) fragments)
-          o.Explorer.bugs
-      in
-      if not hit then
-        List.iter (fun b -> Format.printf "got instead: %s@." (Bug.symptom b)) o.Explorer.bugs;
-      Alcotest.(check bool) (c.id ^ ": found " ^ String.concat "|" fragments) true hit
+  let verdict = Case.verdict c o.Explorer.bugs in
+  if Result.is_error verdict then
+    List.iter (fun b -> Format.printf "BUG %a@." Bug.pp b) o.Explorer.bugs;
+  Alcotest.(check (result unit string)) (c.id ^ ": verdict") (Ok ()) verdict;
+  if c.expected_symptom = None then
+    Alcotest.(check bool) (c.id ^ ": exhausted") true o.Explorer.stats.Stats.exhausted
 
-let case_tests cases = List.map (fun c -> Alcotest.test_case c.Pmdk.Workloads.id `Quick (check_case c)) cases
+let case_tests cases = List.map (fun c -> Alcotest.test_case c.Case.id `Quick (check_case c)) cases
 
 let () =
   Alcotest.run "pmdk-suite"

@@ -101,44 +101,26 @@ let p_masstree_functional () =
 
 (* --- model checking --------------------------------------------------------- *)
 
-let check_case (c : Recipe.Workloads.case) () =
+let check_case (c : Case.t) () =
   let o = Explorer.run ~config:c.config c.scenario in
   Format.printf "%s: %a@." c.id Explorer.pp_outcome o;
-  match c.expected_symptom with
-  | None ->
-      List.iter (fun b -> Format.printf "BUG %a@." Bug.pp b) o.Explorer.bugs;
-      Alcotest.(check bool) (c.id ^ ": clean") false (Explorer.found_bug o);
-      Alcotest.(check bool) (c.id ^ ": exhausted") true o.Explorer.stats.Stats.exhausted
-  | Some fragments ->
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-        nn = 0 || at 0
-      in
-      let hit =
-        List.exists (fun b -> List.exists (contains (Bug.symptom b)) fragments) o.Explorer.bugs
-      in
-      if not hit then
-        List.iter (fun b -> Format.printf "got instead: %s@." (Bug.symptom b)) o.Explorer.bugs;
-      Alcotest.(check bool) (c.id ^ ": manifested") true hit
+  let verdict = Case.verdict c o.Explorer.bugs in
+  if Result.is_error verdict then
+    List.iter (fun b -> Format.printf "BUG %a@." Bug.pp b) o.Explorer.bugs;
+  Alcotest.(check (result unit string)) (c.id ^ ": verdict") (Ok ()) verdict;
+  if c.expected_symptom = None then
+    Alcotest.(check bool) (c.id ^ ": exhausted") true o.Explorer.stats.Stats.exhausted
 
 let small_fixed_cases () =
   List.map
     (fun (b, n) ->
-      Recipe.Workloads.
-        {
-          id = b ^ "-fixed-small";
-          benchmark = b;
-          description = "fixed (small)";
-          expected_symptom = None;
-          lint_roots = [];
-          scenario = Recipe.Workloads.fixed_scenario b n;
-          config = { Jaaru.Config.default with max_steps = 40_000 };
-        })
+      Case.v ~id:(b ^ "-fixed-small") ~benchmark:b ~description:"fixed (small)"
+        ~config:{ Config.default with max_steps = 40_000 }
+        (Recipe.Workloads.fixed_scenario b n))
     [ ("CCEH", 4); ("FAST_FAIR", 6); ("P-ART", 4); ("P-BwTree", 5); ("P-CLHT", 3); ("P-Masstree", 3) ]
 
 let case_tests cases =
-  List.map (fun c -> Alcotest.test_case c.Recipe.Workloads.id `Quick (check_case c)) cases
+  List.map (fun c -> Alcotest.test_case c.Case.id `Quick (check_case c)) cases
 
 let () =
   Alcotest.run "recipe-suite"

@@ -287,13 +287,11 @@ let test_equivalence_analysis () =
 
 let test_equivalence_pmdk () =
   let c = List.hd (Pmdk.Workloads.fig12_cases ()) in
-  check_snapshot_equivalence c.Pmdk.Workloads.id c.Pmdk.Workloads.scenario
-    c.Pmdk.Workloads.config
+  check_snapshot_equivalence c.Case.id c.Case.scenario c.Case.config
 
 let test_equivalence_recipe () =
   let c = List.hd (Recipe.Workloads.fig13_cases ()) in
-  check_snapshot_equivalence c.Recipe.Workloads.id c.Recipe.Workloads.scenario
-    c.Recipe.Workloads.config
+  check_snapshot_equivalence c.Case.id c.Case.scenario c.Case.config
 
 (* --- snapshots actually skip the pre-failure program ----------------------- *)
 
