@@ -2,7 +2,7 @@
 # the whole test suite (which includes the jobs>1 determinism tests in
 # test_parallel.ml), and a CLI smoke run of the parallel explorer.
 
-.PHONY: all build test check parallel-smoke lint bench bench-smoke interrupt-smoke pbt-smoke pbt-nightly fleet-smoke clean
+.PHONY: all build test check parallel-smoke lint bench bench-smoke interrupt-smoke pbt-smoke pbt-nightly fleet-smoke loc clean
 
 all: build
 
@@ -125,6 +125,14 @@ fleet-smoke: build
 # against an uninterrupted baseline.
 interrupt-smoke: build
 	scripts/interrupt_resume_smoke.sh
+
+# Line counts (.ml + .mli) as CHANGES.md reports them: the library and CLI;
+# the tests; everything, with the examples and bench/main.ml.
+loc:
+	@count() { find "$$@" \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l; }; \
+	echo "lib+bin: $$(count lib bin)"; \
+	echo "test: $$(count test)"; \
+	echo "lib+bin+test+examples+bench/main.ml: $$(count lib bin test examples bench/main.ml)"
 
 clean:
 	dune clean

@@ -497,8 +497,9 @@ let ablations () =
    way, the line is flushed and a snapshot view of the record is taken; at
    the end it is flushed again and the execution crashes, so every load
    below has one candidate. The loads read the hot byte and the cold word
-   through the live record and through the view (restored as the stack's
-   failed execution). ns/load is the median of five timed batches. *)
+   through the live record and through the view (the failed execution of a
+   context resumed from a snapshot of it). ns/load is the median of five
+   timed batches. *)
 let hot_byte_bench ~stores ~loads =
   section_header
     (Printf.sprintf "Hot byte: recovery loads on a line with one byte stored %d times" stores);
@@ -527,7 +528,7 @@ let hot_byte_bench ~stores ~loads =
   Ctx.clflush ctx line 64;
   (try Ctx.crash ctx with Ctx.Power_failure -> ());
   Ctx.after_crash ctx;
-  let ns_per_load load addr =
+  let ns_per_load ctx load addr =
     let batch () =
       let t0 = Unix.gettimeofday () in
       for _ = 1 to loads do
@@ -538,18 +539,30 @@ let hot_byte_bench ~stores ~loads =
     let times = List.sort compare (List.init 5 (fun _ -> batch ())) in
     List.nth times 2
   in
-  let row record ~hot_value =
+  let row ctx record ~hot_value =
     let load8 ctx a = Ctx.load8 ctx a and load64 ctx a = Ctx.load64 ctx a in
     assert (load8 ctx hot = hot_value);
     assert (load64 ctx cold = cold_value);
-    Format.printf "%-8s %12.1f %13.1f@." record (ns_per_load load8 hot) (ns_per_load load64 cold)
+    Format.printf "%-8s %12.1f %13.1f@." record (ns_per_load ctx load8 hot)
+      (ns_per_load ctx load64 cold)
   in
   Format.printf "%-8s %12s %13s@." "record" "load8 hot" "load64 cold";
-  row "live" ~hot_value:(stores land 0xff);
-  let view = Option.get !view in
-  Exec.Exec_stack.restore stack ~seq:(Exec.Exec_stack.cur_seq stack)
-    [ Exec.Exec_record.create ~id:2; view; Exec.Exec_record.initial () ];
-  row "view" ~hot_value:(stores / 2 land 0xff);
+  row ctx "live" ~hot_value:(stores land 0xff);
+  (* The view's row: a context resumed from a snapshot whose failed
+     execution is the view. *)
+  let snap =
+    Snapshot.capture ~point:(Choice.point choice)
+      ~stack:
+        (Exec.Exec_stack.of_records ~seq:(Exec.Exec_stack.cur_seq stack)
+           [ Option.get !view; Exec.Exec_stack.nth stack 0 ])
+      ~threads:[] ~trace:(Trace.create ~depth:0) ~failure_count:0 ~fp_count:0 ~rng:0 ~last:""
+      ~crash_label:None
+  in
+  let choice = Choice.create () in
+  Choice.begin_replay choice;
+  let resumed = Ctx.create ~resume:snap ~config ~choice () in
+  Ctx.after_crash resumed;
+  row resumed "view" ~hot_value:(stores / 2 land 0xff);
   Format.printf "(ns per recovery load, median of 5 batches of %d)@." loads
 
 (* --- per-operation costs ------------------------------------------------------ *)

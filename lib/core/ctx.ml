@@ -17,6 +17,7 @@ type t = {
   stack : Exec.Exec_stack.t;
   rf : Exec.Read_from.view;  (* the loads' line view of [stack] *)
   trace : Trace.t;
+  main : Tso.Thread_state.t;  (* thread 0, reset in place at every crash *)
   mutable threads : Tso.Thread_state.t list;
   mutable cur : Tso.Thread_state.t;
   mutable next_tid : int;
@@ -44,8 +45,36 @@ type t = {
          context was created; the first [step] past it times out *)
 }
 
-let create ?snapshots ~config ~choice () =
-  let thread0 = Tso.Thread_state.create ~tid:0 in
+(* The one event-emission point: the ring keeps the event unrendered (no
+   formatting unless a bug report is printed) and the analysis engine feeds
+   it to its passes. *)
+let emit ctx ev =
+  Trace.add ctx.trace ev;
+  Analysis.Engine.emit ctx.engine ev
+
+let tid ctx = Tso.Thread_state.tid ctx.cur
+
+(* A crash has happened: its event is emitted and it counts as a failure. *)
+let crashed ctx label =
+  emit ctx (Analysis.Event.Crash { label; tid = tid ctx });
+  ctx.failure_count <- ctx.failure_count + 1
+
+(* At a crash under buffered eviction, a nondeterministic prefix of each
+   store buffer may already have drained to the cache: one [Drain] decision
+   per non-empty buffer, in thread order, picks its length. Under eager
+   eviction the buffers are empty and every length is 0. *)
+let drain_choices config choice threads =
+  let keep = Array.make (List.length threads) 0 in
+  if config.Config.evict_policy <> Config.Eager then
+    List.iteri
+      (fun i th ->
+        let n = Tso.Store_buffer.length (Tso.Thread_state.store_buffer th) in
+        if n > 0 then keep.(i) <- Choice.choose choice Choice.Drain (n + 1))
+      threads;
+  keep
+
+let create ?snapshots ?resume ~config ~choice () =
+  let main = Tso.Thread_state.create ~tid:0 in
   let engine =
     let hb =
       if config.Config.analyze && config.Config.analyze_hb then Some (Analysis.Hb.create ())
@@ -69,38 +98,63 @@ let create ?snapshots ~config ~choice () =
     Analysis.Engine.create ~suppress:config.Config.suppress ?hb
       (Analysis.Pass.instantiate (module Analysis.Redundant) :: passes)
   in
-  let stack = Exec.Exec_stack.create () in
-  {
-    cfg = config;
-    reg = Pmem.Region.v ~base:config.Config.region_base ~size:config.Config.region_size;
-    choice;
-    stack;
-    rf = Exec.Read_from.view stack;
-    (* A fresh ring per context: at the default depth of 64 it is a
-       minor-heap allocation, cheaper than pooling one across replays. *)
-    trace = Trace.create ~depth:config.Config.trace_depth;
-    threads = [ thread0 ];
-    cur = thread0;
-    next_tid = 1;
-    steps = 0;
-    failure_count = 0;
-    writes_since_fp = true;
-    fp_count = 0;
-    multi_rf = [];
-    engine;
-    observe_loads = config.Config.trace_depth > 0 || config.Config.analyze;
-    in_rmw = false;
-    parallel_depth = 0;
-    atomic_depth = 0;
-    last = "<start>";
-    fp_hook = None;
-    rng =
-      (match config.Config.schedule_seed with
-      | Some seed -> (seed lxor 0x9e3779b9) lor 1
-      | None -> 0);
-    snapshots;
-    deadline = Option.map (fun d -> Unix.gettimeofday () +. d) config.Config.step_deadline;
-  }
+  (* A restored replay starts at the snapshot's crash: the buffered-drain
+     prefixes are live [Drain] decisions on the captured buffer lengths,
+     applied by the snapshot's drained master ([Snapshot.materialize]). *)
+  let stack, trace =
+    match resume with
+    | None ->
+        (* A fresh ring per context: at the default depth of 64 it is a
+           minor-heap allocation, cheaper than pooling one across replays. *)
+        (Exec.Exec_stack.create (), Trace.create ~depth:config.Config.trace_depth)
+    | Some (snap : Snapshot.t) ->
+        Choice.fast_forward choice (Choice.point_depth snap.point);
+        let records, seq =
+          Snapshot.materialize snap ~keep:(drain_choices config choice snap.threads)
+        in
+        (Exec.Exec_stack.of_records ~seq records, Trace.copy snap.trace)
+  in
+  let ctx =
+    {
+      cfg = config;
+      reg = Pmem.Region.v ~base:config.Config.region_base ~size:config.Config.region_size;
+      choice;
+      stack;
+      rf = Exec.Read_from.view stack;
+      trace;
+      main;
+      threads = [ main ];
+      cur = main;
+      next_tid = 1;
+      steps = 0;
+      failure_count = 0;
+      writes_since_fp = true;
+      fp_count = 0;
+      multi_rf = [];
+      engine;
+      observe_loads = config.Config.trace_depth > 0 || config.Config.analyze;
+      in_rmw = false;
+      parallel_depth = 0;
+      atomic_depth = 0;
+      last = "<start>";
+      fp_hook = None;
+      rng =
+        (match config.Config.schedule_seed with
+        | Some seed -> (seed lxor 0x9e3779b9) lor 1
+        | None -> 0);
+      snapshots;
+      deadline = Option.map (fun d -> Unix.gettimeofday () +. d) config.Config.step_deadline;
+    }
+  in
+  (match resume with
+  | None -> ()
+  | Some snap ->
+      ctx.failure_count <- snap.failure_count;
+      ctx.fp_count <- snap.fp_count;
+      ctx.rng <- snap.rng;
+      ctx.last <- snap.last;
+      crashed ctx snap.crash_label);
+  ctx
 
 let set_failure_point_hook ctx hook = ctx.fp_hook <- Some hook
 
@@ -129,15 +183,6 @@ let last_label ctx = ctx.last
 let exec_stack ctx = ctx.stack
 let failures ctx = ctx.failure_count
 
-(* The one event-emission point: the ring keeps the event unrendered (no
-   formatting unless a bug report is printed) and the analysis engine feeds
-   it to its passes. *)
-let emit ctx ev =
-  Trace.add ctx.trace ev;
-  Analysis.Engine.emit ctx.engine ev
-
-let tid ctx = Tso.Thread_state.tid ctx.cur
-
 let step ctx label =
   ctx.last <- label;
   ctx.steps <- ctx.steps + 1;
@@ -162,25 +207,16 @@ let eager ctx = ctx.cfg.Config.evict_policy = Config.Eager
 
 (* --- failure injection ------------------------------------------------- *)
 
-(* At a crash under buffered eviction, a nondeterministic prefix of each
-   store buffer may already have drained to the cache: one [Drain] decision
-   per non-empty buffer, in thread order, picks its length. Under eager
-   eviction the buffers are empty and every length is 0. *)
-let drain_choices ctx threads =
-  let keep = Array.make (List.length threads) 0 in
-  if not (eager ctx) then
-    List.iteri
-      (fun i th ->
-        let n = Tso.Store_buffer.length (Tso.Thread_state.store_buffer th) in
-        if n > 0 then keep.(i) <- Choice.choose ctx.choice Choice.Drain (n + 1))
-      threads;
-  keep
-
-let drain_at_crash ctx =
-  let keep = drain_choices ctx ctx.threads in
+(* The crash itself, for injected failures and explicit crashes alike:
+   each store buffer drains its chosen prefix, then the crash is emitted
+   and counted and the execution unwinds. *)
+let power_failure ctx label =
+  let keep = drain_choices ctx.cfg ctx.choice ctx.threads in
   Tso.Thread_state.evict_prefixes ctx.threads ctx.stack
     ~evicted:(Array.make (Array.length keep) 0)
-    ~keep
+    ~keep;
+  crashed ctx label;
+  raise Power_failure
 
 (* Capture-at-consideration: the snapshot is taken at every failure point the
    search considers — right after the fail/continue decision is consumed,
@@ -213,21 +249,17 @@ let failure_point ?(force = false) ctx label =
     emit ctx (Analysis.Event.Failure_point { label; tid = tid ctx });
     let fail = Choice.choose ctx.choice Choice.Failure_point 2 in
     capture_snapshot ~alt:1 ctx ~crash_label:(Some label);
-    if fail = 1 then begin
-      drain_at_crash ctx;
-      emit ctx (Analysis.Event.Crash { label = Some label; tid = tid ctx });
-      ctx.failure_count <- ctx.failure_count + 1;
-      raise Power_failure
-    end
+    if fail = 1 then power_failure ctx (Some label)
   end
 
 let after_crash ctx =
   ignore (Exec.Exec_stack.push_fresh ctx.stack);
-  (* Volatile state is lost: store/flush buffers, every thread but a fresh
-     main one, and the step budget restart with the new execution. *)
-  let thread0 = Tso.Thread_state.create ~tid:0 in
-  ctx.threads <- [ thread0 ];
-  ctx.cur <- thread0;
+  (* Volatile state is lost: store/flush buffers and every thread but the
+     main one, which restarts empty; the step budget restarts with the new
+     execution. *)
+  Tso.Thread_state.reset ctx.main;
+  ctx.threads <- [ ctx.main ];
+  ctx.cur <- ctx.main;
   ctx.next_tid <- 1;
   ctx.steps <- 0;
   ctx.writes_since_fp <- true;
@@ -244,31 +276,7 @@ let crash ctx =
       (Printf.sprintf "Ctx.crash: %d failures already, max_failures is %d" ctx.failure_count
          ctx.cfg.Config.max_failures);
   capture_snapshot ctx ~crash_label:None;
-  drain_at_crash ctx;
-  emit ctx (Analysis.Event.Crash { label = None; tid = tid ctx });
-  ctx.failure_count <- ctx.failure_count + 1;
-  raise Power_failure
-
-(* The restore half of the snapshot layer: put the context into exactly the
-   state the matching replay would have at the captured crash — execution
-   stack, sequence counter and trace ring, cursor fast-forwarded to the
-   snapshot's point — with the buffered-drain prefixes still live
-   [Choice.Drain] decisions, taken on the captured buffer lengths. The
-   snapshot's drained master applies them (see [Snapshot.materialize]); the
-   threads themselves are not restored, since the crash discards them and
-   [after_crash] starts a fresh main thread. The caller runs recovery next;
-   it never re-executes the pre-failure program. *)
-let resume_from_snapshot ctx (snap : Snapshot.t) =
-  Choice.fast_forward ctx.choice (Choice.point_depth snap.Snapshot.point);
-  let records, seq = Snapshot.materialize snap ~keep:(drain_choices ctx snap.Snapshot.threads) in
-  Exec.Exec_stack.restore ctx.stack ~seq records;
-  Trace.restore ctx.trace ~from:snap.Snapshot.trace;
-  ctx.failure_count <- snap.Snapshot.failure_count;
-  ctx.fp_count <- snap.Snapshot.fp_count;
-  ctx.rng <- snap.Snapshot.rng;
-  ctx.last <- snap.Snapshot.last;
-  emit ctx (Analysis.Event.Crash { label = snap.Snapshot.crash_label; tid = tid ctx });
-  ctx.failure_count <- ctx.failure_count + 1
+  power_failure ctx None
 
 let finish_execution ctx =
   (* The paper also injects a failure at the end of the execution (its Fig. 4
@@ -280,11 +288,7 @@ let finish_execution ctx =
      and nothing reads it first — evictions emit no analysis events, and
      bugs are raised before this point. *)
   if ctx.failure_count = 0 then
-    List.iter
-      (fun th ->
-        Tso.Thread_state.drain th ctx.stack;
-        Tso.Thread_state.drain_flush_buffer th ctx.stack)
-      ctx.threads;
+    List.iter (fun th -> Tso.Thread_state.sync th ctx.stack) ctx.threads;
   emit ctx Analysis.Event.End_execution
 
 (* --- stores and flushes ------------------------------------------------ *)
@@ -354,7 +358,7 @@ let mfence ctx ?(label = "mfence") () =
   step ctx label;
   if not ctx.in_rmw then
     emit ctx (Analysis.Event.Fence { kind = Analysis.Event.Mfence; tid = tid ctx; label });
-  Tso.Thread_state.exec_mfence ctx.cur ctx.stack;
+  Tso.Thread_state.sync ctx.cur ctx.stack;
   maybe_yield ctx
 
 (* --- loads -------------------------------------------------------------- *)
@@ -580,8 +584,7 @@ let install_concrete_state ctx bytes =
       let seq = Exec.Exec_stack.next_seq ctx.stack in
       Exec.Exec_record.flush_line record (line * Pmem.Addr.cache_line_size) ~seq)
     touched;
-  emit ctx (Analysis.Event.Crash { label = Some "<concrete state>"; tid = tid ctx });
-  ctx.failure_count <- ctx.failure_count + 1;
+  crashed ctx (Some "<concrete state>");
   after_crash ctx
 
 (* xorshift with the low bits mixed out; deterministic given the seed, and
@@ -598,8 +601,7 @@ let parallel ctx ?(label = "parallel") bodies =
   (* Spawning is a synchronisation edge (pthread_create implies
      happens-before): the parent's buffered stores and flushes become
      visible before any fiber runs. *)
-  Tso.Thread_state.drain ctx.cur ctx.stack;
-  Tso.Thread_state.drain_flush_buffer ctx.cur ctx.stack;
+  Tso.Thread_state.sync ctx.cur ctx.stack;
   let parent_tid = tid ctx in
   let spawned =
     List.map
@@ -628,8 +630,7 @@ let parallel ctx ?(label = "parallel") bodies =
               (* Thread exit is a synchronisation edge too: without it a
                  final release store (e.g. an unlock) could stay buffered
                  until the join while a sibling spins on it forever. *)
-              Tso.Thread_state.drain th ctx.stack;
-              Tso.Thread_state.drain_flush_buffer th ctx.stack);
+              Tso.Thread_state.sync th ctx.stack);
         })
       spawned
   in
@@ -654,8 +655,7 @@ let parallel ctx ?(label = "parallel") bodies =
      [after_crash] resets the list). *)
   List.iter
     (fun (th, _) ->
-      Tso.Thread_state.drain th ctx.stack;
-      Tso.Thread_state.drain_flush_buffer th ctx.stack;
+      Tso.Thread_state.sync th ctx.stack;
       emit ctx
         (Analysis.Event.Thread_join { tid = Tso.Thread_state.tid th; parent = parent_tid; label }))
     spawned;

@@ -40,6 +40,7 @@ type perf_report = { perf_kind : perf_kind; perf_label : string }
 
 val create :
   ?snapshots:Snapshot.cache ->
+  ?resume:Snapshot.t ->
   config:Config.t ->
   choice:Choice.t ->
   unit ->
@@ -51,6 +52,15 @@ val create :
     at the last consumed decision (see {!Snapshot}). Omitted (e.g. with
     [config.snapshot] off), executions always run from the start.
 
+    With [resume], the context starts in the exact post-crash state of that
+    snapshot, whose point must be [`On_path] for [choice] ({!Snapshot.find}
+    guarantees it): the cursor fast-forwarded to the point, the
+    buffered-drain decisions taken live and applied by
+    {!Snapshot.materialize}, whose records make up the whole stack, the
+    trace ring and counters as captured, and the crash event emitted. The
+    threads are not restored: the crash discards them. Recovery then runs
+    ({!after_crash} first) as if the pre-failure program had been re-run.
+
     Each context owns a fresh trace ring of [config.trace_depth] events and
     an analysis engine running the {!Analysis.Redundant} pass (plus the full
     suite when [config.analyze] is set); every operation's event goes to
@@ -61,18 +71,6 @@ val create :
     seconds after [create]: the first operation past it raises {!Bug.Found}
     with {!Bug.Execution_timeout}. Cancellation is cooperative — code that
     never issues a [Ctx] operation cannot be interrupted. *)
-
-val resume_from_snapshot : t -> Snapshot.t -> unit
-(** Puts a freshly created context into the exact post-crash state of the
-    snapshot: restored execution stack, sequence counter and trace ring,
-    decision cursor fast-forwarded to the snapshot's point, the
-    buffered-drain decisions taken live on the captured buffer lengths and
-    applied through the snapshot's drained master
-    ({!Snapshot.materialize}), and the crash event emitted. The threads are
-    not restored: the crash discards them. The caller then runs recovery
-    exactly as if the pre-failure program had been re-executed. The
-    snapshot's point must be [`On_path] for the context's searcher
-    ({!Snapshot.find} guarantees it). *)
 
 val set_failure_point_hook : t -> (string -> unit) -> unit
 (** Invoked (with the flush label) at every failure-injection point that is

@@ -63,10 +63,11 @@ type stop_reason = Capped | First_bug | Limit of Monitor.reason
 
 (* One complete scenario execution: run the pre-failure program; every
    injected failure aborts the current execution and starts the recovery
-   program on the surviving persistent state. With a snapshot, the context is
-   restored to the captured crash instead and only recovery runs — the
-   pre-failure program (and any captured recovery prefix) is skipped. *)
-let replay_once ?snapshot scn ctx =
+   program on the surviving persistent state. A context resumed from a
+   snapshot already stands at the captured crash, so only recovery runs —
+   the pre-failure program (and any captured recovery prefix) is
+   skipped. *)
+let replay_once scn ctx =
   let rec recover () =
     Ctx.after_crash ctx;
     try
@@ -74,15 +75,12 @@ let replay_once ?snapshot scn ctx =
       Ctx.finish_execution ctx
     with Ctx.Power_failure -> recover ()
   in
-  match snapshot with
-  | Some snap ->
-      Ctx.resume_from_snapshot ctx snap;
-      recover ()
-  | None -> (
-      try
-        scn.pre ctx;
-        Ctx.finish_execution ctx
-      with Ctx.Power_failure -> recover ())
+  if Ctx.in_recovery ctx then recover ()
+  else
+    try
+      scn.pre ctx;
+      Ctx.finish_execution ctx
+    with Ctx.Power_failure -> recover ()
 
 (* Deduplicating accumulators. To keep the outcome identical for every
    [jobs] value, deduplication cannot keep the first-discovered
@@ -198,7 +196,7 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~limits () =
       end
       else begin
         Choice.begin_replay choice;
-        let snapshot =
+        let resume =
           match snapshots with
           | None -> None
           | Some cache -> (
@@ -210,8 +208,8 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~limits () =
                   incr snapshot_misses;
                   None)
         in
-        let ctx = Ctx.create ?snapshots ~config ~choice () in
-        (try replay_once ?snapshot scn ctx with
+        let ctx = Ctx.create ?snapshots ?resume ~config ~choice () in
+        (try replay_once scn ctx with
         | Ctx.Power_failure -> assert false
         | Choice.Divergence _ as e -> raise e
         | Bug.Found (kind, location) -> record_bug ctx kind location

@@ -76,11 +76,10 @@ let capture ~point ~stack ~threads ~trace ~failure_count ~fp_count ~rng ~last
 let view e = if Exec.Exec_record.is_initial e then e else Exec.Exec_record.snapshot_view e
 
 let fresh_master snap =
-  let stack = Exec.Exec_stack.create () in
-  Exec.Exec_stack.restore stack ~seq:snap.seq
-    (Exec.Exec_record.snapshot_freeze (List.hd snap.stack) :: List.tl snap.stack);
   {
-    stack;
+    stack =
+      Exec.Exec_stack.of_records ~seq:snap.seq
+        (Exec.Exec_record.snapshot_freeze (List.hd snap.stack) :: List.tl snap.stack);
     threads = List.map Tso.Thread_state.copy snap.threads;
     evicted = Array.make (List.length snap.threads) 0;
   }

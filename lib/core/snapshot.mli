@@ -9,8 +9,9 @@
     state — the execution stack, the sequence counter, the per-thread TSO
     buffers, the trace ring — at a {!Choice.point} on the decision path. A
     replay that passes through the point is guaranteed to reach the
-    identical state, so the explorer fast-forwards the choice cursor to the
-    point's depth and resumes at the crash.
+    identical state, so a context created from the snapshot
+    ([Ctx.create ~resume]) fast-forwards the choice cursor to the point's
+    depth and starts at the crash.
 
     Outcomes are byte-identical with snapshots on or off: the state restored
     is exactly the state a full replay would recompute. Buffered-drain

@@ -1,7 +1,7 @@
 (* The ring holds the boxed events the analysis engine already receives, so
-   adding one is a store into an array slot. The snapshot layer copies /
-   restores the whole ring with [Array.blit]; the events themselves are
-   immutable and shared between copies. *)
+   adding one is a store into an array slot. The snapshot layer copies the
+   whole ring at a capture and a restored replay starts from another copy;
+   the events themselves are immutable and shared between copies. *)
 
 type t = {
   ring : Analysis.Event.t array;
@@ -16,7 +16,6 @@ let create ~depth =
   { ring = Array.make depth Analysis.Event.End_execution; depth; next = 0; count = 0; dropped = 0 }
 
 let enabled t = t.depth > 0
-let depth t = t.depth
 
 let add t ev =
   if t.depth > 0 then begin
@@ -28,13 +27,6 @@ let add t ev =
   end
 
 let copy t = { t with ring = Array.copy t.ring }
-
-let restore t ~from =
-  if t.depth <> from.depth then invalid_arg "Trace.restore: rings have different depths";
-  Array.blit from.ring 0 t.ring 0 t.depth;
-  t.next <- from.next;
-  t.count <- from.count;
-  t.dropped <- from.dropped
 
 let clear t =
   t.next <- 0;

@@ -4,8 +4,9 @@
     The ring stores the boxed {!Analysis.Event.t} values the analysis engine
     is fed anyway (a load's event is built for the ring alone unless
     analysis is on), so adding an event is one array write; nothing is
-    formatted unless a report is printed. Snapshot copy/restore are array
-    blits — events are immutable, so copies share them. *)
+    formatted unless a report is printed. Snapshots and the replays restored
+    from them take array copies — events are immutable, so copies share
+    them. *)
 
 type t
 
@@ -14,18 +15,11 @@ val create : depth:int -> t
 
 val enabled : t -> bool
 
-val depth : t -> int
-(** The [depth] this ring was created with (0 when disabled). *)
-
 val add : t -> Analysis.Event.t -> unit
 val clear : t -> unit
 
 val copy : t -> t
 (** An independent ring with identical contents. *)
-
-val restore : t -> from:t -> unit
-(** Overwrites [t]'s contents with [from]'s. Both rings must have the same
-    depth ([Invalid_argument] otherwise). *)
 
 val events : t -> Analysis.Event.t list
 (** Oldest first, at most [depth] entries. *)

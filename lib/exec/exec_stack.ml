@@ -6,12 +6,6 @@ type t = {
   mutable seq : int;  (* σ_curr: the last sequence number drawn *)
 }
 
-let create () =
-  let initial = Exec_record.initial () in
-  let execs = Array.make 4 initial in
-  execs.(1) <- Exec_record.create ~id:1;
-  { execs; top = 1; seq = 0 }
-
 let top s = Array.unsafe_get s.execs s.top
 
 let next_seq s =
@@ -46,23 +40,26 @@ let push_fresh s =
   s.top <- id;
   e
 
-let restore s ~seq records =
+(* The records fill the array bottom-up, as their ids count up from the
+   initial image; unused cells hold the initial image, as in [reserve]. *)
+let of_records ~seq records =
   let n = List.length records in
-  if n = 0 then invalid_arg "Exec_stack.restore: empty record list";
+  if n = 0 then invalid_arg "Exec_stack.of_records: empty record list";
   let bottom_up = List.rev records in
-  if not (Exec_record.is_initial (List.hd bottom_up)) then
-    invalid_arg "Exec_stack.restore: bottom record must be the initial image";
+  let initial = List.hd bottom_up in
+  if not (Exec_record.is_initial initial) then
+    invalid_arg "Exec_stack.of_records: bottom record must be the initial image";
+  let execs = Array.make (max 4 n) initial in
   List.iteri
     (fun i e ->
       let id = Exec_record.id e in
       if id <> i then
-        invalid_arg (Printf.sprintf "Exec_stack.restore: record id %d where %d expected" id i))
+        invalid_arg (Printf.sprintf "Exec_stack.of_records: record id %d where %d expected" id i);
+      execs.(i) <- e)
     bottom_up;
-  reserve s n;
-  List.iteri (fun i e -> s.execs.(i) <- e) bottom_up;
-  Array.fill s.execs n (Array.length s.execs - n) s.execs.(0);
-  s.top <- n - 1;
-  s.seq <- seq
+  { execs; top = n - 1; seq }
+
+let create () = of_records ~seq:0 [ Exec_record.create ~id:1; Exec_record.initial () ]
 
 let depth s = s.top
 

@@ -11,9 +11,18 @@
 
 type t
 
+val of_records : seq:int -> Exec_record.t list -> t
+(** The stack of the given records (top first), its sequence counter at
+    [seq], the value {!cur_seq} had when they were captured. The stack owns
+    the records from then on: the snapshot layer passes freshly
+    materialised copies. Raises [Invalid_argument] if the list is empty, if
+    its bottom is not the {!Exec_record.initial} image, or if its ids do not
+    count down by one from the top to 0 (naming the first bad id from the
+    bottom). *)
+
 val create : unit -> t
-(** A stack holding only the initial image, with one live execution pushed on
-    top of it (the first pre-failure execution). *)
+(** [of_records ~seq:0] of the initial image with one fresh execution on top
+    of it (the first pre-failure execution). *)
 
 val top : t -> Exec_record.t
 
@@ -38,15 +47,6 @@ val prev : t -> Exec_record.t -> Exec_record.t
 val push_fresh : t -> Exec_record.t
 (** Simulates a power failure: pushes and returns a new empty execution on
     top of the stack. Volatile state is the caller's to reset. *)
-
-val restore : t -> seq:int -> Exec_record.t list -> unit
-(** Replaces the whole stack with the given records (top first) and sets the
-    sequence counter to [seq], the value {!cur_seq} had when they were
-    captured. The caller owns the records — the snapshot layer passes freshly
-    materialised copies. Raises [Invalid_argument] if the list is empty, if
-    its bottom is not the {!Exec_record.initial} image, or if its ids do not
-    count down by one from the top to 0 (naming the first bad id from the
-    bottom). *)
 
 val depth : t -> int
 (** Number of non-initial executions. 1 after {!create}. *)

@@ -101,7 +101,7 @@ let evict_prefixes threads stack ~evicted ~keep =
       evicted.(i) <- keep.(i))
     threads
 
-let exec_mfence th stack =
+let sync th stack =
   drain th stack;
   drain_flush_buffer th stack
 

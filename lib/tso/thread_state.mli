@@ -34,9 +34,6 @@ val exec_clflushopt : t -> Exec.Exec_stack.t -> Pmem.Addr.t -> label:string -> u
 
 val exec_sfence : t -> unit
 
-val exec_mfence : t -> Exec.Exec_stack.t -> unit
-(** Drains the store buffer, then the flush buffer (mfence is not buffered). *)
-
 (** {1 Phase two — updating storage (Fig. 8)} *)
 
 val evict_one : t -> Exec.Exec_stack.t -> bool
@@ -53,8 +50,10 @@ val evict_prefixes : t list -> Exec.Exec_stack.t -> evicted:int array -> keep:in
     earlier thread's. Raises [Invalid_argument] if some [evicted.(i)]
     exceeds [keep.(i)]. *)
 
-val drain_flush_buffer : t -> Exec.Exec_stack.t -> unit
-(** Applies and empties the flush buffer (sfence/mfence/RMW semantics). *)
+val sync : t -> Exec.Exec_stack.t -> unit
+(** The synchronisation step: drains the store buffer, then the flush
+    buffer. Taken by [mfence] (so by every locked RMW), thread spawn (the
+    parent), exit, join and the end of a failure-free execution. *)
 
 val reset : t -> unit
 (** Clears buffers and timestamps (power failure: buffered state is lost). *)

@@ -130,31 +130,33 @@ let test_exec_stack_seq () =
   let records = Exec.Exec_stack.to_list s in
   ignore (Exec.Exec_stack.push_fresh s);
   Alcotest.(check int) "a crash keeps counting" 3 (Exec.Exec_stack.next_seq s);
-  Exec.Exec_stack.restore s ~seq:2 records;
-  Alcotest.(check int) "restore sets the counter" 2 (Exec.Exec_stack.cur_seq s);
-  Alcotest.(check int) "restore sets the records" 1 (Exec.Exec_stack.depth s);
-  Alcotest.(check int) "draws resume from the restored counter" 3 (Exec.Exec_stack.next_seq s);
-  Alcotest.check_raises "restore without the initial image"
-    (Invalid_argument "Exec_stack.restore: bottom record must be the initial image") (fun () ->
-      Exec.Exec_stack.restore s ~seq:0 [ Exec.Exec_record.create ~id:1 ])
+  let r = Exec.Exec_stack.of_records ~seq:2 records in
+  Alcotest.(check int) "of_records sets the counter" 2 (Exec.Exec_stack.cur_seq r);
+  Alcotest.(check int) "of_records sets the records" 1 (Exec.Exec_stack.depth r);
+  Alcotest.(check bool) "the records themselves" true
+    (List.for_all2 ( == ) records (Exec.Exec_stack.to_list r));
+  Alcotest.(check int) "draws resume from the given counter" 3 (Exec.Exec_stack.next_seq r);
+  Alcotest.check_raises "records without the initial image"
+    (Invalid_argument "Exec_stack.of_records: bottom record must be the initial image")
+    (fun () -> ignore (Exec.Exec_stack.of_records ~seq:0 [ Exec.Exec_record.create ~id:1 ]))
 
 (* Records are found by id, so a restored list must count down by one to
    the initial image; the first id out of place, from the bottom, is
-   named, and the stack keeps its old records. *)
+   named. *)
 let test_exec_stack_restore_ids () =
-  let s = Exec.Exec_stack.create () in
   let r id = Exec.Exec_record.create ~id in
   let initial = Exec.Exec_record.initial () in
   Alcotest.check_raises "a gap"
-    (Invalid_argument "Exec_stack.restore: record id 3 where 2 expected") (fun () ->
-      Exec.Exec_stack.restore s ~seq:5 [ r 3; r 1; initial ]);
+    (Invalid_argument "Exec_stack.of_records: record id 3 where 2 expected") (fun () ->
+      ignore (Exec.Exec_stack.of_records ~seq:5 [ r 3; r 1; initial ]));
   Alcotest.check_raises "a duplicate id"
-    (Invalid_argument "Exec_stack.restore: record id 1 where 2 expected") (fun () ->
-      Exec.Exec_stack.restore s ~seq:5 [ r 2; r 1; r 1; initial ]);
-  Alcotest.(check int) "stack unchanged" 1 (Exec.Exec_stack.depth s);
-  Alcotest.(check int) "counter unchanged" 0 (Exec.Exec_stack.cur_seq s);
+    (Invalid_argument "Exec_stack.of_records: record id 1 where 2 expected") (fun () ->
+      ignore (Exec.Exec_stack.of_records ~seq:5 [ r 2; r 1; r 1; initial ]));
+  Alcotest.check_raises "no records"
+    (Invalid_argument "Exec_stack.of_records: empty record list") (fun () ->
+      ignore (Exec.Exec_stack.of_records ~seq:0 []));
   let e2 = r 2 and e1 = r 1 in
-  Exec.Exec_stack.restore s ~seq:5 [ e2; e1; initial ];
+  let s = Exec.Exec_stack.of_records ~seq:5 [ e2; e1; initial ] in
   Alcotest.(check int) "contiguous ids accepted" 2 (Exec.Exec_stack.depth s);
   Alcotest.(check bool) "prev by id" true (Exec.Exec_stack.prev s e2 == e1);
   Alcotest.(check bool) "nth by id" true (Exec.Exec_stack.nth s 1 == e1)
@@ -668,10 +670,11 @@ let prop_read_path_matches_model =
             Option.value ~default:e !view)
           c.failed
       in
-      let s = Exec.Exec_stack.create () in
       let top_rec = R.create ~id:top in
-      Exec.Exec_stack.restore s ~seq:!seq (top_rec :: List.rev records @ [ R.initial () ]);
-      let v = Exec.Read_from.view s in
+      let view_of records =
+        Exec.Read_from.view (Exec.Exec_stack.of_records ~seq:!seq records)
+      in
+      let v = ref (view_of (top_rec :: List.rev records @ [ R.initial () ])) in
       let picks = ref c.picks in
       let pick len =
         match !picks with
@@ -690,7 +693,7 @@ let prop_read_path_matches_model =
          [Read_from] gives the load and the model's byte. *)
       let read_byte a =
         let off = (rf_base + a) mod 64 in
-        let got = Exec.Read_from.read v off in
+        let got = Exec.Read_from.read !v off in
         match (List.rev ms.(top).stores.(a), model_pre_failure ms n a) with
         | (_, own, _) :: _, _ ->
             if got <> own then fail "byte %d: own store %d, read %d" a own got;
@@ -702,10 +705,10 @@ let prop_read_path_matches_model =
         | [], cands ->
             if got <> -1 then
               fail "byte %d: %d candidates, read one (%d)" a (List.length cands) got;
-            let real = Exec.Read_from.candidates v in
+            let real = Exec.Read_from.candidates !v in
             if List.map tuple real <> cands then fail "byte %d: candidate lists differ" a;
             let k = pick (List.length cands) in
-            Exec.Read_from.commit v off (List.nth real k);
+            Exec.Read_from.commit !v off (List.nth real k);
             let ((_, _, value, _) as chosen) = List.nth cands k in
             model_update ms ~top a chosen;
             ((List.nth real k).value, value)
@@ -737,8 +740,7 @@ let prop_read_path_matches_model =
       let top_view = ref false in
       let capture () =
         top_view := true;
-        Exec.Exec_stack.restore s ~seq:!seq
-          (R.snapshot_view ~bound:!seq top_rec :: List.rev records @ [ R.initial () ])
+        v := view_of (R.snapshot_view ~bound:!seq top_rec :: List.rev records @ [ R.initial () ])
       in
       List.iteri
         (fun j op ->
@@ -748,15 +750,15 @@ let prop_read_path_matches_model =
               (* As [Ctx] loads: the word path for a load inside one line,
                  else byte by byte, reopening the view at the boundary. *)
               let off = (rf_base + a) mod 64 in
-              Exec.Read_from.open_line v (Pmem.Addr.line_of (rf_base + a));
+              Exec.Read_from.open_line !v (Pmem.Addr.line_of (rf_base + a));
               let got, expected =
-                if off + w <= 64 && Exec.Read_from.load v off w then
-                  (Exec.Read_from.loaded v, compose (Array.init w (fun i -> model_single (a + i))))
+                if off + w <= 64 && Exec.Read_from.load !v off w then
+                  (Exec.Read_from.loaded !v, compose (Array.init w (fun i -> model_single (a + i))))
                 else
                   let bytes =
                     Array.init w (fun i ->
                         if i > 0 && (rf_base + a + i) mod 64 = 0 then
-                          Exec.Read_from.open_line v (Pmem.Addr.line_of (rf_base + a + i));
+                          Exec.Read_from.open_line !v (Pmem.Addr.line_of (rf_base + a + i));
                         read_byte (a + i))
                   in
                   (compose (Array.map fst bytes), compose (Array.map snd bytes))

@@ -389,13 +389,33 @@ let test_coordinator_interrupt_remainder () =
 
 (* --- spawned workers ------------------------------------------------------- *)
 
+(* A recovery that ends its process, or runs out of memory, on one path
+   only: 40 lines are stored and flushed in turn, and only a crash at the
+   first flush can leave line 0 unwritten, so the recovery meets it after
+   41 executions in DFS order, past the fleet's 32-execution split phase.
+   Recovery then calls [exit 3] (MODE [exit]) or raises [Out_of_memory]
+   (MODE [oom]). *)
+let probe_case mode =
+  let base = Config.default.Config.region_base in
+  let pre ctx =
+    for i = 0 to 39 do
+      Ctx.store64 ctx (base + (64 * i)) 1;
+      Ctx.clflush ctx (base + (64 * i)) 8
+    done
+  in
+  let post ctx =
+    if Ctx.load64 ctx base = 0 then if mode = "exit" then exit 3 else raise Out_of_memory
+  in
+  ( Explorer.scenario ~name:("probe-" ^ mode) ~pre ~post,
+    { Config.default with Config.max_failures = 1 } )
+
 (* This test binary doubles as a fleet worker: re-executed as
    [test_fleet.exe fake-worker MODE], it serves shards of [deep_case]
    through {!Fleet.Worker.serve}, exploring each honestly. In mode
    [foreign], every shard's first attempt answers with a result carrying a
-   wrong fingerprint. *)
+   wrong fingerprint; in modes [exit] and [oom] it serves [probe_case]. *)
 let fake_worker mode =
-  let scn, config = deep_case () in
+  let scn, config = if mode = "exit" || mode = "oom" then probe_case mode else deep_case () in
   let run ~shard:_ ~attempt ~payload =
     let cp = Checkpoint.of_string payload in
     Checkpoint.validate cp ~workload:scn.Explorer.name ~config;
@@ -475,8 +495,86 @@ let test_chaos_kill_ends_with_its_assignment () =
   Alcotest.(check (list (pair int string)))
     "no shard quarantined" [] f.Fleet.Coordinator.quarantined
 
+(* Re-executed as [test_fleet.exe probe LEG MODE DIR], this binary runs
+   [probe_case MODE] and prints its report: LEG [check] is one
+   [Explorer.run] on two domains with a checkpoint in DIR, LEG [fleet] a
+   coordinator run on two spawned fake workers, which also prints each
+   quarantined shard and the unexplored prefix count. *)
+let probe leg mode dir =
+  let scn, config = probe_case mode in
+  if leg = "check" then
+    let config = { config with Config.jobs = 2 } in
+    print_string (report_text (Explorer.run ~config ~checkpoint:(Filename.concat dir "ckpt") scn))
+  else begin
+    let fleet =
+      {
+        (Fleet.Coordinator.default ~scratch:"") with
+        Fleet.Coordinator.workers = 2;
+        worker_argv = Some [| Sys.executable_name; "fake-worker"; mode |];
+      }
+    in
+    let r = Fleet.Coordinator.run ~fleet ~config ~scenario:scn in
+    print_string (report_text r.Fleet.Coordinator.outcome);
+    List.iter
+      (fun (sid, why) -> Printf.printf "\nquarantined shard %d: %s" sid why)
+      r.Fleet.Coordinator.fleet.Fleet.Coordinator.quarantined;
+    Printf.printf "\nremaining %d\n" (List.length r.Fleet.Coordinator.remaining)
+  end
+
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* The probe's exit status, its stdout and whether it left a checkpoint. *)
+let run_probe leg mode =
+  let dir = Filename.temp_dir "jaaru_probe" "" in
+  let exe = Sys.executable_name in
+  let ic = Unix.open_process_args_in exe [| exe; "probe"; leg; mode; dir |] in
+  let out = In_channel.input_all ic in
+  let status = Unix.close_process_in ic in
+  let ckpt = Sys.file_exists (Filename.concat dir "ckpt") in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  (status, out, ckpt)
+
+let exited =
+  Alcotest.testable
+    (fun ppf -> function
+      | Unix.WEXITED n -> Format.fprintf ppf "exit %d" n
+      | Unix.WSIGNALED n -> Format.fprintf ppf "signal %d" n
+      | Unix.WSTOPPED n -> Format.fprintf ppf "stopped %d" n)
+    ( = )
+
+(* [exit] ends an in-process run, all its work with it: no report, no
+   checkpoint. The fleet loses only the worker: the shard that kills it is
+   requeued until it is quarantined, and every other shard is merged. *)
+let test_probe_exit () =
+  let status, out, ckpt = run_probe "check" "exit" in
+  Alcotest.check exited "in-process run exits with the recovery's status" (Unix.WEXITED 3)
+    status;
+  Alcotest.(check string) "no report" "" out;
+  Alcotest.(check bool) "no checkpoint" false ckpt;
+  let status, out, _ = run_probe "fleet" "exit" in
+  Alcotest.check exited "the coordinator returns" (Unix.WEXITED 0) status;
+  Alcotest.(check bool) "a shard is quarantined" true (contains ~needle:"quarantined shard" out);
+  Alcotest.(check bool) "its prefixes stay unexplored" false (contains ~needle:"remaining 0" out)
+
+(* [Out_of_memory] is a bug report on both sides, the same report. *)
+let test_probe_oom () =
+  let status, check_out, _ = run_probe "check" "oom" in
+  Alcotest.check exited "in-process run completes" (Unix.WEXITED 0) status;
+  Alcotest.(check bool) "reported as resource exhaustion" true
+    (contains ~needle:"resource exhaustion" check_out);
+  let status, fleet_out, _ = run_probe "fleet" "oom" in
+  Alcotest.check exited "the coordinator returns" (Unix.WEXITED 0) status;
+  Alcotest.(check string) "fleet report = in-process report" (check_out ^ "\nremaining 0\n")
+    fleet_out
+
 let () =
   if Array.length Sys.argv = 3 && Sys.argv.(1) = "fake-worker" then fake_worker Sys.argv.(2)
+  else if Array.length Sys.argv = 5 && Sys.argv.(1) = "probe" then
+    probe Sys.argv.(2) Sys.argv.(3) Sys.argv.(4)
   else
     (* The spawned group runs first: OCaml 5 refuses [Unix.fork] in a
        process that has ever spawned a domain, and the in-process
@@ -488,6 +586,8 @@ let () =
           Alcotest.test_case "foreign result frees the slot" `Slow test_foreign_result_frees_slot;
           Alcotest.test_case "a chaos kill ends with its assignment" `Slow
             test_chaos_kill_ends_with_its_assignment;
+          Alcotest.test_case "exit in recovery" `Slow test_probe_exit;
+          Alcotest.test_case "Out_of_memory in recovery" `Slow test_probe_oom;
         ] );
       ( "transport",
         [

@@ -118,6 +118,29 @@ let clwb_is_clflushopt () =
          Ctx.sfence ctx ())
        read1)
 
+(* Thread exit is a synchronisation step: the exited thread's store buffer
+   and flush buffer drain, so a clflushopt it issued persists its line
+   before a sibling's later crash, under either policy. *)
+let thread_exit_drains () =
+  List.iter
+    (fun (name, policy) ->
+      check ("thread exit drains the flush buffer, " ^ name) [ "1" ]
+        (behaviors ~policy
+           (fun ctx ->
+             Ctx.parallel ctx
+               [
+                 (fun ctx ->
+                   Ctx.store64 ctx a0 1;
+                   Ctx.clflushopt ctx a0 8);
+                 (fun ctx ->
+                   for _ = 1 to 4 do
+                     ignore (Ctx.load64 ctx b0)
+                   done;
+                   Ctx.crash ctx);
+               ])
+           read1))
+    [ ("eager", Config.Eager); ("buffered", Config.Buffered) ]
+
 (* --- cross-line (in)dependence -------------------------------------------------- *)
 
 let flush_does_not_order_other_lines () =
@@ -233,6 +256,18 @@ let buffered_mfence_pins () =
          Ctx.mfence ctx ())
        read1)
 
+(* A store straddling two lines stamps both lines' timestamps, so a
+   clflushopt of the second line is ordered after it: once the mfence
+   drains, the second line holds the store's high half. *)
+let buffered_straddle_clflushopt () =
+  check "buffered: clflushopt orders a straddling store" [ "286331153" ]
+    (behaviors ~policy:Config.Buffered
+       (fun ctx ->
+         Ctx.store64 ctx (b0 - 4) 0x1111111111111111;
+         Ctx.clflushopt ctx b0 8;
+         Ctx.mfence ctx ())
+       (fun ctx -> string_of_int (Ctx.load32 ctx b0)))
+
 let () =
   Alcotest.run "litmus"
     [
@@ -250,6 +285,7 @@ let () =
           Alcotest.test_case "clflushopt + mfence" `Quick clflushopt_mfence;
           Alcotest.test_case "RMW drains" `Quick clflushopt_rmw_drains;
           Alcotest.test_case "clwb = clflushopt" `Quick clwb_is_clflushopt;
+          Alcotest.test_case "thread exit drains" `Quick thread_exit_drains;
         ] );
       ( "cross-line",
         [
@@ -273,5 +309,6 @@ let () =
           Alcotest.test_case "store dies in SB" `Quick buffered_store_may_die_in_sb;
           Alcotest.test_case "clflush in SB void" `Quick buffered_clflush_in_sb_is_void;
           Alcotest.test_case "mfence pins" `Quick buffered_mfence_pins;
+          Alcotest.test_case "straddle + clflushopt" `Quick buffered_straddle_clflushopt;
         ] );
     ]

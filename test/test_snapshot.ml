@@ -281,6 +281,55 @@ let test_master_rebuild () =
         ("keep " ^ name ^ " unchanged by later restores") text (render restored))
     !earlier
 
+(* A context resumed from a snapshot is built from it: its stack holds
+   exactly the materialised records, with the snapshot's own initial image
+   at the bottom and no fresh first record on top, at the captured
+   sequence counter, and the crash is already counted. *)
+let test_create_resume () =
+  let stack = Exec.Exec_stack.create () in
+  let push e addr value label =
+    Exec.Exec_record.push_store e addr ~width:8 ~value ~seq:(Exec.Exec_stack.next_seq stack)
+      ~label
+  in
+  push (Exec.Exec_stack.top stack) base 7 "w1";
+  push (Exec.Exec_stack.push_fresh stack) (base + 64) 9 "w2";
+  let c = Choice.create () in
+  Choice.begin_replay c;
+  let snap =
+    Snapshot.capture ~point:(Choice.point c) ~stack ~threads:[] ~trace:(Trace.create ~depth:0)
+      ~failure_count:1 ~fp_count:3 ~rng:0 ~last:"w2" ~crash_label:(Some "fp")
+  in
+  let choice = Choice.create () in
+  Choice.begin_replay choice;
+  let ctx = Ctx.create ~resume:snap ~config:Config.default ~choice () in
+  let resumed = Exec.Exec_stack.to_list (Ctx.exec_stack ctx) in
+  let records, seq = Snapshot.materialize snap ~keep:[||] in
+  let render e =
+    Printf.sprintf "id %d:%s" (Exec.Exec_record.id e)
+      (String.concat ""
+         (List.concat_map
+            (fun a ->
+              List.map
+                (fun (st : Exec.Exec_record.byte_store) ->
+                  Printf.sprintf " %d@%d=%d" a st.Exec.Exec_record.seq st.value)
+                (Exec.Exec_record.visible_stores e a))
+            (List.sort compare (Exec.Exec_record.written_addrs e))))
+  in
+  Alcotest.(check (list string)) "the materialised records, top first"
+    (List.map render records) (List.map render resumed);
+  Alcotest.(check int) "no fresh first record" 2 (Exec.Exec_stack.depth (Ctx.exec_stack ctx));
+  Alcotest.(check bool) "the snapshot's own initial image" true
+    (List.nth resumed 2 == List.nth snap.Snapshot.stack 2);
+  Alcotest.(check bool) "fresh views, not the snapshot's records" true
+    (List.for_all2 ( != ) (List.filteri (fun i _ -> i < 2) resumed)
+       (List.filteri (fun i _ -> i < 2) snap.Snapshot.stack));
+  Alcotest.(check int) "captured sequence counter" seq
+    (Exec.Exec_stack.cur_seq (Ctx.exec_stack ctx));
+  Alcotest.(check int) "the crash is counted" 2 (Ctx.failures ctx);
+  Alcotest.(check int) "failure points carried over" 3 (Ctx.fp_count ctx);
+  Ctx.after_crash ctx;
+  Alcotest.(check int) "recovery reads the restored store" 9 (Ctx.load64 ctx (base + 64))
+
 let test_equivalence_analysis () =
   check_snapshot_equivalence "analysis" (flush_loop_scenario ())
     { Config.default with Config.analyze = true }
@@ -501,7 +550,10 @@ let () =
           Alcotest.test_case "RECIPE case" `Quick test_equivalence_recipe;
         ] );
       ( "resume",
-        [ Alcotest.test_case "pre runs exactly once" `Quick test_snapshot_skips_pre ] );
+        [
+          Alcotest.test_case "pre runs exactly once" `Quick test_snapshot_skips_pre;
+          Alcotest.test_case "create builds from the snapshot" `Quick test_create_resume;
+        ] );
       ("bounded-view", [ Alcotest.test_case "seq-bound semantics" `Quick test_bounded_view ]);
       ( "budget",
         [ Alcotest.test_case "exact budget is exhausted" `Quick test_exact_budget_not_capped ] );

@@ -407,7 +407,7 @@ let test_mfence_immediate () =
   let th = Tso.Thread_state.create ~tid:0 in
   Tso.Thread_state.exec_store th 100 ~value:1 ~width:1 ~label:"w";
   Tso.Thread_state.exec_clflushopt th stack 100 ~label:"opt";
-  Tso.Thread_state.exec_mfence th stack;
+  Tso.Thread_state.sync th stack;
   Alcotest.(check bool) "sb drained" true
     (Tso.Store_buffer.is_empty (Tso.Thread_state.store_buffer th));
   Alcotest.(check bool) "flush applied" true
