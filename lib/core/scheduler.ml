@@ -4,33 +4,6 @@ type _ Effect.t += Yield : unit Effect.t
 
 let yield () = try Effect.perform Yield with Effect.Unhandled _ -> ()
 
-(* The run queue: a ring of parked continuations, oldest first, in an
-   array whose capacity is a power of two. Taking the [i]-th moves the [i]
-   older ones up one slot, so the round-robin pick (index 0) moves
-   nothing. *)
-type queue = { mutable buf : (unit -> unit) array; mutable head : int; mutable len : int }
-
-let slot q k = (q.head + k) land (Array.length q.buf - 1)
-
-let push q resume =
-  if q.len = Array.length q.buf then begin
-    q.buf <-
-      Array.init (max 8 (2 * q.len)) (fun k -> if k < q.len then q.buf.(slot q k) else ignore);
-    q.head <- 0
-  end;
-  q.buf.(slot q q.len) <- resume;
-  q.len <- q.len + 1
-
-let take q i =
-  let chosen = q.buf.(slot q i) in
-  for k = i downto 1 do
-    q.buf.(slot q k) <- q.buf.(slot q (k - 1))
-  done;
-  q.buf.(q.head) <- ignore;
-  q.head <- slot q 1;
-  q.len <- q.len - 1;
-  chosen
-
 (* Trampoline: a yielding fiber parks its continuation on the run queue and
    the handled computation returns to the scheduler loop, so the native stack
    stays constant no matter how many context switches occur. [pick], given
@@ -39,7 +12,19 @@ let take q i =
    concurrency fuzzer. *)
 let run_fibers ?(pick = fun _ -> 0) fibers =
   let open Effect.Deep in
-  let runq = { buf = [||]; head = 0; len = 0 } in
+  let runq : (unit -> unit) list ref = ref [] in
+  let push resume = runq := !runq @ [ resume ] in
+  let take () =
+    match !runq with
+    | [] -> None
+    | q ->
+        let n = List.length q in
+        let i = pick n in
+        let i = if i < 0 || i >= n then 0 else i in
+        let chosen = List.nth q i in
+        runq := List.filteri (fun j _ -> j <> i) q;
+        Some chosen
+  in
   let handler fb =
     {
       retc = Fun.id;
@@ -50,7 +35,7 @@ let run_fibers ?(pick = fun _ -> 0) fibers =
           | Yield ->
               Some
                 (fun (k : (a, _) continuation) ->
-                  push runq (fun () ->
+                  push (fun () ->
                       fb.enter ();
                       continue k ()))
           | _ -> None);
@@ -58,16 +43,15 @@ let run_fibers ?(pick = fun _ -> 0) fibers =
   in
   List.iter
     (fun fb ->
-      push runq (fun () ->
+      push (fun () ->
           fb.enter ();
           match_with fb.body () (handler fb)))
     fibers;
   let rec loop () =
-    let n = runq.len in
-    if n > 0 then begin
-      let i = pick n in
-      take runq (if i < 0 || i >= n then 0 else i) ();
-      loop ()
-    end
+    match take () with
+    | None -> ()
+    | Some resume ->
+        resume ();
+        loop ()
   in
   loop ()

@@ -723,15 +723,10 @@ let test_hb_findings_deterministic () =
       let reference =
         render { base_config with Config.jobs = 1; snapshot = false }
       in
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-        at 0
-      in
       Alcotest.(check bool)
         (name ^ " race findings as expected")
         want_race
-        (contains reference "persistency-race-hb");
+        (Test_env.contains ~needle:"persistency-race-hb" reference);
       List.iter
         (fun jobs ->
           List.iter
@@ -891,12 +886,8 @@ let test_bug_trace_dropped () =
       Alcotest.(check int) "window size" 4 (List.length b.Bug.trace);
       Alcotest.(check bool) "events were dropped" true (b.Bug.dropped > 0);
       let s = Format.asprintf "%a" Bug.pp b in
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-        at 0
-      in
-      Alcotest.(check bool) "pp mentions the loss" true (contains s "earlier events dropped")
+      Alcotest.(check bool) "pp mentions the loss" true
+        (Test_env.contains ~needle:"earlier events dropped" s)
   | bs -> Alcotest.failf "expected one bug, got %d" (List.length bs)
 
 let () =

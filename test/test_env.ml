@@ -17,3 +17,9 @@ let jobs_override =
    should cover: [default] when the environment does not pin one, the pinned
    value alone otherwise. *)
 let jobs_matrix ~default = match jobs_override with Some j -> [ j ] | None -> default
+
+(* [contains ~needle hay]: whether [needle] occurs in [hay]. *)
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0

@@ -156,12 +156,8 @@ let test_pp_outcome_mentions_bug () =
   let config = { Config.default with Config.stop_at_first_bug = true } in
   let o = Explorer.run ~config buggy_scenario in
   let s = Format.asprintf "%a" Explorer.pp_outcome o in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    at 0
-  in
-  Alcotest.(check bool) "mentions the symptom" true (contains s "Assertion failure at oracle")
+  Alcotest.(check bool) "mentions the symptom" true
+    (Test_env.contains ~needle:"Assertion failure at oracle" s)
 
 (* --- Fuzz ------------------------------------------------------------------------- *)
 

@@ -521,11 +521,6 @@ let probe leg mode dir =
     Printf.printf "\nremaining %d\n" (List.length r.Fleet.Coordinator.remaining)
   end
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 (* The probe's exit status, its stdout and whether it left a checkpoint. *)
 let run_probe leg mode =
   let dir = Filename.temp_dir "jaaru_probe" "" in
@@ -557,15 +552,17 @@ let test_probe_exit () =
   Alcotest.(check bool) "no checkpoint" false ckpt;
   let status, out, _ = run_probe "fleet" "exit" in
   Alcotest.check exited "the coordinator returns" (Unix.WEXITED 0) status;
-  Alcotest.(check bool) "a shard is quarantined" true (contains ~needle:"quarantined shard" out);
-  Alcotest.(check bool) "its prefixes stay unexplored" false (contains ~needle:"remaining 0" out)
+  Alcotest.(check bool) "a shard is quarantined" true
+    (Test_env.contains ~needle:"quarantined shard" out);
+  Alcotest.(check bool) "its prefixes stay unexplored" false
+    (Test_env.contains ~needle:"remaining 0" out)
 
 (* [Out_of_memory] is a bug report on both sides, the same report. *)
 let test_probe_oom () =
   let status, check_out, _ = run_probe "check" "oom" in
   Alcotest.check exited "in-process run completes" (Unix.WEXITED 0) status;
   Alcotest.(check bool) "reported as resource exhaustion" true
-    (contains ~needle:"resource exhaustion" check_out);
+    (Test_env.contains ~needle:"resource exhaustion" check_out);
   let status, fleet_out, _ = run_probe "fleet" "oom" in
   Alcotest.check exited "the coordinator returns" (Unix.WEXITED 0) status;
   Alcotest.(check string) "fleet report = in-process report" (check_out ^ "\nremaining 0\n")

@@ -121,56 +121,6 @@ let test_many_fibers () =
          }));
   Alcotest.(check int) "all completed" n !counter
 
-(* Against the run queue as a list: each pick, in range or out of it (then
-   index 0), removes one parked fiber and the rest keep their order, and a
-   yielding fiber goes to the back. Up to 20 fibers, so the ring grows past
-   its first capacity. *)
-let prop_pick_list_model =
-  QCheck.Test.make ~name:"any pick = list model" ~count:300
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 20) (int_bound 5))
-        (list_of_size Gen.(int_range 1 8) small_nat))
-    (fun (yields, draws) ->
-      let draws = ref draws in
-      let pick n =
-        match !draws with
-        | d :: rest ->
-            draws := rest @ [ d ];
-            (d mod (n + 2)) - 1
-        | [] -> 0
-      in
-      let log = ref [] in
-      let fibers =
-        List.mapi
-          (fun id y ->
-            {
-              Scheduler.enter = (fun () -> ());
-              body =
-                (fun () ->
-                  for step = 0 to y do
-                    log := (id, step) :: !log;
-                    if step < y then Scheduler.yield ()
-                  done);
-            })
-          yields
-      in
-      let saved = !draws in
-      Scheduler.run_fibers ~pick fibers;
-      draws := saved;
-      let rec model q acc =
-        match q with
-        | [] -> List.rev acc
-        | _ ->
-            let n = List.length q in
-            let i = pick n in
-            let i = if i < 0 || i >= n then 0 else i in
-            let ((id, step) as chosen) = List.nth q i in
-            let q = List.filteri (fun j _ -> j <> i) q in
-            model (if step < List.nth yields id then q @ [ (id, step + 1) ] else q) (chosen :: acc)
-      in
-      List.rev !log = model (List.mapi (fun id _ -> (id, 0)) yields) [])
-
 let () =
   Alcotest.run "scheduler"
     [
@@ -185,6 +135,5 @@ let () =
           Alcotest.test_case "yield outside" `Quick test_yield_outside_is_noop;
           Alcotest.test_case "nested" `Quick test_nested_run_fibers;
           Alcotest.test_case "many fibers" `Quick test_many_fibers;
-          QCheck_alcotest.to_alcotest prop_pick_list_model;
         ] );
     ]

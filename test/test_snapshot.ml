@@ -7,11 +7,6 @@ open Jaaru
 
 let base = 0x1000
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 (* --- Choice: snapshot points ------------------------------------------------ *)
 
 let status =
@@ -433,10 +428,10 @@ let test_clwb_bug_trace () =
   let lines = List.concat_map (fun b -> b.Bug.trace) o.Explorer.bugs in
   Alcotest.(check bool)
     "trace names the clwb instruction" true
-    (List.exists (contains ~needle:"clwb persist") lines);
+    (List.exists (Test_env.contains ~needle:"clwb persist") lines);
   Alcotest.(check bool)
     "trace does not mislabel it clflushopt" false
-    (List.exists (contains ~needle:"clflushopt") lines)
+    (List.exists (Test_env.contains ~needle:"clflushopt") lines)
 
 (* --- parallel sections: join drains only the section's fibers -------------- *)
 
