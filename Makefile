@@ -111,14 +111,13 @@ pbt-nightly: build
 	  --time-budget $${JAARU_PBT_BUDGET:-600} \
 	  --json-out $${JAARU_PBT_JSON:-pbt-coverage.json}
 
-# Fleet determinism under self-injected faults: `jaaru fleet` with workers
-# being killed, hung and fed torn checkpoints must still report
-# byte-identically to single-process `jaaru check`, across a worker-count
-# matrix, chaos on and off, for a PMDK, a RECIPE and a buffered-eviction
-# case; every shard requeued under chaos must be requeued for a
-# chaos-induced reason (the --verbose log is checked).
+# Fleet determinism, also under faults staged from outside: `jaaru fleet`
+# must report byte-identically to single-process `jaaru check` across a
+# worker-count matrix for a PMDK, a RECIPE and a buffered-eviction case,
+# also while the script SIGSTOPs one worker and SIGKILLs another; every
+# requeue in the --verbose log must name the staged fault.
 fleet-smoke: build
-	scripts/fleet_chaos_smoke.sh
+	scripts/fleet_smoke.sh
 
 # Out-of-process half of the survivability story: SIGTERM a real CLI run
 # mid-flight, resume it from its checkpoint, and diff the resumed report

@@ -658,27 +658,16 @@ let fleet_workers_arg =
           "Supervised worker processes. The merged report is byte-identical for every value \
            (including 1) and to a plain single-process `jaaru check'.")
 
-let fleet_chaos_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "fleet-chaos" ] ~docv:"SPEC"
-        ~doc:
-          "Self fault injection, e.g. $(b,kill:0.3,hang:0.1,torn:0.2): per-assignment \
-           probabilities of SIGKILLing the worker mid-shard, stalling its channel until the \
-           heartbeat timeout fires, or tearing the shard checkpoint in transit. The merged \
-           report is unchanged — chaos only exercises the retry machinery.")
-
-let fleet_chaos_seed_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "fleet-chaos-seed" ] ~docv:"SEED" ~doc:"Seed for the chaos fault schedule")
-
 let heartbeat_timeout_arg =
   Arg.(
     value
     & opt (positive float ~zero:0.) 2.0
     & info [ "heartbeat-timeout" ] ~docv:"SEC"
-        ~doc:"Seconds without a worker heartbeat before it is declared hung and killed")
+        ~doc:
+          "Seconds without a worker heartbeat before it is declared hung and killed. A worker \
+           beats between replays, so this also bounds the wall time of one replay: a recovery \
+           that spins without a memory operation is killed, and its shard retried and then \
+           quarantined.")
 
 let quarantine_arg =
   Arg.(
@@ -686,11 +675,13 @@ let quarantine_arg =
     & opt (positive int ~zero:0) 3
     & info [ "quarantine-after" ] ~docv:"N"
         ~doc:
-          "Non-chaos failures after which a shard is quarantined and reported instead of retried \
+          "Failures after which a shard is quarantined and reported instead of retried \
            forever (a poison shard that keeps killing workers must not wedge the fleet)")
 
 let verbose_arg =
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print supervision events (spawns, retries, chaos)")
+  Arg.(
+    value & flag
+    & info [ "verbose"; "v" ] ~doc:"Print supervision events (spawns, retries, quarantines)")
 
 let heartbeat_period_arg =
   Arg.(
@@ -698,9 +689,8 @@ let heartbeat_period_arg =
     & opt (positive float ~zero:0.) 0.05
     & info [ "heartbeat-period" ] ~docv:"SEC" ~doc:"Worker heartbeat interval (internal)")
 
-let fleet_run_case (c : Jaaru.Case.t) ~workers ~chaos ~chaos_seed ~heartbeat_timeout
-    ~heartbeat_period ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot ~verbose =
-  let config = fleet_exploration_config c ~max_failures ~max_steps ~jobs ~snapshot in
+let fleet_run_case (c : Jaaru.Case.t) ~config ~workers ~heartbeat_timeout ~heartbeat_period
+    ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot ~verbose =
   let worker_argv =
     Array.of_list
       ([ Sys.executable_name; "fleet-worker"; c.id ]
@@ -721,65 +711,57 @@ let fleet_run_case (c : Jaaru.Case.t) ~workers ~chaos ~chaos_seed ~heartbeat_tim
       Fleet.Coordinator.workers;
       heartbeat_timeout;
       quarantine_after;
-      chaos;
-      chaos_seed;
       worker_argv = Some worker_argv;
       log = (if verbose then fun s -> Format.eprintf "[fleet] %s@." s else ignore);
     }
   in
   with_graceful_signals (fun () -> Fleet.Coordinator.run ~fleet ~config ~scenario:c.scenario)
 
-let fleet_run id workers chaos_spec chaos_seed heartbeat_timeout heartbeat_period
-    quarantine_after max_failures max_steps jobs snapshot checkpoint report_out verbose =
+let fleet_run id workers heartbeat_timeout heartbeat_period quarantine_after max_failures
+    max_steps jobs snapshot checkpoint report_out verbose =
   match find_case id with
   | Error e -> Error e
   | Ok c -> (
-      match Fleet.Supervise.parse_chaos chaos_spec with
-      | exception Invalid_argument m -> Error (`Msg m)
-      | chaos -> (
-          Format.printf "fleet-checking %s (%s): %s@." c.id c.benchmark c.description;
-          match
-            Option.iter Jaaru.Checkpoint.check_writable checkpoint;
-            fleet_run_case c ~workers ~chaos ~chaos_seed ~heartbeat_timeout
-              ~heartbeat_period ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot
-              ~verbose
-          with
-          | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
-          | exception Jaaru.Choice.Divergence msg -> Error (divergence msg)
-          | r ->
-              let o = r.Fleet.Coordinator.outcome in
-              Format.printf "%a@.@." Jaaru.Explorer.pp_outcome o;
-              Format.printf "%a@." Fleet.Coordinator.pp_fleet r.Fleet.Coordinator.fleet;
-              Option.iter (fun path -> write_report path o) report_out;
-              List.iter (fun b -> Format.printf "bug: %s@." (Jaaru.Bug.symptom b)) o.Jaaru.Explorer.bugs;
-              if r.Fleet.Coordinator.remaining <> [] || r.Fleet.Coordinator.interrupted then begin
-                (* Checkpoint every live shard so the run is continuable —
-                   with plain `jaaru check --resume`: the aggregate uses the
-                   same fingerprint and format as a single-process run. *)
-                let stopped =
-                  if r.Fleet.Coordinator.interrupted then "run interrupted"
-                  else "unexplored shards remain (quarantined)"
-                in
-                match checkpoint with
-                | Some path -> (
-                    let config =
-                      fleet_exploration_config c ~max_failures ~max_steps ~jobs ~snapshot
-                    in
-                    let cp = Jaaru.Explorer.to_checkpoint ~config c.scenario o in
-                    match Jaaru.Checkpoint.save cp path with
-                    | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
-                    | () ->
-                        Format.printf
-                          "@.fleet stopped early; continue with: jaaru check %s --resume %s@."
-                          c.id path;
-                        Error (`Msg stopped))
-                | None ->
+      Format.printf "fleet-checking %s (%s): %s@." c.id c.benchmark c.description;
+      let config = fleet_exploration_config c ~max_failures ~max_steps ~jobs ~snapshot in
+      match
+        Option.iter Jaaru.Checkpoint.check_writable checkpoint;
+        fleet_run_case c ~config ~workers ~heartbeat_timeout ~heartbeat_period
+          ~quarantine_after ~max_failures ~max_steps ~jobs ~snapshot ~verbose
+      with
+      | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
+      | exception Jaaru.Choice.Divergence msg -> Error (divergence msg)
+      | r ->
+          let o = r.Fleet.Coordinator.outcome in
+          Format.printf "%a@.@." Jaaru.Explorer.pp_outcome o;
+          Format.printf "%a@." Fleet.Coordinator.pp_fleet r.Fleet.Coordinator.fleet;
+          Option.iter (fun path -> write_report path o) report_out;
+          List.iter (fun b -> Format.printf "bug: %s@." (Jaaru.Bug.symptom b)) o.Jaaru.Explorer.bugs;
+          if r.Fleet.Coordinator.remaining <> [] || r.Fleet.Coordinator.interrupted then begin
+            (* Checkpoint every live shard so the run is continuable —
+               with plain `jaaru check --resume`: the aggregate uses the
+               same fingerprint and format as a single-process run. *)
+            let stopped =
+              if r.Fleet.Coordinator.interrupted then "run interrupted"
+              else "unexplored shards remain (quarantined)"
+            in
+            match checkpoint with
+            | Some path -> (
+                let cp = Jaaru.Explorer.to_checkpoint ~config c.scenario o in
+                match Jaaru.Checkpoint.save cp path with
+                | exception Jaaru.Checkpoint.Rejected msg -> Error (`Msg msg)
+                | () ->
                     Format.printf
-                      "@.fleet stopped early; progress was discarded (re-run with --checkpoint \
-                       FILE to make fleet runs resumable)@.";
-                    Error (`Msg stopped)
-              end
-              else verdict c o.Jaaru.Explorer.bugs))
+                      "@.fleet stopped early; continue with: jaaru check %s --resume %s@."
+                      c.id path;
+                    Error (`Msg stopped))
+            | None ->
+                Format.printf
+                  "@.fleet stopped early; progress was discarded (re-run with --checkpoint \
+                   FILE to make fleet runs resumable)@.";
+                Error (`Msg stopped)
+          end
+          else verdict c o.Jaaru.Explorer.bugs)
 
 let fleet_cmd =
   let doc = "Model check one case across supervised worker processes" in
@@ -791,17 +773,17 @@ let fleet_cmd =
          processes (heartbeats, crash detection, retry with capped backoff, poison-shard \
          quarantine, work stealing, fallback to in-process domains), and merges the shard \
          reports deterministically: an exhaustive fleet run reports byte-identically to \
-         single-process $(b,jaaru check), for every $(b,--fleet-workers) value, with \
-         $(b,--fleet-chaos) faults injected or not.";
+         single-process $(b,jaaru check), for every $(b,--fleet-workers) value, however many \
+         workers died, hung or were killed on the way.";
     ]
   in
   Cmd.v
     (Cmd.info "fleet" ~doc ~man)
     Term.(
       term_result
-        (const fleet_run $ id_arg $ fleet_workers_arg $ fleet_chaos_arg $ fleet_chaos_seed_arg
-       $ heartbeat_timeout_arg $ heartbeat_period_arg $ quarantine_arg $ max_failures_arg
-       $ max_steps_arg $ jobs_arg $ snapshot_arg $ checkpoint_arg $ report_out_arg $ verbose_arg))
+        (const fleet_run $ id_arg $ fleet_workers_arg $ heartbeat_timeout_arg
+       $ heartbeat_period_arg $ quarantine_arg $ max_failures_arg $ max_steps_arg $ jobs_arg
+       $ snapshot_arg $ checkpoint_arg $ report_out_arg $ verbose_arg))
 
 (* Accepted and ignored: the macro benchmark suite still passes it to the
    workers it spawns. A later benchmark change removes it together with the
@@ -819,7 +801,17 @@ let fleet_worker_run id max_failures max_steps jobs snapshot () heartbeat_period
   | Error e -> Error e
   | Ok c ->
       let config = fleet_exploration_config c ~max_failures ~max_steps ~jobs ~snapshot in
-      let run ~shard:_ ~attempt:_ ~payload =
+      (* Every replay starts by ticking the worker: its heartbeat is replay
+         progress. *)
+      let scenario ~tick =
+        let s = c.scenario in
+        {
+          s with
+          Jaaru.Explorer.pre = (fun ctx -> tick (); s.pre ctx);
+          post = (fun ctx -> tick (); s.post ctx);
+        }
+      in
+      let run ~tick ~shard:_ ~attempt:_ ~payload =
         match Jaaru.Checkpoint.of_string payload with
         | exception Jaaru.Checkpoint.Rejected msg -> Error msg
         | cp -> (
@@ -831,10 +823,10 @@ let fleet_worker_run id max_failures max_steps jobs snapshot () heartbeat_period
                 (* A Preempt for the previous shard that raced its Result
                    must not poison this one. *)
                 Jaaru.Explorer.clear_interrupt ();
-                let o = Jaaru.Explorer.run ~config ~resume:cp c.scenario in
+                let scenario = scenario ~tick in
+                let o = Jaaru.Explorer.run ~config ~resume:cp scenario in
                 Ok
-                  (Jaaru.Checkpoint.to_string
-                     (Jaaru.Explorer.to_checkpoint ~config c.scenario o)))
+                  (Jaaru.Checkpoint.to_string (Jaaru.Explorer.to_checkpoint ~config scenario o)))
       in
       Fleet.Worker.serve ~heartbeat_period ~on_preempt:Jaaru.Explorer.request_interrupt ~run ();
       Ok ()

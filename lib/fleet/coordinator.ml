@@ -12,8 +12,6 @@ type config = {
   heartbeat_timeout : float;
   quarantine_after : int;
   spawn_attempts : int;
-  chaos : Supervise.chaos;
-  chaos_seed : int;
   worker_argv : string array option;
   log : string -> unit;
 }
@@ -24,8 +22,6 @@ let default ~scratch:_ =
     heartbeat_timeout = 2.0;
     quarantine_after = 3;
     spawn_attempts = 3;
-    chaos = Supervise.no_chaos;
-    chaos_seed = 0;
     worker_argv = None;
     log = ignore;
   }
@@ -45,7 +41,6 @@ type fleet_stats = {
   spawn_failures : int;
   assignments : int;
   retries : int;
-  chaos_injected : int;
   steals : int;
   quarantined : (int * string) list;  (* shard id, last failure — sorted by id *)
   in_process : bool;
@@ -53,10 +48,10 @@ type fleet_stats = {
 
 let pp_fleet ppf f =
   Format.fprintf ppf
-    "fleet: shards %d, workers %d/%d%s, spawns %d (%d failed), assignments %d, retries %d (%d chaos-injected), steals %d, quarantined %d"
+    "fleet: shards %d, workers %d/%d%s, spawns %d (%d failed), assignments %d, retries %d, steals %d, quarantined %d"
     f.shards f.workers_effective f.workers_configured
     (if f.in_process then " (in-process fallback)" else "")
-    f.spawns f.spawn_failures f.assignments f.retries f.chaos_injected f.steals
+    f.spawns f.spawn_failures f.assignments f.retries f.steals
     (List.length f.quarantined);
   List.iter
     (fun (sid, reason) ->
@@ -79,7 +74,7 @@ type shard = {
   prefixes : string list;  (* encoded; the shard's frontier *)
   mutable status : shard_status;
   mutable attempts : int;
-  mutable failures : int;  (* non-chaos-induced failures, toward quarantine *)
+  mutable failures : int;  (* toward quarantine *)
   mutable not_before : float;  (* retry backoff gate *)
 }
 
@@ -138,9 +133,6 @@ type slot = {
   mutable busy_since : float;
   mutable preempted : bool;
   mutable last_beat : float;
-  mutable deaf : bool;  (* hang chaos: this worker's messages are dropped *)
-  mutable kill_at : float option;  (* kill chaos: SIGKILL due during this assignment *)
-  mutable chaos_attempt : bool;  (* current assignment carries an injected fault *)
   mutable spawns : int;
   mutable disabled : bool;
 }
@@ -152,14 +144,12 @@ let run ~fleet ~config ~scenario =
   (* The workload string must be whatever {!Ex.run} fingerprints with, or the
      workers would reject their own shards. *)
   let real_fp = Ck.fingerprint ~workload:scenario.Ex.name config in
-  let rng = Random.State.make [| fleet.chaos_seed; 0x6a617275 |] in
 
   (* counters *)
   let spawns = ref 0
   and spawn_failures = ref 0
   and assignments = ref 0
   and retries = ref 0
-  and chaos_injected = ref 0
   and steals = ref 0 in
 
   (* Phase 1: explore in-process under a small execution cap to grow a
@@ -210,9 +200,6 @@ let run ~fleet ~config ~scenario =
           busy_since = 0.;
           preempted = false;
           last_beat = 0.;
-          deaf = false;
-          kill_at = None;
-          chaos_attempt = false;
           spawns = 0;
           disabled = fleet.worker_argv = None;
         })
@@ -230,9 +217,9 @@ let run ~fleet ~config ~scenario =
      share it. *)
   let steal_split frontier = add_shards (partition frontier (max 2 fleet.workers)) in
 
-  let requeue ~why ~chaos sh now =
+  let requeue ~why sh now =
     incr retries;
-    if not chaos then sh.failures <- sh.failures + 1;
+    sh.failures <- sh.failures + 1;
     if sh.failures >= fleet.quarantine_after then begin
       sh.status <- Quarantined why;
       log "shard %d quarantined after %d failures: %s" sh.sid sh.failures why
@@ -243,25 +230,20 @@ let run ~fleet ~config ~scenario =
       in
       sh.status <- Pending;
       sh.not_before <- now +. delay;
-      log "shard %d requeued (%s%s), retry in %.2fs" sh.sid why
-        (if chaos then ", chaos-induced" else "")
-        delay
+      log "shard %d requeued (%s), retry in %.2fs" sh.sid why delay
     end
   in
 
   (* The one place an assignment ends, however it ends. The slot is free
-     again, and the assignment's preempt and chaos plan end with it: a kill
-     planned for this shard must never land on the worker's next one. Given
-     a reason, the shard is requeued; without one it was merged, or the run
-     is winding down and leaves it in [remaining]. *)
+     again, and the assignment's preempt ends with it. Given a reason, the
+     shard is requeued; without one it was merged, or the run is winding
+     down and leaves it in [remaining]. *)
   let settle ?why w now =
     (match (w.busy, why) with
-    | Some sh, Some why when sh.status <> Done -> requeue ~why ~chaos:w.chaos_attempt sh now
+    | Some sh, Some why when sh.status <> Done -> requeue ~why sh now
     | _ -> ());
     w.busy <- None;
-    w.preempted <- false;
-    w.kill_at <- None;
-    w.chaos_attempt <- false
+    w.preempted <- false
   in
 
   let release_slot w =
@@ -273,8 +255,7 @@ let run ~fleet ~config ~scenario =
     | None -> ());
     w.proc <- None;
     w.reader <- None;
-    w.ready <- false;
-    w.deaf <- false
+    w.ready <- false
   in
 
   (* A worker died (or was declared dead): requeue its shard, if any, and
@@ -358,30 +339,28 @@ let run ~fleet ~config ~scenario =
               log "worker %d answered for shard %d, which it does not hold" w.wid shard;
               kill_worker ~why:"protocol error" w now
         in
-        if not w.deaf then
-          List.iter
-            (fun msg ->
-              match msg with
-              | Transport.Heartbeat _ ->
-                  w.last_beat <- now;
-                  if not w.ready then begin
-                    w.ready <- true;
-                    (* The handshake proves spawning works: the attempt
-                       budget guards consecutive spawn failures only, not a
-                       long chaos-heavy run's many legitimate respawns. *)
-                    w.spawns <- 0
-                  end
-              | Transport.Result { shard; payload } ->
-                  answer shard (fun sh -> handle_result w sh payload now)
-              | Transport.Refused { shard; reason } ->
-                  answer shard (fun _ ->
-                      log "worker %d refused shard %d: %s" w.wid shard reason;
-                      (* The shard checkpoint may have been torn (possibly by
-                         our own chaos): it is resent intact on the next
-                         assignment either way. *)
-                      settle ~why:("refused: " ^ reason) w now)
-              | Transport.Assign _ | Transport.Preempt -> ())
-            msgs
+        List.iter
+          (fun msg ->
+            match msg with
+            | Transport.Heartbeat _ ->
+                w.last_beat <- now;
+                if not w.ready then begin
+                  w.ready <- true;
+                  (* The handshake proves spawning works: the attempt
+                     budget guards consecutive spawn failures only, not a
+                     long run's many legitimate respawns. *)
+                  w.spawns <- 0
+                end
+            | Transport.Result { shard; payload } ->
+                answer shard (fun sh -> handle_result w sh payload now)
+            | Transport.Refused { shard; reason } ->
+                answer shard (fun _ ->
+                    log "worker %d refused shard %d: %s" w.wid shard reason;
+                    (* The shard is resent, freshly encoded, on its next
+                       assignment. *)
+                    settle ~why:("refused: " ^ reason) w now)
+            | Transport.Assign _ | Transport.Preempt -> ())
+          msgs
   in
 
   let assign w sh now =
@@ -390,26 +369,7 @@ let run ~fleet ~config ~scenario =
     | Some p ->
         sh.attempts <- sh.attempts + 1;
         incr assignments;
-        let plan = Supervise.plan rng fleet.chaos in
-        if Supervise.injects plan then incr chaos_injected;
-        w.chaos_attempt <- Supervise.injects plan;
         let payload = Ck.to_string (unexplored sh.prefixes) in
-        let payload =
-          if plan.Supervise.torn then begin
-            log "chaos: tore shard %d's checkpoint" sh.sid;
-            String.sub payload 0 (max 1 (String.length payload / 2))
-          end
-          else payload
-        in
-        (match plan.Supervise.kill_after with
-        | Some d ->
-            w.kill_at <- Some (now +. d);
-            log "chaos: will kill worker %d in %.2fs" w.wid d
-        | None -> ());
-        if plan.Supervise.hang then begin
-          w.deaf <- true;
-          log "chaos: stalling worker %d's channel (hang)" w.wid
-        end;
         match
           Transport.write p.Supervise.to_child
             (Transport.Assign { shard = sh.sid; attempt = sh.attempts; payload })
@@ -447,7 +407,7 @@ let run ~fleet ~config ~scenario =
         if o.Ex.stats.Jaaru.Stats.interrupted then interrupted := true;
         steal_split o.Ex.frontier
     | exception exn ->
-        List.iter (fun sh -> requeue ~why:(Printexc.to_string exn) ~chaos:false sh now) pending
+        List.iter (fun sh -> requeue ~why:(Printexc.to_string exn) sh now) pending
   in
 
   let all_disabled () = Array.for_all (fun w -> w.disabled) slots in
@@ -534,20 +494,9 @@ let run ~fleet ~config ~scenario =
     else begin
       let now = Unix.gettimeofday () in
       maybe_spawn now;
-      (* chaos kills that came due *)
-      Array.iter
-        (fun w ->
-          match (w.kill_at, w.proc) with
-          | Some t, Some p when now >= t ->
-              w.kill_at <- None;
-              log "chaos: SIGKILL worker %d" w.wid;
-              Supervise.kill_group p
-          | _ -> ())
-        slots;
       let now = step () in
-      (* heartbeat timeouts (the hang-chaos path arrives here: a deaf
-         worker's beats are dropped, so its slot times out and the shard
-         requeues exactly as for a real hang) *)
+      (* heartbeat timeouts: a hung worker, or one whose replay has not
+         returned to the explorer (a worker beats on replay progress) *)
       Array.iter
         (fun w ->
           if w.proc <> None && now -. w.last_beat > fleet.heartbeat_timeout then begin
@@ -572,8 +521,7 @@ let run ~fleet ~config ~scenario =
          match
            Array.to_list slots
            |> List.filter (fun w ->
-                  w.busy <> None && not w.preempted && not w.deaf
-                  && now -. w.busy_since >= steal_after)
+                  w.busy <> None && not w.preempted && now -. w.busy_since >= steal_after)
            |> List.sort (fun a b -> Float.compare a.busy_since b.busy_since)
          with
          | w :: _ -> preempt w
@@ -615,7 +563,6 @@ let run ~fleet ~config ~scenario =
         spawn_failures = !spawn_failures;
         assignments = !assignments;
         retries = !retries;
-        chaos_injected = !chaos_injected;
         steals = !steals;
         quarantined;
         in_process = all_disabled ();

@@ -17,15 +17,17 @@
     tree is attributed exactly once no matter how many attempts failed.
     Combined with {!Jaaru.Explorer.merge_outcomes} being partition-
     independent, an exhaustive fleet run's report is byte-identical to the
-    single-process [jaaru check] report — for every worker count, with
-    chaos on or off. (Runs cut short by [max_executions] carry the same
+    single-process [jaaru check] report — for every worker count, however
+    many attempts failed. (Runs cut short by [max_executions] carry the same
     caveat as [jobs > 1]: each shard is capped independently.)
 
-    {b Robustness.} Heartbeat timeouts detect hangs; nonzero exits, signals
-    and EOFs detect crashes; failed shards are requeued with capped
-    exponential backoff; a shard that keeps killing workers {e without} an
-    injected fault is quarantined after [quarantine_after] failures and
-    reported rather than retried forever. Work stealing:
+    {b Robustness.} Heartbeat timeouts detect hangs — a worker beats on
+    replay progress ({!Worker.serve}), so a recovery that spins without
+    returning to the explorer is one; nonzero exits, signals and EOFs detect
+    crashes, a recovery that calls [exit] among them; failed shards are
+    requeued with capped exponential backoff; a shard that keeps killing
+    workers is quarantined after [quarantine_after] failures and reported
+    rather than retried forever. Work stealing:
     when workers sit idle with nothing assignable, the longest-running busy
     worker is preempted and the remainder it returns is shattered into new
     shards.
@@ -36,12 +38,10 @@
     {!Jaaru.Explorer.run} on [workers] domains, resumed from an in-memory
     checkpoint of their combined frontier. The report is the same.
 
-    {b Chaos.} With a non-trivial [chaos] spec the coordinator injects the
-    faults itself: scheduled SIGKILLs of worker process groups, stalled
-    worker channels (exercising the heartbeat timeout), and shard
-    checkpoints torn in transit (exercising the [Refused] path). Each fault
-    belongs to one assignment and ends with it. Chaos-induced failures are
-    counted as retries but never toward quarantine.
+    {b Faults staged from outside.} The coordinator injects no faults of
+    its own: its failure paths are exercised by workers that really die,
+    stop beating or refuse their shard (the tests' fake worker, and
+    signals sent to real workers by the fleet smoke script).
 
     {b Protocol errors.} A [Result] or [Refused] frame naming a shard other
     than the one its worker holds is handled like a dead worker: the worker
@@ -50,10 +50,8 @@
 type config = {
   workers : int;  (** worker processes to supervise (domains in the fallback) *)
   heartbeat_timeout : float;  (** seconds without a beat before a kill *)
-  quarantine_after : int;  (** non-chaos failures before quarantine *)
+  quarantine_after : int;  (** failures of one shard before quarantine *)
   spawn_attempts : int;  (** consecutive spawn failures before a slot is disabled *)
-  chaos : Supervise.chaos;
-  chaos_seed : int;
   worker_argv : string array option;
       (** argv of a worker process ([jaaru fleet-worker CASE flags…]);
           [None] takes the in-process fallback *)
@@ -72,7 +70,6 @@ type fleet_stats = {
   spawn_failures : int;
   assignments : int;
   retries : int;
-  chaos_injected : int;
   steals : int;
   quarantined : (int * string) list;  (** shard id and last failure, sorted *)
   in_process : bool;

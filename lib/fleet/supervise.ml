@@ -1,55 +1,5 @@
 (* Worker process lifecycle: spawn (fork + setsid + exec), group kill, reap,
-   retry backoff, and the self-inflicted fault plans of [--fleet-chaos]. *)
-
-type chaos = { kill : float; hang : float; torn : float }
-
-let no_chaos = { kill = 0.; hang = 0.; torn = 0. }
-
-let parse_chaos s =
-  let prob what v =
-    match float_of_string_opt v with
-    | Some p when p >= 0. && p <= 1. -> p
-    | _ -> invalid_arg (Printf.sprintf "--fleet-chaos: %s wants a probability in [0,1], got %S" what v)
-  in
-  let parse_field acc field =
-    match String.index_opt field ':' with
-    | None -> invalid_arg (Printf.sprintf "--fleet-chaos: expected mode:prob, got %S" field)
-    | Some i -> (
-        let mode = String.sub field 0 i in
-        let v = String.sub field (i + 1) (String.length field - i - 1) in
-        match mode with
-        | "kill" -> { acc with kill = prob "kill" v }
-        | "hang" -> { acc with hang = prob "hang" v }
-        | "torn" -> { acc with torn = prob "torn" v }
-        | m -> invalid_arg (Printf.sprintf "--fleet-chaos: unknown mode %S (kill|hang|torn)" m))
-  in
-  match String.trim s with
-  | "" -> no_chaos
-  | s -> List.fold_left parse_field no_chaos (String.split_on_char ',' s)
-
-(* The faults planned for one shard assignment. Decided coordinator-side from
-   one seeded PRNG so a chaos run's fault schedule — and therefore its retry
-   history — is reproducible. [kill_after] is seconds until the coordinator
-   SIGKILLs the worker's process group; [hang] drops the worker's messages
-   until its heartbeat timeout fires; [torn] truncates the shard checkpoint
-   the coordinator sends. *)
-type plan = { kill_after : float option; hang : bool; torn : bool }
-
-let injects p = p.kill_after <> None || p.hang || p.torn
-
-let plan rng c =
-  (* Fixed draw order keeps the fault schedule a pure function of the seed
-     and the assignment sequence, independent of which probabilities are
-     zero. *)
-  let kill_draw = Random.State.float rng 1.0 in
-  let hang_draw = Random.State.float rng 1.0 in
-  let torn_draw = Random.State.float rng 1.0 in
-  let delay_draw = Random.State.float rng 1.0 in
-  {
-    kill_after = (if kill_draw < c.kill then Some (0.02 +. (delay_draw *. 0.2)) else None);
-    hang = hang_draw < c.hang;
-    torn = torn_draw < c.torn;
-  }
+   and retry backoff. *)
 
 let backoff ~base ~cap ~attempt =
   (* attempt 1 is the first retry *)
@@ -104,11 +54,23 @@ let kill_group ?(signal = Sys.sigkill) p =
 
 type exit_status = Exited of int | Signaled of int | Running
 
+(* [Unix] numbers signals its own way (SIGKILL is -7); a status carries the
+   system's number, which POSIX fixes for the signals a worker dies of. *)
+let signaled s =
+  let posix =
+    Sys.
+      [
+        (sighup, 1); (sigint, 2); (sigquit, 3); (sigill, 4); (sigabrt, 6); (sigfpe, 8);
+        (sigkill, 9); (sigsegv, 11); (sigpipe, 13); (sigalrm, 14); (sigterm, 15);
+      ]
+  in
+  Signaled (Option.value (List.assoc_opt s posix) ~default:s)
+
 let reap p =
   match Unix.waitpid [ Unix.WNOHANG ] p.pid with
   | 0, _ -> Running
   | _, Unix.WEXITED c -> Exited c
-  | _, Unix.WSIGNALED s -> Signaled s
+  | _, Unix.WSIGNALED s -> signaled s
   | _, Unix.WSTOPPED _ -> Running
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Exited 0
 
@@ -122,8 +84,8 @@ let wait_reap ?(grace = 2.0) p =
           kill_group p;
           match Unix.waitpid [] p.pid with
           | _, Unix.WEXITED c -> Exited c
-          | _, Unix.WSIGNALED s -> Signaled s
-          | _, Unix.WSTOPPED _ -> Signaled Sys.sigkill
+          | _, Unix.WSIGNALED s -> signaled s
+          | _, Unix.WSTOPPED _ -> signaled Sys.sigkill
           | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Exited 0
         end
         else begin

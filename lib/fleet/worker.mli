@@ -1,24 +1,26 @@
 (** The worker side of fleet mode: the protocol loop a spawned
     [jaaru fleet-worker] process runs around its shard explorations.
 
-    Two threads: the {e main} thread pops assignments off an inbox and
-    executes them one at a time via [run]; a {e service} thread owns stdin
-    and the heartbeat. It reads stdin through the same {!Transport.reader}
-    the coordinator uses, waiting in [select] until the next beat is due;
-    it queues [Assign]s, acts on [Preempt]s immediately (the main thread is
-    busy inside [run] exactly when a preempt matters), and proves liveness
-    every [heartbeat_period] seconds no matter what the main thread is doing
-    — its first, idle beat (shard [-1]) doubles as the ready handshake the
-    coordinator waits for before assigning work.
+    One thread. Idle, the worker waits in [select] on stdin (read through
+    the same {!Transport.reader} the coordinator uses) until an [Assign]
+    arrives or the next heartbeat is due; its first, idle beat (shard [-1])
+    doubles as the ready handshake the coordinator waits for before
+    assigning work. Exploring, it beats only from [tick], which the shard's
+    scenario calls at the start of every [pre] and [post]: a heartbeat means
+    replay progress, so a recovery that spins without returning to the
+    explorer stops the beats and the coordinator's heartbeat timeout kills
+    the worker. In a worker, the timeout therefore also bounds the wall time
+    of one replay.
 
-    Coordinator death — EOF on stdin or a broken pipe in either direction —
-    is treated as preempt-then-quit, so an orphaned worker stops promptly
-    instead of exploring into the void. *)
+    Coordinator death — EOF on stdin or a broken pipe — is treated as
+    preempt-then-quit, so an orphaned worker stops promptly instead of
+    exploring into the void. *)
 
 val serve :
   ?heartbeat_period:float ->
   on_preempt:(unit -> unit) ->
-  run:(shard:int -> attempt:int -> payload:string -> (string, string) result) ->
+  run:
+    (tick:(unit -> unit) -> shard:int -> attempt:int -> payload:string -> (string, string) result) ->
   unit ->
   unit
 (** Serves until the coordinator closes the pipe. [run] explores one shard
@@ -27,6 +29,12 @@ val serve :
     [Result]) or [Error reason] (sent as [Refused] — the assignment could
     not start, e.g. a torn shard checkpoint). An exception from [run] is
     also reported as [Refused] rather than killing the process; the
-    coordinator decides whether to retry. [on_preempt] must be async-ish
-    (set a flag — it is called from the service thread while [run] is in
-    flight). *)
+    coordinator decides whether to retry.
+
+    [run] must call [tick] at the start of every [pre] and [post] of the
+    scenario it explores. [tick] costs one clock read unless a beat is due;
+    then it sends the beat and reads stdin, calling [on_preempt] for a
+    [Preempt] and for EOF or a broken pipe. It is safe to call from several
+    domains (one polls, the others skip) and never raises. [on_preempt] must
+    only set a flag the exploration polls, such as
+    {!Jaaru.Explorer.request_interrupt}. *)

@@ -160,6 +160,10 @@ let () =
           refused "fleet of a seeded case that finds another bug"
             (fun () -> [ "fleet"; "pmdk-1"; "--max-steps"; "5"; "--fleet-workers"; "1" ])
             ~needle:"seeded bug was not found";
+          (* The coordinator injects no faults of its own any more. *)
+          refused "fleet --fleet-chaos is an unknown option"
+            (fun () -> [ "fleet"; "pmdk-1"; "--fleet-chaos"; "kill:0.3" ])
+            ~needle:"unknown option '--fleet-chaos'";
         ] );
       ( "trace",
         [

@@ -1,10 +1,10 @@
-(* Fleet mode: the transport framing, the chaos/backoff machinery, prefix
-   shattering, and — the load-bearing property — that a coordinator run,
-   on spawned worker processes (this binary re-executed as a fake worker)
-   or in-process (the fallback onto the explorer's domains that every fleet
-   can degrade to), reports byte-identically to a plain single-process
-   exploration. scripts/fleet_chaos_smoke.sh drives the real CLI worker
-   under injected faults. *)
+(* Fleet mode: the transport framing, retry backoff, prefix shattering,
+   and — the load-bearing property — that a coordinator run, on spawned
+   worker processes (this binary re-executed as a fake worker, which can
+   also kill itself, hang or refuse its shard) or in-process (the fallback
+   onto the explorer's domains that every fleet can degrade to), reports
+   byte-identically to a plain single-process exploration.
+   scripts/fleet_smoke.sh signals the real CLI worker the same way. *)
 open Jaaru
 
 let report_text (o : Explorer.outcome) = Format.asprintf "%a" Explorer.pp_report o
@@ -205,41 +205,7 @@ let test_transport_corrupt_frame () =
   Unix.close w;
   Fleet.Transport.close_reader reader
 
-(* --- chaos spec and backoff ------------------------------------------------ *)
-
-let test_chaos_parse () =
-  let c = Fleet.Supervise.parse_chaos "kill:0.3,hang:0.1,torn:0.2" in
-  Alcotest.(check (float 1e-9)) "kill" 0.3 c.Fleet.Supervise.kill;
-  Alcotest.(check (float 1e-9)) "hang" 0.1 c.Fleet.Supervise.hang;
-  Alcotest.(check (float 1e-9)) "torn" 0.2 c.Fleet.Supervise.torn;
-  let c = Fleet.Supervise.parse_chaos "torn:1" in
-  Alcotest.(check (float 1e-9)) "single mode" 1.0 c.Fleet.Supervise.torn;
-  Alcotest.(check (float 1e-9)) "others default to 0" 0.0 c.Fleet.Supervise.kill;
-  Alcotest.(check bool) "empty spec is no chaos" true
-    (Fleet.Supervise.parse_chaos "" = Fleet.Supervise.no_chaos);
-  List.iter
-    (fun bad ->
-      match Fleet.Supervise.parse_chaos bad with
-      | _ -> Alcotest.failf "%S must be rejected" bad
-      | exception Invalid_argument _ -> ())
-    [ "kill"; "kill:2"; "kill:-0.1"; "explode:0.5"; "kill:abc" ]
-
-let test_chaos_plan_deterministic () =
-  let c = Fleet.Supervise.parse_chaos "kill:0.5,hang:0.5,torn:0.5" in
-  let draw seed n =
-    let rng = Random.State.make [| seed |] in
-    List.init n (fun _ -> Fleet.Supervise.plan rng c)
-  in
-  Alcotest.(check bool) "same seed, same fault schedule" true (draw 7 50 = draw 7 50);
-  let plans = draw 7 200 in
-  Alcotest.(check bool) "a 0.5 spec injects sometimes" true
-    (List.exists Fleet.Supervise.injects plans);
-  Alcotest.(check bool) "a 0.5 spec spares sometimes" true
-    (List.exists (fun p -> not (Fleet.Supervise.injects p)) plans);
-  let rng = Random.State.make [| 1 |] in
-  Alcotest.(check bool) "no_chaos never injects" false
-    (List.exists Fleet.Supervise.injects
-       (List.init 100 (fun _ -> Fleet.Supervise.plan rng Fleet.Supervise.no_chaos)))
+(* --- backoff ------------------------------------------------------------- *)
 
 let test_backoff () =
   let b attempt = Fleet.Supervise.backoff ~base:0.1 ~cap:1.0 ~attempt in
@@ -308,9 +274,9 @@ let test_merge_outcomes_differential () =
 
 (* --- the coordinator (in-process fallback) ----------------------------------- *)
 
-let coordinator_case scn config ~chaos ~workers =
+let coordinator_case scn config ~workers =
   let fleet =
-    { (Fleet.Coordinator.default ~scratch:"") with Fleet.Coordinator.workers; chaos; worker_argv = None }
+    { (Fleet.Coordinator.default ~scratch:"") with Fleet.Coordinator.workers; worker_argv = None }
   in
   Fleet.Coordinator.run ~fleet ~config ~scenario:scn
 
@@ -319,7 +285,7 @@ let test_coordinator_in_process_differential () =
   let expected = report_text (Explorer.run ~config scn) in
   List.iter
     (fun workers ->
-      let r = coordinator_case scn config ~chaos:Fleet.Supervise.no_chaos ~workers in
+      let r = coordinator_case scn config ~workers in
       Alcotest.(check string)
         (Printf.sprintf "fleet(workers=%d, in-process) = single process" workers)
         expected (report_text r.Fleet.Coordinator.outcome);
@@ -369,7 +335,7 @@ let test_coordinator_interrupt_remainder () =
             Explorer.request_interrupt ())
           ()
       in
-      let r = coordinator_case scn config ~chaos:Fleet.Supervise.no_chaos ~workers:2 in
+      let r = coordinator_case scn config ~workers:2 in
       Thread.join killer;
       if r.Fleet.Coordinator.interrupted then begin
         Alcotest.(check bool) "interrupted fleet reports interrupted stats" true
@@ -389,12 +355,14 @@ let test_coordinator_interrupt_remainder () =
 
 (* --- spawned workers ------------------------------------------------------- *)
 
-(* A recovery that ends its process, or runs out of memory, on one path
-   only: 40 lines are stored and flushed in turn, and only a crash at the
-   first flush can leave line 0 unwritten, so the recovery meets it after
-   41 executions in DFS order, past the fleet's 32-execution split phase.
-   Recovery then calls [exit 3] (MODE [exit]) or raises [Out_of_memory]
-   (MODE [oom]). *)
+(* A recovery that ends its process, runs out of memory or spins, on one
+   path only: 40 lines are stored and flushed in turn, and only a crash at
+   the first flush can leave line 0 unwritten, so the recovery meets it
+   after 41 executions in DFS order, past the fleet's 32-execution split
+   phase. Recovery then calls [exit 3] (MODE [exit]), raises
+   [Out_of_memory] (MODE [oom]), loops without a [Ctx] call (MODE [loop])
+   or returns (any other MODE). Every mode has the same name, so their
+   checkpoints are interchangeable. *)
 let probe_case mode =
   let base = Config.default.Config.region_base in
   let pre ctx =
@@ -404,45 +372,68 @@ let probe_case mode =
     done
   in
   let post ctx =
-    if Ctx.load64 ctx base = 0 then if mode = "exit" then exit 3 else raise Out_of_memory
+    if Ctx.load64 ctx base = 0 then
+      match mode with
+      | "exit" -> exit 3
+      | "oom" -> raise Out_of_memory
+      | "loop" -> while true do () done
+      | _ -> ()
   in
-  ( Explorer.scenario ~name:("probe-" ^ mode) ~pre ~post,
-    { Config.default with Config.max_failures = 1 } )
+  (Explorer.scenario ~name:"probe" ~pre ~post, { Config.default with Config.max_failures = 1 })
 
 (* This test binary doubles as a fleet worker: re-executed as
    [test_fleet.exe fake-worker MODE], it serves shards of [deep_case]
-   through {!Fleet.Worker.serve}, exploring each honestly. In mode
-   [foreign], every shard's first attempt answers with a result carrying a
-   wrong fingerprint; in modes [exit] and [oom] it serves [probe_case]. *)
+   through {!Fleet.Worker.serve}, exploring each honestly and ticking at
+   every replay, except that the first attempt at every even shard id
+   faults in modes [kill] (SIGKILL to itself at its first replay), [hang]
+   (its first replay sleeps without ticking) and [refuse] (answers
+   [Error]), and in mode [foreign] every shard's first attempt answers with
+   a result carrying a wrong fingerprint. In modes [exit], [oom] and [loop]
+   it serves [probe_case]. *)
 let fake_worker mode =
-  let scn, config = if mode = "exit" || mode = "oom" then probe_case mode else deep_case () in
-  let run ~shard:_ ~attempt ~payload =
-    let cp = Checkpoint.of_string payload in
-    Checkpoint.validate cp ~workload:scn.Explorer.name ~config;
-    Explorer.clear_interrupt ();
-    let o = Explorer.run ~config ~resume:cp scn in
-    let cp = Explorer.to_checkpoint ~config scn o in
-    let cp =
-      if mode = "foreign" && attempt = 1 then { cp with Checkpoint.fingerprint = "foreign" }
-      else cp
-    in
-    Ok (Checkpoint.to_string cp)
+  let scn, config =
+    match mode with "exit" | "oom" | "loop" -> probe_case mode | _ -> deep_case ()
+  in
+  let run ~tick ~shard ~attempt ~payload =
+    let staged = attempt = 1 && shard mod 2 = 0 in
+    if staged && mode = "refuse" then Error "staged refusal"
+    else begin
+      let cp = Checkpoint.of_string payload in
+      Checkpoint.validate cp ~workload:scn.Explorer.name ~config;
+      let fault () =
+        if staged && mode = "kill" then Unix.kill (Unix.getpid ()) Sys.sigkill
+        else if staged && mode = "hang" then Unix.sleepf 60.
+      in
+      let step f ctx =
+        fault ();
+        tick ();
+        f ctx
+      in
+      let scn = { scn with Explorer.pre = step scn.Explorer.pre; post = step scn.Explorer.post } in
+      Explorer.clear_interrupt ();
+      let o = Explorer.run ~config ~resume:cp scn in
+      let cp = Explorer.to_checkpoint ~config scn o in
+      let cp =
+        if mode = "foreign" && attempt = 1 then { cp with Checkpoint.fingerprint = "foreign" }
+        else cp
+      in
+      Ok (Checkpoint.to_string cp)
+    end
   in
   Fleet.Worker.serve ~on_preempt:Explorer.request_interrupt ~run ()
 
-(* One fleet run on a single spawned fake worker. A watchdog interrupts the
-   run after 30 s, so a wedged coordinator fails the test instead of hanging
-   it. *)
-let spawned_case ~mode ?(chaos = Fleet.Supervise.no_chaos) ?(quarantine_after = 3) () =
-  let scn, config = deep_case () in
+(* One fleet run on spawned fake workers in MODE, returned with its
+   supervision log. A watchdog interrupts the run after 30 s, so a wedged
+   coordinator fails the test instead of hanging it. *)
+let spawned_run ~mode ~workers ?(heartbeat_timeout = 2.0) (scn, config) =
+  let log = ref [] in
   let fleet =
     {
       (Fleet.Coordinator.default ~scratch:"") with
-      Fleet.Coordinator.workers = 1;
-      chaos;
-      chaos_seed = 7;
-      quarantine_after;
+      Fleet.Coordinator.workers;
+      heartbeat_timeout;
       worker_argv = Some [| Sys.executable_name; "fake-worker"; mode |];
+      log = (fun line -> log := line :: !log);
     }
   in
   let over = Atomic.make false in
@@ -466,34 +457,80 @@ let spawned_case ~mode ?(chaos = Fleet.Supervise.no_chaos) ?(quarantine_after = 
       (fun () -> Fleet.Coordinator.run ~fleet ~config ~scenario:scn)
   in
   Alcotest.(check bool) "not interrupted by the watchdog" false r.Fleet.Coordinator.interrupted;
-  Alcotest.(check (list string)) "nothing remaining" [] r.Fleet.Coordinator.remaining;
   Alcotest.(check bool) "ran on worker processes" false
     r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process;
+  (r, List.rev !log)
+
+(* A [deep_case] fleet run on spawned fake workers, which must complete to
+   the single-process report. *)
+let spawned_case ~mode ~workers ?heartbeat_timeout () =
+  let scn, config = deep_case () in
+  let r, log = spawned_run ~mode ~workers ?heartbeat_timeout (scn, config) in
+  Alcotest.(check (list string)) "nothing remaining" [] r.Fleet.Coordinator.remaining;
   Alcotest.(check string) "spawned fleet = single process"
     (report_text (Explorer.run ~config scn))
     (report_text r.Fleet.Coordinator.outcome);
-  r.Fleet.Coordinator.fleet
+  (r.Fleet.Coordinator.fleet, log)
 
 (* A foreign-fingerprint result ends its assignment like any other: the
    shard is requeued and the slot is free again, so a single worker still
    finishes the run. *)
 let test_foreign_result_frees_slot () =
-  let f = spawned_case ~mode:"foreign" () in
+  let f, _ = spawned_case ~mode:"foreign" ~workers:1 () in
   Alcotest.(check bool) "foreign results were retried" true (f.Fleet.Coordinator.retries >= 1)
 
-(* A chaos kill belongs to one assignment. Under this seed a small shard
-   answers before its planned kill is due and the next, larger shard is
-   drawn without a kill; a kill that outlived its assignment would land on
-   that one, count as a real failure and, with [quarantine_after = 1],
-   quarantine it. *)
-let test_chaos_kill_ends_with_its_assignment () =
-  let f =
-    spawned_case ~mode:"honest"
-      ~chaos:{ Fleet.Supervise.no_chaos with kill = 0.5 }
-      ~quarantine_after:1 ()
-  in
+(* A fault staged by the worker itself, on the first attempt at every even
+   shard id, costs a retry and nothing else: the report is unchanged,
+   nothing is quarantined, and every requeue names the staged fault. *)
+let staged_fault ~mode ~reason ?heartbeat_timeout () =
+  let f, log = spawned_case ~mode ~workers:2 ?heartbeat_timeout () in
   Alcotest.(check (list (pair int string)))
-    "no shard quarantined" [] f.Fleet.Coordinator.quarantined
+    "no shard quarantined" [] f.Fleet.Coordinator.quarantined;
+  let staged = (f.Fleet.Coordinator.shards + 1) / 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d retries for %d staged faults" f.Fleet.Coordinator.retries staged)
+    true
+    (f.Fleet.Coordinator.retries >= staged);
+  let requeues = List.filter (Test_env.contains ~needle:"requeued") log in
+  Alcotest.(check bool) "the staged faults were requeued" true (requeues <> []);
+  List.iter
+    (fun line ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names %S" line reason)
+        true
+        (Test_env.contains ~needle:("requeued (" ^ reason) line))
+    requeues
+
+let test_staged_kill () = staged_fault ~mode:"kill" ~reason:"worker killed by signal 9" ()
+
+(* A hang is caught only by the heartbeat timeout, here 1 s. *)
+let test_staged_hang () =
+  staged_fault ~mode:"hang" ~reason:"heartbeat timeout" ~heartbeat_timeout:1.0 ()
+
+let test_staged_refusal () = staged_fault ~mode:"refuse" ~reason:"refused: staged refusal" ()
+
+(* A recovery that spins without a [Ctx] call never returns to the
+   explorer, so its worker stops beating: the coordinator kills it on the
+   heartbeat timeout, requeues its shard until it is quarantined, and
+   merges every other shard. The probe's [quiet] mode is the same tree with
+   a recovery that returns: resumed from the fleet's remainder, it must
+   complete to its uninterrupted report, so nothing but the spinning
+   shard is missing and nothing is counted twice. There is no in-process
+   leg: [check] would spin forever. *)
+let test_probe_loop () =
+  let r, _ = spawned_run ~mode:"loop" ~workers:2 ~heartbeat_timeout:0.3 (probe_case "loop") in
+  (match r.Fleet.Coordinator.fleet.Fleet.Coordinator.quarantined with
+  | [ (_, why) ] -> Alcotest.(check string) "quarantined for its silence" "heartbeat timeout" why
+  | q -> Alcotest.failf "expected one quarantined shard, got %d" (List.length q));
+  let quiet, config = probe_case "quiet" in
+  let rest =
+    Explorer.run ~config
+      ~resume:(Explorer.to_checkpoint ~config quiet r.Fleet.Coordinator.outcome)
+      quiet
+  in
+  Alcotest.(check string) "fleet + the quarantined shard = single process"
+    (report_text (Explorer.run ~config quiet))
+    (report_text rest)
 
 (* Re-executed as [test_fleet.exe probe LEG MODE DIR], this binary runs
    [probe_case MODE] and prints its report: LEG [check] is one
@@ -573,18 +610,24 @@ let () =
   else if Array.length Sys.argv = 5 && Sys.argv.(1) = "probe" then
     probe Sys.argv.(2) Sys.argv.(3) Sys.argv.(4)
   else
-    (* The spawned group runs first: OCaml 5 refuses [Unix.fork] in a
-       process that has ever spawned a domain, and the in-process
+    (* The spawned and chaos groups run first: OCaml 5 refuses [Unix.fork]
+       in a process that has ever spawned a domain, and the in-process
        coordinator tests below do. *)
     Alcotest.run "fleet"
     [
       ( "spawned",
         [
           Alcotest.test_case "foreign result frees the slot" `Slow test_foreign_result_frees_slot;
-          Alcotest.test_case "a chaos kill ends with its assignment" `Slow
-            test_chaos_kill_ends_with_its_assignment;
           Alcotest.test_case "exit in recovery" `Slow test_probe_exit;
           Alcotest.test_case "Out_of_memory in recovery" `Slow test_probe_oom;
+          Alcotest.test_case "a recovery that spins is quarantined" `Slow test_probe_loop;
+        ] );
+      ( "chaos",
+        [
+          Alcotest.test_case "a worker killed mid-shard" `Slow test_staged_kill;
+          Alcotest.test_case "a worker hung mid-shard" `Slow test_staged_hang;
+          Alcotest.test_case "a worker refusing its shard" `Slow test_staged_refusal;
+          Alcotest.test_case "capped exponential backoff" `Quick test_backoff;
         ] );
       ( "transport",
         [
@@ -593,12 +636,6 @@ let () =
             test_transport_reader_partial_frames;
           Alcotest.test_case "corrupt frame = dead worker" `Quick test_transport_corrupt_frame;
           QCheck_alcotest.to_alcotest prop_reader_chunking;
-        ] );
-      ( "chaos",
-        [
-          Alcotest.test_case "spec parsing" `Quick test_chaos_parse;
-          Alcotest.test_case "fault schedule is seeded" `Quick test_chaos_plan_deterministic;
-          Alcotest.test_case "capped exponential backoff" `Quick test_backoff;
         ] );
       ( "shatter",
         [ Alcotest.test_case "split_prefix invariants" `Quick test_split_prefix_invariants ] );
