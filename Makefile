@@ -115,7 +115,9 @@ pbt-nightly: build
 # must report byte-identically to single-process `jaaru check` across a
 # worker-count matrix for a PMDK, a RECIPE and a buffered-eviction case,
 # also while the script SIGSTOPs one worker and SIGKILLs another; every
-# requeue in the --verbose log must name the staged fault.
+# requeue in the --verbose log must name the staged fault. A one-execution
+# tree must match too, and a SIGINTed fleet's checkpoint must finish to the
+# baseline under `jaaru check --resume`.
 fleet-smoke: build
 	scripts/fleet_smoke.sh
 

@@ -743,7 +743,7 @@ let fleet_run id workers heartbeat_timeout heartbeat_period quarantine_after max
                same fingerprint and format as a single-process run. *)
             let stopped =
               if r.Fleet.Coordinator.interrupted then "run interrupted"
-              else "unexplored shards remain (quarantined)"
+              else "unexplored shards remain (quarantined, or no worker could start)"
             in
             match checkpoint with
             | Some path -> (
@@ -769,12 +769,15 @@ let fleet_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Splits the choice tree into shard checkpoints, fans them out to supervised worker \
-         processes (heartbeats, crash detection, retry with capped backoff, poison-shard \
-         quarantine, work stealing, fallback to in-process domains), and merges the shard \
-         reports deterministically: an exhaustive fleet run reports byte-identically to \
+        "Runs every replay in supervised worker processes, never in this one: the first \
+         worker's first replay splits the choice tree into shard checkpoints, which are fanned \
+         out to the workers (heartbeats, crash detection, retry with capped backoff, \
+         poison-shard quarantine, work stealing), and the shard reports are merged \
+         deterministically: an exhaustive fleet run reports byte-identically to \
          single-process $(b,jaaru check), for every $(b,--fleet-workers) value, however many \
-         workers died, hung or were killed on the way.";
+         workers died, hung or were killed on the way. If no worker can be started, the run \
+         stops with the tree unexplored; with $(b,--checkpoint) it is resumable by \
+         $(b,jaaru check --resume).";
     ]
   in
   Cmd.v
@@ -821,7 +824,8 @@ let fleet_worker_run id max_failures max_steps jobs snapshot () heartbeat_period
             | exception Jaaru.Checkpoint.Rejected msg -> Error msg
             | () ->
                 (* A Preempt for the previous shard that raced its Result
-                   must not poison this one. *)
+                   must not poison this one; one sent with this shard
+                   arrives at its first tick. *)
                 Jaaru.Explorer.clear_interrupt ();
                 let scenario = scenario ~tick in
                 let o = Jaaru.Explorer.run ~config ~resume:cp scenario in

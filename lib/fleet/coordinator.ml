@@ -1,6 +1,7 @@
-(* The fleet coordinator: splits the choice tree into shard checkpoints,
-   fans them out to supervised worker processes, and merges the shard
-   reports deterministically. See coordinator.mli for the contract and
+(* The fleet coordinator: hands the choice tree to supervised worker
+   processes as shard checkpoints, splits what they return across the
+   fleet, and merges the shard reports deterministically. It never runs the
+   program under test itself. See coordinator.mli for the contract and
    DESIGN.md §13 for the architecture. *)
 
 module Ck = Jaaru.Checkpoint
@@ -28,7 +29,6 @@ let default ~scratch:_ =
 
 (* Fixed tuning. *)
 let shards_per_worker = 4 (* shatter granularity target *)
-let split_execs = 32 (* phase-1 execution cap *)
 let steal_after = 1.0 (* busy seconds before a preempt can steal *)
 let backoff_base = 0.05
 let backoff_cap = 2.0
@@ -43,16 +43,13 @@ type fleet_stats = {
   retries : int;
   steals : int;
   quarantined : (int * string) list;  (* shard id, last failure — sorted by id *)
-  in_process : bool;
 }
 
 let pp_fleet ppf f =
   Format.fprintf ppf
-    "fleet: shards %d, workers %d/%d%s, spawns %d (%d failed), assignments %d, retries %d, steals %d, quarantined %d"
-    f.shards f.workers_effective f.workers_configured
-    (if f.in_process then " (in-process fallback)" else "")
-    f.spawns f.spawn_failures f.assignments f.retries f.steals
-    (List.length f.quarantined);
+    "fleet: shards %d, workers %d/%d, spawns %d (%d failed), assignments %d, retries %d, steals %d, quarantined %d"
+    f.shards f.workers_effective f.workers_configured f.spawns f.spawn_failures f.assignments
+    f.retries f.steals (List.length f.quarantined);
   List.iter
     (fun (sid, reason) ->
       Format.fprintf ppf "@\n  quarantined shard %d: %s" sid reason)
@@ -71,20 +68,21 @@ type shard_status = Pending | Assigned of int | Done | Quarantined of string
 
 type shard = {
   sid : int;
-  prefixes : string list;  (* encoded; the shard's frontier *)
+  prefix : string;  (* encoded; the subtree the shard covers *)
   mutable status : shard_status;
   mutable attempts : int;
   mutable failures : int;  (* toward quarantine *)
   mutable not_before : float;  (* retry backoff gate *)
 }
 
-(* Shatter a frontier into at least [target] pieces. Splittable prefixes are
-   repeatedly halved via {!Ch.split_prefix}; prefixes with no open choice
-   are atomic. The output order is a pure function of the input, so the
-   shard partition is deterministic for a given phase-1 frontier. *)
-let shatter prefixes target =
+(* Shatter a frontier of encoded prefixes into at least [target] pieces.
+   Splittable prefixes are repeatedly halved via {!Ch.split_prefix};
+   prefixes with no open choice are atomic. The output order is a pure
+   function of the input. Every frontier here was produced by an
+   exploration and passed {!Ck.of_string}, so it decodes. *)
+let shatter frontier target =
   let q = Queue.create () in
-  List.iter (fun p -> Queue.push p q) prefixes;
+  List.iter (fun s -> Queue.push (Option.get (Ch.decode_prefix s)) q) frontier;
   let atomic = ref [] in
   let total () = Queue.length q + List.length !atomic in
   let rec go () =
@@ -99,28 +97,7 @@ let shatter prefixes target =
     end
   in
   go ();
-  List.of_seq (Queue.to_seq q) @ List.rev !atomic
-
-(* Group a frontier of encoded prefixes into shard-sized pieces: one prefix
-   per shard after shattering, or consecutive chunks when the frontier is
-   already finer than the target. Every frontier here was produced by an
-   exploration or passed {!Ck.of_string}, so it decodes. *)
-let partition frontier target =
-  let n = List.length frontier in
-  if n = 0 then []
-  else if n >= target then begin
-    let per = (n + target - 1) / target in
-    let rec chunk acc cur k = function
-      | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-      | p :: rest ->
-          if k = per then chunk (List.rev cur :: acc) [ p ] 1 rest
-          else chunk acc (p :: cur) (k + 1) rest
-    in
-    chunk [] [] 0 frontier
-  end
-  else
-    let prefixes = List.map (fun s -> Option.get (Ch.decode_prefix s)) frontier in
-    List.map (fun p -> [ Ch.encode_prefix p ]) (shatter prefixes target)
+  List.map Ch.encode_prefix (List.of_seq (Queue.to_seq q) @ List.rev !atomic)
 
 (* --- worker slots --------------------------------------------------------- *)
 
@@ -152,42 +129,29 @@ let run ~fleet ~config ~scenario =
   and retries = ref 0
   and steals = ref 0 in
 
-  (* Phase 1: explore in-process under a small execution cap to grow a
-     frontier worth sharding. jobs = 1 keeps it cheap and deterministic;
-     the partition it produces does not need to be canonical — any
-     partition of the tree merges identically. *)
-  let split_config =
-    {
-      config with
-      Jaaru.Config.jobs = 1;
-      max_executions = min config.Jaaru.Config.max_executions split_execs;
-    }
-  in
-  let outcome0 = Ex.run ~config:split_config scenario in
-  let interrupted = ref outcome0.Ex.stats.Jaaru.Stats.interrupted in
-  let phase1_only = outcome0.Ex.frontier = [] || !interrupted in
-
-  (* Every shard, in id order. Remainders returned by preempted workers are
-     appended as fresh shards. *)
+  (* Every shard, in id order: the root first, then the remainders returned
+     by preempted workers, appended as fresh shards. *)
   let shards = ref [] in
-  let add_shards groups =
+  let add_shards prefixes =
     let n = List.length !shards in
     shards :=
       !shards
       @ List.mapi
-          (fun i prefixes ->
-            { sid = n + i; prefixes; status = Pending; attempts = 0; failures = 0; not_before = 0. })
-          groups
+          (fun i prefix ->
+            { sid = n + i; prefix; status = Pending; attempts = 0; failures = 0; not_before = 0. })
+          prefixes
   in
-  if not phase1_only then
-    add_shards (partition outcome0.Ex.frontier (max 1 fleet.workers * shards_per_worker));
+  let root = Ch.encode_prefix Ch.root in
+  add_shards [ root ];
   (* Outcomes of finished shards; a shard is merged only from a complete
      result, so it is counted exactly once however many attempts failed. *)
   let results = ref [] in
 
-  (* A fresh piece of work: the frontier, with nothing explored yet (so
-     merging never double-counts). *)
-  let unexplored frontier = Ex.to_checkpoint ~config scenario { Ex.empty with Ex.frontier } in
+  (* A fresh piece of work: the shard's subtree, with nothing explored yet
+     (so merging never double-counts). *)
+  let unexplored prefix =
+    Ex.to_checkpoint ~config scenario { Ex.empty with Ex.frontier = [ prefix ] }
+  in
 
   let slots =
     Array.init (max 1 fleet.workers) (fun wid ->
@@ -213,9 +177,10 @@ let run ~fleet ~config ~scenario =
     List.for_all (fun s -> match s.status with Done | Quarantined _ -> true | _ -> false) !shards
   in
 
-  (* A stolen remainder becomes fresh shards so several idle workers can
-     share it. *)
-  let steal_split frontier = add_shards (partition frontier (max 2 fleet.workers)) in
+  (* A stolen remainder becomes fresh shards so every worker can share it. *)
+  let steal_split frontier =
+    add_shards (shatter frontier (max 1 fleet.workers * shards_per_worker))
+  in
 
   let requeue ~why sh now =
     incr retries;
@@ -369,15 +334,22 @@ let run ~fleet ~config ~scenario =
     | Some p ->
         sh.attempts <- sh.attempts + 1;
         incr assignments;
-        let payload = Ck.to_string (unexplored sh.prefixes) in
+        let payload = Ck.to_string (unexplored sh.prefix) in
+        let assignment = Transport.Assign { shard = sh.sid; attempt = sh.attempts; payload } in
+        (* The root goes out with a preempt right behind it, in the same
+           write, so the worker reads both at once and answers after its
+           first replay; [handle_result] shatters the remainder across the
+           fleet. *)
+        let probe = sh.prefix = root in
         match
-          Transport.write p.Supervise.to_child
-            (Transport.Assign { shard = sh.sid; attempt = sh.attempts; payload })
+          Transport.write_all p.Supervise.to_child
+            (if probe then [ assignment; Transport.Preempt ] else [ assignment ])
         with
         | () ->
             sh.status <- Assigned w.wid;
             w.busy <- Some sh;
-            w.busy_since <- now
+            w.busy_since <- now;
+            w.preempted <- probe
         | exception Transport.Closed _ -> kill_worker ~why:"assign failed (pipe closed)" w now
   in
 
@@ -389,28 +361,6 @@ let run ~fleet ~config ~scenario =
         | () -> w.preempted <- true
         | exception Transport.Closed _ -> ())
   in
-
-  (* In-process fallback: no worker process is available (none was
-     configured, or every slot was disabled by failed spawns), so explore
-     every pending shard in one run on this process's domains. Whatever it
-     leaves — a cap, or the interrupt — becomes pending shards again, so it
-     reaches [remaining]. *)
-  let explore_here now =
-    let pending = List.filter (fun s -> s.status = Pending) !shards in
-    List.iter (fun sh -> sh.attempts <- sh.attempts + 1) pending;
-    assignments := !assignments + List.length pending;
-    let resume = unexplored (List.concat_map (fun sh -> sh.prefixes) pending) in
-    match Ex.run ~config:{ config with Jaaru.Config.jobs = fleet.workers } ~resume scenario with
-    | o ->
-        List.iter (fun sh -> sh.status <- Done) pending;
-        results := o :: !results;
-        if o.Ex.stats.Jaaru.Stats.interrupted then interrupted := true;
-        steal_split o.Ex.frontier
-    | exception exn ->
-        List.iter (fun sh -> requeue ~why:(Printexc.to_string exn) sh now) pending
-  in
-
-  let all_disabled () = Array.for_all (fun w -> w.disabled) slots in
 
   (* One supervision tick: wait up to 20 ms for frames, act on them, and
      retire the workers that died (EOF on the pipe, or a reaped exit).
@@ -481,16 +431,16 @@ let run ~fleet ~config ~scenario =
       slots
   in
 
+  (* Runs the fleet until every shard is settled, an interrupt winds it
+     down (returns [true]) or no worker is left to run on. The unfinished
+     shards stay in [remaining], for [jaaru check --resume] to finish. *)
   let rec loop () =
-    if finished () then ()
-    else if !interrupted || Ex.interrupts_requested () > 0 then begin
-      interrupted := true;
-      wind_down ()
+    if finished () then false
+    else if Ex.interrupts_requested () > 0 then begin
+      wind_down ();
+      true
     end
-    else if all_disabled () then begin
-      explore_here (Unix.gettimeofday ());
-      loop ()
-    end
+    else if Array.for_all (fun w -> w.disabled) slots then false
     else begin
       let now = Unix.gettimeofday () in
       maybe_spawn now;
@@ -530,27 +480,20 @@ let run ~fleet ~config ~scenario =
     end
   in
 
-  if not phase1_only then begin
-    if fleet.worker_argv <> None then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    log "fleet: %d shards across %d workers" (List.length !shards) fleet.workers;
-    loop ();
-    (* shut the workers down cleanly: closing their stdin makes them quit *)
-    Array.iter release_slot slots
-  end;
+  if fleet.worker_argv <> None then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  log "fleet: the root shard across %d workers" fleet.workers;
+  let interrupted = loop () in
+  (* shut the workers down cleanly: closing their stdin makes them quit *)
+  Array.iter release_slot slots;
 
   let quarantined =
     !shards
     |> List.filter_map (fun s ->
            match s.status with Quarantined why -> Some (s.sid, why) | _ -> None)
   in
-  let remaining =
-    if phase1_only then outcome0.Ex.frontier
-    else unfinished () |> List.concat_map (fun s -> s.prefixes)
-  in
-  let completed = remaining = [] && not !interrupted in
-  let outcome =
-    Ex.merge_outcomes ~config ~completed ~interrupted:!interrupted (outcome0 :: !results)
-  in
+  let remaining = List.map (fun s -> s.prefix) (unfinished ()) in
+  let completed = remaining = [] && not interrupted in
+  let outcome = Ex.merge_outcomes ~config ~completed ~interrupted !results in
   let effective = List.length (List.filter (fun w -> not w.disabled) (Array.to_list slots)) in
   {
     outcome = { outcome with Ex.frontier = remaining };
@@ -565,8 +508,7 @@ let run ~fleet ~config ~scenario =
         retries = !retries;
         steals = !steals;
         quarantined;
-        in_process = all_disabled ();
       };
     remaining;
-    interrupted = !interrupted;
+    interrupted;
   }

@@ -19,8 +19,10 @@ exception Spawn_failed of string
 let spawn ~argv =
   let prog = argv.(0) in
   if not (Sys.file_exists prog) then raise (Spawn_failed (prog ^ ": no such executable"));
-  let down_r, down_w = Unix.pipe ~cloexec:false () in
-  let up_r, up_w = Unix.pipe ~cloexec:false () in
+  (* Close-on-exec, so no worker inherits another's pipes: the child's two
+     [dup2]s below are the only descriptors that survive its [exec]. *)
+  let down_r, down_w = Unix.pipe ~cloexec:true () in
+  let up_r, up_w = Unix.pipe ~cloexec:true () in
   match Unix.fork () with
   | exception Unix.Unix_error (e, _, _) ->
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -32,10 +34,8 @@ let spawn ~argv =
          signal, and a coordinator SIGINT from the terminal does not reach
          workers except through the supervisor. *)
       (try ignore (Unix.setsid ()) with Unix.Unix_error _ -> ());
-      Unix.dup2 down_r Unix.stdin;
-      Unix.dup2 up_w Unix.stdout;
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        [ down_r; down_w; up_r; up_w ];
+      Unix.dup2 ~cloexec:false down_r Unix.stdin;
+      Unix.dup2 ~cloexec:false up_w Unix.stdout;
       (try Unix.execv prog argv with _ -> ());
       (* exec failed: die without running the parent's at_exit handlers *)
       exit 127

@@ -26,7 +26,9 @@ val spawn : argv:string array -> proc
 (** Forks and execs [argv.(0)] with the child's stdin/stdout replaced by
     fresh pipes and the child in its own session (hence its own process
     group — one negative-pid signal reaches it and any grandchildren, and a
-    terminal SIGINT to the coordinator does not). Raises {!Spawn_failed}
+    terminal SIGINT to the coordinator does not). The pipes are
+    close-on-exec: the worker keeps only its own stdin and stdout ends, none
+    of another worker's. Raises {!Spawn_failed}
     when the executable is missing or the fork fails — the coordinator
     degrades to fewer workers rather than aborting. *)
 

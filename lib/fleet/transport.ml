@@ -92,8 +92,7 @@ let frame msg =
   Bytes.blit_string payload 0 out 8 n;
   out
 
-let write fd msg =
-  let buf = frame msg in
+let write_frames fd buf =
   let len = Bytes.length buf in
   let rec go off =
     if off < len then begin
@@ -107,6 +106,9 @@ let write fd msg =
     end
   in
   go 0
+
+let write fd msg = write_frames fd (frame msg)
+let write_all fd msgs = write_frames fd (Bytes.concat Bytes.empty (List.map frame msgs))
 
 (* --- non-blocking buffered reader (both sides) ---------------------------- *)
 

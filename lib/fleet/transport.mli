@@ -41,6 +41,12 @@ val write : Unix.file_descr -> msg -> unit
 (** Writes one complete frame (blocking). Raises {!Closed} on a broken
     pipe. *)
 
+val write_all : Unix.file_descr -> msg list -> unit
+(** Writes the frames of [msgs] in one [write] where the pipe takes them,
+    so a reader waiting on the pipe sees them together (frames up to
+    [PIPE_BUF] bytes in all are written atomically). Raises {!Closed} on a
+    broken pipe. *)
+
 (** {1 Non-blocking buffered reader — both sides}
 
     The one frame parser. The coordinator multiplexes many workers with

@@ -20,9 +20,13 @@ let serve ?(heartbeat_period = 0.05) ~on_preempt ~run () =
     try Transport.write Unix.stdout msg with Transport.Closed _ | Unix.Unix_error _ -> stop ()
   in
   let shard = ref (-1) and beats = ref 0 and next_beat = Atomic.make 0. in
+  (* A preempt read behind an assignment, held for that shard's first
+     [tick]: [run] may clear a stale interrupt before it starts. *)
+  let preempt_next = Atomic.make false in
   (* Beats if one is due, then reads what the coordinator sent: a preempt is
-     acted on at once, EOF stops the worker, and assignments are returned.
-     Mid-shard none arrive: the coordinator assigns only to idle workers. *)
+     acted on at once (or, behind an assignment, at its first tick), EOF
+     stops the worker, and assignments are returned. Mid-shard none arrive:
+     the coordinator assigns only to idle workers. *)
   let poll () =
     let now = Unix.gettimeofday () in
     if now >= Atomic.get next_beat then begin
@@ -32,21 +36,26 @@ let serve ?(heartbeat_period = 0.05) ~on_preempt ~run () =
     end;
     let msgs = Transport.drain input in
     if Transport.at_eof input then stop ();
-    List.filter_map
-      (function
-        | Transport.Assign { shard; attempt; payload } -> Some (shard, attempt, payload)
+    List.fold_left
+      (fun assigned -> function
+        | Transport.Assign { shard; attempt; payload } -> (shard, attempt, payload) :: assigned
         | Transport.Preempt ->
-            on_preempt ();
-            None
-        | Transport.Heartbeat _ | Transport.Result _ | Transport.Refused _ -> None)
-      msgs
+            if assigned = [] then on_preempt () else Atomic.set preempt_next true;
+            assigned
+        | Transport.Heartbeat _ | Transport.Result _ | Transport.Refused _ -> assigned)
+      [] msgs
+    |> List.rev
   in
   (* Called by the shard's replays, possibly on several domains at once:
-     whichever finds a beat due and the lock free polls; the others go on.
-     It never raises into the replay. *)
-  let lock = Mutex.create () in
+     whichever finds a beat due, or makes every 256th call, and the lock
+     free polls; the others go on. It never raises into the replay. *)
+  let lock = Mutex.create () and calls = Atomic.make 0 in
   let tick () =
-    if Unix.gettimeofday () >= Atomic.get next_beat && Mutex.try_lock lock then begin
+    if Atomic.get preempt_next && Atomic.exchange preempt_next false then on_preempt ();
+    if
+      (Atomic.fetch_and_add calls 1 land 255 = 255 || Unix.gettimeofday () >= Atomic.get next_beat)
+      && Mutex.try_lock lock
+    then begin
       ignore (poll ());
       Mutex.unlock lock
     end
@@ -61,6 +70,7 @@ let serve ?(heartbeat_period = 0.05) ~on_preempt ~run () =
         | exception exn -> Transport.Refused { shard = sid; reason = Printexc.to_string exn }
       in
       shard := -1;
+      Atomic.set preempt_next false;
       send reply
     end
   in

@@ -32,9 +32,13 @@ val serve :
     coordinator decides whether to retry.
 
     [run] must call [tick] at the start of every [pre] and [post] of the
-    scenario it explores. [tick] costs one clock read unless a beat is due;
-    then it sends the beat and reads stdin, calling [on_preempt] for a
-    [Preempt] and for EOF or a broken pipe. It is safe to call from several
-    domains (one polls, the others skip) and never raises. [on_preempt] must
-    only set a flag the exploration polls, such as
-    {!Jaaru.Explorer.request_interrupt}. *)
+    scenario it explores. [tick] costs one clock read unless a beat is due or
+    the call is the 256th since the last such read; then it sends the beat if
+    due and reads stdin, calling [on_preempt] for a [Preempt] and for EOF or
+    a broken pipe, so a preempt lands within a few replays. A [Preempt] read
+    together with, and behind, the [Assign] it follows applies to that shard:
+    [on_preempt] is called at the shard's first [tick], after [run] has
+    cleared any stale interrupt, so the shard answers after its first replay.
+    [tick] is safe to call from several domains (one polls, the others skip)
+    and never raises. [on_preempt] must only set a flag the exploration
+    polls, such as {!Jaaru.Explorer.request_interrupt}. *)

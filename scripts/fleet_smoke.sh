@@ -4,9 +4,13 @@
 # single-process `jaaru check` baseline for every worker count; then run it
 # again while this script SIGSTOPs one of its workers and SIGKILLs another
 # mid-shard, and assert the report is still byte-identical and every
-# requeue names the staged fault. This is the end-to-end half of the fleet
-# story (the real CLI worker, real signals, real pipes); test_fleet.ml
-# covers the coordinator with an in-library fake worker and in-process.
+# requeue names the staged fault. A one-execution tree must run in a
+# worker too (the coordinator runs no program code), and a fleet run
+# interrupted by SIGINT must leave a checkpoint that `jaaru check --resume`
+# completes to the baseline: fleet and check checkpoints are
+# interchangeable. This is the end-to-end half of the fleet story (the real
+# CLI worker, real signals, real pipes); test_fleet.ml covers the
+# coordinator with an in-library fake worker.
 #
 # A worker that is running (state R) and has used a clock tick of CPU time
 # is exploring a shard (it starts in a few ms, and sleeps in `select' when
@@ -123,6 +127,49 @@ echo "== P-CLHT-concurrent --max-failures 2: fleet --fleet-workers 2, both signa
   --report-out "$work/long.baseline.txt"
 fault_leg "$work/long.faults" yes -- P-CLHT-concurrent --fleet-workers 2 --max-failures 2
 diff -u "$work/long.baseline.txt" "$work/long.faults.txt"
+
+echo "== pmdk-1 --max-failures 0: a one-execution tree, run in a worker =="
+# No failure point, so the seeded bug is not found: both runs exit 124.
+status=0
+"$JAARU" check pmdk-1 --exhaustive --max-failures 0 \
+  --report-out "$work/one.baseline.txt" > /dev/null || status=$?
+fleet_status=0
+"$JAARU" fleet pmdk-1 --max-failures 0 \
+  --report-out "$work/one.fleet.txt" > /dev/null || fleet_status=$?
+if [ "$status" -ne "$fleet_status" ]; then
+  echo "FAIL: check exited $status, fleet $fleet_status" >&2
+  exit 1
+fi
+diff -u "$work/one.baseline.txt" "$work/one.fleet.txt"
+
+echo "== P-CLHT-concurrent --max-failures 2: fleet interrupted, finished by check --resume =="
+"$JAARU" fleet P-CLHT-concurrent --fleet-workers 2 --max-failures 2 \
+  --checkpoint "$work/fleet.ckpt" > "$work/interrupted.out" &
+coord=$!
+# SIGINT once a worker is caught exploring (see proc_stat above).
+deadline=$((SECONDS + 60))
+caught=""
+while [ -z "$caught" ] && [ "$SECONDS" -lt "$deadline" ]; do
+  case "$(proc_stat "$coord")" in " "* | Z*) break ;; esac
+  for pid in $(pgrep -P "$coord" -f ' fleet-worker ' || true); do
+    case "$(proc_stat "$pid")" in "R 0" | " "*) ;; R*) caught=$pid ;; esac
+  done
+done
+if [ -z "$caught" ] || ! kill -INT "$coord" 2>/dev/null; then
+  wait "$coord" || true
+  echo "FAIL: no worker was caught exploring; the resume leg did not run" >&2
+  exit 1
+fi
+status=0
+wait "$coord" || status=$?
+if [ "$status" -eq 0 ] || [ ! -e "$work/fleet.ckpt" ]; then
+  echo "FAIL: the interrupted fleet exited $status and left no checkpoint" >&2
+  exit 1
+fi
+grep -q 'continue with: jaaru check P-CLHT-concurrent --resume' "$work/interrupted.out"
+"$JAARU" check P-CLHT-concurrent --exhaustive --max-failures 2 --resume "$work/fleet.ckpt" \
+  --report-out "$work/resumed.txt" > /dev/null
+diff -u "$work/long.baseline.txt" "$work/resumed.txt"
 
 echo "OK: fleet reports are byte-identical to single-process baselines" \
      "(workers: ${WORKER_MATRIX[*]}; $landed shards requeued for staged faults)"

@@ -1,10 +1,10 @@
 (* Fleet mode: the transport framing, retry backoff, prefix shattering,
-   and — the load-bearing property — that a coordinator run, on spawned
-   worker processes (this binary re-executed as a fake worker, which can
-   also kill itself, hang or refuse its shard) or in-process (the fallback
-   onto the explorer's domains that every fleet can degrade to), reports
-   byte-identically to a plain single-process exploration.
-   scripts/fleet_smoke.sh signals the real CLI worker the same way. *)
+   the worker's pipes and preempts, and — the load-bearing property — that
+   a coordinator run on spawned worker processes (this binary re-executed
+   as a fake worker, which can also kill itself, hang or refuse its shard)
+   reports byte-identically to a plain single-process exploration, and that
+   a coordinator with no worker explores nothing and leaves the root to
+   resume. scripts/fleet_smoke.sh signals the real CLI worker the same way. *)
 open Jaaru
 
 let report_text (o : Explorer.outcome) = Format.asprintf "%a" Explorer.pp_report o
@@ -272,101 +272,22 @@ let test_merge_outcomes_differential () =
     (report_text merged);
   Alcotest.(check bool) "merged run exhausted" true merged.Explorer.stats.Stats.exhausted
 
-(* --- the coordinator (in-process fallback) ----------------------------------- *)
-
-let coordinator_case scn config ~workers =
-  let fleet =
-    { (Fleet.Coordinator.default ~scratch:"") with Fleet.Coordinator.workers; worker_argv = None }
-  in
-  Fleet.Coordinator.run ~fleet ~config ~scenario:scn
-
-let test_coordinator_in_process_differential () =
-  let scn, config = deep_case () in
-  let expected = report_text (Explorer.run ~config scn) in
-  List.iter
-    (fun workers ->
-      let r = coordinator_case scn config ~workers in
-      Alcotest.(check string)
-        (Printf.sprintf "fleet(workers=%d, in-process) = single process" workers)
-        expected (report_text r.Fleet.Coordinator.outcome);
-      Alcotest.(check bool) "nothing remaining" true (r.Fleet.Coordinator.remaining = []);
-      Alcotest.(check bool) "not interrupted" false r.Fleet.Coordinator.interrupted;
-      Alcotest.(check bool) "fell back in-process" true r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process;
-      Alcotest.(check bool) "no quarantine" true
-        (r.Fleet.Coordinator.fleet.Fleet.Coordinator.quarantined = []))
-    [ 1; 2; 4 ]
-
-(* Spawn failures must degrade, not abort: a worker argv that cannot exist
-   disables every slot and the coordinator completes the run itself, still
-   byte-identically. *)
-let test_coordinator_degrades_on_spawn_failure () =
-  let scn, config = deep_case () in
-  let expected = report_text (Explorer.run ~config scn) in
-  let fleet =
-    {
-      (Fleet.Coordinator.default ~scratch:"") with
-      Fleet.Coordinator.workers = 2;
-      spawn_attempts = 2;
-      worker_argv = Some [| "/nonexistent/jaaru-worker-binary" |];
-    }
-  in
-  let r = Fleet.Coordinator.run ~fleet ~config ~scenario:scn in
-  Alcotest.(check string) "degraded fleet = single process" expected
-    (report_text r.Fleet.Coordinator.outcome);
-  Alcotest.(check bool) "spawn failures were counted" true
-    (r.Fleet.Coordinator.fleet.Fleet.Coordinator.spawn_failures > 0);
-  Alcotest.(check int) "no effective workers" 0
-    r.Fleet.Coordinator.fleet.Fleet.Coordinator.workers_effective;
-  Alcotest.(check bool) "degraded to in-process" true
-    r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process
-
-(* An interrupt mid-fleet must leave a remainder that, resumed as a plain
-   checkpoint, completes to the uninterrupted report — fleet and check
-   checkpoints are interchangeable. *)
-let test_coordinator_interrupt_remainder () =
-  let scn, config = deep_case () in
-  let expected = report_text (Explorer.run ~config scn) in
-  Explorer.clear_interrupt ();
-  Fun.protect ~finally:Explorer.clear_interrupt (fun () ->
-      let killer =
-        Thread.create
-          (fun () ->
-            Thread.delay 0.05;
-            Explorer.request_interrupt ())
-          ()
-      in
-      let r = coordinator_case scn config ~workers:2 in
-      Thread.join killer;
-      if r.Fleet.Coordinator.interrupted then begin
-        Alcotest.(check bool) "interrupted fleet reports interrupted stats" true
-          r.Fleet.Coordinator.outcome.Explorer.stats.Stats.interrupted;
-        Explorer.clear_interrupt ();
-        let o = r.Fleet.Coordinator.outcome in
-        Alcotest.(check (list string)) "the outcome carries the remainder"
-          r.Fleet.Coordinator.remaining o.Explorer.frontier;
-        let final = Explorer.run ~config ~resume:(Explorer.to_checkpoint ~config scn o) scn in
-        Alcotest.(check string) "interrupted fleet + resume = uninterrupted" expected
-          (report_text final)
-      end
-      else
-        (* The machine outran the killer: the complete report must match. *)
-        Alcotest.(check string) "uninterrupted fleet = single process" expected
-          (report_text r.Fleet.Coordinator.outcome))
-
 (* --- spawned workers ------------------------------------------------------- *)
 
 (* A recovery that ends its process, runs out of memory or spins, on one
    path only: 40 lines are stored and flushed in turn, and only a crash at
    the first flush can leave line 0 unwritten, so the recovery meets it
-   after 41 executions in DFS order, past the fleet's 32-execution split
-   phase. Recovery then calls [exit 3] (MODE [exit]), raises
-   [Out_of_memory] (MODE [oom]), loops without a [Ctx] call (MODE [loop])
-   or returns (any other MODE). Every mode has the same name, so their
-   checkpoints are interchangeable. *)
+   after 41 executions in DFS order. Recovery then calls [exit 3] (MODE
+   [exit]), raises [Out_of_memory] (MODE [oom]), loops without a [Ctx] call
+   (MODE [loop]) or returns (any other MODE). MODE [exit-first] is [exit]
+   with one line stored, so the path lies among the first few executions.
+   Every mode has the same name, so the checkpoints of the 40-line modes
+   are interchangeable. *)
 let probe_case mode =
   let base = Config.default.Config.region_base in
+  let lines = if mode = "exit-first" then 1 else 40 in
   let pre ctx =
-    for i = 0 to 39 do
+    for i = 0 to lines - 1 do
       Ctx.store64 ctx (base + (64 * i)) 1;
       Ctx.clflush ctx (base + (64 * i)) 8
     done
@@ -374,7 +295,7 @@ let probe_case mode =
   let post ctx =
     if Ctx.load64 ctx base = 0 then
       match mode with
-      | "exit" -> exit 3
+      | "exit" | "exit-first" -> exit 3
       | "oom" -> raise Out_of_memory
       | "loop" -> while true do () done
       | _ -> ()
@@ -388,11 +309,13 @@ let probe_case mode =
    faults in modes [kill] (SIGKILL to itself at its first replay), [hang]
    (its first replay sleeps without ticking) and [refuse] (answers
    [Error]), and in mode [foreign] every shard's first attempt answers with
-   a result carrying a wrong fingerprint. In modes [exit], [oom] and [loop]
-   it serves [probe_case]. *)
+   a result carrying a wrong fingerprint. In modes [exit], [exit-first],
+   [oom] and [loop] it serves [probe_case]; any other mode is honest. *)
 let fake_worker mode =
   let scn, config =
-    match mode with "exit" | "oom" | "loop" -> probe_case mode | _ -> deep_case ()
+    match mode with
+    | "exit" | "exit-first" | "oom" | "loop" -> probe_case mode
+    | _ -> deep_case ()
   in
   let run ~tick ~shard ~attempt ~payload =
     let staged = attempt = 1 && shard mod 2 = 0 in
@@ -423,9 +346,10 @@ let fake_worker mode =
   Fleet.Worker.serve ~on_preempt:Explorer.request_interrupt ~run ()
 
 (* One fleet run on spawned fake workers in MODE, returned with its
-   supervision log. A watchdog interrupts the run after 30 s, so a wedged
-   coordinator fails the test instead of hanging it. *)
-let spawned_run ~mode ~workers ?(heartbeat_timeout = 2.0) (scn, config) =
+   supervision log. Given [interrupt_at], the run is interrupted at the first
+   log line that contains it. Otherwise a watchdog interrupts the run after
+   30 s, so a wedged coordinator fails the test instead of hanging it. *)
+let spawned_run ~mode ~workers ?(heartbeat_timeout = 2.0) ?interrupt_at (scn, config) =
   let log = ref [] in
   let fleet =
     {
@@ -433,7 +357,12 @@ let spawned_run ~mode ~workers ?(heartbeat_timeout = 2.0) (scn, config) =
       Fleet.Coordinator.workers;
       heartbeat_timeout;
       worker_argv = Some [| Sys.executable_name; "fake-worker"; mode |];
-      log = (fun line -> log := line :: !log);
+      log =
+        (fun line ->
+          log := line :: !log;
+          match interrupt_at with
+          | Some needle when Test_env.contains ~needle line -> Explorer.request_interrupt ()
+          | _ -> ());
     }
   in
   let over = Atomic.make false in
@@ -456,9 +385,8 @@ let spawned_run ~mode ~workers ?(heartbeat_timeout = 2.0) (scn, config) =
         Explorer.clear_interrupt ())
       (fun () -> Fleet.Coordinator.run ~fleet ~config ~scenario:scn)
   in
-  Alcotest.(check bool) "not interrupted by the watchdog" false r.Fleet.Coordinator.interrupted;
-  Alcotest.(check bool) "ran on worker processes" false
-    r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process;
+  if interrupt_at = None then
+    Alcotest.(check bool) "not interrupted by the watchdog" false r.Fleet.Coordinator.interrupted;
   (r, List.rev !log)
 
 (* A [deep_case] fleet run on spawned fake workers, which must complete to
@@ -471,6 +399,151 @@ let spawned_case ~mode ~workers ?heartbeat_timeout () =
     (report_text (Explorer.run ~config scn))
     (report_text r.Fleet.Coordinator.outcome);
   (r.Fleet.Coordinator.fleet, log)
+
+(* --- the coordinator ------------------------------------------------------- *)
+
+let test_coordinator_spawned_differential () =
+  List.iter
+    (fun workers ->
+      let f, _ = spawned_case ~mode:"honest" ~workers () in
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "workers=%d: no quarantine" workers)
+        [] f.Fleet.Coordinator.quarantined)
+    [ 1; 2; 4 ]
+
+(* A worker argv that cannot exist disables every slot. The coordinator runs
+   no program code, so nothing is explored: the root remains, and resuming
+   that outcome in one process completes the run byte-identically. *)
+let test_coordinator_spawn_failure () =
+  let scn, config = deep_case () in
+  let fleet =
+    {
+      (Fleet.Coordinator.default ~scratch:"") with
+      Fleet.Coordinator.workers = 2;
+      spawn_attempts = 2;
+      worker_argv = Some [| "/nonexistent/jaaru-worker-binary" |];
+    }
+  in
+  let r = Fleet.Coordinator.run ~fleet ~config ~scenario:scn in
+  let f = r.Fleet.Coordinator.fleet in
+  Alcotest.(check bool) "spawn failures were counted" true (f.Fleet.Coordinator.spawn_failures > 0);
+  Alcotest.(check int) "no effective workers" 0 f.Fleet.Coordinator.workers_effective;
+  Alcotest.(check (list string)) "the root remains" [ Choice.encode_prefix Choice.root ]
+    r.Fleet.Coordinator.remaining;
+  Alcotest.(check bool) "not interrupted" false r.Fleet.Coordinator.interrupted;
+  let o = r.Fleet.Coordinator.outcome in
+  Alcotest.(check int) "nothing explored" 0 o.Explorer.stats.Stats.executions;
+  Alcotest.(check string) "resumed = single process"
+    (report_text (Explorer.run ~config scn))
+    (report_text (Explorer.run ~config ~resume:(Explorer.to_checkpoint ~config scn o) scn))
+
+(* An interrupt mid-fleet — here as soon as the root's remainder is
+   shattered, so some shards are out and others pending — must leave a
+   remainder that, resumed as a plain checkpoint, completes to the
+   uninterrupted report: fleet and check checkpoints are interchangeable. *)
+let test_coordinator_interrupt_remainder () =
+  let scn, config = deep_case () in
+  let r, _ = spawned_run ~mode:"honest" ~workers:2 ~interrupt_at:"(steal)" (scn, config) in
+  let o = r.Fleet.Coordinator.outcome in
+  Alcotest.(check bool) "interrupted" true r.Fleet.Coordinator.interrupted;
+  Alcotest.(check bool) "interrupted fleet reports interrupted stats" true
+    o.Explorer.stats.Stats.interrupted;
+  Alcotest.(check bool) "a remainder is left" true (r.Fleet.Coordinator.remaining <> []);
+  Alcotest.(check (list string)) "the outcome carries the remainder"
+    r.Fleet.Coordinator.remaining o.Explorer.frontier;
+  Alcotest.(check string) "interrupted fleet + resume = uninterrupted"
+    (report_text (Explorer.run ~config scn))
+    (report_text (Explorer.run ~config ~resume:(Explorer.to_checkpoint ~config scn o) scn))
+
+(* --- one worker, driven by hand ------------------------------------------- *)
+
+(* The first frame from [reader] that [f] accepts, within 30 s. *)
+let await_frame reader f =
+  let deadline = Unix.gettimeofday () +. 30. in
+  let rec go () =
+    if T.at_eof reader then Alcotest.fail "the worker closed its pipe"
+    else if Unix.gettimeofday () > deadline then Alcotest.fail "no answer from the worker"
+    else begin
+      ignore (Unix.select [ T.reader_fd reader ] [] [] 0.1);
+      match List.find_map f (T.drain reader) with Some x -> x | None -> go ()
+    end
+  in
+  go ()
+
+(* [n] fake workers in MODE with readers on their stdout, shut down (stdin
+   closed, then reaped) when [k] returns. *)
+let with_workers n mode k =
+  let procs =
+    List.init n (fun _ -> Fleet.Supervise.spawn ~argv:[| Sys.executable_name; "fake-worker"; mode |])
+  in
+  let readers = List.map (fun p -> T.reader p.Fleet.Supervise.from_child) procs in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter2
+        (fun p r ->
+          Unix.close p.Fleet.Supervise.to_child;
+          ignore (Fleet.Supervise.wait_reap ~grace:5. p);
+          T.close_reader r)
+        procs readers)
+    (fun () -> k (List.combine procs readers))
+
+(* The preempt the coordinator sends right behind the root's assignment,
+   in one write, is in the pipe before the worker first reads it, so both
+   arrive in one read: the worker must apply it to that shard, after its
+   [run] has cleared stale interrupts, and answer with a remainder. *)
+let test_preempt_with_assign () =
+  let scn, config = deep_case () in
+  let full = Explorer.run ~config scn in
+  with_workers 1 "honest" (function
+    | [ (p, reader) ] ->
+        let root = { Explorer.empty with Explorer.frontier = [ Choice.encode_prefix Choice.root ] } in
+        let payload = Checkpoint.to_string (Explorer.to_checkpoint ~config scn root) in
+        T.write_all p.Fleet.Supervise.to_child [ T.Assign { shard = 0; attempt = 1; payload }; T.Preempt ];
+        let o =
+          await_frame reader (function
+            | T.Result { payload; _ } -> Some (Explorer.of_checkpoint (Checkpoint.of_string payload))
+            | _ -> None)
+        in
+        Alcotest.(check bool) "the answer carries a remainder" true (o.Explorer.frontier <> []);
+        Alcotest.(check bool)
+          (Printf.sprintf "%d of %d executions explored" o.Explorer.stats.Stats.executions
+             full.Explorer.stats.Stats.executions)
+          true
+          (o.Explorer.stats.Stats.executions < full.Explorer.stats.Stats.executions)
+    | _ -> assert false)
+
+(* The pipe inodes process [pid] holds, as (descriptor, inode) pairs. *)
+let pipe_fds pid =
+  let dir = Printf.sprintf "/proc/%d/fd" pid in
+  Array.to_list (Sys.readdir dir)
+  |> List.filter_map (fun fd ->
+         match Unix.readlink (Filename.concat dir fd) with
+         | link when String.starts_with ~prefix:"pipe:[" link ->
+             Some (int_of_string fd, int_of_string (String.sub link 6 (String.length link - 7)))
+         | _ | (exception Unix.Unix_error _) -> None)
+
+(* Each worker holds exactly its own two pipe ends, as stdin and stdout,
+   and none of the pipes of the workers spawned before it. *)
+let test_pipes_not_inherited () =
+  with_workers 3 "honest" (fun workers ->
+      let ino fd = (Unix.fstat fd).Unix.st_ino in
+      let fleet_pipes =
+        List.concat_map
+          (fun (p, _) -> Fleet.Supervise.[ ino p.to_child; ino p.from_child ])
+          workers
+      in
+      List.iteri
+        (fun i (p, reader) ->
+          (* Its first beat is sent after [exec]. *)
+          await_frame reader (function T.Heartbeat _ -> Some () | _ -> None);
+          let held = List.filter (fun (_, n) -> List.mem n fleet_pipes) (pipe_fds p.Fleet.Supervise.pid) in
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "worker %d holds only its own pipe ends" i)
+            Fleet.Supervise.[ (0, ino p.to_child); (1, ino p.from_child) ]
+            (List.sort compare held))
+        workers)
+
+(* --- spawned workers, faults and probes ------------------------------------ *)
 
 (* A foreign-fingerprint result ends its assignment like any other: the
    shard is requeued and the slot is free again, so a single worker still
@@ -594,6 +667,17 @@ let test_probe_exit () =
   Alcotest.(check bool) "its prefixes stay unexplored" false
     (Test_env.contains ~needle:"remaining 0" out)
 
+(* The coordinator runs no program code, so it survives a recovery that
+   exits among the first executions too: the poison shard is quarantined
+   and its prefixes stay unexplored. *)
+let test_probe_exit_first () =
+  let status, out, _ = run_probe "fleet" "exit-first" in
+  Alcotest.check exited "the coordinator returns" (Unix.WEXITED 0) status;
+  Alcotest.(check bool) "a shard is quarantined" true
+    (Test_env.contains ~needle:"quarantined shard" out);
+  Alcotest.(check bool) "its prefixes stay unexplored" false
+    (Test_env.contains ~needle:"remaining 0" out)
+
 (* [Out_of_memory] is a bug report on both sides, the same report. *)
 let test_probe_oom () =
   let status, check_out, _ = run_probe "check" "oom" in
@@ -610,17 +694,29 @@ let () =
   else if Array.length Sys.argv = 5 && Sys.argv.(1) = "probe" then
     probe Sys.argv.(2) Sys.argv.(3) Sys.argv.(4)
   else
-    (* The spawned and chaos groups run first: OCaml 5 refuses [Unix.fork]
-       in a process that has ever spawned a domain, and the in-process
-       coordinator tests below do. *)
+    (* The groups that spawn workers run first: OCaml 5 refuses [Unix.fork]
+       in a process that has ever spawned a domain. *)
     Alcotest.run "fleet"
     [
+      ( "coordinator",
+        [
+          Alcotest.test_case "spawned fleet = single process" `Slow
+            test_coordinator_spawned_differential;
+          Alcotest.test_case "spawn failure leaves the root" `Quick test_coordinator_spawn_failure;
+          Alcotest.test_case "interrupt leaves a resumable remainder" `Slow
+            test_coordinator_interrupt_remainder;
+        ] );
       ( "spawned",
         [
           Alcotest.test_case "foreign result frees the slot" `Slow test_foreign_result_frees_slot;
           Alcotest.test_case "exit in recovery" `Slow test_probe_exit;
+          Alcotest.test_case "exit in recovery among the first executions" `Slow
+            test_probe_exit_first;
           Alcotest.test_case "Out_of_memory in recovery" `Slow test_probe_oom;
           Alcotest.test_case "a recovery that spins is quarantined" `Slow test_probe_loop;
+          Alcotest.test_case "a preempt sent with its assignment is honoured" `Slow
+            test_preempt_with_assign;
+          Alcotest.test_case "workers inherit no pipes" `Slow test_pipes_not_inherited;
         ] );
       ( "chaos",
         [
@@ -643,14 +739,4 @@ let () =
         [
           Alcotest.test_case "merge of disjoint halves" `Quick test_merge_outcomes_differential;
         ] );
-      ( "coordinator",
-        [
-          Alcotest.test_case "in-process fleet = single process" `Slow
-            test_coordinator_in_process_differential;
-          Alcotest.test_case "degrades on spawn failure" `Slow
-            test_coordinator_degrades_on_spawn_failure;
-          Alcotest.test_case "interrupt leaves a resumable remainder" `Quick
-            test_coordinator_interrupt_remainder;
-        ] );
-
     ]
